@@ -118,6 +118,9 @@ def cmd_gen(args) -> int:
                        seed=args.seed, conflict_budget=args.conflict_budget)
     report = generate(formula, literals, config)
     manifest.stage("generate")
+    manifest.data["solver"] = {"conflicts": report.conflicts,
+                               "decisions": report.decisions,
+                               "solver_vars": report.solver_vars}
 
     cov = measure(graph, spec, report.patterns)
     manifest.write_output(args.patterns_out, write_patterns(report, graph))

@@ -1,26 +1,31 @@
-"""Incremental CDCL SAT solver over CNF formulas.
+"""Incremental CDCL SAT solver over CNF formulas and at-least-k constraints.
 
-A :class:`SolverSession` owns a growing clause database seeded from a
+A :class:`SolverSession` owns a growing constraint database seeded from a
 :class:`~gatefuzz.cnf.CnfFormula` (the formula object itself is never
 mutated).  It decides satisfiability under assumptions, returns total models
 (unconstrained variables default to false), and accepts permanently added
 clauses and at-least-k cardinality constraints, which is what solution
-enumeration with blocking clauses needs.
+enumeration with blocking clauses and a Hamming-distance floor needs.
 
 The engine is a deliberately compact MiniSat-style CDCL: two-watched-literal
 propagation, first-UIP conflict learning, activity-driven decisions with
 phase-false polarity, and Luby restarts.  Everything is deterministic for a
-fixed ``decision_seed``.  A session that outgrows this engine can be swapped
-for :class:`ExternalSolverSession`, which speaks DIMACS to any off-the-shelf
-solver binary; both expose the same three entry points.
+fixed ``decision_seed``.
+
+At-least-k constraints are native, after MiniCard (Liffiton & Maglalang,
+SAT 2012), and add no helper variables, so the solver decides only the
+formula's own variables.  A constraint watches k+1 literals that are not
+false.  When a watched literal becomes false the watch moves to an unwatched
+literal that is not false; when none is left, the other watched literals
+must all be true and are propagated.  A propagated literal's reason is the
+clause of that literal and the constraint's false literals, and a conflict
+is the clause of its false literals, so conflict analysis only ever sees
+clauses.  A literal listed twice counts twice.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -53,6 +58,17 @@ class SatResult:
         return self.status == "SAT"
 
 
+class _AtLeast:
+    """At least ``k`` of ``lits`` (internal literals) true; positions
+    0..k of ``lits`` are the watched ones."""
+
+    __slots__ = ("lits", "k")
+
+    def __init__(self, lits, k):
+        self.lits = lits
+        self.k = k
+
+
 def _luby(x):
     """Luby restart sequence 1,1,2,1,1,2,4,... (0-indexed)."""
     size, seq = 1, 0
@@ -69,7 +85,7 @@ def _luby(x):
 class SolverSession:
     """Exclusive-use incremental solver over one formula.
 
-    Clauses only accumulate; the model sequence for a fixed
+    Clauses and constraints only accumulate; the model sequence for a fixed
     ``decision_seed`` and clause/solve sequence is reproducible.
     """
 
@@ -88,6 +104,7 @@ class SolverSession:
         self._reason: list = [None]
         self._activity: list[float] = [0.0]
         self._watches: list[list] = [[], []]
+        self._card_watches: list[list[_AtLeast]] = [[], []]
         self._order: list = []
         self._var_inc = 1.0
         self._trail: list[int] = []
@@ -95,6 +112,7 @@ class SolverSession:
         self._qhead = 0
         self._unsat_forever = False
         self._check_clauses: list[tuple[int, ...]] = []
+        self._check_cards: list[tuple[tuple[int, ...], int]] = []
 
         while self.nvars < formula.var_count:
             self.new_var()
@@ -111,6 +129,8 @@ class SolverSession:
         self._activity.append(self._rng.random() * 1e-9)
         self._watches.append([])
         self._watches.append([])
+        self._card_watches.append([])
+        self._card_watches.append([])
         heappush(self._order, (-self._activity[self.nvars], self.nvars))
         return self.nvars
 
@@ -173,18 +193,51 @@ class SolverSession:
     def encode_at_least_k(self, literals, k: int) -> None:
         """Require at least ``k`` of the signed literals to be true.
 
-        Uses a sequential-counter encoding with fresh helper variables; the
-        helpers never appear in any node/variable map.
+        Positions are counted, so a literal listed twice counts twice.  The
+        constraint is native and adds no variables.
         """
         literals = list(literals)
         if k > len(literals) or k < 1:
             raise InfeasibleConstraintError(
                 f"at-least-{k} over {len(literals)} literals is not satisfiable")
         for signed in literals:
+            if signed == 0:
+                raise ValueError("literal 0 is not allowed")
             while abs(signed) > self.nvars:
                 self.new_var()
-        for c in at_least_k_clauses(literals, k, self.new_var):
-            self.add_clause(c)
+        self._check_cards.append((tuple(literals), k))
+        if self._unsat_forever:
+            return
+        assert not self._trail_lim, "encode_at_least_k requires the session at decision level 0"
+        # Level-0 assignments are permanent: false literals drop out and each
+        # true one lowers k.
+        internal = []
+        for signed in literals:
+            lit = self._internal(signed)
+            value = self._value_lit(lit)
+            if value == _TRUE:
+                k -= 1
+            elif value == _UNDEF:
+                internal.append(lit)
+        if k <= 0:
+            return
+        if len(internal) < k:
+            self._unsat_forever = True
+            return
+        if len(internal) == k:
+            for lit in internal:
+                value = self._value_lit(lit)
+                if value == _FALSE:  # its complement was just enqueued
+                    self._unsat_forever = True
+                    return
+                if value == _UNDEF:
+                    self._enqueue(lit, None)
+            if self._propagate() is not None:
+                self._unsat_forever = True
+            return
+        card = _AtLeast(internal, k)
+        for lit in internal[:k + 1]:
+            self._card_watches[lit].append(card)
 
     # -- assignment machinery --------------------------------------------------
 
@@ -223,12 +276,47 @@ class SolverSession:
                         kept.extend(watchers[idx + 1:])
                         break
                     self._enqueue(first, clause)
+            self._watches[false_lit] = kept
+            if conflict is None and self._card_watches[false_lit]:
+                conflict = self._propagate_cards(false_lit)
             if conflict is not None:
-                self._watches[false_lit] = kept
                 self._qhead = len(self._trail)
                 return conflict
-            self._watches[false_lit] = kept
         return None
+
+    def _propagate_cards(self, false_lit):
+        """Visit the at-least-k constraints watching ``false_lit``; returns a
+        conflicting clause or None."""
+        watchers = self._card_watches[false_lit]
+        kept = []
+        conflict = None
+        for idx, card in enumerate(watchers):
+            lits = card.lits
+            k = card.k
+            # this entry watches false_lit, so its lowest position is watched
+            i = lits.index(false_lit)
+            for j in range(k + 1, len(lits)):
+                if self._value_lit(lits[j]) != _FALSE:
+                    lits[i], lits[j] = lits[j], lits[i]
+                    self._card_watches[lits[i]].append(card)
+                    break
+            else:
+                # Every unwatched literal is false, so only the watched ones
+                # that are not false are left to make up k.
+                kept.append(card)
+                false_lits = [l for l in lits if self._value_lit(l) == _FALSE]
+                free = [l for l in lits[:k + 1] if self._value_lit(l) != _FALSE]
+                if len(free) < k:
+                    conflict = false_lits
+                    kept.extend(watchers[idx + 1:])
+                    break
+                for lit in free:
+                    # a complement among them turns false here; its own
+                    # watch reports the conflict
+                    if self._value_lit(lit) == _UNDEF:
+                        self._enqueue(lit, [lit] + false_lits)
+        self._card_watches[false_lit] = kept
+        return conflict
 
     def _decision_level(self):
         return len(self._trail_lim)
@@ -394,124 +482,8 @@ class SolverSession:
             for clause in self._check_clauses:
                 assert any(model[abs(s)] == (s > 0) for s in clause), \
                     f"model violates clause {clause}"
+            for lits, k in self._check_cards:
+                assert sum(model[abs(s)] == (s > 0) for s in lits) >= k, \
+                    f"model violates at-least-{k} over {lits}"
         return model
 
-
-def at_least_k_clauses(literals, k, new_var):
-    """Sequential-counter clauses forcing >= k of ``literals`` true.
-
-    ``new_var`` allocates fresh helper variables.  Helper ``s[i][j]`` reads
-    "at least j of the first i literals are true"; the final register bit is
-    asserted as a unit clause.
-    """
-    m = len(literals)
-    if k == 1:
-        return [list(literals)]
-    if k == m:
-        return [[lit] for lit in literals]
-    clauses = []
-    # s[i][j] for 1 <= j <= min(i, k); truth may only flow from evidence
-    prev: dict[int, int] = {}
-    for i in range(1, m + 1):
-        y = literals[i - 1]
-        cur: dict[int, int] = {}
-        for j in range(1, min(i, k) + 1):
-            s = new_var()
-            cur[j] = s
-            below = prev.get(j)  # s[i-1][j]; absent means false
-            carry = prev.get(j - 1)  # s[i-1][j-1]; j==1 means true
-            if j == 1:
-                if below is None:
-                    clauses.append([-s, y])
-                else:
-                    clauses.append([-s, below, y])
-            else:
-                if below is None:
-                    clauses.append([-s, y])
-                    clauses.append([-s, carry])
-                else:
-                    clauses.append([-s, below, y])
-                    clauses.append([-s, below, carry])
-        prev = cur
-    clauses.append([prev[k]])
-    return clauses
-
-
-class ExternalSolverSession:
-    """DIMACS subprocess bridge with the same surface as :class:`SolverSession`.
-
-    ``command`` is the argv prefix of a solver invoked as ``command <cnf
-    file>``; its stdout must contain ``SAT``/``UNSAT`` (``s SATISFIABLE`` /
-    ``s UNSATISFIABLE`` also accepted) and, on SAT, DIMACS v-lines or a bare
-    line of signed literals.  Variables missing from the v-lines default to
-    false, matching the built-in phase default.
-    """
-
-    def __init__(self, formula: CnfFormula, command, decision_seed: int = 0):
-        self.command = list(command)
-        self.decision_seed = decision_seed
-        self.nvars = formula.var_count
-        self._clauses = [list(c) for c in formula.clauses]
-        self.solve_calls = 0
-
-    def new_var(self) -> int:
-        self.nvars += 1
-        return self.nvars
-
-    def add_clause(self, clause) -> None:
-        if not clause:
-            raise ValueError("empty clause")
-        for signed in clause:
-            while abs(signed) > self.nvars:
-                self.new_var()
-        self._clauses.append(list(clause))
-
-    def encode_at_least_k(self, literals, k: int) -> None:
-        literals = list(literals)
-        if k > len(literals) or k < 1:
-            raise InfeasibleConstraintError(
-                f"at-least-{k} over {len(literals)} literals is not satisfiable")
-        for c in at_least_k_clauses(literals, k, self.new_var):
-            self.add_clause(c)
-
-    def solve(self, assumptions=()) -> SatResult:
-        self.solve_calls += 1
-        lines = [f"p cnf {self.nvars} {len(self._clauses) + len(assumptions)}"]
-        for clause in self._clauses:
-            lines.append(" ".join(map(str, clause)) + " 0")
-        for lit in assumptions:
-            lines.append(f"{lit} 0")
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-            fh.write("\n".join(lines) + "\n")
-            path = fh.name
-        try:
-            proc = subprocess.run(self.command + [path], capture_output=True, text=True)
-        finally:
-            os.unlink(path)
-        return self._parse_output(proc.stdout)
-
-    def _parse_output(self, text):
-        status = None
-        value_tokens = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("s ") or line in ("SAT", "UNSAT", "SATISFIABLE", "UNSATISFIABLE"):
-                word = line.split()[-1].upper()
-                status = "UNSAT" if "UNSAT" in word else "SAT"
-                continue
-            if line.startswith("v "):
-                value_tokens += line[2:].split()
-            elif status == "SAT" and all(t.lstrip("-").isdigit() for t in line.split()):
-                value_tokens += line.split()
-        if status is None:
-            raise RuntimeError(f"unparseable solver output: {text!r}")
-        if status == "UNSAT":
-            return SatResult("UNSAT")
-        model = [False] * (self.nvars + 1)
-        for tok in value_tokens:
-            lit = int(tok)
-            if lit != 0 and abs(lit) <= self.nvars:
-                model[abs(lit)] = lit > 0
-        return SatResult("SAT", model)

@@ -5,7 +5,11 @@ target literals, so by construction it drives all target nodes to their
 desired values.  Diversity is enforced as a minimum pairwise Hamming
 distance: each accepted pattern contributes a blocking clause (never repeat
 the exact assignment) and an at-least-``d_min`` constraint over the input
-literals that disagree with it.  Generation stops at the pattern budget, at
+literals that disagree with it.  The solver handles that constraint natively,
+so the session never grows beyond the formula's own variables.  Accepted
+patterns are also kept packed into ints, first input as the most significant
+bit, so that the acceptance guard and the reported distance extremes cost one
+XOR and a popcount per pair.  Generation stops at the pattern budget, at
 UNSAT (the qualifying solution space is exhausted), or after too many
 consecutive rejections.
 """
@@ -51,6 +55,9 @@ class GenReport:
     exhausted: bool = False
     solver_calls: int = 0
     wall_time: float = 0.0
+    conflicts: int = 0
+    decisions: int = 0
+    solver_vars: int = 0  # session variable count at the end of the run
 
     @property
     def pattern_count(self) -> int:
@@ -73,6 +80,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
                             conflict_budget=config.conflict_budget)
     target_literals = list(target_literals)
     patterns: list[InputPattern] = []
+    words: list[int] = []  # the accepted patterns, packed
     solver_calls = 0
     rejections = 0
     exhausted = False
@@ -85,8 +93,10 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         candidate = project_model(result.model, formula)
         diff_lits = _difference_literals(candidate, formula)
         session.add_clause(diff_lits)  # blocking clause: never repeat exactly
-        if all(candidate.hamming(p) >= config.d_min for p in patterns):
+        word = int(candidate.to_string(), 2)
+        if all((word ^ other).bit_count() >= config.d_min for other in words):
             patterns.append(candidate)
+            words.append(word)
             session.encode_at_least_k(diff_lits, config.d_min)
             rejections = 0
         else:
@@ -95,7 +105,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             rejections += 1
             if rejections >= config.retry_budget:
                 break
-    d_lo, d_hi = _distance_extremes(patterns)
+    d_lo, d_hi = _distance_extremes(words)
     return GenReport(
         patterns=patterns,
         observed_d_max=d_hi,
@@ -103,6 +113,9 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         exhausted=exhausted,
         solver_calls=solver_calls,
         wall_time=time.perf_counter() - started,
+        conflicts=session.conflicts,
+        decisions=session.decisions,
+        solver_vars=session.nvars,
     )
 
 
@@ -116,19 +129,13 @@ def _difference_literals(pattern: InputPattern, formula: CnfFormula):
             for var, bit in zip(formula.input_vars, pattern.bits)]
 
 
-def _distance_extremes(patterns):
-    lo = hi = 0
-    first = True
-    for i in range(len(patterns)):
-        for j in range(i + 1, len(patterns)):
-            d = patterns[i].hamming(patterns[j])
-            if first:
-                lo = hi = d
-                first = False
-            else:
-                lo = min(lo, d)
-                hi = max(hi, d)
-    return lo, hi
+def _distance_extremes(words):
+    """(min, max) pairwise Hamming distance of packed patterns; (0, 0) for
+    fewer than two."""
+    distances = [(a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:]]
+    if not distances:
+        return 0, 0
+    return min(distances), max(distances)
 
 
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:

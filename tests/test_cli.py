@@ -2,6 +2,7 @@ import json
 
 from gatefuzz.bench import parse_bench
 from gatefuzz.cli import main
+from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -47,6 +48,19 @@ def test_gen_c17_end_to_end(tmp_path):
     assert manifest["command"] == "gen"
     assert len(manifest["inputs"]) == 2
     assert set(manifest["outputs"]) == {dimacs_out, patterns_out, report_out}
+
+
+def test_gen_manifest_records_solver_counters(tmp_path):
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    code = main(["gen", netlist, targets, "-R", "20",
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 0
+    solver = json.load(open(tmp_path / "m.json"))["solver"]
+    assert set(solver) == {"conflicts", "decisions", "solver_vars"}
+    graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
+    # distance constraints add no helper variables to the session
+    assert solver["solver_vars"] == encode(graph).var_count
 
 
 def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):

@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -9,8 +7,8 @@ from gatefuzz.cnf import CnfFormula, encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
-from gatefuzz.sat import (ExternalSolverSession, InfeasibleConstraintError,
-                          SolverBudgetError, SolverSession, at_least_k_clauses)
+from gatefuzz.sat import (InfeasibleConstraintError, SolverBudgetError,
+                          SolverSession)
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import project_model
 
@@ -151,17 +149,6 @@ def test_add_single_negation_flips():
     assert r2.status == "UNSAT" or r2.model[1] != r.model[1]
 
 
-def test_at_least_k_one_equals_disjunction():
-    clauses = at_least_k_clauses([1, 2], 1, lambda: (_ for _ in ()).throw(AssertionError))
-    assert clauses == [[1, 2]]
-
-
-def test_at_least_k_all_equals_units():
-    counter = itertools.count(10)
-    clauses = at_least_k_clauses([1, -2, 3], 3, lambda: next(counter))
-    assert clauses == [[1], [-2], [3]]
-
-
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 3)])
 def test_at_least_k_counts_by_enumeration(m, k):
     sat_count = 0
@@ -231,19 +218,109 @@ def test_grow_vars_through_add_clause():
     assert s.solve().is_sat
 
 
-def test_external_solver_round_trip():
-    graph = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(graph)
-    command = [sys.executable, str(Path(__file__).parent / "external_solver.py")]
-    ext = ExternalSolverSession(f, command)
-    out_var = f.node_to_var[graph.node_id("n22")]
-    r = ext.solve(assumptions=[out_var])
-    assert r.is_sat
-    assert simulate(graph, project_model(r.model, f))[graph.node_id("n22")] == 1
-    ext.add_clause([-out_var])
-    assert ext.solve(assumptions=[out_var]).status == "UNSAT"
-    ext2 = ExternalSolverSession(f, command)
-    ext2.encode_at_least_k([f.node_to_var[n] for n in graph.primary_inputs], 5)
-    r2 = ext2.solve()
-    assert r2.is_sat
-    assert all(r2.model[v] for v in f.input_vars)
+def _count_true(model, literals):
+    return sum(model[abs(l)] == (l > 0) for l in literals)
+
+
+def _brute_force_card_sat(nvars, clauses, cards, fixed):
+    """Exhaustive oracle over clauses and (literals, k) constraints; a
+    literal listed twice counts twice."""
+    for bits in itertools.product([False, True], repeat=nvars):
+        model = (None,) + bits
+        if (all(model[abs(l)] == (l > 0) for l in fixed)
+                and all(_count_true(model, c) >= 1 for c in clauses)
+                and all(_count_true(model, lits) >= k for lits, k in cards)):
+            return True
+    return False
+
+
+def _random_card_literals(rng, nvars):
+    """Distinct-variable literals, sometimes with a duplicate or a complement."""
+    lits = [v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, nvars + 1), rng.randint(1, min(6, nvars)))]
+    roll = rng.random()
+    if roll < 0.2:
+        lits.append(rng.choice(lits))
+    elif roll < 0.4:
+        lits.append(-rng.choice(lits))
+    rng.shuffle(lits)
+    return lits
+
+
+def test_incremental_cardinality_matches_brute_force():
+    rng = random.Random(34)
+    verdicts = {True: 0, False: 0}
+    for trial in range(500):
+        nvars = rng.randint(1, 10)
+        clauses, cards = [], []
+        session = SolverSession(formula_of([], nvars), decision_seed=trial)
+        for _ in range(rng.randint(4, 12)):
+            roll = rng.random()
+            if roll < 0.3:
+                # narrow clauses include units, which fix literals at level 0
+                vs = rng.sample(range(1, nvars + 1), rng.randint(1, min(3, nvars)))
+                clause = [v if rng.random() < 0.5 else -v for v in vs]
+                clauses.append(clause)
+                session.add_clause(clause)
+            elif roll < 0.6:
+                lits = _random_card_literals(rng, nvars)
+                k = rng.randint(1, len(lits))
+                cards.append((lits, k))
+                session.encode_at_least_k(lits, k)
+            else:
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, nvars + 1),
+                                                   rng.randint(0, min(3, nvars)))]
+                got = session.solve(assumptions=assumptions)
+                expected = _brute_force_card_sat(nvars, clauses, cards, assumptions)
+                assert got.is_sat == expected, (trial, clauses, cards, assumptions)
+                verdicts[expected] += 1
+                if got.is_sat:
+                    assert all(got.model[abs(l)] == (l > 0) for l in assumptions)
+                    assert all(_count_true(got.model, c) >= 1 for c in clauses)
+                    assert all(_count_true(got.model, lits) >= k for lits, k in cards)
+    assert verdicts[True] > 200 and verdicts[False] > 200
+
+
+def test_at_least_k_duplicate_literal_counts_twice():
+    s = SolverSession(formula_of([], 2))
+    s.encode_at_least_k([1, 1, 2], 2)
+    assert s.solve(assumptions=[1, -2]).is_sat
+    assert s.solve(assumptions=[-1, 2]).status == "UNSAT"
+
+
+def test_at_least_k_literal_with_its_complement():
+    # exactly one of x1 and -x1 is true, so x2 must be
+    s = SolverSession(formula_of([], 2))
+    s.encode_at_least_k([1, -1, 2], 2)
+    r = s.solve()
+    assert r.is_sat and r.model[2] is True
+    assert s.solve(assumptions=[-2]).status == "UNSAT"
+    s.encode_at_least_k([1, -1], 2)
+    assert s.solve().status == "UNSAT"
+
+
+def test_at_least_k_over_literals_fixed_at_level_0():
+    s = SolverSession(formula_of([(1,), (-2,)], 4))
+    s.encode_at_least_k([1, 2, 3, 4], 3)  # x1 counts, x2 cannot: x3 and x4
+    r = s.solve()
+    assert r.is_sat and r.model[3] is True and r.model[4] is True
+    assert s.solve(assumptions=[-3]).status == "UNSAT"
+    s.encode_at_least_k([1, 2], 1)  # already satisfied by x1
+    assert s.solve().is_sat
+    s.encode_at_least_k([-1, 2], 1)  # both false at level 0
+    assert s.solve().status == "UNSAT"
+    assert s.nvars == 4
+
+
+def test_budget_exhausted_on_cardinality_conflict():
+    # >= 2 of three true and >= 2 of them false: no clause at all, so every
+    # conflict comes from a cardinality constraint
+    s = SolverSession(formula_of([], 3), conflict_budget=0)
+    s.encode_at_least_k([1, 2, 3], 2)
+    s.encode_at_least_k([-1, -2, -3], 2)
+    with pytest.raises(SolverBudgetError):
+        s.solve()
+    assert s.conflicts == 1
+    s.conflict_budget = None  # the session stays usable after the error
+    assert s.solve().status == "UNSAT"
