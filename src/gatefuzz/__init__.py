@@ -13,25 +13,25 @@ from .bench import parse_bench, parse_bench_file, write_bench
 from .blif import parse_blif, parse_blif_file
 from .cgf import run_cgf
 from .cnf import CnfFormula, encode, write_dimacs
-from .coverage import CoverageReport, coverage_curve, measure
+from .coverage import CoverageReport, coverage_curve, measure, measure_with_curve
 from .fixtures import load_circuit
 from .graph import CircuitGraph, GraphDiff, build_graph, diff_graphs, to_dot
 from .netlist import Netlist, NetlistError, RawGate, scan_convert
-from .pattern import InputPattern, hamming_distance
+from .pattern import InputPattern
 from .sat import SatResult, SolverSession
 from .seedgen import GenConfig, GenReport, generate, write_patterns
-from .simulate import simulate, simulate_batch
+from .simulate import simulate_batch
 from .targets import (TargetSpec, ValidityVerdict, build_target_formula,
                       check_validity, parse_targets, targets_from_diff)
 
 __all__ = [
     "parse_bench", "parse_bench_file", "write_bench", "parse_blif",
     "parse_blif_file", "run_cgf", "CnfFormula", "encode", "write_dimacs",
-    "CoverageReport", "coverage_curve", "measure", "load_circuit",
+    "CoverageReport", "coverage_curve", "measure", "measure_with_curve", "load_circuit",
     "CircuitGraph", "GraphDiff", "build_graph", "diff_graphs", "to_dot",
     "Netlist", "NetlistError", "RawGate", "scan_convert", "InputPattern",
-    "hamming_distance", "SatResult", "SolverSession", "GenConfig",
-    "GenReport", "generate", "write_patterns", "simulate", "simulate_batch",
+    "SatResult", "SolverSession", "GenConfig",
+    "GenReport", "generate", "write_patterns", "simulate_batch",
     "TargetSpec", "ValidityVerdict", "build_target_formula", "check_validity",
     "parse_targets", "targets_from_diff",
 ]

@@ -20,7 +20,7 @@ from .blif import parse_blif
 from .bench import parse_bench
 from .cgf import run_cgf
 from .cnf import encode, write_dimacs
-from .coverage import coverage_curve, curve_csv, measure
+from .coverage import curve_csv, measure, measure_with_curve
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
 from .sat import InfeasibleConstraintError, SolverBudgetError
@@ -147,8 +147,7 @@ def cmd_compare(args) -> int:
     config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
                        seed=args.seed, conflict_budget=args.conflict_budget)
     sat_report = generate(formula, literals, config)
-    sat_curve = coverage_curve(graph, spec, sat_report.patterns)
-    sat_cov = measure(graph, spec, sat_report.patterns)
+    sat_cov, sat_curve = measure_with_curve(graph, spec, sat_report.patterns)
     manifest.stage("sat_generation")
 
     trials = []

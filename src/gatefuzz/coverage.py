@@ -4,6 +4,11 @@ State coverage counts a target node as covered once any applied pattern
 drives it to its desired value.  Site coverage uses toggle semantics: a
 target node is covered once the pattern set has exercised it to both 0 and
 1.  Both metrics are cumulative, so appending patterns never decreases them.
+
+:func:`measure_with_curve` computes the report and the per-prefix curve
+together, from one wide-word pass over the targets' fan-in cone (split into
+passes of :data:`~gatefuzz.simulate.PASS_LANES` patterns for long lists);
+:func:`measure` and :func:`coverage_curve` are views of its result.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import CircuitGraph
-from .simulate import WORD_WIDTH, simulate_batch
+from .simulate import PASS_LANES, compile_ops, run_pass
 from .targets import TargetSpec
 
 
@@ -40,61 +45,73 @@ class CoverageReport:
         return [t.first_reach_index for t in self.per_target]
 
 
-def measure(graph: CircuitGraph, spec: TargetSpec, patterns) -> CoverageReport:
-    """Coverage of the target spec over the whole pattern list."""
+def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
+    """Coverage report and per-pattern-prefix curve from one simulation pass.
+
+    Only the targets' fan-in cone is simulated.  A target's first 0 and first
+    1 are the lowest set bits of its complemented and plain words; its state
+    is reached at the first of those equal to its desired value, and its site
+    is toggled at the later of the two.  The curve lists
+    ``(pattern_number, state_pct, site_pct)`` for every prefix; its final point
+    equals the report, and both coordinates are nondecreasing.
+    """
     patterns = list(patterns)
-    per_target = _scan(graph, spec, patterns)
-    state_pct, site_pct = _percentages(per_target)
-    return CoverageReport(
+    for node, _ in spec.entries:
+        if node >= graph.node_count:
+            raise KeyError(f"target node {node} is not in graph {graph.name!r}")
+    ops = compile_ops(graph, spec.nodes())
+    firsts = [[None, None] for _ in spec.entries]  # 1-based number of the first 0, first 1
+    for start in range(0, len(patterns), PASS_LANES):
+        chunk = patterns[start:start + PASS_LANES]
+        words = run_pass(graph, ops, chunk)
+        mask = (1 << len(chunk)) - 1
+        for (node, _), first in zip(spec.entries, firsts):
+            for value, lanes in enumerate((words[node] ^ mask, words[node])):
+                if first[value] is None and lanes:
+                    first[value] = start + (lanes & -lanes).bit_length()
+
+    per_target = [
+        TargetCoverage(node=node, desired=desired, reached_state=first[desired] is not None,
+                       saw_0=first[0] is not None, saw_1=first[1] is not None,
+                       first_reach_index=first[desired])
+        for (node, desired), first in zip(spec.entries, firsts)]
+    k = len(per_target)
+    reached_at = [0] * (len(patterns) + 1)
+    toggled_at = [0] * (len(patterns) + 1)
+    for t, first in zip(per_target, firsts):
+        if t.reached_state:
+            reached_at[t.first_reach_index] += 1
+        if t.toggled:
+            toggled_at[max(first)] += 1
+    curve = []
+    reached = toggled = 0
+    for number in range(1, len(patterns) + 1):
+        reached += reached_at[number]
+        toggled += toggled_at[number]
+        curve.append((number,) + _percentages(reached, toggled, k))
+    state_pct, site_pct = _percentages(reached, toggled, k)
+    report = CoverageReport(
         per_target=per_target,
         state_coverage_pct=state_pct,
         site_coverage_pct=site_pct,
         patterns_applied=len(patterns),
     )
+    return report, curve
+
+
+def measure(graph: CircuitGraph, spec: TargetSpec, patterns) -> CoverageReport:
+    """Coverage of the target spec over the whole pattern list."""
+    return measure_with_curve(graph, spec, patterns)[0]
 
 
 def coverage_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
-    """Per-pattern-prefix coverage: list of (pattern_number, state_pct, site_pct).
-
-    The final point equals :func:`measure` over the full list; both
-    coordinates are nondecreasing.
-    """
-    curve = []
-    _scan(graph, spec, patterns,
-          after_each=lambda per_target, number: curve.append(
-              (number,) + _percentages(per_target)))
-    return curve
+    """Per-pattern-prefix coverage: list of (pattern_number, state_pct, site_pct)."""
+    return measure_with_curve(graph, spec, patterns)[1]
 
 
-def _scan(graph, spec, patterns, after_each=None):
-    patterns = list(patterns)
-    for node, _ in spec.entries:
-        if node >= graph.node_count:
-            raise KeyError(f"target node {node} is not in graph {graph.name!r}")
-    per_target = [TargetCoverage(node=n, desired=v) for n, v in spec.entries]
-    number = 0
-    for start in range(0, len(patterns), WORD_WIDTH):
-        batch = simulate_batch(graph, patterns[start:start + WORD_WIDTH])
-        for lane in range(batch.lane_count):
-            number += 1
-            for t in per_target:
-                bit = batch.node_bit(t.node, lane)
-                t.saw_0 |= bit == 0
-                t.saw_1 |= bit == 1
-                if bit == t.desired and not t.reached_state:
-                    t.reached_state = True
-                    t.first_reach_index = number
-            if after_each is not None:
-                after_each(per_target, number)
-    return per_target
-
-
-def _percentages(per_target):
-    k = len(per_target)
+def _percentages(reached, toggled, k):
     if k == 0:
         return 100.0, 100.0  # vacuous: no targets to miss
-    reached = sum(1 for t in per_target if t.reached_state)
-    toggled = sum(1 for t in per_target if t.toggled)
     return 100.0 * reached / k, 100.0 * toggled / k
 
 

@@ -32,7 +32,3 @@ class InputPattern:
         if len(other) != len(self):
             raise ValueError("patterns have different widths")
         return sum(a != b for a, b in zip(self.bits, other.bits))
-
-
-def hamming_distance(a: InputPattern, b: InputPattern) -> int:
-    return a.hamming(b)

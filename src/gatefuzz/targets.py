@@ -72,11 +72,6 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
     return TargetSpec(entries=entries, source="manual")
 
 
-def parse_targets_file(path, graph: CircuitGraph) -> TargetSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_targets(fh.read(), graph)
-
-
 def targets_from_diff(diff: GraphDiff, desired_default: str = "both") -> list[TargetSpec]:
     """Build target specs over all changed and added nodes of a graph diff.
 

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
-from gatefuzz.cgf import run_cgf
+from gatefuzz.cgf import WINDOW, _mutate, _random_pattern, run_cgf
 from gatefuzz.cnf import encode
+from gatefuzz.coverage import CoverageReport, TargetCoverage
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
-from gatefuzz.targets import build_target_formula, parse_targets
+from gatefuzz.simulate import simulate
+from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
+
+from conftest import random_netlist
 
 
 def _graph(text):
@@ -93,3 +97,71 @@ def test_sat_coverage_dominates_cgf():
     for s in range(5):
         cgf_cov = run_cgf(g, spec, budget=20, rng_seed=s).report
         assert sat_cov.state_coverage_pct >= cgf_cov.state_coverage_pct
+
+
+def sequential_cgf(graph, spec, budget, rng_seed):
+    """Reference: breed, simulate and admit one mutant at a time, with one
+    scalar evaluation per mutant; coverage is recounted per pattern."""
+    rng = random.Random(rng_seed)
+    width = graph.input_count
+    seeds, seen, executed, valuations = [], set(), [], []
+    for _ in range(budget):
+        if not seeds:
+            candidate = _random_pattern(rng, width)
+        else:
+            candidate = _mutate(rng, rng.choice(seeds)[0], width)
+        executed.append(candidate)
+        valuation = simulate(graph, candidate)
+        valuations.append(valuation)
+        new_pairs = {(n, valuation[n]) for n in spec.nodes()} - seen
+        if new_pairs:
+            seen |= new_pairs
+            seeds.append((candidate, len(new_pairs)))
+
+    def percentages(per_target):
+        if not per_target:
+            return 100.0, 100.0
+        k = len(per_target)
+        return (100.0 * sum(t.reached_state for t in per_target) / k,
+                100.0 * sum(t.toggled for t in per_target) / k)
+
+    per_target = [TargetCoverage(node=n, desired=v) for n, v in spec.entries]
+    curve = []
+    for number, valuation in enumerate(valuations, start=1):
+        for t in per_target:
+            bit = valuation[t.node]
+            t.saw_0 |= bit == 0
+            t.saw_1 |= bit == 1
+            if bit == t.desired and not t.reached_state:
+                t.reached_state, t.first_reach_index = True, number
+        curve.append((number,) + percentages(per_target))
+    report = CoverageReport(per_target, *percentages(per_target), patterns_applied=budget)
+    return executed, seeds, report, curve
+
+
+def _equivalence_cases():
+    c17 = build_graph(scan_convert(load_circuit("c17")))
+    yield "c17", c17, parse_targets("n22=1\nn23=0", c17)
+    yield "c17-empty", c17, TargetSpec(entries=[])
+    c432 = build_graph(scan_convert(load_circuit("c432")))
+    yield "c432", c432, parse_targets(fixture_text("c432.mixed.targets"), c432)
+    rng = random.Random(31)
+    for case in range(20):
+        g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 12),
+                                                    rng.randint(5, 60), with_dffs=True)))
+        nodes = rng.sample(range(g.node_count), rng.randint(1, min(8, g.node_count)))
+        yield f"random-{case}", g, TargetSpec(entries=[(n, rng.randrange(2)) for n in nodes])
+
+
+@pytest.mark.parametrize("budget", [1, WINDOW - 1, WINDOW, WINDOW + 1, 200])
+def test_windowed_run_equals_sequential_loop(budget):
+    for name, g, spec in _equivalence_cases():
+        rng_seed = budget + len(name)
+        result = run_cgf(g, spec, budget=budget, rng_seed=rng_seed)
+        executed, seeds, report, curve = sequential_cgf(g, spec, budget, rng_seed)
+        assert result.executed == executed, name
+        assert [(s.pattern, s.fitness) for s in result.corpus.seeds] == seeds, name
+        assert result.report == report, name
+        assert result.curve == curve, name
+        if not spec.entries:
+            assert not seeds

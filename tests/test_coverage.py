@@ -3,13 +3,14 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
+import gatefuzz.coverage as coverage_module
 from gatefuzz.coverage import (coverage_curve, curve_csv, measure,
-                               per_target_csv)
+                               measure_with_curve, per_target_csv)
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import simulate
+from gatefuzz.simulate import fanin_cone, simulate
 from gatefuzz.targets import TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
@@ -161,3 +162,48 @@ def test_csv_outputs():
     text = curve_csv(curve)
     assert text.splitlines()[0] == "pattern_index,state_coverage_pct,site_coverage_pct"
     assert len(text.splitlines()) == 9
+
+
+def prefix_scan(graph, spec, patterns):
+    """Oracle: scalar per-pattern accumulation, one curve point per prefix,
+    plus each entry's (reached, saw_0, saw_1, first_reach_index)."""
+    state = [[False, False, False, None] for _ in spec.entries]
+    curve = []
+    k = len(spec.entries)
+    for number, p in enumerate(patterns, start=1):
+        v = simulate(graph, p)
+        for (n, want), s in zip(spec.entries, state):
+            s[1 + v[n]] = True
+            if v[n] == want and not s[0]:
+                s[0], s[3] = True, number
+        if k == 0:
+            curve.append((number, 100.0, 100.0))
+        else:
+            curve.append((number, 100.0 * sum(s[0] for s in state) / k,
+                          100.0 * sum(s[1] and s[2] for s in state) / k))
+    return [tuple(s) for s in state], curve
+
+
+@pytest.mark.parametrize("pass_lanes", [None, 64])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+def test_one_pass_matches_oracles_at_every_width(count, pass_lanes, monkeypatch):
+    if pass_lanes is not None:
+        monkeypatch.setattr(coverage_module, "PASS_LANES", pass_lanes)
+    rng = random.Random(count)
+    g = build_graph(scan_convert(random_netlist(rng, 8, 200, with_dffs=True)))
+    # a low gate whose cone holds few of the 200 gates, plus deep gates
+    narrow = min(range(g.input_count, g.node_count), key=lambda n: (g.levels[n], n))
+    assert len(fanin_cone(g, [narrow])) < g.node_count // 10
+    nodes = [narrow] + rng.sample(range(g.input_count, g.node_count), 4)
+    spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in dict.fromkeys(nodes)])
+    patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
+                for _ in range(count)]
+    report, curve = measure_with_curve(g, spec, patterns)
+    assert report == measure(g, spec, patterns)
+    assert curve == coverage_curve(g, spec, patterns)
+    assert (report.state_coverage_pct, report.site_coverage_pct) == naive_measure(g, spec, patterns)
+    per_target, expected_curve = prefix_scan(g, spec, patterns)
+    assert [(t.reached_state, t.saw_0, t.saw_1, t.first_reach_index)
+            for t in report.per_target] == per_target
+    assert curve == expected_curve
+    assert report.patterns_applied == count

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -8,8 +9,9 @@ from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import (SimulationError, dump_valuation, iter_batches,
-                               simulate, simulate_batch)
+from gatefuzz.simulate import (SimulationError, compile_ops, dump_valuation,
+                               fanin_cone, iter_batches, run_pass, simulate,
+                               simulate_batch)
 
 from conftest import all_patterns, random_netlist
 from oracle import ref_eval
@@ -82,10 +84,32 @@ def test_empty_batch():
     assert batch.words == [0, 0]
 
 
-def test_batch_too_large():
-    g = _graph("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    with pytest.raises(SimulationError, match="exceeds word width"):
-        simulate_batch(g, [InputPattern((0,))] * 65)
+def test_batch_of_any_width_equals_per_lane_simulate():
+    for lanes in (0, 1, 64, 65, 1000):
+        rng = random.Random(lanes)
+        g = build_graph(scan_convert(random_netlist(rng, 7, 40, with_dffs=True)))
+        patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
+                    for _ in range(lanes)]
+        batch = simulate_batch(g, patterns)
+        assert batch.lane_count == lanes
+        assert all(w >> lanes == 0 for w in batch.words)
+        for lane, p in enumerate(patterns):
+            assert batch.valuation(lane) == simulate(g, p)
+
+
+def test_cone_pass_matches_full_pass_inside_the_cone():
+    rng = random.Random(23)
+    g = build_graph(scan_convert(random_netlist(rng, 6, 60)))
+    patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
+                for _ in range(100)]
+    target = g.node_count - 20
+    cone = fanin_cone(g, [target])
+    assert len(cone) < g.node_count - g.input_count
+    words = run_pass(g, compile_ops(g, [target]), patterns)
+    full = simulate_batch(g, patterns).words
+    for node in range(g.node_count):
+        in_view = node in cone or node in g.primary_inputs
+        assert words[node] == (full[node] if in_view else 0)
 
 
 def test_valuation_satisfies_every_cnf_clause():
@@ -111,13 +135,21 @@ def test_valuation_satisfies_every_cnf_clause():
 def test_iter_batches_covers_all():
     g = build_graph(scan_convert(load_circuit("c17")))
     patterns = all_patterns(5)
-    seen = 0
-    for batch in iter_batches(g, patterns):
-        seen += batch.lane_count
-    assert seen == 32
+    for width in (5, 1024):
+        seen = []
+        for batch in iter_batches(g, patterns, width):
+            assert batch.lane_count <= width
+            seen += [batch.valuation(lane) for lane in range(batch.lane_count)]
+        assert seen == [simulate(g, p) for p in patterns]
 
 
 def test_dump_valuation():
     g = _graph("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
     text = dump_valuation(g, simulate(g, InputPattern((0,))))
     assert "a=0" in text and "y=1" in text
+
+
+def test_package_attribute_is_the_submodule():
+    import gatefuzz.simulate as module
+    assert inspect.ismodule(module)
+    assert module.simulate is simulate
