@@ -120,7 +120,10 @@ def cmd_gen(args) -> int:
     manifest.stage("generate")
     manifest.data["solver"] = {"conflicts": report.conflicts,
                                "decisions": report.decisions,
-                               "solver_vars": report.solver_vars}
+                               "propagations": report.propagations,
+                               "solver_calls": report.solver_calls,
+                               "solver_vars": report.solver_vars,
+                               "stop_reason": report.stop_reason}
 
     cov = measure(graph, spec, report.patterns)
     manifest.write_output(args.patterns_out, write_patterns(report, graph))

@@ -21,6 +21,25 @@ must all be true and are propagated.  A propagated literal's reason is the
 clause of that literal and the constraint's false literals, and a conflict
 is the clause of its false literals, so conflict analysis only ever sees
 clauses.  A literal listed twice counts twice.
+
+Values live in one array indexed by literal, as in MiniSat (Eén & Sörensson,
+SAT 2003): ``_lit_val[lit]`` is the literal's own value, so the hot loops read
+it with one index and no sign flip; assigning or unassigning a variable writes
+both of its literals.
+
+Every model is checked against every clause and at-least-k constraint ever
+added while asserts are on.  The check is bitmask arithmetic over literals,
+indexed like ``_lit_val``.  The model's true literals are packed into one int
+and cut into blocks of ``_CHECK_BLOCK_BITS`` literals.  A constraint is kept
+as ``(block, mask)`` segments, one per block that holds its literals, and a
+literal listed twice goes into two segments, so it still counts twice; a
+complementary pair sets two bits of which exactly one is true, so it counts
+once.  With ``w`` the block of true literals, a clause holds when ``w & mask``
+is nonzero for one of its segments, and an at-least-k constraint when the
+popcounts of ``w & mask`` over its segments sum to at least k.  A mask is
+never wider than a block, so the check's store grows with the number of
+literals and not with the distance between their variables; it is recorded
+only while asserts are on.
 """
 
 from __future__ import annotations
@@ -38,6 +57,7 @@ _UNDEF = 0
 _RESTART_BASE = 100
 _ACTIVITY_DECAY = 0.95
 _ACTIVITY_RESCALE = 1e100
+_CHECK_BLOCK_BITS = 512  # literals per block in the debug model check
 
 
 class SolverBudgetError(Exception):
@@ -98,8 +118,9 @@ class SolverSession:
         self.conflicts = 0
         self.decisions = 0
         self.solve_calls = 0
+        self.propagations = 0  # trail literals dequeued by unit propagation
 
-        self._assign: list[int] = [0]
+        self._lit_val: list[int] = [_UNDEF, _UNDEF]  # indexed by literal
         self._level: list[int] = [0]
         self._reason: list = [None]
         self._activity: list[float] = [0.0]
@@ -111,8 +132,10 @@ class SolverSession:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._unsat_forever = False
-        self._check_clauses: list[tuple[int, ...]] = []
-        self._check_cards: list[tuple[tuple[int, ...], int]] = []
+        # every constraint ever added, for the model check: a clause is kept
+        # under the block of its first segment as (mask, other segments)
+        self._check_clauses: dict[int, list[tuple[int, tuple]]] = {}
+        self._check_cards: list[tuple[tuple[tuple[int, int], ...], int]] = []
 
         while self.nvars < formula.var_count:
             self.new_var()
@@ -123,7 +146,8 @@ class SolverSession:
 
     def new_var(self) -> int:
         self.nvars += 1
-        self._assign.append(_UNDEF)
+        self._lit_val.append(_UNDEF)
+        self._lit_val.append(_UNDEF)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(self._rng.random() * 1e-9)
@@ -133,10 +157,6 @@ class SolverSession:
         self._card_watches.append([])
         heappush(self._order, (-self._activity[self.nvars], self.nvars))
         return self.nvars
-
-    def _value_lit(self, lit):
-        a = self._assign[lit >> 1]
-        return -a if lit & 1 else a
 
     @staticmethod
     def _internal(signed):
@@ -165,15 +185,18 @@ class SolverSession:
             if signed not in seen:
                 seen.add(signed)
                 lits.append(signed)
-        self._check_clauses.append(tuple(lits))
+        internal = [self._internal(s) for s in lits]
+        if __debug__:
+            (block, mask), *rest = _segments(internal)
+            self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
         if self._unsat_forever:
             return
         assert not self._trail_lim, "add_clause requires the session at decision level 0"
-        internal = [self._internal(s) for s in lits]
+        val = self._lit_val
         # Level-0 assignments are permanent: drop false literals, skip
         # satisfied clauses.
-        internal = [l for l in internal if self._value_lit(l) != _FALSE]
-        if any(self._value_lit(l) == _TRUE for l in internal):
+        internal = [l for l in internal if val[l] != _FALSE]
+        if any(val[l] == _TRUE for l in internal):
             return
         if not internal:
             self._unsat_forever = True
@@ -205,16 +228,19 @@ class SolverSession:
                 raise ValueError("literal 0 is not allowed")
             while abs(signed) > self.nvars:
                 self.new_var()
-        self._check_cards.append((tuple(literals), k))
+        if __debug__:
+            self._check_cards.append(
+                (_segments([self._internal(s) for s in literals]), k))
         if self._unsat_forever:
             return
         assert not self._trail_lim, "encode_at_least_k requires the session at decision level 0"
+        val = self._lit_val
         # Level-0 assignments are permanent: false literals drop out and each
         # true one lowers k.
         internal = []
         for signed in literals:
             lit = self._internal(signed)
-            value = self._value_lit(lit)
+            value = val[lit]
             if value == _TRUE:
                 k -= 1
             elif value == _UNDEF:
@@ -226,7 +252,7 @@ class SolverSession:
             return
         if len(internal) == k:
             for lit in internal:
-                value = self._value_lit(lit)
+                value = val[lit]
                 if value == _FALSE:  # its complement was just enqueued
                     self._unsat_forever = True
                     return
@@ -242,52 +268,63 @@ class SolverSession:
     # -- assignment machinery --------------------------------------------------
 
     def _enqueue(self, lit, reason):
+        val = self._lit_val
+        val[lit] = _TRUE
+        val[lit ^ 1] = _FALSE
         var = lit >> 1
-        self._assign[var] = _FALSE if lit & 1 else _TRUE
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = p ^ 1
-            watchers = self._watches[false_lit]
+        val = self._lit_val
+        trail = self._trail
+        watches = self._watches
+        card_watches = self._card_watches
+        enqueue = self._enqueue
+        qhead = start = self._qhead
+        conflict = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
             kept = []
-            conflict = None
             for idx, clause in enumerate(watchers):
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value_lit(first) == _TRUE:
+                if val[first] == _TRUE:
                     kept.append(clause)
                     continue
                 for k in range(2, len(clause)):
-                    if self._value_lit(clause[k]) != _FALSE:
+                    if val[clause[k]] != _FALSE:
                         clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
+                        watches[clause[1]].append(clause)
                         break
                 else:
                     kept.append(clause)
-                    if self._value_lit(first) == _FALSE:
+                    if val[first] == _FALSE:
                         conflict = clause
                         kept.extend(watchers[idx + 1:])
                         break
-                    self._enqueue(first, clause)
-            self._watches[false_lit] = kept
-            if conflict is None and self._card_watches[false_lit]:
+                    enqueue(first, clause)
+            watches[false_lit] = kept
+            if conflict is None and card_watches[false_lit]:
                 conflict = self._propagate_cards(false_lit)
             if conflict is not None:
-                self._qhead = len(self._trail)
-                return conflict
-        return None
+                break
+        self.propagations += qhead - start
+        self._qhead = len(trail)
+        return conflict
 
     def _propagate_cards(self, false_lit):
         """Visit the at-least-k constraints watching ``false_lit``; returns a
         conflicting clause or None."""
-        watchers = self._card_watches[false_lit]
+        val = self._lit_val
+        card_watches = self._card_watches
+        enqueue = self._enqueue
+        watchers = card_watches[false_lit]
         kept = []
         conflict = None
         for idx, card in enumerate(watchers):
@@ -296,16 +333,16 @@ class SolverSession:
             # this entry watches false_lit, so its lowest position is watched
             i = lits.index(false_lit)
             for j in range(k + 1, len(lits)):
-                if self._value_lit(lits[j]) != _FALSE:
+                if val[lits[j]] != _FALSE:
                     lits[i], lits[j] = lits[j], lits[i]
-                    self._card_watches[lits[i]].append(card)
+                    card_watches[lits[i]].append(card)
                     break
             else:
                 # Every unwatched literal is false, so only the watched ones
                 # that are not false are left to make up k.
                 kept.append(card)
-                false_lits = [l for l in lits if self._value_lit(l) == _FALSE]
-                free = [l for l in lits[:k + 1] if self._value_lit(l) != _FALSE]
+                false_lits = [l for l in lits if val[l] == _FALSE]
+                free = [l for l in lits[:k + 1] if val[l] != _FALSE]
                 if len(free) < k:
                     conflict = false_lits
                     kept.extend(watchers[idx + 1:])
@@ -313,9 +350,9 @@ class SolverSession:
                 for lit in free:
                     # a complement among them turns false here; its own
                     # watch reports the conflict
-                    if self._value_lit(lit) == _UNDEF:
-                        self._enqueue(lit, [lit] + false_lits)
-        self._card_watches[false_lit] = kept
+                    if val[lit] == _UNDEF:
+                        enqueue(lit, [lit] + false_lits)
+        card_watches[false_lit] = kept
         return conflict
 
     def _decision_level(self):
@@ -328,9 +365,10 @@ class SolverSession:
         if self._decision_level() <= level:
             return
         floor = self._trail_lim[level]
+        val = self._lit_val
         for lit in reversed(self._trail[floor:]):
+            val[lit] = val[lit ^ 1] = _UNDEF
             var = lit >> 1
-            self._assign[var] = _UNDEF
             self._reason[var] = None
             heappush(self._order, (-self._activity[var], var))
         del self._trail[floor:]
@@ -348,10 +386,10 @@ class SolverSession:
     def _pick_branch_var(self):
         while self._order:
             act, var = heappop(self._order)
-            if self._assign[var] == _UNDEF and -act == self._activity[var]:
+            if self._lit_val[2 * var] == _UNDEF and -act == self._activity[var]:
                 return var
         for var in range(1, self.nvars + 1):  # heap entries can go stale
-            if self._assign[var] == _UNDEF:
+            if self._lit_val[2 * var] == _UNDEF:
                 return var
         return None
 
@@ -454,10 +492,10 @@ class SolverSession:
                 next_lit = None
                 while self._decision_level() < len(assumed):
                     lit = assumed[self._decision_level()]
-                    val = self._value_lit(lit)
-                    if val == _TRUE:
+                    value = self._lit_val[lit]
+                    if value == _TRUE:
                         self._new_decision_level()
-                    elif val == _FALSE:
+                    elif value == _FALSE:
                         return SatResult("UNSAT")
                     else:
                         next_lit = lit
@@ -475,15 +513,55 @@ class SolverSession:
             self._cancel_until(0)
 
     def _extract_model(self):
-        model = [False] * (self.nvars + 1)
-        for var in range(1, self.nvars + 1):
-            model[var] = self._assign[var] == _TRUE
+        val = self._lit_val
+        model = [False] + [value == _TRUE for value in val[2::2]]
         if __debug__:
-            for clause in self._check_clauses:
-                assert any(model[abs(s)] == (s > 0) for s in clause), \
-                    f"model violates clause {clause}"
-            for lits, k in self._check_cards:
-                assert sum(model[abs(s)] == (s > 0) for s in lits) >= k, \
-                    f"model violates at-least-{k} over {lits}"
+            true_lits = int("".join("1" if v == _TRUE else "0" for v in reversed(val)), 2)
+            size = _CHECK_BLOCK_BITS >> 3
+            packed = true_lits.to_bytes(len(val) // 8 + 1, "little")
+            words = [int.from_bytes(packed[i:i + size], "little")
+                     for i in range(0, len(packed), size)]
+            for block, clauses in self._check_clauses.items():
+                w = words[block]
+                for mask, rest in clauses:
+                    if not w & mask:
+                        assert any(words[b] & m for b, m in rest), \
+                            f"model violates clause {_segment_literals(((block, mask),) + rest)}"
+            for segments, k in self._check_cards:
+                true_count = 0
+                for block, mask in segments:
+                    true_count += (words[block] & mask).bit_count()
+                assert true_count >= k, \
+                    f"model violates at-least-{k} over {_segment_literals(segments)}"
         return model
 
+
+# Shared one-bit masks: most segments of a clause whose variables lie far
+# apart hold a single literal, and sharing their mask saves its int.
+_BIT = tuple(1 << i for i in range(_CHECK_BLOCK_BITS))
+
+
+def _segments(internal_lits):
+    """``(block, mask)`` segments of internal literals: bit ``lit %
+    _CHECK_BLOCK_BITS`` of a block's mask is set for each literal in it.  A
+    literal listed again starts a new segment, so it counts again."""
+    segments = []
+    block = mask = -1
+    for lit in sorted(internal_lits):
+        bit = _BIT[lit % _CHECK_BLOCK_BITS]
+        if lit // _CHECK_BLOCK_BITS == block and not mask & bit:
+            mask |= bit
+        else:
+            if block >= 0:
+                segments.append((block, mask))
+            block = lit // _CHECK_BLOCK_BITS
+            mask = bit
+    segments.append((block, mask))
+    return tuple(segments)
+
+
+def _segment_literals(segments):
+    """The signed literals of a constraint's segments, for messages."""
+    return [SolverSession._signed(block * _CHECK_BLOCK_BITS + i)
+            for block, mask in segments
+            for i in range(mask.bit_length()) if mask >> i & 1]

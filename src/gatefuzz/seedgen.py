@@ -9,9 +9,8 @@ literals that disagree with it.  The solver handles that constraint natively,
 so the session never grows beyond the formula's own variables.  Accepted
 patterns are also kept packed into ints, first input as the most significant
 bit, so that the acceptance guard and the reported distance extremes cost one
-XOR and a popcount per pair.  Generation stops at the pattern budget, at
-UNSAT (the qualifying solution space is exhausted), or after too many
-consecutive rejections.
+XOR and a popcount per pair.  Generation stops at the pattern budget or at
+UNSAT (the qualifying solution space is exhausted).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class GenConfigError(ValueError):
 class GenConfig:
     pattern_budget: int = 100
     d_min: int = 2
-    retry_budget: int = 20
     seed: int = 0
     conflict_budget: int | None = None
 
@@ -43,8 +41,6 @@ class GenConfig:
             raise GenConfigError("pattern_budget must be >= 1")
         if self.d_min < 2:
             raise GenConfigError("d_min must be >= 2")
-        if self.retry_budget < 1:
-            raise GenConfigError("retry_budget must be >= 1")
 
 
 @dataclass
@@ -57,19 +53,25 @@ class GenReport:
     wall_time: float = 0.0
     conflicts: int = 0
     decisions: int = 0
+    propagations: int = 0
     solver_vars: int = 0  # session variable count at the end of the run
 
     @property
     def pattern_count(self) -> int:
         return len(self.patterns)
 
+    @property
+    def stop_reason(self) -> str:
+        """Why generation stopped: ``"exhausted"`` or ``"budget"``."""
+        return "exhausted" if self.exhausted else "budget"
+
 
 def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenReport:
     """Generate up to ``config.pattern_budget`` targeted patterns.
 
     ``exhausted`` is set only on UNSAT, i.e. when no further pattern at
-    distance >= ``d_min`` from all accepted ones exists; giving up after
-    ``retry_budget`` consecutive rejections leaves it false.
+    distance >= ``d_min`` from all accepted ones exists; otherwise the
+    pattern budget was reached.
     """
     width = len(formula.input_vars)
     if config.d_min > width:
@@ -82,7 +84,6 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
     patterns: list[InputPattern] = []
     words: list[int] = []  # the accepted patterns, packed
     solver_calls = 0
-    rejections = 0
     exhausted = False
     while len(patterns) < config.pattern_budget:
         result = session.solve(assumptions=target_literals)
@@ -91,20 +92,18 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             exhausted = True
             break
         candidate = project_model(result.model, formula)
+        word = int(candidate.to_string(), 2)
+        # Each accepted pattern already carries its distance constraint, so
+        # only an unsound solver gets here with a model too close to one.
+        if not all((word ^ other).bit_count() >= config.d_min for other in words):
+            raise RuntimeError(
+                f"solver model {candidate.to_string()} is closer than d_min "
+                f"{config.d_min} to an accepted pattern")
         diff_lits = _difference_literals(candidate, formula)
         session.add_clause(diff_lits)  # blocking clause: never repeat exactly
-        word = int(candidate.to_string(), 2)
-        if all((word ^ other).bit_count() >= config.d_min for other in words):
-            patterns.append(candidate)
-            words.append(word)
-            session.encode_at_least_k(diff_lits, config.d_min)
-            rejections = 0
-        else:
-            # unreachable with a sound solver (each accepted pattern already
-            # carries its distance constraint); kept as a guard
-            rejections += 1
-            if rejections >= config.retry_budget:
-                break
+        session.encode_at_least_k(diff_lits, config.d_min)
+        patterns.append(candidate)
+        words.append(word)
     d_lo, d_hi = _distance_extremes(words)
     return GenReport(
         patterns=patterns,
@@ -115,6 +114,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         wall_time=time.perf_counter() - started,
         conflicts=session.conflicts,
         decisions=session.decisions,
+        propagations=session.propagations,
         solver_vars=session.nvars,
     )
 

@@ -57,10 +57,16 @@ def test_gen_manifest_records_solver_counters(tmp_path):
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
     solver = json.load(open(tmp_path / "m.json"))["solver"]
-    assert set(solver) == {"conflicts", "decisions", "solver_vars"}
+    assert set(solver) == {"conflicts", "decisions", "propagations", "solver_calls",
+                           "solver_vars", "stop_reason"}
     graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
     # distance constraints add no helper variables to the session
     assert solver["solver_vars"] == encode(graph).var_count
+    # one solve per pattern, and the budget, not UNSAT, ended the run
+    assert solver["solver_calls"] == 20
+    assert solver["stop_reason"] == "budget"
+    # every decision literal is dequeued by the propagation that follows it
+    assert solver["propagations"] >= solver["decisions"] > 0
 
 
 def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):

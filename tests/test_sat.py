@@ -7,7 +7,8 @@ from gatefuzz.cnf import CnfFormula, encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
-from gatefuzz.sat import (InfeasibleConstraintError, SolverBudgetError,
+from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE,
+                          InfeasibleConstraintError, SolverBudgetError,
                           SolverSession)
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import project_model
@@ -324,3 +325,153 @@ def test_budget_exhausted_on_cardinality_conflict():
     assert s.conflicts == 1
     s.conflict_budget = None  # the session stays usable after the error
     assert s.solve().status == "UNSAT"
+
+
+def test_propagations_count_dequeued_literals():
+    # x1 -> x2 -> x3 -> x4: the assumption and its three implications are
+    # each dequeued once, and nothing is left to decide
+    s = SolverSession(formula_of([(-1, 2), (-2, 3), (-3, 4)], 4))
+    r = s.solve(assumptions=[1])
+    assert r.is_sat and r.model[1:] == [True] * 4
+    assert s.decisions == 0
+    assert s.propagations == 4
+    # x1 implies x2 and x3, and dequeuing x2 finds the conflict: x3 is
+    # implied but never dequeued, and the learnt unit -x1 is dequeued once
+    s = SolverSession(formula_of([(-1, 2), (-1, 3), (-2, -3)], 3))
+    assert s.solve(assumptions=[1]).status == "UNSAT"
+    assert s.conflicts == 1
+    assert s.propagations == 3
+
+
+debug_check = pytest.mark.skipif(
+    not __debug__, reason="the model check in _extract_model runs only with asserts on")
+
+
+def _force(session, assignment):
+    """Overwrite the session's value array with a total assignment
+    (index v of ``assignment`` is variable v; index 0 unused)."""
+    for var in range(1, session.nvars + 1):
+        value = _TRUE if assignment[var] else _FALSE
+        session._lit_val[2 * var] = value
+        session._lit_val[2 * var + 1] = -value
+
+
+def _sat_session(nvars, clauses=(), cards=()):
+    s = SolverSession(formula_of(clauses, nvars))
+    for lits, k in cards:
+        s.encode_at_least_k(lits, k)
+    assert s.solve().is_sat
+    return s
+
+
+@debug_check
+def test_model_check_fires_on_violated_clause():
+    s = _sat_session(3, clauses=[(1, -2), (2, 3)])
+    _force(s, [None, True, True, False])
+    s._extract_model()  # both clauses hold
+    _force(s, [None, False, True, True])  # (1, -2) is violated
+    with pytest.raises(AssertionError, match=r"violates clause \[1, -2\]"):
+        s._extract_model()
+
+
+@debug_check
+def test_model_check_fires_on_violated_at_least_k():
+    s = _sat_session(4, cards=[([1, -2, 3, 4], 3)])
+    _force(s, [None, True, False, True, False])
+    s._extract_model()  # 1, -2 and 3 hold
+    _force(s, [None, True, True, True, False])  # only 1 and 3 hold
+    with pytest.raises(AssertionError, match="at-least-3"):
+        s._extract_model()
+
+
+@debug_check
+def test_model_check_counts_a_repeated_literal_twice():
+    s = _sat_session(2, cards=[([1, 1, 2], 2)])
+    _force(s, [None, True, False])
+    s._extract_model()  # x1 counts twice
+    _force(s, [None, True, True])
+    s._extract_model()
+    _force(s, [None, False, True])  # only y: one of two
+    with pytest.raises(AssertionError, match="at-least-2"):
+        s._extract_model()
+
+
+@debug_check
+def test_model_check_counts_a_complementary_pair_once():
+    s = _sat_session(2, cards=[([1, -1, 2], 2)])
+    for x1 in (False, True):
+        _force(s, [None, x1, True])
+        s._extract_model()  # one of the pair plus x2
+        _force(s, [None, x1, False])  # the pair alone makes only one
+        with pytest.raises(AssertionError, match="at-least-2"):
+            s._extract_model()
+
+
+@debug_check
+@pytest.mark.parametrize("block_bits", [_CHECK_BLOCK_BITS, 8])
+def test_mask_check_matches_literal_recount(monkeypatch, block_bits):
+    # 8-bit blocks split most constraints over several blocks
+    monkeypatch.setattr("gatefuzz.sat._CHECK_BLOCK_BITS", block_bits)
+    monkeypatch.setattr("gatefuzz.sat._BIT", tuple(1 << i for i in range(block_bits)))
+    rng = random.Random(35)
+    outcomes = {True: 0, False: 0}
+    for trial in range(400):
+        nvars = rng.randint(1, 40)
+        s = SolverSession(formula_of([], nvars))
+        assignment = [None] + [rng.random() < 0.5 for _ in range(nvars)]
+        model = tuple(assignment)
+        clauses, cards = [], []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.4:
+                # repeats and complements: a clause with both is a tautology
+                clause = _random_card_literals(rng, nvars)
+                clauses.append(clause)
+                s.add_clause(clause)
+            else:
+                lits = _random_card_literals(rng, nvars)
+                # k at the recount or one above it, so every constraint sits
+                # on the boundary of the check
+                k = min(len(lits), max(1, _count_true(model, lits) + rng.randint(0, 1)))
+                cards.append((lits, k))
+                s.encode_at_least_k(lits, k)
+        holds = (all(_count_true(model, c) >= 1 for c in clauses)
+                 and all(_count_true(model, lits) >= k for lits, k in cards))
+        _force(s, assignment)
+        try:
+            got = s._extract_model()
+        except AssertionError:
+            assert not holds, (trial, clauses, cards, assignment)
+        else:
+            assert holds, (trial, clauses, cards, assignment)
+            assert got == [False] + assignment[1:]
+        outcomes[holds] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+@debug_check
+def test_check_masks_stay_within_a_block():
+    # variables far apart: each mask covers its own block, not the span
+    far = 4 * _CHECK_BLOCK_BITS
+    s = SolverSession(formula_of([(1, -far, far // 2)], far))
+    s.encode_at_least_k([2, 2, -(far - 1), far // 2 + 1], 3)
+    ((home, [(mask, rest)]),) = s._check_clauses.items()
+    clause = ((home, mask),) + rest
+    ((card, k),) = s._check_cards
+    assert len(clause) == 3 and k == 3
+    assert len(card) == 4  # 2 is listed twice, so it takes two segments
+    for block, mask in clause + card:
+        assert 0 <= block <= 2 * far // _CHECK_BLOCK_BITS
+        assert 0 < mask < 1 << _CHECK_BLOCK_BITS
+    assignment = [None] + [False] * far
+    assignment[2] = True
+    _force(s, assignment)  # -far holds; 2 twice and -(far - 1) make three
+    s._extract_model()
+    assignment[far] = True  # now no literal of the clause holds
+    _force(s, assignment)
+    with pytest.raises(AssertionError, match=rf"violates clause \[1, {far // 2}, -{far}\]"):
+        s._extract_model()
+    assignment[far] = False
+    assignment[2] = False  # only -(far - 1) is left of the three
+    _force(s, assignment)
+    with pytest.raises(AssertionError, match="at-least-3"):
+        s._extract_model()

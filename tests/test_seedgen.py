@@ -1,14 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gatefuzz
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
+from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import (GenConfig, GenConfigError, generate,
                               read_patterns, report_csv_row, write_patterns)
 from gatefuzz.simulate import simulate
@@ -37,7 +42,7 @@ def test_unique_satisfying_input_exhausts():
     spec = parse_targets("y=1", g)
     report = generate(f, build_target_formula(spec, f), GenConfig(pattern_budget=10))
     assert [p.bits for p in report.patterns] == [(1, 1)]
-    assert report.exhausted
+    assert report.exhausted and report.stop_reason == "exhausted"
     assert report.solver_calls >= 2  # the model, then the UNSAT proof
 
 
@@ -125,12 +130,56 @@ def test_determinism():
     b = generate(f, lits, GenConfig(pattern_budget=12, seed=3))
     assert a.patterns == b.patterns
     assert a.solver_calls == b.solver_calls
+    assert a.propagations == b.propagations > 0
+
+
+_C432_PATTERNS = """
+from gatefuzz.cnf import encode
+from gatefuzz.fixtures import fixture_text, load_circuit
+from gatefuzz.graph import build_graph
+from gatefuzz.netlist import scan_convert
+from gatefuzz.seedgen import GenConfig, generate
+from gatefuzz.targets import build_target_formula, parse_targets
+graph = build_graph(scan_convert(load_circuit("c432")))
+formula = encode(graph)
+lits = build_target_formula(parse_targets(fixture_text("c432.mixed.targets"), graph), formula)
+print(__debug__)
+for seed in (0, 7):
+    report = generate(formula, lits, GenConfig(pattern_budget=200, d_min=2, seed=seed))
+    print(report.stop_reason, report.solver_calls, report.conflicts, report.decisions,
+          report.propagations)
+    print(" ".join(p.to_string() for p in report.patterns))
+"""
+
+
+def test_c432_patterns_are_the_same_with_asserts_on_and_off():
+    # the model check in the solver must not steer the search
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gatefuzz.__file__)))
+    env.pop("PYTHONOPTIMIZE", None)
+    runs = [subprocess.run([sys.executable, *flags, "-c", _C432_PATTERNS], env=env,
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+            for flags in ([], ["-O"])]
+    assert runs[0][0] == "True" and runs[1][0] == "False"
+    assert runs[0][1:] == runs[1][1:]
+    for seed_stats, seed_patterns in zip(runs[0][1::2], runs[0][2::2]):
+        assert seed_stats.startswith("budget 200 ")
+        assert len(seed_patterns.split()) == 200
 
 
 def test_d_min_exceeding_inputs_is_config_error():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     with pytest.raises(GenConfigError, match="d_min"):
         generate(f, [], GenConfig(d_min=3))
+
+
+def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
+    # without its distance constraints the solver returns models one flip
+    # apart, which the guard must refuse on every pattern, asserts on or off
+    g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
+    lits = build_target_formula(parse_targets("y=1", g), f)
+    monkeypatch.setattr(SolverSession, "encode_at_least_k", lambda self, literals, k: None)
+    with pytest.raises(RuntimeError, match="closer than d_min 2"):
+        generate(f, lits, GenConfig(pattern_budget=15, d_min=2))
 
 
 def test_config_validation():
