@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .netlist import GATE_KINDS, Netlist, NetlistError, NetlistSyntaxError, RawGate
+from .netlist import CONST_KINDS, GATE_KINDS, Netlist, NetlistError, NetlistSyntaxError, RawGate
 
 _ID = r"[^\s(),=#]+"
 _INPUT_RE = re.compile(rf"^INPUT\s*\(\s*({_ID})\s*\)$")
@@ -22,6 +22,7 @@ _OUTPUT_RE = re.compile(rf"^OUTPUT\s*\(\s*({_ID})\s*\)$")
 _GATE_RE = re.compile(rf"^({_ID})\s*=\s*([A-Za-z0-9]+)\s*\(\s*([^()]*)\s*\)$")
 
 _KIND_ALIASES = {"BUFF": "BUF"}
+_BENCH_KINDS = GATE_KINDS - CONST_KINDS  # constants have no .bench keyword
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -37,31 +38,34 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _INPUT_RE.match(line)
-        if m:
-            netlist.primary_inputs.append(m.group(1))
-            continue
-        m = _OUTPUT_RE.match(line)
-        if m:
-            netlist.primary_outputs.append(m.group(1))
-            continue
-        m = _GATE_RE.match(line)
-        if m:
-            out, kind_word, arg_text = m.groups()
-            kind = kind_word.upper()
-            kind = _KIND_ALIASES.get(kind, kind)
-            if kind not in GATE_KINDS or kind.startswith("CONST"):
-                raise NetlistSyntaxError(
-                    f"unsupported gate keyword {kind_word!r}", lineno, line.find(kind_word) + 1
-                )
-            args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
-            if any(not a for a in args):
-                raise NetlistSyntaxError("empty argument in gate input list", lineno, line.find("(") + 1)
-            try:
-                netlist.gates.append(RawGate(out, kind, tuple(args)))
-            except NetlistError as exc:
-                raise NetlistSyntaxError(str(exc), lineno) from exc
-            continue
+        if "=" not in line:
+            # an _ID cannot contain "=", so only a gate line can hold one
+            m = _INPUT_RE.match(line)
+            if m:
+                netlist.primary_inputs.append(m.group(1))
+                continue
+            m = _OUTPUT_RE.match(line)
+            if m:
+                netlist.primary_outputs.append(m.group(1))
+                continue
+        else:
+            m = _GATE_RE.match(line)
+            if m:
+                out, kind_word, arg_text = m.groups()
+                kind = kind_word.upper()
+                kind = _KIND_ALIASES.get(kind, kind)
+                if kind not in _BENCH_KINDS:
+                    raise NetlistSyntaxError(
+                        f"unsupported gate keyword {kind_word!r}", lineno, line.find(kind_word) + 1
+                    )
+                args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
+                if "" in args:
+                    raise NetlistSyntaxError("empty argument in gate input list", lineno, line.find("(") + 1)
+                try:
+                    netlist.gates.append(RawGate(out, kind, tuple(args)))
+                except NetlistError as exc:
+                    raise NetlistSyntaxError(str(exc), lineno) from exc
+                continue
         raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno)
     netlist.validate()
     return netlist

@@ -42,41 +42,70 @@ def encode(graph: CircuitGraph) -> CnfFormula:
     constants a single unit clause.  Pure and deterministic: the same graph
     always yields the same formula.
     """
-    node_to_var = {}
-    for position, node in enumerate(graph.topo_order):
-        node_to_var[node] = position + 1
-    var_to_node = {v: n for n, v in node_to_var.items()}
+    topo = graph.topo_order
+    kinds = graph.kinds
+    fanins = graph.fanins
+    node_to_var = dict(zip(topo, range(1, len(topo) + 1)))
+    # var_of, the clauses and var_to_node share node_to_var's int objects
+    var_of = [0] * graph.node_count
+    for node, var in node_to_var.items():
+        var_of[node] = var
     next_var = graph.node_count + 1
 
     clauses: list[Clause] = []
-    for node in graph.topo_order:
-        kind = graph.kinds[node]
+    append = clauses.append
+    for node in topo:
+        kind = kinds[node]
         if kind == "INPUT":
             continue
-        y = node_to_var[node]
-        ins = [node_to_var[s] for s in graph.fanins[node]]
-        if kind == "CONST0":
-            clauses.append((-y,))
-        elif kind == "CONST1":
-            clauses.append((y,))
-        elif kind == "BUF":
-            clauses += [(-y, ins[0]), (y, -ins[0])]
+        y = var_of[node]
+        srcs = fanins[node]
+        if kind == "AND" or kind == "NAND":
+            # y <-> AND(fanins); NAND is the same schema with y negated
+            if kind == "NAND":
+                y = -y
+            wide = [y]
+            for src in srcs:
+                a = var_of[src]
+                append((-y, a))
+                wide.append(-a)
+            append(tuple(wide))
+        elif kind == "OR" or kind == "NOR":
+            # y <-> OR(fanins); NOR likewise negates y
+            if kind == "NOR":
+                y = -y
+            wide = [-y]
+            for src in srcs:
+                a = var_of[src]
+                append((y, -a))
+                wide.append(a)
+            append(tuple(wide))
+        elif kind == "XOR" or kind == "XNOR":
+            # a k-ary parity is a chain of 2-input stages through fresh
+            # helpers; the last stage drives y (negated for XNOR)
+            a = var_of[srcs[0]]
+            for src in srcs[1:-1]:
+                b = var_of[src]
+                h = next_var
+                next_var += 1
+                clauses += ((-h, a, b), (-h, -a, -b), (h, -a, b), (h, a, -b))
+                a = h
+            b = var_of[srcs[-1]]
+            if kind == "XNOR":
+                y = -y
+            clauses += ((-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b))
         elif kind == "NOT":
-            clauses += [(y, ins[0]), (-y, -ins[0])]
-        elif kind == "AND":
-            clauses += _and_clauses(y, ins)
-        elif kind == "NAND":
-            clauses += _and_clauses(-y, ins)
-        elif kind == "OR":
-            clauses += _or_clauses(y, ins)
-        elif kind == "NOR":
-            clauses += _or_clauses(-y, ins)
-        elif kind in ("XOR", "XNOR"):
-            chain, next_var = _xor_chain(ins, next_var, clauses)
-            if kind == "XOR":
-                clauses += _xor2_clauses(y, chain[0], chain[1])
-            else:
-                clauses += _xor2_clauses(-y, chain[0], chain[1])
+            a = var_of[srcs[0]]
+            append((y, a))
+            append((-y, -a))
+        elif kind == "BUF":
+            a = var_of[srcs[0]]
+            append((-y, a))
+            append((y, -a))
+        elif kind == "CONST0":
+            append((-y,))
+        elif kind == "CONST1":
+            append((y,))
         else:
             raise ValueError(f"cannot encode node kind {kind!r}")
 
@@ -84,43 +113,10 @@ def encode(graph: CircuitGraph) -> CnfFormula:
         clauses=clauses,
         var_count=next_var - 1,
         node_to_var=node_to_var,
-        var_to_node=var_to_node,
-        input_vars=[node_to_var[n] for n in graph.primary_inputs],
-        node_names={node: graph.names[node] for node in range(graph.node_count)},
+        var_to_node=dict(zip(node_to_var.values(), topo)),
+        input_vars=[var_of[n] for n in graph.primary_inputs],
+        node_names=dict(enumerate(graph.names)),
     )
-
-
-def _and_clauses(y, ins):
-    """y <-> AND(ins); pass -y for the NAND form."""
-    out = [(-y, a) for a in ins]
-    out.append(tuple([y] + [-a for a in ins]))
-    return out
-
-
-def _or_clauses(y, ins):
-    """y <-> OR(ins); pass -y for the NOR form."""
-    out = [(y, -a) for a in ins]
-    out.append(tuple([-y] + list(ins)))
-    return out
-
-
-def _xor2_clauses(y, a, b):
-    """y <-> a XOR b (negate y for XNOR)."""
-    return [(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)]
-
-
-def _xor_chain(ins, next_var, clauses):
-    """Reduce a k-ary XOR input list to a final pair via fresh helpers.
-
-    Returns ((a, b), next_var) such that a XOR b equals the parity of ins.
-    """
-    acc = ins[0]
-    for mid in ins[1:-1]:
-        helper = next_var
-        next_var += 1
-        clauses += _xor2_clauses(helper, acc, mid)
-        acc = helper
-    return (acc, ins[-1]), next_var
 
 
 def write_dimacs(formula: CnfFormula, assumptions: list[int] = ()) -> str:

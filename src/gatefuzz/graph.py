@@ -65,23 +65,19 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     """Construct the levelized DAG for a scan-converted netlist.
 
     Node ids are assigned primary inputs first (declaration order), then gate
-    outputs in declaration order.  Raises :class:`CycleError` if the
-    combinational logic is cyclic.
+    outputs in declaration order: the map :meth:`Netlist.validate` returns.
+    Raises :class:`~gatefuzz.netlist.NetlistError` if the netlist is invalid
+    and :class:`CycleError` if the combinational logic is cyclic.
     """
     if not netlist.scan_converted:
         raise NetlistError(f"netlist {netlist.name!r} must be scan-converted before graph build")
-    netlist.validate()
-
-    names = list(netlist.primary_inputs)
-    kinds = ["INPUT"] * len(names)
-    fanin_names: list[tuple[str, ...]] = [()] * len(names)
-    for g in netlist.gates:
-        names.append(g.output)
-        kinds.append(g.kind)
-        fanin_names.append(g.inputs)
-
-    ids = {nm: i for i, nm in enumerate(names)}
-    fanins = [tuple(ids[src] for src in srcs) for srcs in fanin_names]
+    ids = netlist.validate()
+    names = list(ids)
+    gates = netlist.gates
+    n_inputs = len(netlist.primary_inputs)
+    kinds = ["INPUT"] * n_inputs + [g.kind for g in gates]
+    node_of = ids.__getitem__
+    fanins = [()] * n_inputs + [tuple(map(node_of, g.inputs)) for g in gates]
 
     topo, levels = _levelize(names, fanins)
     return CircuitGraph(
@@ -89,7 +85,7 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
         names=names,
         kinds=kinds,
         fanins=fanins,
-        primary_inputs=list(range(len(netlist.primary_inputs))),
+        primary_inputs=list(range(n_inputs)),
         primary_outputs=[ids[po] for po in netlist.primary_outputs],
         topo_order=topo,
         levels=levels,
@@ -97,6 +93,27 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
 
 
 def _levelize(names, fanins):
+    """Topological order (smallest-id-first Kahn) and per-node levels.
+
+    When every node reads only lower ids, as in netlists declared in
+    topological order, Kahn's algorithm pops the ids in order, so one pass
+    computes the levels and the order is ``range(n)``.  At the first forward
+    reference (a gate reading itself or a later gate) it falls back to the
+    heap.
+    """
+    levels = [0] * len(names)
+    for node, srcs in enumerate(fanins):
+        level = 0
+        for src in srcs:
+            if src >= node:
+                return _levelize_kahn(names, fanins)
+            if levels[src] >= level:
+                level = levels[src] + 1
+        levels[node] = level
+    return list(range(len(names))), levels
+
+
+def _levelize_kahn(names, fanins):
     """Kahn topological sort (smallest-id-first) with level computation."""
     n = len(names)
     remaining = [len(f) for f in fanins]

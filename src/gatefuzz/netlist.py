@@ -45,17 +45,20 @@ class RawGate:
     inputs: tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise NetlistError(f"unsupported gate kind {self.kind!r}")
+        kind = self.kind
+        if kind not in GATE_KINDS:
+            raise NetlistError(f"unsupported gate kind {kind!r}")
         if not self.output:
             raise NetlistError("gate output name must be nonempty")
         n = len(self.inputs)
-        if self.kind in UNARY_KINDS and n != 1:
-            raise NetlistError(f"{self.kind} requires exactly 1 input, got {n} for {self.output!r}")
-        if self.kind in CONST_KINDS and n != 0:
-            raise NetlistError(f"{self.kind} takes no inputs, got {n} for {self.output!r}")
-        if self.kind not in UNARY_KINDS and self.kind not in CONST_KINDS and n < 2:
-            raise NetlistError(f"{self.kind} requires >= 2 inputs, got {n} for {self.output!r}")
+        if kind in UNARY_KINDS:
+            if n != 1:
+                raise NetlistError(f"{kind} requires exactly 1 input, got {n} for {self.output!r}")
+        elif kind in CONST_KINDS:
+            if n != 0:
+                raise NetlistError(f"{kind} takes no inputs, got {n} for {self.output!r}")
+        elif n < 2:
+            raise NetlistError(f"{kind} requires >= 2 inputs, got {n} for {self.output!r}")
 
 
 @dataclass
@@ -68,33 +71,29 @@ class Netlist:
     gates: list[RawGate] = field(default_factory=list)
     scan_converted: bool = False
 
-    def gate_outputs(self) -> set[str]:
-        return {g.output for g in self.gates}
-
-    def defined_signals(self) -> set[str]:
-        return set(self.primary_inputs) | self.gate_outputs()
-
-    def validate(self) -> None:
+    def validate(self) -> dict[str, int]:
         """Check structural invariants; raise :class:`NetlistError` on violation.
 
         Output names must be unique, nothing may be both a primary input and a
         gate output, and every referenced signal must be defined somewhere.
+        Returns the name -> node id map built while checking: primary inputs
+        first, then gate outputs, each in declaration order.
         """
-        seen = set(self.primary_inputs)
-        if len(seen) != len(self.primary_inputs):
+        ids = {name: i for i, name in enumerate(self.primary_inputs)}
+        if len(ids) != len(self.primary_inputs):
             raise NetlistError(f"duplicate primary input in {self.name!r}")
         for g in self.gates:
-            if g.output in seen:
+            if g.output in ids:
                 raise NetlistError(f"duplicate definition of {g.output!r}")
-            seen.add(g.output)
-        defined = self.defined_signals()
+            ids[g.output] = len(ids)
         for g in self.gates:
             for src in g.inputs:
-                if src not in defined:
+                if src not in ids:
                     raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
         for out in self.primary_outputs:
-            if out not in defined:
+            if out not in ids:
                 raise NetlistError(f"undefined primary output {out!r}")
+        return ids
 
     @property
     def has_dff(self) -> bool:
@@ -108,7 +107,9 @@ def scan_convert(netlist: Netlist) -> Netlist:
     output identifier and are appended after the original primary inputs, in
     gate declaration order; the D signals are appended to the primary outputs
     in the same order.  Idempotent: an already converted netlist is returned
-    unchanged.
+    unchanged.  Removing DFFs cannot make a valid netlist invalid, so the
+    result is not validated again here; :func:`~gatefuzz.graph.build_graph`
+    validates whatever it is given.
     """
     if netlist.scan_converted:
         return netlist
@@ -121,12 +122,10 @@ def scan_convert(netlist: Netlist) -> Netlist:
             pseudo_outputs.append(g.inputs[0])
         else:
             kept.append(g)
-    converted = replace(
+    return replace(
         netlist,
         primary_inputs=list(netlist.primary_inputs) + pseudo_inputs,
         primary_outputs=list(netlist.primary_outputs) + pseudo_outputs,
         gates=kept,
         scan_converted=True,
     )
-    converted.validate()
-    return converted

@@ -4,8 +4,10 @@ A :class:`SolverSession` owns a growing constraint database seeded from a
 :class:`~gatefuzz.cnf.CnfFormula` (the formula object itself is never
 mutated).  It decides satisfiability under assumptions, returns total models
 (unconstrained variables default to false), and accepts permanently added
-clauses and at-least-k cardinality constraints, which is what solution
-enumeration with blocking clauses and a Hamming-distance floor needs.
+clauses and at-least-k cardinality constraints.  That is what solution
+enumeration needs: a blocking clause excludes one model, and an at-least-k
+constraint over the literals that differ from a model keeps every later model
+at least k away from it (for k >= 1 it implies that model's blocking clause).
 
 The engine is a deliberately compact MiniSat-style CDCL: two-watched-literal
 propagation, first-UIP conflict learning, activity-driven decisions with

@@ -3,13 +3,14 @@
 Every emitted pattern is a solver model of the circuit formula under the
 target literals, so by construction it drives all target nodes to their
 desired values.  Diversity is enforced as a minimum pairwise Hamming
-distance: each accepted pattern contributes a blocking clause (never repeat
-the exact assignment) and an at-least-``d_min`` constraint over the input
-literals that disagree with it.  The solver handles that constraint natively,
-so the session never grows beyond the formula's own variables.  Accepted
-patterns are also kept packed into ints, first input as the most significant
-bit, so that the acceptance guard and the reported distance extremes cost one
-XOR and a popcount per pair.  Generation stops at the pattern budget or at
+distance: each accepted pattern contributes an at-least-``d_min`` constraint
+over the input literals that disagree with it.  Since ``d_min >= 2``, that
+constraint implies the pattern's blocking clause (the disjunction of the same
+literals), so no pattern repeats without a separate blocking clause.  The
+solver handles the constraint natively, so the session never grows beyond the
+formula's own variables.  Accepted patterns are also kept packed into ints,
+first input as the most significant bit, so that the acceptance guard and the
+reported distance extremes cost one XOR and a popcount per pair.  Generation stops at the pattern budget or at
 UNSAT (the qualifying solution space is exhausted).
 """
 
@@ -99,9 +100,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             raise RuntimeError(
                 f"solver model {candidate.to_string()} is closer than d_min "
                 f"{config.d_min} to an accepted pattern")
-        diff_lits = _difference_literals(candidate, formula)
-        session.add_clause(diff_lits)  # blocking clause: never repeat exactly
-        session.encode_at_least_k(diff_lits, config.d_min)
+        session.encode_at_least_k(_difference_literals(candidate, formula), config.d_min)
         patterns.append(candidate)
         words.append(word)
     d_lo, d_hi = _distance_extremes(words)
@@ -122,8 +121,8 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
 def _difference_literals(pattern: InputPattern, formula: CnfFormula):
     """Literals true exactly where an input differs from ``pattern``.
 
-    Their disjunction is the pattern's blocking clause; an at-least-k
-    constraint over them is the Hamming-distance floor.
+    An at-least-k constraint over them is the Hamming-distance floor; for
+    k >= 1 it implies their disjunction, the pattern's blocking clause.
     """
     return [-var if bit else var
             for var, bit in zip(formula.input_vars, pattern.bits)]

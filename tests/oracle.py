@@ -1,9 +1,16 @@
-"""Independent reference evaluator used as the simulator's oracle.
+"""Independent references used as oracles by the tests.
 
-Deliberately shares no code with gatefuzz.simulate: it evaluates a Netlist
-(not a CircuitGraph) by memoized recursion over signal names, with gate
-semantics written as plain truth functions.
+:func:`ref_eval` is the simulator's oracle.  It deliberately shares no code
+with gatefuzz.simulate: it evaluates a Netlist (not a CircuitGraph) by
+memoized recursion over signal names, with gate semantics written as plain
+truth functions.
+
+:func:`heap_levelize` is the levelization oracle: smallest-id-first Kahn over
+a heap for every graph, which is the order and the levels ``build_graph``
+must produce whatever path it takes.
 """
+
+import heapq
 
 GATE_FUNCS = {
     "AND": lambda ins: int(all(ins)),
@@ -35,3 +42,30 @@ def ref_eval(netlist, input_bits):
     for g in netlist.gates:
         value_of(g.output)
     return values
+
+
+def heap_levelize(fanins):
+    """(topological order, levels) by smallest-id-first Kahn over a heap.
+
+    On a cyclic graph the order stops short of the node count.
+    """
+    n = len(fanins)
+    remaining = [len(f) for f in fanins]
+    consumers = [[] for _ in range(n)]
+    for node, srcs in enumerate(fanins):
+        for src in srcs:
+            consumers[src].append(node)
+    ready = [i for i in range(n) if remaining[i] == 0]
+    heapq.heapify(ready)
+    topo = []
+    levels = [0] * n
+    while ready:
+        node = heapq.heappop(ready)
+        topo.append(node)
+        if fanins[node]:
+            levels[node] = 1 + max(levels[s] for s in fanins[node])
+        for consumer in consumers[node]:
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                heapq.heappush(ready, consumer)
+    return topo, levels

@@ -46,6 +46,13 @@ def test_syntax_error_has_line():
         parse_bench("INPUT(a)\nwhat is this\n")
 
 
+@pytest.mark.parametrize("line", ["OUTPUT(y=a)", "INPUT(a) = b", "y = ", "= AND(a, b)", "y == AND(a, b)"])
+def test_lines_with_equals_that_are_not_gates(line):
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench(f"INPUT(a)\nINPUT(b)\n{line}\nOUTPUT(y)\ny = AND(a, b)")
+    assert str(exc.value) == f"line 3, col 1: unrecognized construct {line.strip()!r}"
+
+
 def test_duplicate_definition():
     with pytest.raises(NetlistError, match="duplicate"):
         parse_bench("INPUT(a)\nINPUT(b)\ny = AND(a, b)\ny = OR(a, b)\nOUTPUT(y)")

@@ -1,4 +1,7 @@
+import hashlib
 import random
+
+import pytest
 
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import CnfFormula, encode, write_dimacs
@@ -99,3 +102,33 @@ def test_encode_deterministic():
         g1 = build_graph(scan_convert(n))
         g2 = build_graph(scan_convert(n))
         assert write_dimacs(encode(g1)) == write_dimacs(encode(g2))
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("c432", "8fa1c5c1ab6ac38acaff265e30f6ca67062dd6e15fae90b2d29c0aeb22f82452"),
+    # s27 after scan conversion is not declared in topological order, so it
+    # takes the heap levelization
+    ("s27", "b1242a4740ddb9265d30fd6cb1dd86b2ff7beeb32d46857ed9c7ae9ad9f63557"),
+    ("xor_ladder8", "e6ebb8774dac6038ac6ede4ba81255f819e62d7cf127f366e119ef36d047b549"),
+])
+def test_dimacs_pinned(name, digest):
+    text = write_dimacs(encode(build_graph(scan_convert(load_circuit(name)))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_wide_gates_pinned_clause_order():
+    # declared out of order (heap levelization), wide XOR/XNOR chains through
+    # helpers 8..10, and a NAND and a NOR with their wide clause last
+    graph, f = _encode("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
+                       "w = NAND(u, v, c)\nu = XOR(a, b, c)\nv = XNOR(a, b, c, u)\nz = NOR(w, a)")
+    assert graph.topo_order == [0, 1, 2, 4, 5, 3, 6]
+    assert f.var_count == 10
+    assert f.clauses == [
+        (-8, 1, 2), (-8, -1, -2), (8, -1, 2), (8, 1, -2),
+        (-4, 8, 3), (-4, -8, -3), (4, -8, 3), (4, 8, -3),
+        (-9, 1, 2), (-9, -1, -2), (9, -1, 2), (9, 1, -2),
+        (-10, 9, 3), (-10, -9, -3), (10, -9, 3), (10, 9, -3),
+        (5, 10, 4), (5, -10, -4), (-5, -10, 4), (-5, 10, -4),
+        (6, 4), (6, 5), (6, 3), (-6, -4, -5, -3),
+        (-7, -6), (-7, -1), (7, 6, 1),
+    ]

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from gatefuzz import graph as graph_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import CycleError, build_graph, diff_graphs, to_dot
-from gatefuzz.netlist import NetlistError, scan_convert
+from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
 
 from conftest import random_netlist
+from oracle import heap_levelize
 
 
 def _graph(text):
@@ -56,6 +58,107 @@ def test_topo_order_inputs_first_and_valid():
             for s in srcs:
                 assert position[s] < position[node]
                 assert g.levels[s] < g.levels[node]
+
+
+@pytest.fixture
+def heap_calls(monkeypatch):
+    """Count the calls that fall back to the heap Kahn sort."""
+    calls = []
+    kahn = graph_module._levelize_kahn
+
+    def counted(names, fanins):
+        calls.append(len(names))
+        return kahn(names, fanins)
+
+    monkeypatch.setattr(graph_module, "_levelize_kahn", counted)
+    return calls
+
+
+def test_levelize_matches_heap_kahn(heap_calls):
+    rng = random.Random(17)
+    paths = {True: 0, False: 0}
+    for trial in range(240):
+        n = random_netlist(rng, rng.randint(1, 5), rng.randint(1, 40), with_dffs=trial % 2 == 1)
+        if trial % 4 >= 2:
+            rng.shuffle(n.gates)
+        del heap_calls[:]
+        g = build_graph(scan_convert(n))
+        in_order = all(src < node for node, srcs in enumerate(g.fanins) for src in srcs)
+        paths[in_order] += 1
+        assert heap_calls == ([] if in_order else [g.node_count])
+        assert (g.topo_order, g.levels) == heap_levelize(g.fanins)
+    assert paths[True] >= 120 and paths[False] >= 60
+
+
+def test_declaration_order_is_topological_for_bundled_circuits(heap_calls):
+    for name in ("c17", "c432"):
+        g = build_graph(scan_convert(load_circuit(name)))
+        assert g.topo_order == list(range(g.node_count))
+        assert (g.topo_order, g.levels) == heap_levelize(g.fanins)
+    assert heap_calls == []
+    g = build_graph(scan_convert(load_circuit("s27")))
+    assert heap_calls == [g.node_count]
+    assert (g.topo_order, g.levels) == heap_levelize(g.fanins)
+
+
+def test_forward_reference_to_the_last_gate(heap_calls):
+    # every gate reads only earlier ones, except that the next-to-last gate
+    # reads the last: the latest place a forward reference can sit in an
+    # acyclic netlist, after the one-pass levels are nearly complete
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n"
+               "u = AND(a, b)\nv = NOT(u)\nw = OR(v, a)\ny = XOR(w, z)\nz = NOT(b)")
+    assert heap_calls == [g.node_count]
+    assert (g.topo_order, g.levels) == heap_levelize(g.fanins)
+    assert [g.names[n] for n in g.topo_order] == ["a", "b", "u", "v", "w", "z", "y"]
+    assert g.levels[g.node_id("y")] == 4
+
+
+@pytest.mark.parametrize("text,name", [
+    ("INPUT(a)\nOUTPUT(y)\nu = NOT(a)\nv = AND(u, a)\ny = AND(y, v)", "y"),
+    ("INPUT(a)\nOUTPUT(y)\nu = NOT(a)\nv = AND(v, u)\ny = OR(v, a)", "v"),
+])
+def test_self_loop_declared_in_order(text, name):
+    with pytest.raises(CycleError) as exc:
+        _graph(text)
+    assert exc.value.cycle == [name, name]
+    assert str(exc.value) == f"combinational cycle: {name} -> {name}"
+
+
+def _hand_built(primary_inputs, gates, primary_outputs):
+    return Netlist(name="hand", primary_inputs=primary_inputs,
+                   primary_outputs=primary_outputs,
+                   gates=[RawGate(out, kind, tuple(ins)) for out, kind, ins in gates])
+
+
+@pytest.mark.parametrize("netlist,message", [
+    (_hand_built(["a", "b", "a"], [("y", "AND", ["a", "b"])], ["y"]),
+     "duplicate primary input in 'hand'"),
+    (_hand_built(["a", "b"], [("y", "AND", ["a", "b"]), ("y", "NOT", ["a"])], ["y"]),
+     "duplicate definition of 'y'"),
+    (_hand_built(["a", "b"], [("b", "NOT", ["a"])], ["b"]),
+     "duplicate definition of 'b'"),
+    (_hand_built(["a"], [("u", "NOT", ["a"]), ("y", "AND", ["u", "q"])], ["y"]),
+     "undefined signal 'q' feeding gate 'y'"),
+    (_hand_built(["a"], [("y", "NOT", ["a"])], ["y", "z"]),
+     "undefined primary output 'z'"),
+    (_hand_built(["a"], [("q", "DFF", ["d"]), ("y", "NOT", ["q"])], ["y"]),
+     "undefined primary output 'd'"),
+])
+def test_hand_built_netlist_rejected_by_build_graph(netlist, message):
+    converted = scan_convert(netlist)
+    with pytest.raises(NetlistError) as exc:
+        build_graph(converted)
+    assert str(exc.value) == message
+
+
+def test_validate_returns_ids_in_declaration_order():
+    n = _hand_built(["b", "a"], [("z", "AND", ["a", "b"]), ("m", "NOT", ["z"]),
+                                 ("c", "OR", ["m", "b"])], ["c"])
+    ids = n.validate()
+    assert list(ids.items()) == [("b", 0), ("a", 1), ("z", 2), ("m", 3), ("c", 4)]
+    g = build_graph(scan_convert(n))
+    assert g.names == list(ids)
+    assert g.name_to_id == ids
 
 
 def test_levels_definition():
