@@ -10,7 +10,7 @@ state/site coverage against a coverage-guided fuzzing baseline.
 __version__ = "0.1.0"
 
 from .bench import parse_bench, parse_bench_file, write_bench
-from .blif import parse_blif, parse_blif_file
+from .blif import parse_blif
 from .cgf import run_cgf
 from .cnf import CnfFormula, encode, write_dimacs
 from .coverage import CoverageReport, coverage_curve, measure, measure_with_curve
@@ -20,18 +20,17 @@ from .netlist import Netlist, NetlistError, RawGate, scan_convert
 from .pattern import InputPattern
 from .sat import SatResult, SolverSession
 from .seedgen import GenConfig, GenReport, generate, write_patterns
-from .simulate import simulate_batch
 from .targets import (TargetSpec, ValidityVerdict, build_target_formula,
                       check_validity, parse_targets, targets_from_diff)
 
 __all__ = [
     "parse_bench", "parse_bench_file", "write_bench", "parse_blif",
-    "parse_blif_file", "run_cgf", "CnfFormula", "encode", "write_dimacs",
+    "run_cgf", "CnfFormula", "encode", "write_dimacs",
     "CoverageReport", "coverage_curve", "measure", "measure_with_curve", "load_circuit",
     "CircuitGraph", "GraphDiff", "build_graph", "diff_graphs", "to_dot",
     "Netlist", "NetlistError", "RawGate", "scan_convert", "InputPattern",
     "SatResult", "SolverSession", "GenConfig",
-    "GenReport", "generate", "write_patterns", "simulate_batch",
+    "GenReport", "generate", "write_patterns",
     "TargetSpec", "ValidityVerdict", "build_target_formula", "check_validity",
     "parse_targets", "targets_from_diff",
 ]

@@ -157,9 +157,3 @@ def parse_blif(text: str, name: str = "blif") -> Netlist:
             raise NetlistSyntaxError(f"unsupported BLIF construct {head!r}", lineno)
     netlist.validate()
     return netlist
-
-
-def parse_blif_file(path, name=None) -> Netlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_blif(text, name=name or "blif")

@@ -103,7 +103,10 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
 
 
 def _random_pattern(rng, width):
-    return InputPattern(tuple(rng.randrange(2) for _ in range(width)))
+    word = 0  # the first draw is the first input
+    for _ in range(width):
+        word = word << 1 | rng.randrange(2)
+    return InputPattern.from_word(word, width)
 
 
 def _mutate(rng, parent: InputPattern, width):
@@ -114,8 +117,4 @@ def _mutate(rng, parent: InputPattern, width):
     w = 1
     while w < width and rng.random() < MULTI_FLIP_CONTINUE_PROB:
         w += 1
-    positions = rng.sample(range(width), w)
-    bits = list(parent.bits)
-    for pos in positions:
-        bits[pos] ^= 1
-    return InputPattern(tuple(bits))
+    return parent.flipped(rng.sample(range(width), w))

@@ -7,7 +7,7 @@ target node is covered once the pattern set has exercised it to both 0 and
 
 :func:`measure_with_curve` computes the report and the per-prefix curve
 together, from one wide-word pass over the targets' fan-in cone (split into
-passes of :data:`~gatefuzz.simulate.PASS_LANES` patterns for long lists);
+passes of :data:`PASS_LANES` patterns for long lists);
 :func:`measure` and :func:`coverage_curve` are views of its result.
 """
 
@@ -16,8 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import CircuitGraph
-from .simulate import PASS_LANES, compile_ops, run_pass
+from .simulate import compile_ops, run_pass
 from .targets import TargetSpec
+
+# Widest simulation pass over a long pattern list: a pass holds one word of
+# PASS_LANES bits per simulated node, so memory stays flat in the list length.
+PASS_LANES = 1024
 
 
 @dataclass
@@ -40,9 +44,6 @@ class CoverageReport:
     state_coverage_pct: float
     site_coverage_pct: float
     patterns_applied: int
-
-    def first_reach_indices(self):
-        return [t.first_reach_index for t in self.per_target]
 
 
 def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
@@ -113,21 +114,6 @@ def _percentages(reached, toggled, k):
     if k == 0:
         return 100.0, 100.0  # vacuous: no targets to miss
     return 100.0 * reached / k, 100.0 * toggled / k
-
-
-def per_target_csv(report: CoverageReport, graph: CircuitGraph) -> str:
-    """One CSV row per target node."""
-    lines = ["node,desired,reached_state,saw_0,saw_1,first_reach_index"]
-    for t in report.per_target:
-        lines.append(",".join([
-            graph.names[t.node],
-            str(t.desired),
-            str(int(t.reached_state)),
-            str(int(t.saw_0)),
-            str(int(t.saw_1)),
-            "" if t.first_reach_index is None else str(t.first_reach_index),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def curve_csv(curve) -> str:

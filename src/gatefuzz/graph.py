@@ -37,11 +37,9 @@ class CircuitGraph:
     fanins: list[tuple[int, ...]]
     primary_inputs: list[int]
     primary_outputs: list[int]
+    name_to_id: dict[str, int]  # inverse of ``names``
     topo_order: list[int] = field(default_factory=list)
     levels: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
 
     @property
     def node_count(self) -> int:
@@ -87,6 +85,7 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
         fanins=fanins,
         primary_inputs=list(range(n_inputs)),
         primary_outputs=[ids[po] for po in netlist.primary_outputs],
+        name_to_id=ids,
         topo_order=topo,
         levels=levels,
     )

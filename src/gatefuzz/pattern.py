@@ -1,34 +1,84 @@
-"""Primary-input patterns: total bit assignments in primary-input order."""
+"""Primary-input patterns: total bit assignments in primary-input order.
+
+A pattern is held packed: ``word`` is a ``width``-bit int whose most
+significant bit is the first primary input.  That is the order of a pattern
+file line, so :meth:`InputPattern.to_string` is ``word`` in base 2, and the
+Hamming distance of two patterns is ``(p.word ^ q.word).bit_count()``.  Only
+this module maps an input position to a bit of ``word``: other modules use the
+word whole (XOR, popcount), build one by shifting in the inputs' values first
+input first, or go through the string form.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class InputPattern:
-    """A total assignment to the primary inputs; ``bits[0]`` is the first input."""
+    """A total assignment to the primary inputs; ``bits[0]`` is the first input.
 
-    bits: tuple[int, ...]
+    Patterns are immutable values: two are equal, and hash equal, when their
+    words and widths are.
+    """
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("pattern bits must be 0 or 1")
+    __slots__ = ("word", "width")
 
-    def __len__(self):
-        return len(self.bits)
+    def __init__(self, bits):
+        word = 0
+        width = 0
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError("pattern bits must be 0 or 1")
+            word = word << 1 | b
+            width += 1
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "width", width)
 
-    def __getitem__(self, i):
-        return self.bits[i]
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+    @classmethod
+    def from_word(cls, word: int, width: int) -> "InputPattern":
+        """The pattern whose first input is bit ``width - 1`` of ``word``."""
+        if word < 0 or word >> width:
+            raise ValueError(f"pattern word {word} does not fit in {width} bits")
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "word", word)
+        object.__setattr__(pattern, "width", width)
+        return pattern
 
     @classmethod
     def from_string(cls, text: str) -> "InputPattern":
-        return cls(tuple(int(ch) for ch in text.strip()))
+        text = text.strip()
+        if not set(text) <= {"0", "1"}:
+            raise ValueError("pattern bits must be 0 or 1")
+        return cls.from_word(int(text, 2) if text else 0, len(text))
 
-    def hamming(self, other: "InputPattern") -> int:
-        if len(other) != len(self):
-            raise ValueError("patterns have different widths")
-        return sum(a != b for a, b in zip(self.bits, other.bits))
+    def flipped(self, positions) -> "InputPattern":
+        """This pattern with the inputs at ``positions`` (0 is the first) inverted."""
+        mask = 0
+        for pos in positions:
+            mask ^= 1 << (self.width - 1 - pos)
+        return InputPattern.from_word(self.word ^ mask, self.width)
+
+    def to_string(self) -> str:
+        return format(self.word, f"0{self.width}b") if self.width else ""
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, self.to_string()))
+
+    def __len__(self):
+        return self.width
+
+    def __eq__(self, other):
+        if not isinstance(other, InputPattern):
+            return NotImplemented
+        return self.word == other.word and self.width == other.width
+
+    def __hash__(self):
+        return hash((self.word, self.width))
+
+    def __repr__(self):
+        return f"InputPattern.from_string({self.to_string()!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"InputPattern is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"InputPattern is immutable; cannot delete {name!r}")

@@ -8,15 +8,14 @@ over the input literals that disagree with it.  Since ``d_min >= 2``, that
 constraint implies the pattern's blocking clause (the disjunction of the same
 literals), so no pattern repeats without a separate blocking clause.  The
 solver handles the constraint natively, so the session never grows beyond the
-formula's own variables.  Accepted patterns are also kept packed into ints,
-first input as the most significant bit, so that the acceptance guard and the
-reported distance extremes cost one XOR and a popcount per pair.  Generation stops at the pattern budget or at
-UNSAT (the qualifying solution space is exhausted).
+formula's own variables.  Patterns are packed ints, so the acceptance guard and
+the reported distance extremes cost one XOR and a popcount per pair.
+Generation stops at the pattern budget or at UNSAT (the qualifying solution
+space is exhausted).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
@@ -51,7 +50,6 @@ class GenReport:
     observed_d_min: int = 0
     exhausted: bool = False
     solver_calls: int = 0
-    wall_time: float = 0.0
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
@@ -78,39 +76,32 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
-    started = time.perf_counter()
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
     target_literals = list(target_literals)
     patterns: list[InputPattern] = []
-    words: list[int] = []  # the accepted patterns, packed
-    solver_calls = 0
     exhausted = False
     while len(patterns) < config.pattern_budget:
         result = session.solve(assumptions=target_literals)
-        solver_calls += 1
         if not result.is_sat:
             exhausted = True
             break
         candidate = project_model(result.model, formula)
-        word = int(candidate.to_string(), 2)
         # Each accepted pattern already carries its distance constraint, so
         # only an unsound solver gets here with a model too close to one.
-        if not all((word ^ other).bit_count() >= config.d_min for other in words):
+        if not all((candidate.word ^ p.word).bit_count() >= config.d_min for p in patterns):
             raise RuntimeError(
                 f"solver model {candidate.to_string()} is closer than d_min "
                 f"{config.d_min} to an accepted pattern")
         session.encode_at_least_k(_difference_literals(candidate, formula), config.d_min)
         patterns.append(candidate)
-        words.append(word)
-    d_lo, d_hi = _distance_extremes(words)
+    d_lo, d_hi = _distance_extremes(patterns)
     return GenReport(
         patterns=patterns,
         observed_d_max=d_hi,
         observed_d_min=d_lo,
         exhausted=exhausted,
-        solver_calls=solver_calls,
-        wall_time=time.perf_counter() - started,
+        solver_calls=session.solve_calls,
         conflicts=session.conflicts,
         decisions=session.decisions,
         propagations=session.propagations,
@@ -124,13 +115,13 @@ def _difference_literals(pattern: InputPattern, formula: CnfFormula):
     An at-least-k constraint over them is the Hamming-distance floor; for
     k >= 1 it implies their disjunction, the pattern's blocking clause.
     """
-    return [-var if bit else var
-            for var, bit in zip(formula.input_vars, pattern.bits)]
+    return [-var if bit == "1" else var
+            for var, bit in zip(formula.input_vars, pattern.to_string())]
 
 
-def _distance_extremes(words):
-    """(min, max) pairwise Hamming distance of packed patterns; (0, 0) for
-    fewer than two."""
+def _distance_extremes(patterns):
+    """(min, max) pairwise Hamming distance; (0, 0) for fewer than two patterns."""
+    words = [p.word for p in patterns]
     distances = [(a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:]]
     if not distances:
         return 0, 0
@@ -159,21 +150,20 @@ def read_patterns(text: str) -> list[InputPattern]:
 
 
 def report_csv_row(report: GenReport, graph: CircuitGraph, state_pct: float,
-                   site_pct: float, target_count: int, design: str | None = None,
-                   wall_time: float | None = None) -> str:
+                   site_pct: float, target_count: int) -> str:
     """One summary CSV row: design, gate/node/input counts, target share,
-    pattern count, time, both coverage percentages, max Hamming distance."""
+    pattern count, an empty time field (data files hold no wall-clock
+    values), both coverage percentages, max Hamming distance."""
     gates = sum(1 for k in graph.kinds if k != "INPUT")
     pct_targets = 100.0 * target_count / graph.node_count if graph.node_count else 0.0
-    time_field = "" if wall_time is None else f"{wall_time:.3f}"
     return ",".join([
-        design if design is not None else graph.name,
+        graph.name,
         str(gates),
         str(graph.node_count),
         str(graph.input_count),
         f"{pct_targets:.2f}",
         str(report.pattern_count),
-        time_field,
+        "",
         f"{state_pct:.2f}",
         f"{site_pct:.2f}",
         str(report.observed_d_max),

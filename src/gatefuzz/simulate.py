@@ -5,26 +5,16 @@ topological order into a list of gate ops, optionally restricted to the
 fan-in cone of the nodes a caller needs; :func:`run_pass` evaluates such a
 list over Python-int words, where lane ``j`` of a node's word is that node's
 value under pattern ``j``.  Python ints have no fixed width, so one pass
-holds as many patterns as the caller gives it.  :func:`simulate` is the
-one-lane call, :func:`simulate_batch` the all-lanes one, and
-:func:`iter_batches` splits long pattern lists into passes of at most
-:data:`PASS_LANES` lanes so that memory stays flat.  Scan conversion
-guarantees the graph is combinational, so no X/Z handling is needed: every
-node gets a definite 0/1.
+holds as many patterns as the caller gives it; callers with long pattern
+lists split them into passes themselves.  :func:`simulate` is the one-lane
+call.  Scan conversion guarantees the graph is combinational, so no X/Z
+handling is needed: every node gets a definite 0/1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import CircuitGraph
 from .pattern import InputPattern
-
-# Widest pass that callers splitting a long pattern list make: a pass holds
-# one word of PASS_LANES bits per simulated node.
-PASS_LANES = 1024
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit bytes -> base-2 text, last lane first
 
 _AND, _OR, _XOR = 0, 1, 2
 
@@ -85,11 +75,13 @@ def run_pass(graph: CircuitGraph, ops, patterns) -> list[int]:
     """
     words = [0] * graph.node_count
     for p in patterns:
-        if len(p) != graph.input_count:
+        if p.width != graph.input_count:
             raise SimulationError(
-                f"pattern has {len(p)} bits, circuit has {graph.input_count} inputs")
-    for node, column in zip(graph.primary_inputs, zip(*(p.bits for p in patterns))):
-        words[node] = int(bytes(column[::-1]).translate(_DIGITS), 2)
+                f"pattern has {p.width} bits, circuit has {graph.input_count} inputs")
+    # character i of every pattern string, last lane first, is input i's word
+    rows = [p.to_string() for p in reversed(patterns)]
+    for node, column in zip(graph.primary_inputs, zip(*rows)):
+        words[node] = int("".join(column), 2)
     mask = (1 << len(patterns)) - 1
     for node, op, srcs, inverted in ops:
         if op == _AND:
@@ -112,40 +104,3 @@ def simulate(graph: CircuitGraph, pattern: InputPattern) -> list[int]:
     """Evaluate all nodes under one input pattern; returns bits by node id."""
     return run_pass(graph, compile_ops(graph), [pattern])
 
-
-@dataclass
-class SimBatch:
-    """Bit-packed valuations: lane ``j`` of ``words[n]`` is pattern ``j`` at node ``n``."""
-
-    patterns: list[InputPattern]
-    words: list[int]
-
-    @property
-    def lane_count(self) -> int:
-        return len(self.patterns)
-
-    def node_bit(self, node: int, lane: int) -> int:
-        return (self.words[node] >> lane) & 1
-
-    def valuation(self, lane: int) -> list[int]:
-        return [(w >> lane) & 1 for w in self.words]
-
-
-def simulate_batch(graph: CircuitGraph, patterns) -> SimBatch:
-    """Word-parallel simulation of all ``patterns`` in a single pass."""
-    patterns = list(patterns)
-    return SimBatch(patterns=patterns, words=run_pass(graph, compile_ops(graph), patterns))
-
-
-def iter_batches(graph: CircuitGraph, patterns, width: int = PASS_LANES):
-    """Yield SimBatch objects covering ``patterns`` in order, ``width`` lanes each."""
-    patterns = list(patterns)
-    ops = compile_ops(graph)
-    for start in range(0, len(patterns), width):
-        chunk = patterns[start:start + width]
-        yield SimBatch(patterns=chunk, words=run_pass(graph, ops, chunk))
-
-
-def dump_valuation(graph: CircuitGraph, valuation) -> str:
-    """Debug listing: one ``name=value`` line per node, in topological order."""
-    return "\n".join(f"{graph.names[n]}={valuation[n]}" for n in graph.topo_order) + "\n"

@@ -123,4 +123,7 @@ def check_validity(spec: TargetSpec, formula: CnfFormula,
 
 def project_model(model, formula: CnfFormula) -> InputPattern:
     """Extract the primary-input bits of a total model, in input order."""
-    return InputPattern(tuple(int(model[v]) for v in formula.input_vars))
+    word = 0
+    for var in formula.input_vars:
+        word = word << 1 | model[var]
+    return InputPattern.from_word(word, len(formula.input_vars))

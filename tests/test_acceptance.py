@@ -19,7 +19,7 @@ from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate, read_patterns
-from gatefuzz.simulate import iter_batches, simulate
+from gatefuzz.simulate import compile_ops, run_pass, simulate
 from gatefuzz.targets import (TargetSpec, build_target_formula, check_validity,
                               parse_targets)
 
@@ -93,14 +93,10 @@ def test_criterion_2_validity_oracle():
             entries = [(node, rng.randrange(2)) for node in nodes]
             spec = TargetSpec(entries=entries)
             verdict = check_validity(spec, formula)
-            reachable = False
-            for batch in iter_batches(graph, all_patterns(graph.input_count)):
-                for lane in range(batch.lane_count):
-                    if all(batch.node_bit(n_, lane) == v for n_, v in entries):
-                        reachable = True
-                        break
-                if reachable:
-                    break
+            patterns = all_patterns(graph.input_count)
+            words = run_pass(graph, compile_ops(graph), patterns)
+            reachable = any(all((words[n_] >> lane) & 1 == v for n_, v in entries)
+                            for lane in range(len(patterns)))
             if verdict.is_valid == reachable:
                 agreements += 1
             if verdict.is_valid:
@@ -122,11 +118,11 @@ def test_criterion_3_encoding_soundness():
             node_vars = sorted(formula.node_to_var.values())
 
             sim_valuations = set()
-            for batch in iter_batches(graph, all_patterns(graph.input_count)):
-                for lane in range(batch.lane_count):
-                    valuation = batch.valuation(lane)
-                    sim_valuations.add(tuple(
-                        valuation[formula.var_to_node[v]] for v in node_vars))
+            patterns = all_patterns(graph.input_count)
+            words = run_pass(graph, compile_ops(graph), patterns)
+            for lane in range(len(patterns)):
+                sim_valuations.add(tuple(
+                    (words[formula.var_to_node[v]] >> lane) & 1 for v in node_vars))
 
             session = SolverSession(formula)
             sat_valuations = set()
@@ -163,7 +159,7 @@ def test_criterion_4_diversity():
                               GenConfig(pattern_budget=50, d_min=d_min))
             if len(report.patterns) >= 2:
                 sets_checked += 1
-                distances = [p.hamming(q) for p, q in
+                distances = [(p.word ^ q.word).bit_count() for p, q in
                              itertools.combinations(report.patterns, 2)]
                 assert min(distances) >= d_min
                 assert report.observed_d_min == min(distances)
@@ -177,7 +173,8 @@ def test_criterion_4_diversity():
                     if valuation[node] != want or p in emitted:
                         continue
                     # no remaining qualifying pattern may keep its distance
-                    assert any(p.hamming(q) < d_min for q in report.patterns), \
+                    assert any((p.word ^ q.word).bit_count() < d_min
+                               for q in report.patterns), \
                         f"missed qualifying pattern {p.to_string()}"
         assert sets_checked >= 10
         assert exhausted_checked >= 5

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
-from gatefuzz.cgf import WINDOW, _mutate, _random_pattern, run_cgf
+from gatefuzz.cgf import FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW, run_cgf
 from gatefuzz.cnf import encode
 from gatefuzz.coverage import CoverageReport, TargetCoverage
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
+from gatefuzz.pattern import InputPattern
 from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
@@ -99,6 +100,26 @@ def test_sat_coverage_dominates_cgf():
         assert sat_cov.state_coverage_pct >= cgf_cov.state_coverage_pct
 
 
+def reference_random_pattern(rng, width):
+    return InputPattern(tuple(rng.randrange(2) for _ in range(width)))
+
+
+def reference_mutate(rng, parent, width):
+    """Breeding on bit tuples: the mutation distribution ``run_cgf`` documents."""
+    if width == 0:
+        return parent
+    if rng.random() < FULL_RANDOM_PROB:
+        return reference_random_pattern(rng, width)
+    w = 1
+    while w < width and rng.random() < MULTI_FLIP_CONTINUE_PROB:
+        w += 1
+    positions = rng.sample(range(width), w)
+    bits = list(parent.bits)
+    for pos in positions:
+        bits[pos] ^= 1
+    return InputPattern(tuple(bits))
+
+
 def sequential_cgf(graph, spec, budget, rng_seed):
     """Reference: breed, simulate and admit one mutant at a time, with one
     scalar evaluation per mutant; coverage is recounted per pattern."""
@@ -107,9 +128,9 @@ def sequential_cgf(graph, spec, budget, rng_seed):
     seeds, seen, executed, valuations = [], set(), [], []
     for _ in range(budget):
         if not seeds:
-            candidate = _random_pattern(rng, width)
+            candidate = reference_random_pattern(rng, width)
         else:
-            candidate = _mutate(rng, rng.choice(seeds)[0], width)
+            candidate = reference_mutate(rng, rng.choice(seeds)[0], width)
         executed.append(candidate)
         valuation = simulate(graph, candidate)
         valuations.append(valuation)

@@ -52,6 +52,7 @@ def test_topo_order_inputs_first_and_valid():
     for _ in range(30):
         n = random_netlist(rng, rng.randint(1, 5), rng.randint(1, 25), with_dffs=True)
         g = build_graph(scan_convert(n))
+        assert g.name_to_id == {name: i for i, name in enumerate(g.names)}
         position = {node: i for i, node in enumerate(g.topo_order)}
         assert g.topo_order[:g.input_count] == g.primary_inputs
         for node, srcs in enumerate(g.fanins):

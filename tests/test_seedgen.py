@@ -55,7 +55,7 @@ def test_or4_distance_two_code():
     assert len(qualifying) == 15
     assert 2 <= len(report.patterns) <= 15
     for p, q in itertools.combinations(report.patterns, 2):
-        assert p.hamming(q) >= 2
+        assert (p.word ^ q.word).bit_count() >= 2
     # every emitted pattern drives the target
     for p in report.patterns:
         assert simulate(g, p)[g.node_id("y")] == 1
@@ -64,7 +64,7 @@ def test_or4_distance_two_code():
     emitted = set(report.patterns)
     for q in qualifying:
         if q not in emitted:
-            assert any(q.hamming(p) < 2 for p in report.patterns)
+            assert any((q.word ^ p.word).bit_count() < 2 for p in report.patterns)
 
 
 def test_every_pattern_hits_all_targets_randomized():
@@ -86,7 +86,7 @@ def test_every_pattern_hits_all_targets_randomized():
             v = simulate(g, p)
             assert all(v[n] == want for n, want in entries)
         for p, q in itertools.combinations(report.patterns, 2):
-            d = p.hamming(q)
+            d = (p.word ^ q.word).bit_count()
             assert d >= 2
             assert report.observed_d_min <= d <= report.observed_d_max
         assert report.observed_d_max <= g.input_count
@@ -110,7 +110,7 @@ def test_exhausted_confirmed_by_brute_force_randomized():
         emitted = set(report.patterns)
         for q in _qualifying_inputs(g, entries):
             if q not in emitted:
-                assert any(q.hamming(p) < 2 for p in report.patterns)
+                assert any((q.word ^ p.word).bit_count() < 2 for p in report.patterns)
 
 
 def test_invalid_target_yields_empty_exhausted_report():

@@ -9,9 +9,8 @@ from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import (SimulationError, compile_ops, dump_valuation,
-                               fanin_cone, iter_batches, run_pass, simulate,
-                               simulate_batch)
+from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass,
+                               simulate)
 
 from conftest import all_patterns, random_netlist
 from oracle import ref_eval
@@ -19,6 +18,10 @@ from oracle import ref_eval
 
 def _graph(text):
     return build_graph(scan_convert(parse_bench(text)))
+
+
+def _valuation(words, lane):
+    return [(w >> lane) & 1 for w in words]
 
 
 def test_and_11():
@@ -61,8 +64,9 @@ def test_pattern_length_mismatch():
 def test_batch_of_one_equals_simulate():
     g = build_graph(scan_convert(load_circuit("c17")))
     p = InputPattern.from_string("10110")
-    batch = simulate_batch(g, [p])
-    assert batch.valuation(0) == simulate(g, p)
+    words = run_pass(g, compile_ops(g), [p])
+    assert _valuation(words, 0) == simulate(g, p)
+    assert all(w >> 1 == 0 for w in words)
 
 
 def test_batch_matches_scalar_on_random_circuits():
@@ -72,16 +76,14 @@ def test_batch_matches_scalar_on_random_circuits():
         g = build_graph(scan_convert(n))
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(64)]
-        batch = simulate_batch(g, patterns)
+        words = run_pass(g, compile_ops(g), patterns)
         for lane in (0, 17, 40, 63):
-            assert batch.valuation(lane) == simulate(g, patterns[lane])
+            assert _valuation(words, lane) == simulate(g, patterns[lane])
 
 
 def test_empty_batch():
     g = _graph("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    batch = simulate_batch(g, [])
-    assert batch.lane_count == 0
-    assert batch.words == [0, 0]
+    assert run_pass(g, compile_ops(g), []) == [0, 0]
 
 
 def test_batch_of_any_width_equals_per_lane_simulate():
@@ -90,11 +92,10 @@ def test_batch_of_any_width_equals_per_lane_simulate():
         g = build_graph(scan_convert(random_netlist(rng, 7, 40, with_dffs=True)))
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(lanes)]
-        batch = simulate_batch(g, patterns)
-        assert batch.lane_count == lanes
-        assert all(w >> lanes == 0 for w in batch.words)
+        words = run_pass(g, compile_ops(g), patterns)
+        assert all(w >> lanes == 0 for w in words)
         for lane, p in enumerate(patterns):
-            assert batch.valuation(lane) == simulate(g, p)
+            assert _valuation(words, lane) == simulate(g, p)
 
 
 def test_cone_pass_matches_full_pass_inside_the_cone():
@@ -106,7 +107,7 @@ def test_cone_pass_matches_full_pass_inside_the_cone():
     cone = fanin_cone(g, [target])
     assert len(cone) < g.node_count - g.input_count
     words = run_pass(g, compile_ops(g, [target]), patterns)
-    full = simulate_batch(g, patterns).words
+    full = run_pass(g, compile_ops(g), patterns)
     for node in range(g.node_count):
         in_view = node in cone or node in g.primary_inputs
         assert words[node] == (full[node] if in_view else 0)
@@ -130,23 +131,6 @@ def test_valuation_satisfies_every_cnf_clause():
                 # stages by construction; check clauses over node vars only
                 if all(abs(lit) in assignment for lit in clause):
                     assert any(assignment[abs(lit)] == (lit > 0) for lit in clause)
-
-
-def test_iter_batches_covers_all():
-    g = build_graph(scan_convert(load_circuit("c17")))
-    patterns = all_patterns(5)
-    for width in (5, 1024):
-        seen = []
-        for batch in iter_batches(g, patterns, width):
-            assert batch.lane_count <= width
-            seen += [batch.valuation(lane) for lane in range(batch.lane_count)]
-        assert seen == [simulate(g, p) for p in patterns]
-
-
-def test_dump_valuation():
-    g = _graph("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    text = dump_valuation(g, simulate(g, InputPattern((0,))))
-    assert "a=0" in text and "y=1" in text
 
 
 def test_package_attribute_is_the_submodule():

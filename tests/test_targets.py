@@ -7,7 +7,7 @@ from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph, diff_graphs
 from gatefuzz.netlist import scan_convert
-from gatefuzz.simulate import iter_batches, simulate
+from gatefuzz.simulate import compile_ops, run_pass, simulate
 from gatefuzz.targets import (TargetError, build_target_formula, check_validity,
                               parse_targets, targets_from_diff)
 
@@ -20,11 +20,10 @@ def _pipeline(text):
 
 
 def brute_force_reachable(graph, entries):
-    for batch in iter_batches(graph, all_patterns(graph.input_count)):
-        for lane in range(batch.lane_count):
-            if all(batch.node_bit(n, lane) == v for n, v in entries):
-                return True
-    return False
+    patterns = all_patterns(graph.input_count)
+    words = run_pass(graph, compile_ops(graph), patterns)
+    return any(all((words[n] >> lane) & 1 == v for n, v in entries)
+               for lane in range(len(patterns)))
 
 
 def test_parse_two_entries_on_c17():

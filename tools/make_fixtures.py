@@ -27,7 +27,7 @@ from gatefuzz.bench import parse_bench_file, write_bench
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import iter_batches, simulate
+from gatefuzz.simulate import compile_ops, run_pass, simulate
 from gatefuzz.targets import parse_targets
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "src" / "gatefuzz" / "circuits"
@@ -156,12 +156,11 @@ def verify_reachable(netlist, targets_text):
     spec = parse_targets(targets_text, graph)
     width = graph.input_count
     assert width <= 16, f"{netlist.name}: too many inputs to brute-force"
-    patterns = [InputPattern(tuple((v >> (width - 1 - b)) & 1 for b in range(width)))
-                for v in range(2 ** width)]
-    for batch in iter_batches(graph, patterns):
-        for lane in range(batch.lane_count):
-            if all(batch.node_bit(node, lane) == bit for node, bit in spec.entries):
-                return True
+    patterns = [InputPattern.from_word(v, width) for v in range(2 ** width)]
+    words = run_pass(graph, compile_ops(graph), patterns)
+    for lane in range(len(patterns)):
+        if all((words[node] >> lane) & 1 == bit for node, bit in spec.entries):
+            return True
     raise AssertionError(f"{netlist.name}: targets unreachable:\n{targets_text}")
 
 
