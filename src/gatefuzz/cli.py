@@ -1,10 +1,13 @@
 """Command-line pipeline: targeted generation, fuzzer comparison, diff targets.
 
-Exit codes: 0 success, 1 parse/read error, 2 configuration error, 3 invalid
-(unreachable) target state, 4 solver conflict budget exhausted.  All
-randomness is seeded, and data files never contain wall-clock values, so
+Exit codes: 0 success, 1 parse or read error (including a file that cannot be
+opened), 2 configuration error, 3 invalid (unreachable) target state, 4
+solver conflict budget exhausted (``gen`` still writes the patterns proven
+before it).  Every exit after the arguments parse writes the JSON run
+manifest, with the exit code and, on exits 1, 2 and 4, the error message.
+All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
-JSON run manifest that every command emits.
+manifest.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from .cnf import encode, write_dimacs
 from .coverage import curve_csv, measure, measure_with_curve
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
-from .sat import InfeasibleConstraintError, SolverBudgetError
+from .sat import InfeasibleConstraintError
 from .seedgen import (REPORT_CSV_HEADER, GenConfig, GenConfigError, generate,
                       report_csv_row, write_patterns)
-from .targets import (TargetError, build_target_formula, check_validity,
-                      parse_targets, targets_from_diff)
+from .targets import (TargetError, build_target_formula, parse_targets,
+                      targets_from_diff)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -37,21 +40,13 @@ EXIT_BUDGET = 4
 
 
 class _Manifest:
-    """Run metadata: input digests, config, stage times, output paths."""
+    """Run metadata: input digests, config, stage times, output paths, exit."""
 
-    def __init__(self, command, args_namespace):
-        self.data = {
-            "tool_version": __version__,
-            "command": command,
-            "config": {},
-            "inputs": {},
-            "stage_times_s": {},
-            "outputs": [],
-        }
-        for key in ("pattern_budget", "d_min", "seed", "trials", "polarity",
-                    "conflict_budget"):
-            if hasattr(args_namespace, key):
-                self.data["config"][key] = getattr(args_namespace, key)
+    def __init__(self, command, args):
+        keys = ("pattern_budget", "d_min", "seed", "trials", "polarity", "conflict_budget")
+        self.data = {"tool_version": __version__, "command": command,
+                     "config": {k: getattr(args, k) for k in keys if hasattr(args, k)},
+                     "inputs": {}, "stage_times_s": {}, "outputs": []}
         self._last = time.perf_counter()
 
     def read_input(self, path):
@@ -97,33 +92,36 @@ def _prepare(manifest, netlist_path, targets_path):
     return graph, formula, spec
 
 
-def cmd_gen(args) -> int:
-    manifest = _Manifest("gen", args)
+def _fail(manifest, code, message):
+    print(f"error: {message}", file=sys.stderr)
+    manifest.data["error"] = message
+    return code
+
+
+_STOP_TEXT = {"budget": "budget reached", "exhausted": "space exhausted",
+              "solver-budget": "conflict budget reached"}
+
+
+def cmd_gen(args, manifest) -> int:
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
     literals = build_target_formula(spec, formula)
     if args.dimacs_out:
         manifest.write_output(args.dimacs_out, write_dimacs(formula, assumptions=literals))
 
-    verdict = check_validity(spec, formula, decision_seed=args.seed,
-                             conflict_budget=args.conflict_budget)
-    manifest.stage("check_validity")
-    if not verdict.is_valid:
-        print(f"targeted state is invalid: no input reaches all {len(spec)} "
-              f"target values simultaneously")
-        manifest.save(args.manifest_out)
-        return EXIT_INVALID_TARGET
-    print(f"targeted state is valid (witness {verdict.witness.to_string()})")
-
     config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
                        seed=args.seed, conflict_budget=args.conflict_budget)
     report = generate(formula, literals, config)
     manifest.stage("generate")
-    manifest.data["solver"] = {"conflicts": report.conflicts,
-                               "decisions": report.decisions,
-                               "propagations": report.propagations,
-                               "solver_calls": report.solver_calls,
-                               "solver_vars": report.solver_vars,
-                               "stop_reason": report.stop_reason}
+    manifest.data["solver"] = {key: getattr(report, key) for key in (
+        "conflicts", "decisions", "propagations", "solver_calls", "solver_vars",
+        "stop_reason")}
+    # the first model is the validity witness; UNSAT before it means invalid
+    if report.exhausted and not report.patterns:
+        print(f"targeted state is invalid: no input reaches all {len(spec)} "
+              f"target values simultaneously")
+        return EXIT_INVALID_TARGET
+    if report.patterns:
+        print(f"targeted state is valid (witness {report.patterns[0].to_string()})")
 
     cov = measure(graph, spec, report.patterns)
     manifest.write_output(args.patterns_out, write_patterns(report, graph))
@@ -132,24 +130,26 @@ def cmd_gen(args) -> int:
                              site_pct=cov.site_coverage_pct, target_count=len(spec))
         manifest.write_output(args.report_out, REPORT_CSV_HEADER + "\n" + row + "\n")
     manifest.stage("report")
-    manifest.save(args.manifest_out)
 
-    print(f"{len(report.patterns)} patterns "
-          f"({'space exhausted' if report.exhausted else 'budget reached'}), "
+    print(f"{len(report.patterns)} patterns ({_STOP_TEXT[report.stop_reason]}), "
           f"{report.solver_calls} solver calls, "
           f"state coverage {cov.state_coverage_pct:.2f}%, "
           f"site coverage {cov.site_coverage_pct:.2f}%, "
           f"d_max {report.observed_d_max}")
+    if report.stop_reason == "solver-budget":
+        return _fail(manifest, EXIT_BUDGET, f"conflict budget {args.conflict_budget} "
+                     f"exhausted after {len(report.patterns)} patterns")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    manifest = _Manifest("compare", args)
+def cmd_compare(args, manifest) -> int:
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
     literals = build_target_formula(spec, formula)
     config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
                        seed=args.seed, conflict_budget=args.conflict_budget)
     sat_report = generate(formula, literals, config)
+    if sat_report.stop_reason == "solver-budget":
+        return _fail(manifest, EXIT_BUDGET, f"conflict budget {args.conflict_budget} exhausted")
     sat_cov, sat_curve = measure_with_curve(graph, spec, sat_report.patterns)
     manifest.stage("sat_generation")
 
@@ -166,7 +166,6 @@ def cmd_compare(args) -> int:
                            args.pattern_budget)
     manifest.write_output(args.summary_out, summary)
     manifest.stage("report")
-    manifest.save(args.manifest_out)
     print(summary, end="")
     return EXIT_OK
 
@@ -217,8 +216,7 @@ def _summary_csv(sat_cov, sat_curve, sat_patterns, cgf_reports, cgf_curves, budg
     return "\n".join(lines) + "\n"
 
 
-def cmd_targets_diff(args) -> int:
-    manifest = _Manifest("targets-diff", args)
+def cmd_targets_diff(args, manifest) -> int:
     original = build_graph(scan_convert(_load_netlist(manifest, args.original)))
     modified = build_graph(scan_convert(_load_netlist(manifest, args.modified)))
     manifest.stage("parse_and_graph")
@@ -232,7 +230,6 @@ def cmd_targets_diff(args) -> int:
         spec = by_polarity.get(polarity)
         manifest.write_output(path, spec.to_text(modified) if spec else "")
     manifest.stage("write")
-    manifest.save(args.manifest_out)
     print(f"{len(diff.changed)} changed, {len(diff.added)} added; "
           f"wrote {', '.join(p for _, p in paths)}")
     return EXIT_OK
@@ -297,22 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = _Manifest(args.command, args)
+    code = None  # recorded as null if an unexpected exception escapes
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
-        return EXIT_PARSE
+        code = args.func(args, manifest)
+    except OSError as exc:
+        code = _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
     except (NetlistError, TargetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code = _fail(manifest, EXIT_PARSE, str(exc))
     except (GenConfigError, InfeasibleConstraintError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code = _fail(manifest, EXIT_CONFIG, str(exc))
+    finally:
+        manifest.data["exit_code"] = code
+        try:
+            manifest.save(args.manifest_out)
+        except OSError as exc:
+            code = _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
+    return code
 
 
 if __name__ == "__main__":

@@ -8,11 +8,6 @@ from .bench import parse_bench
 from .netlist import Netlist
 
 
-def fixture_names() -> list[str]:
-    root = resources.files(__package__) / "circuits"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith((".bench", ".targets")))
-
-
 def fixture_text(filename: str) -> str:
     return (resources.files(__package__) / "circuits" / filename).read_text(encoding="utf-8")
 
@@ -20,8 +15,3 @@ def fixture_text(filename: str) -> str:
 def load_circuit(name: str) -> Netlist:
     """Parse a bundled ``.bench`` fixture by short name, e.g. ``"c17"``."""
     return parse_bench(fixture_text(f"{name}.bench"), name=name)
-
-
-def target_files_for(circuit: str) -> list[str]:
-    prefix = f"{circuit}."
-    return [f for f in fixture_names() if f.startswith(prefix) and f.endswith(".targets")]

@@ -10,8 +10,13 @@ literals), so no pattern repeats without a separate blocking clause.  The
 solver handles the constraint natively, so the session never grows beyond the
 formula's own variables.  Patterns are packed ints, so the acceptance guard and
 the reported distance extremes cost one XOR and a popcount per pair.
-Generation stops at the pattern budget or at UNSAT (the qualifying solution
-space is exhausted).
+
+One solver session serves the whole run; its first model is the validity
+witness.  ``GenReport.stop_reason`` says why generation stopped: ``"budget"``
+(the pattern budget was reached), ``"exhausted"`` (UNSAT: no further pattern at
+distance >= ``d_min`` exists, and with no pattern at all the targeted state is
+invalid) or ``"solver-budget"`` (a solve ran out of its conflict budget; the
+patterns proven before it are kept).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from .cnf import CnfFormula
 from .graph import CircuitGraph
 from .pattern import InputPattern
-from .sat import SolverSession
+from .sat import SolverBudgetError, SolverSession
 from .targets import project_model
 
 
@@ -48,7 +53,7 @@ class GenReport:
     patterns: list[InputPattern] = field(default_factory=list)
     observed_d_max: int = 0
     observed_d_min: int = 0
-    exhausted: bool = False
+    stop_reason: str = "budget"  # "budget", "exhausted" or "solver-budget"
     solver_calls: int = 0
     conflicts: int = 0
     decisions: int = 0
@@ -60,17 +65,18 @@ class GenReport:
         return len(self.patterns)
 
     @property
-    def stop_reason(self) -> str:
-        """Why generation stopped: ``"exhausted"`` or ``"budget"``."""
-        return "exhausted" if self.exhausted else "budget"
+    def exhausted(self) -> bool:
+        """True when UNSAT, not a budget, ended the run."""
+        return self.stop_reason == "exhausted"
 
 
 def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenReport:
     """Generate up to ``config.pattern_budget`` targeted patterns.
 
     ``exhausted`` is set only on UNSAT, i.e. when no further pattern at
-    distance >= ``d_min`` from all accepted ones exists; otherwise the
-    pattern budget was reached.
+    distance >= ``d_min`` from all accepted ones exists.  A spent conflict
+    budget ends the run with ``stop_reason == "solver-budget"`` and the
+    patterns proven so far.
     """
     width = len(formula.input_vars)
     if config.d_min > width:
@@ -80,11 +86,15 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
                             conflict_budget=config.conflict_budget)
     target_literals = list(target_literals)
     patterns: list[InputPattern] = []
-    exhausted = False
+    stop_reason = "budget"
     while len(patterns) < config.pattern_budget:
-        result = session.solve(assumptions=target_literals)
+        try:
+            result = session.solve(assumptions=target_literals)
+        except SolverBudgetError:
+            stop_reason = "solver-budget"
+            break
         if not result.is_sat:
-            exhausted = True
+            stop_reason = "exhausted"
             break
         candidate = project_model(result.model, formula)
         # Each accepted pattern already carries its distance constraint, so
@@ -100,7 +110,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         patterns=patterns,
         observed_d_max=d_hi,
         observed_d_min=d_lo,
-        exhausted=exhausted,
+        stop_reason=stop_reason,
         solver_calls=session.solve_calls,
         conflicts=session.conflicts,
         decisions=session.decisions,

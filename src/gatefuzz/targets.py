@@ -109,7 +109,8 @@ def check_validity(spec: TargetSpec, formula: CnfFormula,
     """Decide whether the targeted state is reachable; SAT means valid.
 
     On SAT the model's primary-input projection is kept as a witness pattern:
-    simulating it drives every target entry to its desired value.
+    simulating it drives every target entry to its desired value.  It is the
+    first pattern that ``seedgen.generate`` returns for the same seed.
     """
     literals = build_target_formula(spec, formula)
     session = SolverSession(formula, decision_seed=decision_seed,

@@ -7,13 +7,14 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
+from importlib import resources
 
 from gatefuzz.bench import parse_bench
 from gatefuzz.cgf import run_cgf
 from gatefuzz.cli import main
 from gatefuzz.cnf import encode
 from gatefuzz.coverage import coverage_curve, measure
-from gatefuzz.fixtures import fixture_text, load_circuit, target_files_for
+from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
@@ -36,6 +37,16 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number} {name}: PASS")
+
+
+def fixture_names():
+    root = resources.files("gatefuzz") / "circuits"
+    return sorted(p.name for p in root.iterdir() if p.name.endswith((".bench", ".targets")))
+
+
+def target_files_for(circuit):
+    prefix = f"{circuit}."
+    return [f for f in fixture_names() if f.startswith(prefix) and f.endswith(".targets")]
 
 
 def _graph_for(circuit):

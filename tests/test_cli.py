@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from gatefuzz.bench import parse_bench
 from gatefuzz.cli import main
+from gatefuzz.sat import SolverSession
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
 from gatefuzz.graph import build_graph
@@ -21,6 +24,18 @@ def _setup_c17(tmp_path, targets="n22=1\n"):
     netlist = _write(tmp_path, "c17.bench", fixture_text("c17.bench"))
     targets_path = _write(tmp_path, "t.targets", targets)
     return netlist, targets_path
+
+
+def _manifest(tmp_path, name="m.json"):
+    return json.load(open(tmp_path / name))
+
+
+def _assert_error_recorded(tmp_path, capsys, code):
+    """The manifest holds the exit code and the message printed on stderr."""
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == code
+    assert capsys.readouterr().err == f"error: {manifest['error']}\n"
+    return manifest
 
 
 def test_gen_c17_end_to_end(tmp_path):
@@ -44,10 +59,29 @@ def test_gen_c17_end_to_end(tmp_path):
     assert report[1].split(",")[7] == "100.00"  # state coverage
     dimacs = open(dimacs_out).read()
     assert "p cnf 11 19" in dimacs  # 18 circuit clauses + 1 target unit
-    manifest = json.load(open(tmp_path / "m.json"))
+    manifest = _manifest(tmp_path)
     assert manifest["command"] == "gen"
+    assert manifest["exit_code"] == 0 and "error" not in manifest
+    assert manifest["solver"]["stop_reason"] == "exhausted"  # 9 patterns, then UNSAT
     assert len(manifest["inputs"]) == 2
     assert set(manifest["outputs"]) == {dimacs_out, patterns_out, report_out}
+
+
+def test_gen_builds_one_solver_session(tmp_path, monkeypatch):
+    # the validity verdict comes from generation's first solve
+    sessions = []
+    original = SolverSession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        sessions.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SolverSession, "__init__", counting_init)
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    assert main(["gen", netlist, targets, "-R", "5",
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert len(sessions) == 1
 
 
 def test_gen_manifest_records_solver_counters(tmp_path):
@@ -74,16 +108,60 @@ def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):
     netlist = _write(tmp_path, "c.bench",
                      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n")
     targets = _write(tmp_path, "t.targets", "y=1\n")
-    code = main(["gen", netlist, targets, "--manifest-out", str(tmp_path / "m.json")])
+    patterns_out = str(tmp_path / "p.txt")
+    code = main(["gen", netlist, targets, "--patterns-out", patterns_out,
+                 "--manifest-out", str(tmp_path / "m.json")])
     assert code == 3
-    assert "invalid" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("targeted state is invalid: no input reaches "
+                                       "all 1 target values simultaneously\n")
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 3 and "error" not in manifest
+    assert manifest["solver"]["stop_reason"] == "exhausted"
+    assert manifest["solver"]["solver_calls"] == 1
+    assert manifest["outputs"] == []
 
 
-def test_gen_missing_netlist_exits_1(tmp_path):
+def test_gen_invalid_target_with_too_large_dmin_exits_2(tmp_path, capsys):
+    # the configuration is checked before the verdict's solve
+    netlist = _write(tmp_path, "c.bench",
+                     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n")
     targets = _write(tmp_path, "t.targets", "y=1\n")
-    code = main(["gen", str(tmp_path / "nope.bench"), targets,
+    assert main(["gen", netlist, targets, "--dmin", "3",
+                 "--manifest-out", str(tmp_path / "m.json")]) == 2
+    assert "d_min 3" in _assert_error_recorded(tmp_path, capsys, 2)["error"]
+
+
+def test_gen_missing_netlist_exits_1(tmp_path, capsys):
+    targets = _write(tmp_path, "t.targets", "y=1\n")
+    missing = str(tmp_path / "nope.bench")
+    code = main(["gen", missing, targets, "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 1
+    manifest = _assert_error_recorded(tmp_path, capsys, 1)
+    assert manifest["error"] == f"cannot open {missing}"
+    assert "solver" not in manifest
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-dir/p.txt"])
+def test_gen_unopenable_patterns_out_exits_1(tmp_path, capsys, where):
+    netlist, targets = _setup_c17(tmp_path)
+    (tmp_path / "directory").mkdir()
+    target = str(tmp_path / where)
+    code = main(["gen", netlist, targets, "--patterns-out", target,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 1
+    assert _assert_error_recorded(tmp_path, capsys, 1)["error"] == f"cannot open {target}"
+
+
+def test_gen_unwritable_manifest_exits_1(tmp_path, capsys):
+    netlist, targets = _setup_c17(tmp_path)
+    patterns_out = tmp_path / "p.txt"
+    manifest_out = str(tmp_path / "no-such-dir" / "m.json")
+    code = main(["gen", netlist, targets, "--patterns-out", str(patterns_out),
+                 "--manifest-out", manifest_out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot open {manifest_out}\n"
+    assert patterns_out.exists()  # the run itself completed
 
 
 def test_gen_parse_error_exits_1(tmp_path):
@@ -99,13 +177,14 @@ def test_gen_unknown_target_node_exits_1(tmp_path):
                  "--manifest-out", str(tmp_path / "m.json")]) == 1
 
 
-def test_gen_bad_dmin_exits_2(tmp_path):
+def test_gen_bad_dmin_exits_2(tmp_path, capsys):
     netlist, targets = _setup_c17(tmp_path)
     assert main(["gen", netlist, targets, "--dmin", "9",
                  "--manifest-out", str(tmp_path / "m.json")]) == 2
+    assert "d_min 9" in _assert_error_recorded(tmp_path, capsys, 2)["error"]
 
 
-def test_gen_budget_exhausted_exits_4(tmp_path):
+def test_gen_budget_exhausted_exits_4(tmp_path, capsys):
     # XOR/XNOR disagreement needs at least one decision and conflict
     netlist = _write(tmp_path, "hard.bench",
                      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n"
@@ -114,6 +193,42 @@ def test_gen_budget_exhausted_exits_4(tmp_path):
     code = main(["gen", netlist, targets, "--conflict-budget", "0",
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 4
+    manifest = _assert_error_recorded(tmp_path, capsys, 4)
+    assert manifest["error"] == "conflict budget 0 exhausted after 0 patterns"
+    assert manifest["solver"]["stop_reason"] == "solver-budget"
+
+
+def test_gen_budget_exhausted_keeps_proven_patterns(tmp_path, capsys):
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    patterns_out = str(tmp_path / "p.txt")
+    code = main(["gen", netlist, targets, "-R", "200", "--conflict-budget", "0",
+                 "--seed", "0", "--patterns-out", patterns_out,
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 4
+    manifest = _assert_error_recorded(tmp_path, capsys, 4)
+    assert manifest["solver"]["stop_reason"] == "solver-budget"
+    assert manifest["outputs"] == [patterns_out]
+    patterns = read_patterns(open(patterns_out).read())
+    assert len(patterns) == 2
+    graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
+    spec = parse_targets(fixture_text("c432.mixed.targets"), graph)
+    for p in patterns:
+        valuation = simulate(graph, p)
+        assert all(valuation[n] == v for n, v in spec.entries), p.to_string()
+
+
+def test_compare_budget_exhausted_exits_4_without_outputs(tmp_path, capsys):
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    summary_out = tmp_path / "s.csv"
+    code = main(["compare", netlist, targets, "-R", "200", "--conflict-budget", "0",
+                 "--trials", "1", "--summary-out", str(summary_out),
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 4
+    manifest = _assert_error_recorded(tmp_path, capsys, 4)
+    assert manifest["outputs"] == [] and "cgf_trials" not in manifest["stage_times_s"]
+    assert not summary_out.exists()
 
 
 def test_gen_blif_input(tmp_path):
@@ -162,6 +277,8 @@ def test_compare_single_trial(tmp_path):
     assert code == 0
     row = open(summary_out).read().splitlines()[1].split(",")
     assert row[2] == row[3] == row[4]  # mean == min == max with one trial
+    manifest = _manifest(tmp_path)
+    assert manifest["command"] == "compare" and manifest["exit_code"] == 0
 
 
 def test_targets_diff_identical_files(tmp_path):
@@ -198,8 +315,9 @@ def test_targets_diff_both_polarities_added_gate(tmp_path):
     assert sorted(all0.splitlines()) == ["n16=0", "nX=0"]
 
 
-def test_targets_diff_parse_failure_exits_1(tmp_path):
+def test_targets_diff_parse_failure_exits_1(tmp_path, capsys):
     a = _write(tmp_path, "a.bench", "INPUT(x)\nnope\n")
     b = _write(tmp_path, "b.bench", "INPUT(x)\nOUTPUT(y)\ny = BUF(x)\n")
     assert main(["targets-diff", a, b, "--out", str(tmp_path / "d.targets"),
                  "--manifest-out", str(tmp_path / "m.json")]) == 1
+    assert _assert_error_recorded(tmp_path, capsys, 1)["command"] == "targets-diff"

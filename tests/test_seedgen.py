@@ -17,7 +17,7 @@ from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import (GenConfig, GenConfigError, generate,
                               read_patterns, report_csv_row, write_patterns)
 from gatefuzz.simulate import simulate
-from gatefuzz.targets import build_target_formula, parse_targets
+from gatefuzz.targets import build_target_formula, check_validity, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -122,6 +122,29 @@ def test_invalid_target_yields_empty_exhausted_report():
     assert report.solver_calls == 1
 
 
+def test_validity_witness_is_the_first_generated_pattern():
+    # one session gives both: the verdict is generation's first solve
+    rng = random.Random(91)
+    valid = invalid = 0
+    for _ in range(60):
+        g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 7),
+                                                    rng.randint(2, 20))))
+        f = encode(g)
+        nodes = rng.sample(range(g.node_count), rng.randint(1, 4))
+        spec = parse_targets("".join(f"{g.names[n]}={rng.randrange(2)}\n" for n in nodes), g)
+        for seed in (0, 1, 5):
+            verdict = check_validity(spec, f, decision_seed=seed)
+            report = generate(f, build_target_formula(spec, f),
+                              GenConfig(pattern_budget=3, seed=seed))
+            if verdict.is_valid:
+                valid += 1
+                assert report.patterns[0] == verdict.witness
+            else:
+                invalid += 1
+                assert report.patterns == [] and report.exhausted
+    assert valid >= 100 and invalid >= 30
+
+
 def test_determinism():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
@@ -139,7 +162,7 @@ from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
-from gatefuzz.targets import build_target_formula, parse_targets
+from gatefuzz.targets import build_target_formula, check_validity, parse_targets
 graph = build_graph(scan_convert(load_circuit("c432")))
 formula = encode(graph)
 lits = build_target_formula(parse_targets(fixture_text("c432.mixed.targets"), graph), formula)
