@@ -6,11 +6,20 @@ uniformly chosen corpus seeds.  Fitness is target-restricted toggle coverage,
 which makes the baseline as directed-friendly as a greybox loop can be.
 Everything is driven by one seeded RNG, so runs are reproducible.
 
-Mutants are simulated :data:`WINDOW` at a time, over the targets' fan-in cone
-only, yet the run is the same executed sequence as evaluating one mutant at a
-time: a window is bred from the corpus as it stands, its first lane that shows
-an unseen pair is the next admission, the lanes after it are dropped, and the
-RNG is rewound to just after that lane before the next window is bred.
+Mutants are bred and simulated a window at a time, over the targets' fan-in
+cone only, yet the run is the same executed sequence as evaluating one mutant
+at a time: a window is bred from the corpus as it stands, its first lane that
+shows an unseen pair is the next admission, the lanes after it are dropped,
+and the RNG is rewound to just after that lane before the next window is
+bred.  Admissions come a few lanes apart, so a window starts at
+:data:`FIRST_WINDOW` lanes, doubles after every window without a hit up to
+:data:`WINDOW`, and starts small again after each admission; the lanes bred
+and thrown away stay few.  Once every pair is seen, the rest of the budget
+is bred without simulation.
+
+No lane before an admitted one shows an unseen pair, so a pair's first
+pattern is the admission that removed it from the unseen set: the coverage
+report and curve are built from those pattern numbers, with no second pass.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coverage import CoverageReport, measure_with_curve
+from .coverage import CoverageReport, report_and_curve
 from .graph import CircuitGraph
 from .pattern import InputPattern
 from .simulate import compile_ops, run_pass
@@ -26,7 +35,8 @@ from .targets import TargetSpec
 
 FULL_RANDOM_PROB = 0.1
 MULTI_FLIP_CONTINUE_PROB = 0.5
-WINDOW = 64  # mutants bred and simulated per pass
+FIRST_WINDOW = 8  # mutants bred and simulated in the first pass after an admission
+WINDOW = 64  # the most mutants bred and simulated per pass
 
 
 @dataclass
@@ -50,14 +60,20 @@ class CgfResult:
 
 def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
             rng_seed: int = 0) -> CgfResult:
-    """Run exactly ``budget`` simulations of mutated patterns.
+    """Execute exactly ``budget`` mutated patterns.
 
     The corpus starts from one uniform-random pattern.  Mutation picks a
     corpus seed uniformly and either replaces it wholesale (probability 0.1)
     or flips ``w`` distinct bits with ``w`` drawn geometrically (w=1 is the
     plain single-bit flip).  Each mutant is bred from the corpus as it stands
-    after every earlier execution.  Coverage is reported over all executed
-    patterns, not just admitted ones.
+    after every earlier execution.
+
+    Mutants are simulated in windows of :data:`FIRST_WINDOW` lanes after an
+    admission, doubling after each window without a hit up to :data:`WINDOW`;
+    the schedule changes only how much is bred and simulated per pass, never
+    the executed sequence.  Coverage is reported over all executed patterns,
+    not just admitted ones, and is read from the admissions: a (target node,
+    value) pair is first seen at the execution that admitted it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -65,6 +81,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     width = graph.input_count
     corpus = Corpus()
     unseen = {(node, value) for node in spec.nodes() for value in (0, 1)}
+    first_seen = {}  # (node, value) -> 1-based number of the admitting pattern
     ops = compile_ops(graph, spec.nodes())
     executed: list[InputPattern] = []
 
@@ -73,18 +90,19 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
             return _random_pattern(rng, width)
         return _mutate(rng, rng.choice(corpus.seeds).pattern, width)
 
-    while len(executed) < budget:
+    size = FIRST_WINDOW
+    while unseen and len(executed) < budget:
         state = rng.getstate()
-        window = [breed() for _ in range(min(WINDOW, budget - len(executed)))]
+        window = [breed() for _ in range(min(size, budget - len(executed)))]
+        words = run_pass(graph, ops, window)
+        mask = (1 << len(window)) - 1
+        lanes_of = {pair: words[pair[0]] ^ (0 if pair[1] else mask) for pair in unseen}
         hits = 0
-        if unseen:
-            words = run_pass(graph, ops, window)
-            mask = (1 << len(window)) - 1
-            lanes_of = {pair: words[pair[0]] ^ (0 if pair[1] else mask) for pair in unseen}
-            for lanes in lanes_of.values():
-                hits |= lanes
+        for lanes in lanes_of.values():
+            hits |= lanes
         if not hits:
             executed.extend(window)
+            size = min(2 * size, WINDOW)
             continue
         first = hits & -hits
         lane = first.bit_length() - 1
@@ -96,16 +114,27 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
             breed()
         new_pairs = {pair for pair, lanes in lanes_of.items() if lanes & first}
         unseen -= new_pairs
+        first_seen.update(dict.fromkeys(new_pairs, len(executed)))
         corpus.seeds.append(CorpusSeed(pattern=window[lane], fitness=len(new_pairs)))
+        size = FIRST_WINDOW
+    while len(executed) < budget:
+        executed.append(breed())
 
-    report, curve = measure_with_curve(graph, spec, executed)
+    firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1)))
+              for node, _ in spec.entries]
+    report, curve = report_and_curve(spec, firsts, len(executed))
     return CgfResult(executed=executed, report=report, curve=curve, corpus=corpus)
 
 
 def _random_pattern(rng, width):
+    # rng.randrange(2) inlined: a 2-bit draw, redrawn while it is 2 or 3
+    getrandbits = rng.getrandbits
     word = 0  # the first draw is the first input
     for _ in range(width):
-        word = word << 1 | rng.randrange(2)
+        bit = getrandbits(2)
+        while bit > 1:
+            bit = getrandbits(2)
+        word = word << 1 | bit
     return InputPattern.from_word(word, width)
 
 

@@ -39,6 +39,10 @@ EXIT_INVALID_TARGET = 3
 EXIT_BUDGET = 4
 
 
+class _InputDecodeError(Exception):
+    """An input file that is not UTF-8 text (a parse failure, not a config one)."""
+
+
 class _Manifest:
     """Run metadata: input digests, config, stage times, output paths, exit."""
 
@@ -53,7 +57,12 @@ class _Manifest:
         with open(path, "rb") as fh:
             raw = fh.read()
         self.data["inputs"][str(path)] = hashlib.sha256(raw).hexdigest()
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # a UnicodeDecodeError is a ValueError, which main() reports as a config error
+            raise _InputDecodeError(
+                f"{path} is not UTF-8 text: byte {exc.start} ({exc.reason})") from None
 
     def stage(self, name):
         now = time.perf_counter()
@@ -301,7 +310,7 @@ def main(argv=None) -> int:
         code = args.func(args, manifest)
     except OSError as exc:
         code = _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
-    except (NetlistError, TargetError) as exc:
+    except (NetlistError, TargetError, _InputDecodeError) as exc:
         code = _fail(manifest, EXIT_PARSE, str(exc))
     except (GenConfigError, InfeasibleConstraintError, ValueError) as exc:
         code = _fail(manifest, EXIT_CONFIG, str(exc))

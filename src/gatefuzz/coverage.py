@@ -8,7 +8,10 @@ target node is covered once the pattern set has exercised it to both 0 and
 :func:`measure_with_curve` computes the report and the per-prefix curve
 together, from one wide-word pass over the targets' fan-in cone (split into
 passes of :data:`PASS_LANES` patterns for long lists);
-:func:`measure` and :func:`coverage_curve` are views of its result.
+:func:`measure` and :func:`coverage_curve` are views of its result.  Both
+are built by :func:`report_and_curve` from the number of the first pattern
+that drove each target to 0 and to 1, which a caller that already knows those
+numbers (the CGF loop does) can call without simulating again.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
     """Coverage report and per-pattern-prefix curve from one simulation pass.
 
     Only the targets' fan-in cone is simulated.  A target's first 0 and first
-    1 are the lowest set bits of its complemented and plain words; its state
-    is reached at the first of those equal to its desired value, and its site
-    is toggled at the later of the two.  The curve lists
-    ``(pattern_number, state_pct, site_pct)`` for every prefix; its final point
-    equals the report, and both coordinates are nondecreasing.
+    1 are the lowest set bits of its complemented and plain words, and
+    :func:`report_and_curve` builds the result from them.
     """
     patterns = list(patterns)
     for node, _ in spec.entries:
@@ -71,14 +71,29 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
                 if first[value] is None and lanes:
                     first[value] = start + (lanes & -lanes).bit_length()
 
+    return report_and_curve(spec, firsts, len(patterns))
+
+
+def report_and_curve(spec: TargetSpec, firsts, count: int):
+    """Coverage report and per-prefix curve of ``count`` patterns, from when
+    each target was first seen at 0 and at 1.
+
+    ``firsts`` holds one ``(first_0, first_1)`` per entry of ``spec``: the
+    1-based numbers of the first patterns that drove the entry's node to 0 and
+    to 1, or ``None`` where none did.  A target's state is reached at the
+    first of those equal to its desired value, and its site is toggled at the
+    later of the two.  The curve lists ``(pattern_number, state_pct,
+    site_pct)`` for every prefix; its final point equals the report, and both
+    coordinates are nondecreasing.
+    """
     per_target = [
         TargetCoverage(node=node, desired=desired, reached_state=first[desired] is not None,
                        saw_0=first[0] is not None, saw_1=first[1] is not None,
                        first_reach_index=first[desired])
         for (node, desired), first in zip(spec.entries, firsts)]
     k = len(per_target)
-    reached_at = [0] * (len(patterns) + 1)
-    toggled_at = [0] * (len(patterns) + 1)
+    reached_at = [0] * (count + 1)
+    toggled_at = [0] * (count + 1)
     for t, first in zip(per_target, firsts):
         if t.reached_state:
             reached_at[t.first_reach_index] += 1
@@ -86,7 +101,7 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
             toggled_at[max(first)] += 1
     curve = []
     reached = toggled = 0
-    for number in range(1, len(patterns) + 1):
+    for number in range(1, count + 1):
         reached += reached_at[number]
         toggled += toggled_at[number]
         curve.append((number,) + _percentages(reached, toggled, k))
@@ -95,7 +110,7 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
         per_target=per_target,
         state_coverage_pct=state_pct,
         site_coverage_pct=site_pct,
-        patterns_applied=len(patterns),
+        patterns_applied=count,
     )
     return report, curve
 

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
-from gatefuzz.cgf import FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW, run_cgf
+from gatefuzz import cgf
+from gatefuzz.cgf import (FIRST_WINDOW, FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW,
+                         run_cgf)
 from gatefuzz.cnf import encode
-from gatefuzz.coverage import CoverageReport, TargetCoverage
+from gatefuzz.coverage import CoverageReport, TargetCoverage, measure, measure_with_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -92,7 +94,6 @@ def test_sat_coverage_dominates_cgf():
     spec = parse_targets("n10=1\nn16=1\nn19=0", g)
     sat_report = generate(f, build_target_formula(spec, f), GenConfig(pattern_budget=20))
     assert sat_report.patterns  # valid spec
-    from gatefuzz.coverage import measure
     sat_cov = measure(g, spec, sat_report.patterns)
     assert sat_cov.state_coverage_pct == 100.0
     for s in range(5):
@@ -102,6 +103,14 @@ def test_sat_coverage_dominates_cgf():
 
 def reference_random_pattern(rng, width):
     return InputPattern(tuple(rng.randrange(2) for _ in range(width)))
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 200])
+def test_random_pattern_makes_the_reference_draws(width):
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert cgf._random_pattern(rng, width) == reference_random_pattern(ref, width)
+        assert rng.random() == ref.random()  # the RNG is left in the same state
 
 
 def reference_mutate(rng, parent, width):
@@ -172,9 +181,32 @@ def _equivalence_cases():
                                                     rng.randint(5, 60), with_dffs=True)))
         nodes = rng.sample(range(g.node_count), rng.randint(1, min(8, g.node_count)))
         yield f"random-{case}", g, TargetSpec(entries=[(n, rng.randrange(2)) for n in nodes])
+    # (root, 0) is admitted at once and (root, 1) next to never, so the
+    # windows grow to the cap
+    tree = build_graph(scan_convert(parse_bench(fixture_text("and_tree16.bench"),
+                                                name="and_tree16")))
+    yield "and_tree16-never-hits", tree, parse_targets("root=1", tree)
+    # one node listed twice, another at both values
+    n22, n23 = c17.name_to_id["n22"], c17.name_to_id["n23"]
+    yield "c17-repeated", c17, TargetSpec(entries=[(n22, 1), (n23, 0), (n22, 1), (n23, 1)])
 
 
-@pytest.mark.parametrize("budget", [1, WINDOW - 1, WINDOW, WINDOW + 1, 200])
+def _schedule_boundaries():
+    """Execution counts at which a window ends when no lane hits after the
+    first pattern's admission: the windows double from FIRST_WINDOW to WINDOW."""
+    ends, end, size = [], 1, FIRST_WINDOW
+    while len(ends) < 6:
+        end += size
+        ends.append(end)
+        size = min(2 * size, WINDOW)
+    return ends
+
+
+_BUDGETS = sorted({1, WINDOW - 1, WINDOW, WINDOW + 1, 200, FIRST_WINDOW}
+                  | {end + d for end in _schedule_boundaries() for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
 def test_windowed_run_equals_sequential_loop(budget):
     for name, g, spec in _equivalence_cases():
         rng_seed = budget + len(name)
@@ -184,5 +216,55 @@ def test_windowed_run_equals_sequential_loop(budget):
         assert [(s.pattern, s.fitness) for s in result.corpus.seeds] == seeds, name
         assert result.report == report, name
         assert result.curve == curve, name
+        # the report read from admissions is the one a simulation pass gives
+        assert (result.report, result.curve) == measure_with_curve(g, spec, result.executed), name
         if not spec.entries:
             assert not seeds
+
+
+def test_never_hitting_run_simulates_full_windows(monkeypatch):
+    tree = build_graph(scan_convert(parse_bench(fixture_text("and_tree16.bench"),
+                                                name="and_tree16")))
+    spec = parse_targets("root=1", tree)
+    passes = []
+    real_run_pass = cgf.run_pass
+
+    def counting_run_pass(graph, ops, patterns):
+        passes.append(len(patterns))
+        return real_run_pass(graph, ops, patterns)
+
+    monkeypatch.setattr(cgf, "run_pass", counting_run_pass)
+    result = run_cgf(tree, spec, budget=300, rng_seed=4)
+    assert len(result.corpus.seeds) == 1  # only the first pattern's (root, 0)
+    assert passes[:2] == [FIRST_WINDOW, FIRST_WINDOW]  # the first pattern hits at lane 0
+    assert max(passes) == WINDOW and passes.count(WINDOW) >= 2
+    # of all simulated lanes, only the first window's lanes after its hit are dropped
+    assert sum(passes) == 300 + FIRST_WINDOW - 1
+
+
+def test_breeds_at_most_four_mutants_per_execution(monkeypatch):
+    """A circuit that keeps admitting seeds: a full window per pass would breed
+    about 14 mutants per execution (most of them dropped after a hit)."""
+    g = build_graph(scan_convert(random_netlist(random.Random(2), 32, 400)))
+    spec = TargetSpec(entries=[(n, 1) for n in range(g.node_count) if g.kinds[n] != "INPUT"])
+    counts = {"breeds": 0, "inside_mutate": 0}
+    real_mutate, real_random_pattern = cgf._mutate, cgf._random_pattern
+
+    def mutate(*args):
+        counts["breeds"] += 1
+        counts["inside_mutate"] += 1
+        try:
+            return real_mutate(*args)
+        finally:
+            counts["inside_mutate"] -= 1
+
+    def random_pattern(*args):
+        counts["breeds"] += not counts["inside_mutate"]
+        return real_random_pattern(*args)
+
+    monkeypatch.setattr(cgf, "_mutate", mutate)
+    monkeypatch.setattr(cgf, "_random_pattern", random_pattern)
+    budget = 256
+    result = run_cgf(g, spec, budget=budget, rng_seed=2)
+    assert len(result.corpus.seeds) >= 40  # admissions all through the run
+    assert counts["breeds"] <= 4 * budget

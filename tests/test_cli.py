@@ -141,6 +141,19 @@ def test_gen_missing_netlist_exits_1(tmp_path, capsys):
     assert "solver" not in manifest
 
 
+@pytest.mark.parametrize("bad", ["netlist", "targets"])
+def test_gen_non_utf8_input_exits_1(tmp_path, capsys, bad):
+    netlist, targets = _setup_c17(tmp_path)
+    path = {"netlist": netlist, "targets": targets}[bad]
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    code = main(["gen", netlist, targets, "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 1
+    manifest = _assert_error_recorded(tmp_path, capsys, 1)
+    assert manifest["error"].startswith(f"{path} is not UTF-8 text: byte ")
+    assert "solver" not in manifest
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-dir/p.txt"])
 def test_gen_unopenable_patterns_out_exits_1(tmp_path, capsys, where):
     netlist, targets = _setup_c17(tmp_path)
