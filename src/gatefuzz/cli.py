@@ -181,15 +181,8 @@ def cmd_compare(args, manifest) -> int:
 
 def _mean_curve(curves):
     """Index-wise mean of equal-length coverage curves."""
-    if not curves:
-        return []
-    length = max(len(c) for c in curves)
-    out = []
-    for i in range(length):
-        states = [c[i][1] for c in curves if i < len(c)]
-        sites = [c[i][2] for c in curves if i < len(c)]
-        out.append((i + 1, sum(states) / len(states), sum(sites) / len(sites)))
-    return out
+    return [(i, sum(p[1] for p in points) / len(points), sum(p[2] for p in points) / len(points))
+            for i, points in enumerate(zip(*curves), 1)]
 
 
 def _first_full_state(curve):

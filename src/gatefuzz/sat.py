@@ -1,28 +1,36 @@
 """Incremental CDCL SAT solver over CNF formulas and at-least-k constraints.
 
-A :class:`SolverSession` owns a growing constraint database seeded from a
-:class:`~gatefuzz.cnf.CnfFormula` (the formula object itself is never
-mutated).  It decides satisfiability under assumptions, returns total models
-(unconstrained variables default to false), and accepts permanently added
-clauses and at-least-k cardinality constraints.  That is what solution
-enumeration needs: a blocking clause excludes one model, and an at-least-k
-constraint over the literals that differ from a model keeps every later model
-at least k away from it (for k >= 1 it implies that model's blocking clause).
+A :class:`SolverSession` decides one :class:`~gatefuzz.cnf.CnfFormula` (the
+formula object itself is never mutated), and its variables are the
+formula's: every array is sized once from ``var_count``, and a literal or
+assumption outside them is a ``ValueError``.  It decides satisfiability
+under assumptions, returns total models (unconstrained variables default to
+false), and accepts permanently added clauses and at-least-k cardinality
+constraints.  That is what solution enumeration needs: a blocking clause
+excludes one model, and an at-least-k constraint over the literals that
+differ from a model keeps every later model at least k away from it (for
+k >= 1 it implies that model's blocking clause).
 
 The engine is a deliberately compact MiniSat-style CDCL: two-watched-literal
 propagation, first-UIP conflict learning, activity-driven decisions with
 phase-false polarity, and Luby restarts.  Everything is deterministic for a
 fixed ``decision_seed``.
 
-At-least-k constraints are native, after MiniCard (Liffiton & Maglalang,
-SAT 2012), and add no helper variables, so the solver decides only the
-formula's own variables.  A constraint watches k+1 literals that are not
-false.  When a watched literal becomes false the watch moves to an unwatched
-literal that is not false; when none is left, the other watched literals
-must all be true and are propagated.  A propagated literal's reason is the
-clause of that literal and the constraint's false literals, and a conflict
-is the clause of its false literals, so conflict analysis only ever sees
-clauses.  A literal listed twice counts twice.
+A clause is the at-least-1 case, and both kinds of constraint go through one
+level-0 add path: literals fixed at level 0 are permanent, so false ones
+drop out and each true one lowers k; too few left makes the session UNSAT,
+exactly k left are propagated as units, and otherwise the constraint is
+watched, by two literals when k is 1.
+
+At-least-k constraints with k > 1 are native, after MiniCard (Liffiton &
+Maglalang, SAT 2012), and add no helper variables, so the solver decides
+only the formula's own variables.  Such a constraint watches k+1 literals
+that are not false.  When a watched literal becomes false the watch moves to
+an unwatched literal that is not false; when none is left, the other watched
+literals must all be true and are propagated.  A propagated literal's reason
+is the clause of that literal and the constraint's false literals, and a
+conflict is the clause of its false literals, so conflict analysis only ever
+sees clauses.  A literal listed twice counts twice.
 
 Values live in one array indexed by literal, as in MiniSat (Eén & Sörensson,
 SAT 2003): ``_lit_val[lit]`` is the literal's own value, so the hot loops read
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .cnf import CnfFormula
 
@@ -105,30 +113,31 @@ def _luby(x):
 
 
 class SolverSession:
-    """Exclusive-use incremental solver over one formula.
+    """Exclusive-use incremental solver over one formula's variables.
 
-    Clauses and constraints only accumulate; the model sequence for a fixed
-    ``decision_seed`` and clause/solve sequence is reproducible.
+    Clauses and constraints only accumulate, and every literal they or an
+    assumption name must be one of the formula's variables.  The model
+    sequence for a fixed ``decision_seed`` and clause/solve sequence is
+    reproducible.
     """
 
     def __init__(self, formula: CnfFormula, decision_seed: int = 0,
                  conflict_budget: int | None = None):
-        self.nvars = 0
-        self.decision_seed = decision_seed
+        n = self.nvars = formula.var_count
         self.conflict_budget = conflict_budget
-        self._rng = random.Random(decision_seed)
         self.conflicts = 0
         self.decisions = 0
         self.solve_calls = 0
         self.propagations = 0  # trail literals dequeued by unit propagation
 
-        self._lit_val: list[int] = [_UNDEF, _UNDEF]  # indexed by literal
-        self._level: list[int] = [0]
-        self._reason: list = [None]
-        self._activity: list[float] = [0.0]
-        self._watches: list[list] = [[], []]
-        self._card_watches: list[list[_AtLeast]] = [[], []]
-        self._order: list = []
+        rng = random.Random(decision_seed)
+        self._lit_val: list[int] = [_UNDEF] * (2 * n + 2)  # indexed by literal
+        self._level: list[int] = [0] * (n + 1)
+        self._reason: list = [None] * (n + 1)
+        self._activity: list[float] = [0.0] + [rng.random() * 1e-9 for _ in range(n)]
+        self._watches: list[list] = [[] for _ in range(2 * n + 2)]
+        self._card_watches: list[list[_AtLeast]] = [[] for _ in range(2 * n + 2)]
+        self._rebuild_order()
         self._var_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -139,81 +148,37 @@ class SolverSession:
         self._check_clauses: dict[int, list[tuple[int, tuple]]] = {}
         self._check_cards: list[tuple[tuple[tuple[int, int], ...], int]] = []
 
-        while self.nvars < formula.var_count:
-            self.new_var()
         for clause in formula.clauses:
             self.add_clause(clause)
 
-    # -- variables and values ------------------------------------------------
+    # -- literals --------------------------------------------------------------
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        self._lit_val.append(_UNDEF)
-        self._lit_val.append(_UNDEF)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(self._rng.random() * 1e-9)
-        self._watches.append([])
-        self._watches.append([])
-        self._card_watches.append([])
-        self._card_watches.append([])
-        heappush(self._order, (-self._activity[self.nvars], self.nvars))
-        return self.nvars
-
-    @staticmethod
-    def _internal(signed):
-        return (signed << 1) if signed > 0 else ((-signed) << 1) | 1
+    def _internal_lits(self, signed_lits):
+        """Internal literals of signed ones; raises ValueError for a literal
+        whose variable is not in 1..nvars."""
+        n = self.nvars
+        internal = []
+        for signed in signed_lits:
+            if not 0 < abs(signed) <= n:
+                raise ValueError(f"literal {signed} is not a variable in 1..{n}")
+            internal.append(signed << 1 if signed > 0 else (-signed << 1) | 1)
+        return internal
 
     @staticmethod
     def _signed(internal):
         var = internal >> 1
         return -var if internal & 1 else var
 
-    # -- clause management ---------------------------------------------------
+    # -- constraints -------------------------------------------------------------
 
     def add_clause(self, clause) -> None:
         """Permanently conjoin a clause of nonzero signed literals."""
         if not clause:
             raise ValueError("empty clause")
-        lits = []
-        seen = set()
-        for signed in clause:
-            if signed == 0:
-                raise ValueError("literal 0 is not allowed")
-            while abs(signed) > self.nvars:
-                self.new_var()
-            if -signed in seen:
-                return  # tautology, always satisfied
-            if signed not in seen:
-                seen.add(signed)
-                lits.append(signed)
-        internal = [self._internal(s) for s in lits]
-        if __debug__:
-            (block, mask), *rest = _segments(internal)
-            self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
-        if self._unsat_forever:
-            return
-        assert not self._trail_lim, "add_clause requires the session at decision level 0"
-        val = self._lit_val
-        # Level-0 assignments are permanent: drop false literals, skip
-        # satisfied clauses.
-        internal = [l for l in internal if val[l] != _FALSE]
-        if any(val[l] == _TRUE for l in internal):
-            return
-        if not internal:
-            self._unsat_forever = True
-            return
-        if len(internal) == 1:
-            self._enqueue(internal[0], None)
-            if self._propagate() is not None:
-                self._unsat_forever = True
-            return
-        self._attach(internal)
-
-    def _attach(self, internal_lits):
-        clause = list(internal_lits)
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
+        lits = dict.fromkeys(self._internal_lits(clause))  # repeats dropped, in order
+        if any(lit ^ 1 in lits for lit in lits):
+            return  # tautology, always satisfied
+        self._add(list(lits), 1)
 
     def encode_at_least_k(self, literals, k: int) -> None:
         """Require at least ``k`` of the signed literals to be true.
@@ -225,35 +190,36 @@ class SolverSession:
         if k > len(literals) or k < 1:
             raise InfeasibleConstraintError(
                 f"at-least-{k} over {len(literals)} literals is not satisfiable")
-        for signed in literals:
-            if signed == 0:
-                raise ValueError("literal 0 is not allowed")
-            while abs(signed) > self.nvars:
-                self.new_var()
+        self._add(self._internal_lits(literals), k)
+
+    def _add(self, lits, k):
+        """Add at-least-``k`` over internal literals at decision level 0,
+        where assignments are permanent: false literals drop out and each
+        true one lowers ``k``.  A clause is the case ``k == 1``."""
         if __debug__:
-            self._check_cards.append(
-                (_segments([self._internal(s) for s in literals]), k))
+            if k == 1:
+                (block, mask), *rest = _segments(lits)
+                self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
+            else:
+                self._check_cards.append((_segments(lits), k))
         if self._unsat_forever:
             return
-        assert not self._trail_lim, "encode_at_least_k requires the session at decision level 0"
+        assert not self._trail_lim, "constraints are added at decision level 0"
         val = self._lit_val
-        # Level-0 assignments are permanent: false literals drop out and each
-        # true one lowers k.
-        internal = []
-        for signed in literals:
-            lit = self._internal(signed)
+        free = []
+        for lit in lits:
             value = val[lit]
             if value == _TRUE:
                 k -= 1
             elif value == _UNDEF:
-                internal.append(lit)
+                free.append(lit)
         if k <= 0:
             return
-        if len(internal) < k:
+        if len(free) < k:
             self._unsat_forever = True
             return
-        if len(internal) == k:
-            for lit in internal:
+        if len(free) == k:
+            for lit in free:
                 value = val[lit]
                 if value == _FALSE:  # its complement was just enqueued
                     self._unsat_forever = True
@@ -263,9 +229,16 @@ class SolverSession:
             if self._propagate() is not None:
                 self._unsat_forever = True
             return
-        card = _AtLeast(internal, k)
-        for lit in internal[:k + 1]:
+        if k == 1:
+            self._attach(free)
+            return
+        card = _AtLeast(free, k)
+        for lit in free[:k + 1]:
             self._card_watches[lit].append(card)
+
+    def _attach(self, clause):
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # -- assignment machinery --------------------------------------------------
 
@@ -377,21 +350,28 @@ class SolverSession:
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
 
+    def _rebuild_order(self):
+        """One live heap entry per variable, keyed by its activity."""
+        self._order = [(-self._activity[v], v) for v in range(1, self.nvars + 1)]
+        heapify(self._order)
+
     def _bump(self, var):
         self._activity[var] += self._var_inc
         if self._activity[var] > _ACTIVITY_RESCALE:
             for v in range(1, self.nvars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
-        heappush(self._order, (-self._activity[var], var))
+            self._rebuild_order()  # every key changed
+        else:
+            heappush(self._order, (-self._activity[var], var))
 
     def _pick_branch_var(self):
+        """The unassigned variable of highest activity, or None.  Every
+        unassigned variable has a live entry: a bump or an unassignment
+        pushes one, and a rescale rebuilds the heap."""
         while self._order:
             act, var = heappop(self._order)
             if self._lit_val[2 * var] == _UNDEF and -act == self._activity[var]:
-                return var
-        for var in range(1, self.nvars + 1):  # heap entries can go stale
-            if self._lit_val[2 * var] == _UNDEF:
                 return var
         return None
 
@@ -451,18 +431,10 @@ class SolverSession:
         error.  The session is left at decision level 0 with all learned
         clauses retained.
         """
+        assumed = self._internal_lits(assumptions)
         self.solve_calls += 1
         if self._unsat_forever:
             return SatResult("UNSAT")
-        for signed in assumptions:
-            if abs(signed) > self.nvars:
-                raise ValueError(f"assumption {signed} exceeds variable count {self.nvars}")
-        assumed = [self._internal(s) for s in assumptions]
-
-        if self._propagate() is not None:
-            self._unsat_forever = True
-            return SatResult("UNSAT")
-
         budget = self.conflict_budget
         conflicts_here = 0
         restart_count = 0

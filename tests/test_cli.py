@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,23 @@ def test_gen_manifest_records_solver_counters(tmp_path):
     assert solver["stop_reason"] == "budget"
     # every decision literal is dequeued by the propagation that follows it
     assert solver["propagations"] >= solver["decisions"] > 0
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "e8d718c4c1fea0c077dd1ed0fad4ec88193b321d4ebd470e106064a9502ae8f1"),
+    (1, "ed358d748f0a44cb7fa7f10333d7c56d7549d0b76b091ea5871efae3f6532641"),
+    (2, "55caa6671f9ed91480aac69b722dd4269c8981fda6be1f21eff2a979c0d409ef"),
+    (7, "374675b903682b34469e0f9c41a809569b122fbeeb815294ee7397b20035f166"),
+])
+def test_gen_c432_pattern_file_pinned(tmp_path, seed, digest):
+    # the solver's decision order fixes these bytes; a change that moves
+    # them on purpose updates the digests
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    out = tmp_path / "p.txt"
+    assert main(["gen", netlist, targets, "-R", "200", "--dmin", "2", "--seed", str(seed),
+                 "--patterns-out", str(out), "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):

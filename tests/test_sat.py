@@ -212,11 +212,45 @@ def test_c17_output_assumption_model_simulates():
     assert any(simulate(graph, p)[graph.node_id("n22")] == 1 for p in all_patterns(5))
 
 
-def test_grow_vars_through_add_clause():
-    s = SolverSession(formula_of([(1,)], 1))
-    s.add_clause([2, 3])
-    assert s.nvars == 3
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_literal_outside_the_variables_is_rejected(bad):
+    # the session's variables are the formula's three: x1 holds, x2 does
+    # not, and x3 is free, which a constraint added without the bad literal
+    # would change
+    s = SolverSession(formula_of([(1,), (-2,)], 3))
+    for add in (lambda: s.add_clause([3, bad]),
+                lambda: s.add_clause([1, -1, bad]),  # a tautology around it
+                lambda: s.encode_at_least_k([2, bad, 3], 2),
+                lambda: s.solve(assumptions=[3, bad])):
+        calls = s.solve_calls
+        with pytest.raises(ValueError, match=f"literal {bad} is not a variable in 1..3"):
+            add()
+        assert s.nvars == 3 and s.solve_calls == calls
+        r = s.solve(assumptions=[-3])
+        assert r.is_sat and r.model == [False, True, False, False]
+    s.add_clause([-1])  # an UNSAT session still checks its assumptions
+    with pytest.raises(ValueError, match=f"literal {bad} is not"):
+        s.solve(assumptions=[bad])
+
+
+def test_decisions_follow_activity_after_a_rescale(monkeypatch):
+    # with no clauses every variable is decided, highest activity first
+    s = SolverSession(formula_of([], 6))
+    by_seed = sorted(range(1, 7), key=lambda v: -s._activity[v])
+    assert by_seed == [1, 2, 5, 3, 6, 4]
+    monkeypatch.setattr("gatefuzz.sat._ACTIVITY_RESCALE", 0.5)
+    s._bump(4)  # past the bound: every activity is scaled by 1e-100
+    assert s._var_inc == 1e-100
+    picked = []
+    pick = s._pick_branch_var
+
+    def recording_pick():
+        picked.append(pick())
+        return picked[-1]
+
+    s._pick_branch_var = recording_pick
     assert s.solve().is_sat
+    assert picked == [4, 1, 2, 5, 3, 6, None]
 
 
 def _count_true(model, literals):
@@ -249,7 +283,21 @@ def _random_card_literals(rng, nvars):
 
 
 def test_incremental_cardinality_matches_brute_force():
+    _check_incremental_cardinality()
+
+
+def test_incremental_cardinality_matches_brute_force_with_rescales(monkeypatch):
+    # these trials see 41 conflicts in all, so a bound even of 4.0 is never
+    # reached; at 1.0 the first bump of a session rescales
+    monkeypatch.setattr("gatefuzz.sat._ACTIVITY_RESCALE", 1.0)
+    assert _check_incremental_cardinality() > 20
+
+
+def _check_incremental_cardinality():
+    """Checks 500 random sessions against the brute-force oracle; returns
+    how many of them rescaled their activities."""
     rng = random.Random(34)
+    rescaled = 0
     verdicts = {True: 0, False: 0}
     for trial in range(500):
         nvars = rng.randint(1, 10)
@@ -280,7 +328,9 @@ def test_incremental_cardinality_matches_brute_force():
                     assert all(got.model[abs(l)] == (l > 0) for l in assumptions)
                     assert all(_count_true(got.model, c) >= 1 for c in clauses)
                     assert all(_count_true(got.model, lits) >= k for lits, k in cards)
+        rescaled += session._var_inc < 1.0  # only a rescale lowers it
     assert verdicts[True] > 200 and verdicts[False] > 200
+    return rescaled
 
 
 def test_at_least_k_duplicate_literal_counts_twice():
