@@ -29,9 +29,11 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse ``.bench`` source into a :class:`Netlist`.
 
     Declaration order of INPUT/OUTPUT lines and gate lines is preserved.
-    Raises :class:`NetlistSyntaxError` with line/column on malformed input and
-    :class:`NetlistError` on semantic violations (duplicates, undefined
-    references, bad arity).
+    Raises :class:`NetlistSyntaxError`, which carries a line and column, on a
+    line that is not a construct, an unknown gate keyword or an empty gate
+    argument.  Every other rule (arity, duplicates, undefined references) is
+    checked afterwards by :meth:`Netlist.validate`, whose
+    :class:`NetlistError` names the gate or signal but not the line.
     """
     netlist = Netlist(name=name)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -61,10 +63,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
                 if "" in args:
                     raise NetlistSyntaxError("empty argument in gate input list", lineno, line.find("(") + 1)
-                try:
-                    netlist.gates.append(RawGate(out, kind, tuple(args)))
-                except NetlistError as exc:
-                    raise NetlistSyntaxError(str(exc), lineno) from exc
+                netlist.gates.append(RawGate(out, kind, tuple(args)))
                 continue
         raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno)
     netlist.validate()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -26,9 +27,7 @@ from .cnf import encode, write_dimacs
 from .coverage import curve_csv, measure, measure_with_curve
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
-from .sat import InfeasibleConstraintError
-from .seedgen import (REPORT_CSV_HEADER, GenConfig, GenConfigError, generate,
-                      report_csv_row, write_patterns)
+from .seedgen import REPORT_CSV_HEADER, GenConfig, generate, report_csv_row, write_patterns
 from .targets import (TargetError, build_target_formula, parse_targets,
                       targets_from_diff)
 
@@ -240,11 +239,8 @@ def cmd_targets_diff(args, manifest) -> int:
 def _polarity_paths(out, polarity):
     if polarity in ("0", "1"):
         return [(int(polarity), out)]
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        stem, ext = out, ""
-    suffix = lambda tag: f"{stem}.{tag}.{ext}" if dot else f"{out}.{tag}"
-    return [(0, suffix("all0")), (1, suffix("all1"))]
+    stem, ext = os.path.splitext(out)  # the tag goes into the file name, never a directory
+    return [(0, f"{stem}.all0{ext}"), (1, f"{stem}.all1{ext}")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +301,7 @@ def main(argv=None) -> int:
         code = _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
     except (NetlistError, TargetError, _InputDecodeError) as exc:
         code = _fail(manifest, EXIT_PARSE, str(exc))
-    except (GenConfigError, InfeasibleConstraintError, ValueError) as exc:
+    except ValueError as exc:  # GenConfigError and bad solver input are ValueErrors
         code = _fail(manifest, EXIT_CONFIG, str(exc))
     finally:
         manifest.data["exit_code"] = code

@@ -60,15 +60,17 @@ class CircuitGraph:
 
 
 def build_graph(netlist: Netlist) -> CircuitGraph:
-    """Construct the levelized DAG for a scan-converted netlist.
+    """Construct the levelized DAG for a combinational netlist.
 
     Node ids are assigned primary inputs first (declaration order), then gate
     outputs in declaration order: the map :meth:`Netlist.validate` returns.
-    Raises :class:`~gatefuzz.netlist.NetlistError` if the netlist is invalid
-    and :class:`CycleError` if the combinational logic is cyclic.
+    Raises :class:`~gatefuzz.netlist.NetlistError` if the netlist holds a DFF
+    (pass it through :func:`~gatefuzz.netlist.scan_convert` first) or is
+    invalid, and :class:`CycleError` if the combinational logic is cyclic.
     """
-    if not netlist.scan_converted:
-        raise NetlistError(f"netlist {netlist.name!r} must be scan-converted before graph build")
+    if netlist.has_dff:
+        raise NetlistError(f"netlist {netlist.name!r} holds a DFF and must be "
+                           "scan-converted before graph build")
     ids = netlist.validate()
     names = list(ids)
     gates = netlist.gates

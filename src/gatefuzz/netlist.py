@@ -1,7 +1,8 @@
 """Gate-level netlist data model and full-scan conversion.
 
-A :class:`Netlist` is a flat list of gates over named signals, plus ordered
-primary input/output lists.  Sequential elements (DFFs) are removed by
+A :class:`Netlist` is a flat list of unchecked gate records over named
+signals, plus ordered primary input/output lists; :meth:`Netlist.validate`
+holds every structural rule.  Sequential elements (DFFs) are removed by
 :func:`scan_convert`, which models full scan access: every flip-flop output
 becomes a directly controllable pseudo-input and every flip-flop input a
 directly observable pseudo-output, leaving a purely combinational circuit.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -36,29 +38,13 @@ class NetlistSyntaxError(NetlistError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class RawGate:
-    """One gate instance: ``output = kind(inputs...)``."""
+class RawGate(NamedTuple):
+    """One gate instance, ``output = kind(inputs...)``, checked only by
+    :meth:`Netlist.validate`; it equals the plain tuple of its fields."""
 
     output: str
     kind: str
     inputs: tuple[str, ...]
-
-    def __post_init__(self):
-        kind = self.kind
-        if kind not in GATE_KINDS:
-            raise NetlistError(f"unsupported gate kind {kind!r}")
-        if not self.output:
-            raise NetlistError("gate output name must be nonempty")
-        n = len(self.inputs)
-        if kind in UNARY_KINDS:
-            if n != 1:
-                raise NetlistError(f"{kind} requires exactly 1 input, got {n} for {self.output!r}")
-        elif kind in CONST_KINDS:
-            if n != 0:
-                raise NetlistError(f"{kind} takes no inputs, got {n} for {self.output!r}")
-        elif n < 2:
-            raise NetlistError(f"{kind} requires >= 2 inputs, got {n} for {self.output!r}")
 
 
 @dataclass
@@ -69,23 +55,37 @@ class Netlist:
     primary_inputs: list[str] = field(default_factory=list)
     primary_outputs: list[str] = field(default_factory=list)
     gates: list[RawGate] = field(default_factory=list)
-    scan_converted: bool = False
 
     def validate(self) -> dict[str, int]:
-        """Check structural invariants; raise :class:`NetlistError` on violation.
+        """Check every rule; raise :class:`NetlistError` on the first violation.
 
-        Output names must be unique, nothing may be both a primary input and a
-        gate output, and every referenced signal must be defined somewhere.
-        Returns the name -> node id map built while checking: primary inputs
-        first, then gate outputs, each in declaration order.
+        Each gate needs a supported kind, a nonempty output and its kind's
+        arity (1 for NOT, BUF and DFF, 0 for constants, >= 2 otherwise).
+        Output names must be unique, nothing may be both a primary input and
+        a gate output, and every referenced signal must be defined.  Returns
+        the name -> node id map built while checking: primary inputs first,
+        then gate outputs, each in declaration order.
         """
         ids = {name: i for i, name in enumerate(self.primary_inputs)}
         if len(ids) != len(self.primary_inputs):
             raise NetlistError(f"duplicate primary input in {self.name!r}")
-        for g in self.gates:
-            if g.output in ids:
-                raise NetlistError(f"duplicate definition of {g.output!r}")
-            ids[g.output] = len(ids)
+        for output, kind, inputs in self.gates:
+            if kind not in GATE_KINDS:
+                raise NetlistError(f"unsupported gate kind {kind!r}")
+            if not output:
+                raise NetlistError("gate output name must be nonempty")
+            n = len(inputs)
+            if kind in UNARY_KINDS:
+                if n != 1:
+                    raise NetlistError(f"{kind} requires exactly 1 input, got {n} for {output!r}")
+            elif kind in CONST_KINDS:
+                if n != 0:
+                    raise NetlistError(f"{kind} takes no inputs, got {n} for {output!r}")
+            elif n < 2:
+                raise NetlistError(f"{kind} requires >= 2 inputs, got {n} for {output!r}")
+            if output in ids:
+                raise NetlistError(f"duplicate definition of {output!r}")
+            ids[output] = len(ids)
         for g in self.gates:
             for src in g.inputs:
                 if src not in ids:
@@ -106,13 +106,13 @@ def scan_convert(netlist: Netlist) -> Netlist:
     The result is purely combinational.  Pseudo-inputs keep the flip-flop's
     output identifier and are appended after the original primary inputs, in
     gate declaration order; the D signals are appended to the primary outputs
-    in the same order.  Idempotent: an already converted netlist is returned
-    unchanged.  Removing DFFs cannot make a valid netlist invalid, so the
-    result is not validated again here; :func:`~gatefuzz.graph.build_graph`
-    validates whatever it is given.
+    in the same order.  A netlist without DFFs is returned unchanged (so the
+    conversion is idempotent); any other is validated first, since a DFF
+    without exactly one input cannot be converted.
     """
-    if netlist.scan_converted:
+    if not netlist.has_dff:
         return netlist
+    netlist.validate()
     pseudo_inputs = []
     pseudo_outputs = []
     kept = []
@@ -127,5 +127,4 @@ def scan_convert(netlist: Netlist) -> Netlist:
         primary_inputs=list(netlist.primary_inputs) + pseudo_inputs,
         primary_outputs=list(netlist.primary_outputs) + pseudo_outputs,
         gates=kept,
-        scan_converted=True,
     )

@@ -74,10 +74,6 @@ class SolverBudgetError(Exception):
     """Conflict budget exhausted before a verdict was reached."""
 
 
-class InfeasibleConstraintError(Exception):
-    """Cardinality constraint that no assignment can satisfy."""
-
-
 @dataclass
 class SatResult:
     status: str  # "SAT" or "UNSAT"
@@ -184,12 +180,12 @@ class SolverSession:
         """Require at least ``k`` of the signed literals to be true.
 
         Positions are counted, so a literal listed twice counts twice.  The
-        constraint is native and adds no variables.
+        constraint is native and adds no variables.  Raises ValueError unless
+        ``1 <= k <= len(literals)``.
         """
         literals = list(literals)
         if k > len(literals) or k < 1:
-            raise InfeasibleConstraintError(
-                f"at-least-{k} over {len(literals)} literals is not satisfiable")
+            raise ValueError(f"at-least-{k} over {len(literals)} literals is not satisfiable")
         self._add(self._internal_lits(literals), k)
 
     def _add(self, lits, k):

@@ -4,7 +4,7 @@ import pytest
 
 from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.fixtures import fixture_text
-from gatefuzz.netlist import NetlistError, NetlistSyntaxError, scan_convert
+from gatefuzz.netlist import Netlist, NetlistError, NetlistSyntaxError, RawGate, scan_convert
 
 from conftest import random_netlist
 
@@ -27,8 +27,11 @@ def test_bundled_c17_counts():
 
 
 def test_and_arity_violation():
-    with pytest.raises(NetlistError, match=">= 2 inputs"):
+    # reported by Netlist.validate, which names the gate but not the line
+    with pytest.raises(NetlistError) as exc:
         parse_bench("INPUT(a)\nOUTPUT(y)\ny = AND(a)")
+    assert not isinstance(exc.value, NetlistSyntaxError)
+    assert str(exc.value) == "AND requires >= 2 inputs, got 1 for 'y'"
 
 
 def test_comments_blanks_and_buff_alias():
@@ -76,16 +79,15 @@ def test_numeric_identifiers():
 def test_scan_convert_single_dff():
     n = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = AND(a, q)\ny = OR(b, q)")
     c = scan_convert(n)
-    assert c.scan_converted
+    assert not c.has_dff
     assert c.primary_inputs == ["a", "b", "q"]
     assert c.primary_outputs == ["y", "d"]
-    assert not c.has_dff
 
 
 def test_scan_convert_combinational_identity():
     n = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
     c = scan_convert(n)
-    assert c.scan_converted
+    assert c is n
     assert c.gates == n.gates
     assert c.primary_inputs == n.primary_inputs
 
@@ -95,6 +97,18 @@ def test_scan_convert_idempotent():
     once = scan_convert(n)
     twice = scan_convert(once)
     assert twice is once
+
+
+@pytest.mark.parametrize("gates,message", [
+    ([RawGate("q", "DFF", ())], "DFF requires exactly 1 input, got 0 for 'q'"),
+    ([RawGate("q", "DFF", ("a", "a"))], "DFF requires exactly 1 input, got 2 for 'q'"),
+    ([RawGate("q", "DFF", ("d",))], "undefined signal 'd' feeding gate 'q'"),
+])
+def test_scan_convert_rejects_an_invalid_sequential_netlist(gates, message):
+    n = Netlist("x", ["a"], ["q"], gates)
+    with pytest.raises(NetlistError) as exc:
+        scan_convert(n)
+    assert str(exc.value) == message
 
 
 def test_s27_scan_counts():

@@ -202,6 +202,15 @@ def test_gen_parse_error_exits_1(tmp_path):
                  "--manifest-out", str(tmp_path / "m.json")]) == 1
 
 
+def test_gen_arity_error_exits_1_naming_the_gate(tmp_path, capsys):
+    netlist = _write(tmp_path, "bad.bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a)\n")
+    targets = _write(tmp_path, "t.targets", "y=1\n")
+    assert main(["gen", netlist, targets,
+                 "--manifest-out", str(tmp_path / "m.json")]) == 1
+    manifest = _assert_error_recorded(tmp_path, capsys, 1)
+    assert manifest["error"] == "AND requires >= 2 inputs, got 1 for 'y'"
+
+
 def test_gen_unknown_target_node_exits_1(tmp_path):
     netlist, targets = _setup_c17(tmp_path, targets="bogus=1\n")
     assert main(["gen", netlist, targets,
@@ -344,6 +353,24 @@ def test_targets_diff_both_polarities_added_gate(tmp_path):
     all1 = open(tmp_path / "d.all1.targets").read()
     assert sorted(all1.splitlines()) == ["n16=1", "nX=1"]
     assert sorted(all0.splitlines()) == ["n16=0", "nX=0"]
+
+
+@pytest.mark.parametrize("out,written", [
+    ("diff.targets", ["diff.all0.targets", "diff.all1.targets"]),
+    ("diff", ["diff.all0", "diff.all1"]),
+    ("dir/diff.targets", ["dir/diff.all0.targets", "dir/diff.all1.targets"]),
+    ("runs.d/diff", ["runs.d/diff.all0", "runs.d/diff.all1"]),
+])
+def test_targets_diff_both_polarities_tag_only_the_file_name(tmp_path, monkeypatch, out, written):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "runs.d").mkdir()
+    a = _write(tmp_path, "a.bench", "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = AND(x, y)\n")
+    b = _write(tmp_path, "b.bench", "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = OR(x, y)\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["targets-diff", a, b, "--polarity", "both", "--out", out,
+                 "--manifest-out", "m.json"]) == 0
+    assert _manifest(tmp_path)["outputs"] == written
+    assert [open(path).read() for path in written] == ["z=0\n", "z=1\n"]
 
 
 def test_targets_diff_parse_failure_exits_1(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gatefuzz import graph as graph_module
-from gatefuzz.bench import parse_bench
+from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import CycleError, build_graph, diff_graphs, to_dot
 from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
@@ -39,12 +39,6 @@ def test_two_gate_cycle_names_reported():
     with pytest.raises(CycleError) as exc:
         _graph("INPUT(a)\nOUTPUT(u)\nu = AND(v, a)\nv = OR(u, a)")
     assert {"u", "v"} <= set(exc.value.cycle)
-
-
-def test_requires_scan_converted():
-    n = parse_bench("INPUT(a)\nOUTPUT(q)\nq = DFF(a)")
-    with pytest.raises(NetlistError, match="scan-converted"):
-        build_graph(n)
 
 
 def test_topo_order_inputs_first_and_valid():
@@ -142,14 +136,32 @@ def _hand_built(primary_inputs, gates, primary_outputs):
      "undefined signal 'q' feeding gate 'y'"),
     (_hand_built(["a"], [("y", "NOT", ["a"])], ["y", "z"]),
      "undefined primary output 'z'"),
-    (_hand_built(["a"], [("q", "DFF", ["d"]), ("y", "NOT", ["q"])], ["y"]),
-     "undefined primary output 'd'"),
+    (_hand_built(["a"], [("q", "DFF", ["a"])], ["q"]),
+     "netlist 'hand' holds a DFF and must be scan-converted before graph build"),
+    (_hand_built(["a", "b"], [("y", "MUX", ["a", "b"])], ["y"]),
+     "unsupported gate kind 'MUX'"),
+    (_hand_built(["a"], [("", "NOT", ["a"])], ["a"]),
+     "gate output name must be nonempty"),
+    (_hand_built(["a", "b"], [("y", "NOT", ["a", "b"])], ["y"]),
+     "NOT requires exactly 1 input, got 2 for 'y'"),
+    (_hand_built(["a"], [("y", "CONST1", ["a"])], ["y"]),
+     "CONST1 takes no inputs, got 1 for 'y'"),
+    (_hand_built(["a"], [("y", "AND", ["a"])], ["y"]),
+     "AND requires >= 2 inputs, got 1 for 'y'"),
 ])
 def test_hand_built_netlist_rejected_by_build_graph(netlist, message):
-    converted = scan_convert(netlist)
     with pytest.raises(NetlistError) as exc:
-        build_graph(converted)
+        build_graph(netlist)
     assert str(exc.value) == message
+
+
+def test_combinational_netlist_builds_without_scan_convert():
+    rng = random.Random(17)
+    for _ in range(20):
+        converted = scan_convert(random_netlist(rng, rng.randint(1, 5), rng.randint(1, 25),
+                                                with_dffs=True))
+        fresh = parse_bench(write_bench(converted), name=converted.name)
+        assert build_graph(fresh) == build_graph(converted)
 
 
 def test_validate_returns_ids_in_declaration_order():

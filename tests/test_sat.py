@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from gatefuzz import sat as sat_module
 from gatefuzz.cnf import CnfFormula, encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
-from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE,
-                          InfeasibleConstraintError, SolverBudgetError,
+from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, SolverBudgetError,
                           SolverSession)
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import project_model
@@ -184,8 +184,10 @@ def test_at_least_k_negated_literals():
 
 def test_at_least_k_infeasible():
     s = SolverSession(formula_of([], 2))
-    with pytest.raises(InfeasibleConstraintError):
+    with pytest.raises(ValueError, match=r"^at-least-3 over 2 literals is not satisfiable$"):
         s.encode_at_least_k([1, 2], 3)
+    with pytest.raises(ValueError, match=r"^at-least-0 over 2 literals is not satisfiable$"):
+        s.encode_at_least_k([1, 2], 0)
 
 
 def test_budget_exhausted_is_distinct_error():
@@ -331,6 +333,72 @@ def _check_incremental_cardinality():
         rescaled += session._var_inc < 1.0  # only a rescale lowers it
     assert verdicts[True] > 200 and verdicts[False] > 200
     return rescaled
+
+
+def test_dense_sessions_match_brute_force():
+    # ten times the conflicts of the 500 trials above, so conflict analysis,
+    # learnt clauses and backjumping are checked against the oracle too
+    assert _check_dense_sessions() >= 410
+
+
+def test_dense_sessions_match_brute_force_with_restarts(monkeypatch):
+    # no solve here reaches the default 100 conflicts before a restart; at a
+    # base of 1 restarts are frequent.  _luby(n) with n > 0 is one restart.
+    monkeypatch.setattr("gatefuzz.sat._RESTART_BASE", 1)
+    luby, restarts = sat_module._luby, []
+    monkeypatch.setattr("gatefuzz.sat._luby", lambda n: restarts.append(n) or luby(n))
+    _check_dense_sessions()
+    assert sum(n > 0 for n in restarts) >= 200
+
+
+def _check_dense_sessions():
+    """Checks 240 sessions of 8-12 variables and 20-50 mostly 3-literal
+    clauses, near the satisfiability threshold, against a brute-force oracle
+    that keeps the set of models as a bitset over all assignments.  Returns
+    the conflicts of all sessions."""
+    rng = random.Random(35)
+    conflicts = 0
+    verdicts = {True: 0, False: 0}
+    for trial in range(240):
+        nvars = rng.randint(8, 12)
+        assignments = range(1 << nvars)
+        models = (1 << len(assignments)) - 1  # bit a set: assignment a is a model
+        true_in = {}  # literal -> bitset of the assignments that make it true
+        for v in range(1, nvars + 1):
+            true_in[v] = sum(1 << a for a in assignments if a >> (v - 1) & 1)
+            true_in[-v] = models ^ true_in[v]
+        session = SolverSession(formula_of([], nvars), decision_seed=trial)
+        for _ in range(rng.randint(20, 50)):
+            if rng.random() < 0.05:
+                lits = _random_card_literals(rng, nvars)
+                k = rng.randint(1, len(lits))
+                session.encode_at_least_k(lits, k)
+                at_least = [models] + [0] * k  # at_least[j]: j or more of lits so far
+                for lit in lits:
+                    for j in range(k, 0, -1):
+                        at_least[j] |= at_least[j - 1] & true_in[lit]
+                models = at_least[k]
+            else:
+                clause = [v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, nvars + 1), 3)]
+                session.add_clause(clause)
+                models &= true_in[clause[0]] | true_in[clause[1]] | true_in[clause[2]]
+            if rng.random() < 0.3:
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, nvars + 1), rng.randint(0, 4))]
+                got = session.solve(assumptions=assumptions)
+                expected = models
+                for lit in assumptions:
+                    expected &= true_in[lit]
+                assert got.is_sat == (expected != 0), (trial, assumptions)
+                verdicts[got.is_sat] += 1
+                if got.is_sat:
+                    model = sum(1 << (v - 1) for v in range(1, nvars + 1) if got.model[v])
+                    assert models >> model & 1
+                    assert all(got.model[abs(l)] == (l > 0) for l in assumptions)
+        conflicts += session.conflicts
+    assert verdicts[True] > 200 and verdicts[False] > 200
+    return conflicts
 
 
 def test_at_least_k_duplicate_literal_counts_twice():
