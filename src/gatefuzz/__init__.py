@@ -2,9 +2,11 @@
 
 Pipeline: parse a netlist (``.bench`` or BLIF), scan-convert it, build the
 levelized circuit graph, Tseitin-encode it to CNF, pick target nodes and
-desired values, check the targeted state is reachable, then enumerate
-diverse input patterns that each provably drive every target — and measure
-state/site coverage against a coverage-guided fuzzing baseline.
+desired values, then enumerate diverse input patterns that each provably
+drive every target — and measure state/site coverage against a
+coverage-guided fuzzing baseline.  Netlist structure is checked when the
+graph is built; target validity is read from generation's first model, which
+is the witness pattern, or is absent when the targeted state is unreachable.
 """
 
 __version__ = "0.1.0"
@@ -13,24 +15,22 @@ from .bench import parse_bench, parse_bench_file, write_bench
 from .blif import parse_blif
 from .cgf import run_cgf
 from .cnf import CnfFormula, encode, write_dimacs
-from .coverage import CoverageReport, coverage_curve, measure, measure_with_curve
+from .coverage import CoverageReport, measure, measure_with_curve
 from .fixtures import load_circuit
 from .graph import CircuitGraph, GraphDiff, build_graph, diff_graphs, to_dot
 from .netlist import Netlist, NetlistError, RawGate, scan_convert
 from .pattern import InputPattern
 from .sat import SatResult, SolverSession
 from .seedgen import GenConfig, GenReport, generate, write_patterns
-from .targets import (TargetSpec, ValidityVerdict, build_target_formula,
-                      check_validity, parse_targets, targets_from_diff)
+from .targets import TargetSpec, build_target_formula, parse_targets, targets_from_diff
 
 __all__ = [
     "parse_bench", "parse_bench_file", "write_bench", "parse_blif",
     "run_cgf", "CnfFormula", "encode", "write_dimacs",
-    "CoverageReport", "coverage_curve", "measure", "measure_with_curve", "load_circuit",
+    "CoverageReport", "measure", "measure_with_curve", "load_circuit",
     "CircuitGraph", "GraphDiff", "build_graph", "diff_graphs", "to_dot",
     "Netlist", "NetlistError", "RawGate", "scan_convert", "InputPattern",
     "SatResult", "SolverSession", "GenConfig",
     "GenReport", "generate", "write_patterns",
-    "TargetSpec", "ValidityVerdict", "build_target_formula", "check_validity",
-    "parse_targets", "targets_from_diff",
+    "TargetSpec", "build_target_formula", "parse_targets", "targets_from_diff",
 ]

@@ -29,11 +29,12 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse ``.bench`` source into a :class:`Netlist`.
 
     Declaration order of INPUT/OUTPUT lines and gate lines is preserved.
-    Raises :class:`NetlistSyntaxError`, which carries a line and column, on a
-    line that is not a construct, an unknown gate keyword or an empty gate
-    argument.  Every other rule (arity, duplicates, undefined references) is
-    checked afterwards by :meth:`Netlist.validate`, whose
-    :class:`NetlistError` names the gate or signal but not the line.
+    Only syntax is checked here: :class:`NetlistSyntaxError`, which carries a
+    line and column, is raised on a line that is not a construct, an unknown
+    gate keyword or an empty gate argument.  The structural rules (arity,
+    duplicates, undefined references) are checked at graph build, by
+    :meth:`Netlist.validate`, whose :class:`NetlistError` names the gate or
+    signal but not the line.
     """
     netlist = Netlist(name=name)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -66,7 +67,6 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 netlist.gates.append(RawGate(out, kind, tuple(args)))
                 continue
         raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno)
-    netlist.validate()
     return netlist
 
 

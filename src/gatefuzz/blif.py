@@ -95,7 +95,12 @@ def _match_cover(output, input_names, rows):
 
 
 def parse_blif(text: str, name: str = "blif") -> Netlist:
-    """Parse BLIF source into a :class:`Netlist`."""
+    """Parse BLIF source into a :class:`Netlist`.
+
+    Only syntax and covers are checked here; the structural rules (duplicates,
+    undefined references) are checked at graph build, by
+    :meth:`Netlist.validate`.
+    """
     netlist = Netlist(name=name)
     lines = list(_logical_lines(text))
     i = 0
@@ -155,5 +160,4 @@ def parse_blif(text: str, name: str = "blif") -> Netlist:
             i += 1
         else:
             raise NetlistSyntaxError(f"unsupported BLIF construct {head!r}", lineno)
-    netlist.validate()
     return netlist

@@ -110,23 +110,34 @@ _STOP_TEXT = {"budget": "budget reached", "exhausted": "space exhausted",
               "solver-budget": "conflict budget reached"}
 
 
+def _generate(args, manifest, spec, formula, literals):
+    """Generate patterns and record the solver counters in the manifest.
+
+    The first model is the validity witness.  UNSAT before it means the
+    targeted state is invalid: that is printed and None is returned.
+    """
+    config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
+                       seed=args.seed, conflict_budget=args.conflict_budget)
+    report = generate(formula, literals, config)
+    manifest.data["solver"] = {key: getattr(report, key) for key in (
+        "conflicts", "decisions", "propagations", "solver_calls", "solver_vars",
+        "stop_reason")}
+    if report.exhausted and not report.patterns:
+        print(f"targeted state is invalid: no input reaches all {len(spec)} "
+              f"target values simultaneously")
+        return None
+    return report
+
+
 def cmd_gen(args, manifest) -> int:
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
     literals = build_target_formula(spec, formula)
     if args.dimacs_out:
         manifest.write_output(args.dimacs_out, write_dimacs(formula, assumptions=literals))
 
-    config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
-                       seed=args.seed, conflict_budget=args.conflict_budget)
-    report = generate(formula, literals, config)
+    report = _generate(args, manifest, spec, formula, literals)
     manifest.stage("generate")
-    manifest.data["solver"] = {key: getattr(report, key) for key in (
-        "conflicts", "decisions", "propagations", "solver_calls", "solver_vars",
-        "stop_reason")}
-    # the first model is the validity witness; UNSAT before it means invalid
-    if report.exhausted and not report.patterns:
-        print(f"targeted state is invalid: no input reaches all {len(spec)} "
-              f"target values simultaneously")
+    if report is None:
         return EXIT_INVALID_TARGET
     if report.patterns:
         print(f"targeted state is valid (witness {report.patterns[0].to_string()})")
@@ -152,10 +163,9 @@ def cmd_gen(args, manifest) -> int:
 
 def cmd_compare(args, manifest) -> int:
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
-    literals = build_target_formula(spec, formula)
-    config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
-                       seed=args.seed, conflict_budget=args.conflict_budget)
-    sat_report = generate(formula, literals, config)
+    sat_report = _generate(args, manifest, spec, formula, build_target_formula(spec, formula))
+    if sat_report is None:
+        return EXIT_INVALID_TARGET
     if sat_report.stop_reason == "solver-budget":
         return _fail(manifest, EXIT_BUDGET, f"conflict budget {args.conflict_budget} exhausted")
     sat_cov, sat_curve = measure_with_curve(graph, spec, sat_report.patterns)

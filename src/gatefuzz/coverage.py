@@ -7,11 +7,11 @@ target node is covered once the pattern set has exercised it to both 0 and
 
 :func:`measure_with_curve` computes the report and the per-prefix curve
 together, from one wide-word pass over the targets' fan-in cone (split into
-passes of :data:`PASS_LANES` patterns for long lists);
-:func:`measure` and :func:`coverage_curve` are views of its result.  Both
-are built by :func:`report_and_curve` from the number of the first pattern
-that drove each target to 0 and to 1, which a caller that already knows those
-numbers (the CGF loop does) can call without simulating again.
+passes of :data:`PASS_LANES` patterns for long lists); :func:`measure` is the
+view of its report alone.  Both are built by :func:`report_and_curve` from
+the number of the first pattern that drove each target to 0 and to 1, which a
+caller that already knows those numbers (the CGF loop does) can call without
+simulating again.
 """
 
 from __future__ import annotations
@@ -118,11 +118,6 @@ def report_and_curve(spec: TargetSpec, firsts, count: int):
 def measure(graph: CircuitGraph, spec: TargetSpec, patterns) -> CoverageReport:
     """Coverage of the target spec over the whole pattern list."""
     return measure_with_curve(graph, spec, patterns)[0]
-
-
-def coverage_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
-    """Per-pattern-prefix coverage: list of (pattern_number, state_pct, site_pct)."""
-    return measure_with_curve(graph, spec, patterns)[1]
 
 
 def _percentages(reached, toggled, k):

@@ -2,19 +2,19 @@
 
 A :class:`Netlist` is a flat list of unchecked gate records over named
 signals, plus ordered primary input/output lists; :meth:`Netlist.validate`
-holds every structural rule.  Sequential elements (DFFs) are removed by
-:func:`scan_convert`, which models full scan access: every flip-flop output
-becomes a directly controllable pseudo-input and every flip-flop input a
-directly observable pseudo-output, leaving a purely combinational circuit.
+holds every structural rule.  The parsers check only syntax; the rules are
+checked by :func:`~gatefuzz.graph.build_graph`, which needs the name -> id
+map, and before that by :func:`scan_convert` on a netlist with DFFs.
+Sequential elements (DFFs) are removed by :func:`scan_convert`, which models
+full scan access: every flip-flop output becomes a directly controllable
+pseudo-input and every flip-flop input a directly observable pseudo-output,
+leaving a purely combinational circuit.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 GATE_KINDS = frozenset({
     "AND", "NAND", "OR", "NOR", "XOR", "XNOR",

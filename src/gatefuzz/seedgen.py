@@ -8,12 +8,14 @@ over the input literals that disagree with it.  Since ``d_min >= 2``, that
 constraint implies the pattern's blocking clause (the disjunction of the same
 literals), so no pattern repeats without a separate blocking clause.  The
 solver handles the constraint natively, so the session never grows beyond the
-formula's own variables.  Patterns are packed ints, so the acceptance guard and
-the reported distance extremes cost one XOR and a popcount per pair.
+formula's own variables.  Patterns are packed ints, and one pass over the
+accepted words per candidate (an XOR and a popcount each) serves both the
+acceptance guard and the reported distance extremes.
 
-One solver session serves the whole run; its first model is the validity
-witness.  ``GenReport.stop_reason`` says why generation stopped: ``"budget"``
-(the pattern budget was reached), ``"exhausted"`` (UNSAT: no further pattern at
+Generation is also the validity check: one solver session serves the whole
+run, and its first model is the witness that the targeted state is reachable.
+``GenReport.stop_reason`` says why generation stopped: ``"budget"`` (the
+pattern budget was reached), ``"exhausted"`` (UNSAT: no further pattern at
 distance >= ``d_min`` exists, and with no pattern at all the targeted state is
 invalid) or ``"solver-budget"`` (a solve ran out of its conflict budget; the
 patterns proven before it are kept).
@@ -27,7 +29,6 @@ from .cnf import CnfFormula
 from .graph import CircuitGraph
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
-from .targets import project_model
 
 
 class GenConfigError(ValueError):
@@ -74,7 +75,8 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
     """Generate up to ``config.pattern_budget`` targeted patterns.
 
     ``exhausted`` is set only on UNSAT, i.e. when no further pattern at
-    distance >= ``d_min`` from all accepted ones exists.  A spent conflict
+    distance >= ``d_min`` from all accepted ones exists; exhausted with no
+    pattern means the targeted state is invalid.  A spent conflict
     budget ends the run with ``stop_reason == "solver-budget"`` and the
     patterns proven so far.
     """
@@ -86,6 +88,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
                             conflict_budget=config.conflict_budget)
     target_literals = list(target_literals)
     patterns: list[InputPattern] = []
+    d_lo = d_hi = 0  # pairwise distance extremes; (0, 0) below two patterns
     stop_reason = "budget"
     while len(patterns) < config.pattern_budget:
         try:
@@ -97,15 +100,19 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             stop_reason = "exhausted"
             break
         candidate = project_model(result.model, formula)
-        # Each accepted pattern already carries its distance constraint, so
-        # only an unsound solver gets here with a model too close to one.
-        if not all((candidate.word ^ p.word).bit_count() >= config.d_min for p in patterns):
-            raise RuntimeError(
-                f"solver model {candidate.to_string()} is closer than d_min "
-                f"{config.d_min} to an accepted pattern")
+        distances = [(candidate.word ^ p.word).bit_count() for p in patterns]
+        if distances:
+            nearest = min(distances)
+            # Each accepted pattern already carries its distance constraint, so
+            # only an unsound solver gets here with a model too close to one.
+            if nearest < config.d_min:
+                raise RuntimeError(
+                    f"solver model {candidate.to_string()} is closer than d_min "
+                    f"{config.d_min} to an accepted pattern")
+            d_lo = min(d_lo, nearest) if d_lo else nearest
+            d_hi = max(d_hi, max(distances))
         session.encode_at_least_k(_difference_literals(candidate, formula), config.d_min)
         patterns.append(candidate)
-    d_lo, d_hi = _distance_extremes(patterns)
     return GenReport(
         patterns=patterns,
         observed_d_max=d_hi,
@@ -119,6 +126,14 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
     )
 
 
+def project_model(model, formula: CnfFormula) -> InputPattern:
+    """Extract the primary-input bits of a total model, in input order."""
+    word = 0
+    for var in formula.input_vars:
+        word = word << 1 | model[var]
+    return InputPattern.from_word(word, len(formula.input_vars))
+
+
 def _difference_literals(pattern: InputPattern, formula: CnfFormula):
     """Literals true exactly where an input differs from ``pattern``.
 
@@ -127,15 +142,6 @@ def _difference_literals(pattern: InputPattern, formula: CnfFormula):
     """
     return [-var if bit == "1" else var
             for var, bit in zip(formula.input_vars, pattern.to_string())]
-
-
-def _distance_extremes(patterns):
-    """(min, max) pairwise Hamming distance; (0, 0) for fewer than two patterns."""
-    words = [p.word for p in patterns]
-    distances = [(a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:]]
-    if not distances:
-        return 0, 0
-    return min(distances), max(distances)
 
 
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:

@@ -1,9 +1,11 @@
-"""Target sites and states: parsing, diff-based selection, validity checking.
+"""Target sites and states: parsing, diff-based selection, target literals.
 
 A target spec is an ordered list of (node, desired value) pairs.  A spec is
 *valid* when some primary-input assignment drives every listed node to its
-desired value simultaneously; that is decided by satisfiability of the
-circuit formula conjoined with the target literals, never by enumeration.
+desired value simultaneously.  Validity is decided by generation itself
+(:func:`gatefuzz.seedgen.generate`): its first solve of the circuit formula
+under the target literals returns the witness pattern, or proves the state
+unreachable when it finds none.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula
 from .graph import CircuitGraph, GraphDiff
-from .pattern import InputPattern
-from .sat import SolverSession
 
 
 class TargetError(ValueError):
@@ -35,16 +35,6 @@ class TargetSpec:
 
     def to_text(self, graph: CircuitGraph) -> str:
         return "".join(f"{graph.names[node]}={bit}\n" for node, bit in self.entries)
-
-
-@dataclass
-class ValidityVerdict:
-    status: str  # "valid" or "invalid"
-    witness: InputPattern | None = None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.status == "valid"
 
 
 def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
@@ -101,30 +91,3 @@ def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:
             raise TargetError(f"target node {node} has no variable in the formula")
         literals.append(var if bit else -var)
     return literals
-
-
-def check_validity(spec: TargetSpec, formula: CnfFormula,
-                   decision_seed: int = 0,
-                   conflict_budget: int | None = None) -> ValidityVerdict:
-    """Decide whether the targeted state is reachable; SAT means valid.
-
-    On SAT the model's primary-input projection is kept as a witness pattern:
-    simulating it drives every target entry to its desired value.  It is the
-    first pattern that ``seedgen.generate`` returns for the same seed.
-    """
-    literals = build_target_formula(spec, formula)
-    session = SolverSession(formula, decision_seed=decision_seed,
-                            conflict_budget=conflict_budget)
-    result = session.solve(assumptions=literals)
-    if not result.is_sat:
-        return ValidityVerdict(status="invalid")
-    witness = project_model(result.model, formula)
-    return ValidityVerdict(status="valid", witness=witness)
-
-
-def project_model(model, formula: CnfFormula) -> InputPattern:
-    """Extract the primary-input bits of a total model, in input order."""
-    word = 0
-    for var in formula.input_vars:
-        word = word << 1 | model[var]
-    return InputPattern.from_word(word, len(formula.input_vars))

@@ -13,7 +13,7 @@ from gatefuzz.bench import parse_bench
 from gatefuzz.cgf import run_cgf
 from gatefuzz.cli import main
 from gatefuzz.cnf import encode
-from gatefuzz.coverage import coverage_curve, measure
+from gatefuzz.coverage import measure, measure_with_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -21,8 +21,7 @@ from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate, read_patterns
 from gatefuzz.simulate import compile_ops, run_pass, simulate
-from gatefuzz.targets import (TargetSpec, build_target_formula, check_validity,
-                              parse_targets)
+from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -78,7 +77,7 @@ def test_criterion_1_per_pattern_targeting(tmp_path):
                     valuation = simulate(graph, p)
                     assert all(valuation[n] == v for n, v in spec.entries), \
                         (circuit, target_file, p.to_string())
-                curve = coverage_curve(graph, spec, patterns)
+                curve = measure_with_curve(graph, spec, patterns)[1]
                 assert curve[0][1] == 100.0  # full state coverage after pattern 1
         elapsed = time.perf_counter() - started
         assert runs >= len(BUNDLED_CIRCUITS)
@@ -103,15 +102,18 @@ def test_criterion_2_validity_oracle():
                                rng.randint(1, min(3, graph.node_count)))
             entries = [(node, rng.randrange(2)) for node in nodes]
             spec = TargetSpec(entries=entries)
-            verdict = check_validity(spec, formula)
+            # valid iff generation's first solve returns a pattern, the witness
+            report = generate(formula, build_target_formula(spec, formula),
+                              GenConfig(pattern_budget=1))
+            valid = bool(report.patterns)
             patterns = all_patterns(graph.input_count)
             words = run_pass(graph, compile_ops(graph), patterns)
             reachable = any(all((words[n_] >> lane) & 1 == v for n_, v in entries)
                             for lane in range(len(patterns)))
-            if verdict.is_valid == reachable:
+            if valid == reachable:
                 agreements += 1
-            if verdict.is_valid:
-                valuation = simulate(graph, verdict.witness)
+            if valid:
+                valuation = simulate(graph, report.patterns[0])
                 assert all(valuation[n_] == v for n_, v in entries)
         assert agreements == 200, f"{agreements}/200"
         elapsed = time.perf_counter() - started
@@ -200,7 +202,7 @@ def test_criterion_5_cgf_comparison():
         formula = encode(graph)
         report = generate(formula, build_target_formula(spec, formula),
                           GenConfig(pattern_budget=100))
-        curve = coverage_curve(graph, spec, report.patterns)
+        curve = measure_with_curve(graph, spec, report.patterns)[1]
         assert curve[0][1] == 100.0  # T_C = 100% with one pattern
         cgf_coverages = []
         for trial in range(15):
@@ -214,7 +216,7 @@ def test_criterion_5_cgf_comparison():
         formula = encode(graph)
         report = generate(formula, build_target_formula(spec, formula),
                           GenConfig(pattern_budget=100))
-        sat_curve = coverage_curve(graph, spec, report.patterns)
+        sat_curve = measure_with_curve(graph, spec, report.patterns)[1]
         sat_first = next(i for i, s, _ in sat_curve if s == 100.0)
         cgf_firsts = []
         for trial in range(15):

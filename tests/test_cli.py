@@ -9,7 +9,7 @@ from gatefuzz.sat import SolverSession
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
 from gatefuzz.graph import build_graph
-from gatefuzz.netlist import scan_convert
+from gatefuzz.netlist import Netlist, scan_convert
 from gatefuzz.seedgen import read_patterns
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import parse_targets
@@ -137,6 +137,25 @@ def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):
     assert manifest["solver"]["stop_reason"] == "exhausted"
     assert manifest["solver"]["solver_calls"] == 1
     assert manifest["outputs"] == []
+
+
+def test_compare_unsatisfiable_target_exits_3_without_outputs(tmp_path, capsys):
+    # compare reads the same verdict as gen: generation's first solve
+    netlist = _write(tmp_path, "c.bench",
+                     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n")
+    targets = _write(tmp_path, "t.targets", "y=1\n")
+    outs = [tmp_path / name for name in ("sat.csv", "cgf.csv", "s.csv")]
+    code = main(["compare", netlist, targets, "--trials", "2",
+                 "--sat-curve-out", str(outs[0]), "--cgf-curve-out", str(outs[1]),
+                 "--summary-out", str(outs[2]), "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 3
+    assert capsys.readouterr().out == ("targeted state is invalid: no input reaches "
+                                       "all 1 target values simultaneously\n")
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 3 and "error" not in manifest
+    assert manifest["solver"]["stop_reason"] == "exhausted"
+    assert manifest["outputs"] == [] and "cgf_trials" not in manifest["stage_times_s"]
+    assert not any(out.exists() for out in outs)
 
 
 def test_gen_invalid_target_with_too_large_dmin_exits_2(tmp_path, capsys):
@@ -379,3 +398,26 @@ def test_targets_diff_parse_failure_exits_1(tmp_path, capsys):
     assert main(["targets-diff", a, b, "--out", str(tmp_path / "d.targets"),
                  "--manifest-out", str(tmp_path / "m.json")]) == 1
     assert _assert_error_recorded(tmp_path, capsys, 1)["command"] == "targets-diff"
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["gen", "c17.bench", "t.targets", "-R", "4"], 1),  # graph build only
+    (["targets-diff", "s27.bench", "s27.bench", "--out", "d.targets"], 4),  # 2 per netlist
+])
+def test_netlist_validate_calls_per_run(tmp_path, monkeypatch, argv, calls):
+    # parsing checks only syntax; graph build checks the structure, and so
+    # does scan_convert first on a netlist with DFFs
+    for name in ("c17.bench", "s27.bench"):
+        _write(tmp_path, name, fixture_text(name))
+    _write(tmp_path, "t.targets", "n22=1\n")
+    counted = []
+    original = Netlist.validate
+
+    def counting_validate(self):
+        counted.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(Netlist, "validate", counting_validate)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--manifest-out", "m.json"]) == 0
+    assert len(counted) == calls

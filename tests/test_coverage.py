@@ -4,7 +4,7 @@ import pytest
 
 from gatefuzz.bench import parse_bench
 import gatefuzz.coverage as coverage_module
-from gatefuzz.coverage import coverage_curve, curve_csv, measure, measure_with_curve
+from gatefuzz.coverage import curve_csv, measure, measure_with_curve
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -90,7 +90,7 @@ def test_missing_target_node_raises():
 def test_curve_single_full_hit():
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     spec = parse_targets("y=1", g)
-    curve = coverage_curve(g, spec, [InputPattern((1, 1))])
+    curve = measure_with_curve(g, spec, [InputPattern((1, 1))])[1]
     assert len(curve) == 1
     index, state, site = curve[0]
     assert index == 1 and state == 100.0
@@ -105,7 +105,7 @@ def test_curve_monotone_and_matches_measure():
         spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in nodes])
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(rng.randint(1, 90))]
-        curve = coverage_curve(g, spec, patterns)
+        curve = measure_with_curve(g, spec, patterns)[1]
         assert len(curve) == len(patterns)
         for (i1, s1, t1), (i2, s2, t2) in zip(curve, curve[1:]):
             assert i2 == i1 + 1 and s2 >= s1 and t2 >= t1
@@ -153,7 +153,7 @@ def test_csv_outputs():
     g = build_graph(scan_convert(load_circuit("c17")))
     spec = parse_targets("n22=1\nn23=0", g)
     patterns = all_patterns(5)[:8]
-    curve = coverage_curve(g, spec, patterns)
+    curve = measure_with_curve(g, spec, patterns)[1]
     text = curve_csv(curve)
     assert text.splitlines()[0] == "pattern_index,state_coverage_pct,site_coverage_pct"
     assert len(text.splitlines()) == 9
@@ -195,7 +195,7 @@ def test_one_pass_matches_oracles_at_every_width(count, pass_lanes, monkeypatch)
                 for _ in range(count)]
     report, curve = measure_with_curve(g, spec, patterns)
     assert report == measure(g, spec, patterns)
-    assert curve == coverage_curve(g, spec, patterns)
+    assert curve == measure_with_curve(g, spec, patterns)[1]
     assert (report.state_coverage_pct, report.site_coverage_pct) == naive_measure(g, spec, patterns)
     per_target, expected_curve = prefix_scan(g, spec, patterns)
     assert [(t.reached_state, t.saw_0, t.saw_1, t.first_reach_index)

@@ -10,8 +10,8 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, SolverBudgetError,
                           SolverSession)
+from gatefuzz.seedgen import project_model
 from gatefuzz.simulate import simulate
-from gatefuzz.targets import project_model
 
 from conftest import all_patterns
 

@@ -14,10 +14,10 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import (GenConfig, GenConfigError, generate,
+from gatefuzz.seedgen import (GenConfig, GenConfigError, generate, project_model,
                               read_patterns, report_csv_row, write_patterns)
 from gatefuzz.simulate import simulate
-from gatefuzz.targets import build_target_formula, check_validity, parse_targets
+from gatefuzz.targets import build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -69,7 +69,7 @@ def test_or4_distance_two_code():
 
 def test_every_pattern_hits_all_targets_randomized():
     rng = random.Random(88)
-    done = 0
+    done = single = 0
     while done < 15:
         n = random_netlist(rng, rng.randint(2, 7), rng.randint(2, 20))
         g = build_graph(scan_convert(n))
@@ -79,17 +79,26 @@ def test_every_pattern_hits_all_targets_randomized():
         lits = build_target_formula(
             parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g), f)
         report = generate(f, lits, GenConfig(pattern_budget=8, d_min=2, seed=done))
+        if len(report.patterns) < 2:
+            # no pair, so no distance: both extremes read 0
+            single += len(report.patterns)
+            assert report.observed_d_min == report.observed_d_max == 0
         if not report.patterns:
             continue
         done += 1
         for p in report.patterns:
             v = simulate(g, p)
             assert all(v[n] == want for n, want in entries)
-        for p, q in itertools.combinations(report.patterns, 2):
-            d = (p.word ^ q.word).bit_count()
+        distances = [(p.word ^ q.word).bit_count()
+                     for p, q in itertools.combinations(report.patterns, 2)]
+        for d in distances:
             assert d >= 2
             assert report.observed_d_min <= d <= report.observed_d_max
+        if distances:  # the extremes are attained, not just bounds
+            assert report.observed_d_min == min(distances)
+            assert report.observed_d_max == max(distances)
         assert report.observed_d_max <= g.input_count
+    assert single >= 1  # the one-pattern edge was exercised
 
 
 def test_exhausted_confirmed_by_brute_force_randomized():
@@ -132,13 +141,13 @@ def test_validity_witness_is_the_first_generated_pattern():
         f = encode(g)
         nodes = rng.sample(range(g.node_count), rng.randint(1, 4))
         spec = parse_targets("".join(f"{g.names[n]}={rng.randrange(2)}\n" for n in nodes), g)
+        lits = build_target_formula(spec, f)
         for seed in (0, 1, 5):
-            verdict = check_validity(spec, f, decision_seed=seed)
-            report = generate(f, build_target_formula(spec, f),
-                              GenConfig(pattern_budget=3, seed=seed))
-            if verdict.is_valid:
+            first = SolverSession(f, decision_seed=seed).solve(assumptions=lits)
+            report = generate(f, lits, GenConfig(pattern_budget=3, seed=seed))
+            if first.is_sat:
                 valid += 1
-                assert report.patterns[0] == verdict.witness
+                assert report.patterns[0] == project_model(first.model, f)
             else:
                 invalid += 1
                 assert report.patterns == [] and report.exhausted
@@ -162,7 +171,7 @@ from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
-from gatefuzz.targets import build_target_formula, check_validity, parse_targets
+from gatefuzz.targets import build_target_formula, parse_targets
 graph = build_graph(scan_convert(load_circuit("c432")))
 formula = encode(graph)
 lits = build_target_formula(parse_targets(fixture_text("c432.mixed.targets"), graph), formula)

@@ -7,9 +7,11 @@ from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph, diff_graphs
 from gatefuzz.netlist import scan_convert
+from gatefuzz.sat import SolverSession
+from gatefuzz.seedgen import GenConfig, generate, project_model
 from gatefuzz.simulate import compile_ops, run_pass, simulate
-from gatefuzz.targets import (TargetError, build_target_formula, check_validity,
-                              parse_targets, targets_from_diff)
+from gatefuzz.targets import (TargetError, build_target_formula, parse_targets,
+                              targets_from_diff)
 
 from conftest import all_patterns, random_netlist
 
@@ -17,6 +19,21 @@ from conftest import all_patterns, random_netlist
 def _pipeline(text):
     graph = build_graph(scan_convert(parse_bench(text)))
     return graph, encode(graph)
+
+
+def first_pattern(spec, formula):
+    """Generation's first pattern, the validity witness; None when invalid."""
+    report = generate(formula, build_target_formula(spec, formula),
+                      GenConfig(pattern_budget=1))
+    return report.patterns[0] if report.patterns else None
+
+
+def solve_witness(spec, formula):
+    """The first model's input bits, or None when UNSAT: the validity check
+    for circuits that may have one input, where ``d_min`` 2 rules out
+    :func:`generate`."""
+    result = SolverSession(formula).solve(assumptions=build_target_formula(spec, formula))
+    return project_model(result.model, formula) if result.is_sat else None
 
 
 def brute_force_reachable(graph, entries):
@@ -109,25 +126,22 @@ def test_single_zero_target():
 
 def test_validity_and_gate():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    verdict = check_validity(parse_targets("y=1", g), f)
-    assert verdict.is_valid
-    assert verdict.witness.bits == (1, 1)  # only satisfying input
+    witness = first_pattern(parse_targets("y=1", g), f)
+    assert witness.bits == (1, 1)  # only satisfying input
 
 
 def test_validity_constant_zero_node():
     g, f = _pipeline("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
-    verdict = check_validity(parse_targets("y=1", g), f)
-    assert not verdict.is_valid
-    assert verdict.witness is None
+    assert solve_witness(parse_targets("y=1", g), f) is None
 
 
 def test_validity_witness_simulates_to_targets():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     spec = parse_targets(fixture_text("c17.internal.targets"), g)
-    verdict = check_validity(spec, f)
-    assert verdict.is_valid
-    valuation = simulate(g, verdict.witness)
+    witness = first_pattern(spec, f)
+    assert witness is not None
+    valuation = simulate(g, witness)
     for node, want in spec.entries:
         assert valuation[node] == want
 
@@ -136,8 +150,8 @@ def test_c17_pair_matches_brute_force():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     spec = parse_targets("n22=1\nn23=1", g)
-    verdict = check_validity(spec, f)
-    assert verdict.is_valid == brute_force_reachable(g, spec.entries)
+    witness = first_pattern(spec, f)
+    assert (witness is not None) == brute_force_reachable(g, spec.entries)
 
 
 def test_validity_agrees_with_brute_force_randomized():
@@ -150,8 +164,8 @@ def test_validity_agrees_with_brute_force_randomized():
         nodes = rng.sample(range(g.node_count), k)
         entries = [(node, rng.randrange(2)) for node in nodes]
         spec = parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g)
-        verdict = check_validity(spec, f)
-        assert verdict.is_valid == brute_force_reachable(g, entries)
-        if verdict.is_valid:
-            valuation = simulate(g, verdict.witness)
+        witness = solve_witness(spec, f)
+        assert (witness is not None) == brute_force_reachable(g, entries)
+        if witness is not None:
+            valuation = simulate(g, witness)
             assert all(valuation[n] == v for n, v in entries)
