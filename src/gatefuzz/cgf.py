@@ -6,16 +6,18 @@ uniformly chosen corpus seeds.  Fitness is target-restricted toggle coverage,
 which makes the baseline as directed-friendly as a greybox loop can be.
 Everything is driven by one seeded RNG, so runs are reproducible.
 
-Mutants are bred and simulated a window at a time, over the targets' fan-in
-cone only, yet the run is the same executed sequence as evaluating one mutant
-at a time: a window is bred from the corpus as it stands, its first lane that
-shows an unseen pair is the next admission, the lanes after it are dropped,
-and the RNG is rewound to just after that lane before the next window is
-bred.  Admissions come a few lanes apart, so a window starts at
-:data:`FIRST_WINDOW` lanes, doubles after every window without a hit up to
-:data:`WINDOW`, and starts small again after each admission; the lanes bred
-and thrown away stay few.  Once every pair is seen, the rest of the budget
-is bred without simulation.
+Mutants are bred and simulated a window at a time, one lane per mutant, by
+:func:`~gatefuzz.simulate.run_pass` over a plan of the targets' fan-in cone
+that :func:`~gatefuzz.simulate.compile_ops` builds once per run, with the
+cone's gates grouped by level and shape.  Yet the run is the same executed
+sequence as evaluating one mutant at a time: a window is bred from the
+corpus as it stands, its first lane that shows an unseen pair is the next
+admission, the lanes after it are dropped, and the RNG is rewound to just
+after that lane before the next window is bred.  Admissions come a few lanes
+apart, so a window starts at :data:`FIRST_WINDOW` lanes, doubles after every
+window without a hit up to :data:`WINDOW`, and starts small again after each
+admission; the lanes bred and thrown away stay few.  Once every pair is
+seen, the rest of the budget is bred without simulation.
 
 No lane before an admitted one shows an unseen pair, so a pair's first
 pattern is the admission that removed it from the unseen set: the coverage

@@ -162,6 +162,8 @@ def cmd_gen(args, manifest) -> int:
 
 
 def cmd_compare(args, manifest) -> int:
+    if args.trials < 1:
+        return _fail(manifest, EXIT_CONFIG, "trials must be >= 1")
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
     sat_report = _generate(args, manifest, spec, formula, build_target_formula(spec, formula))
     if sat_report is None:

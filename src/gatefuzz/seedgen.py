@@ -47,6 +47,8 @@ class GenConfig:
             raise GenConfigError("pattern_budget must be >= 1")
         if self.d_min < 2:
             raise GenConfigError("d_min must be >= 2")
+        if self.conflict_budget is not None and self.conflict_budget < 0:
+            raise GenConfigError("conflict_budget must be >= 0")
 
 
 @dataclass

@@ -243,6 +243,18 @@ def test_gen_bad_dmin_exits_2(tmp_path, capsys):
     assert "d_min 9" in _assert_error_recorded(tmp_path, capsys, 2)["error"]
 
 
+@pytest.mark.parametrize("budget", ["-1", "-50"])
+def test_gen_negative_conflict_budget_exits_2(tmp_path, capsys, budget):
+    netlist, targets = _setup_c17(tmp_path)
+    patterns_out = tmp_path / "p.txt"
+    assert main(["gen", netlist, targets, "--conflict-budget", budget,
+                 "--patterns-out", str(patterns_out),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 2
+    manifest = _assert_error_recorded(tmp_path, capsys, 2)
+    assert manifest["error"] == "conflict_budget must be >= 0"
+    assert manifest["outputs"] == [] and not patterns_out.exists()
+
+
 def test_gen_budget_exhausted_exits_4(tmp_path, capsys):
     # XOR/XNOR disagreement needs at least one decision and conflict
     netlist = _write(tmp_path, "hard.bench",
@@ -338,6 +350,23 @@ def test_compare_single_trial(tmp_path):
     assert row[2] == row[3] == row[4]  # mean == min == max with one trial
     manifest = _manifest(tmp_path)
     assert manifest["command"] == "compare" and manifest["exit_code"] == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_compare_fewer_than_one_trial_exits_2_without_outputs(tmp_path, capsys, trials):
+    netlist = _write(tmp_path, "or4.bench", fixture_text("or4.bench"))
+    targets = _write(tmp_path, "t.targets", "y=1\n")
+    summary_out = tmp_path / "s.csv"
+    cgf_curve_out = tmp_path / "cgf.csv"
+    code = main(["compare", netlist, targets, "-R", "8", "--trials", trials,
+                 "--summary-out", str(summary_out), "--cgf-curve-out", str(cgf_curve_out),
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 2
+    manifest = _assert_error_recorded(tmp_path, capsys, 2)
+    assert manifest["error"] == "trials must be >= 1"
+    assert manifest["config"]["trials"] == int(trials)
+    assert manifest["outputs"] == []
+    assert not summary_out.exists() and not cgf_curve_out.exists()
 
 
 def test_targets_diff_identical_files(tmp_path):

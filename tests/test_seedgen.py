@@ -219,6 +219,9 @@ def test_config_validation():
         GenConfig(pattern_budget=0)
     with pytest.raises(GenConfigError):
         GenConfig(d_min=1)
+    with pytest.raises(GenConfigError, match="conflict_budget must be >= 0"):
+        GenConfig(conflict_budget=-1)
+    assert GenConfig(conflict_budget=0).conflict_budget == 0  # stop at the first conflict
 
 
 def test_write_patterns_header_and_bits():

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
+from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
-from gatefuzz.netlist import scan_convert
+from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass,
                                simulate)
@@ -137,3 +138,147 @@ def test_package_attribute_is_the_submodule():
     import gatefuzz.simulate as module
     assert inspect.ismodule(module)
     assert module.simulate is simulate
+
+
+# -- the kernel against the independent oracle ---------------------------------
+
+MULTI_INPUT_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")
+LANE_COUNTS = (0, 1, 8, 64, 65)
+
+
+def _assert_kernel_matches_oracle(netlist, seed):
+    """Every node of a full pass, at every lane count, equals ``ref_eval``."""
+    netlist = scan_convert(netlist)
+    g = build_graph(netlist)
+    ops = compile_ops(g)
+    rng = random.Random(seed)
+    for lanes in LANE_COUNTS:
+        patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
+                    for _ in range(lanes)]
+        words = run_pass(g, ops, patterns)
+        assert len(words) == g.node_count
+        assert all(w >> lanes == 0 for w in words)
+        for lane, p in enumerate(patterns):
+            expected = ref_eval(netlist, p.bits)
+            got = {name: words[g.node_id(name)] >> lane & 1 for name in expected}
+            assert got == expected, (lanes, lane, p.to_string())
+    return g
+
+
+def _every_arity_netlist(rng):
+    """Each multi-input kind at 2 to 9 fanins, NOT, BUF, both constants and a
+    DFF.  Fanins repeat, and the gates are declared last first, so nearly
+    every gate reads a gate declared after it."""
+    inputs = [f"x{i}" for i in range(5)]
+    gates = [RawGate("c0", "CONST0", ()), RawGate("c1", "CONST1", ()),
+             RawGate("q", "DFF", ("last",)),
+             RawGate("and_aa", "AND", ("x0", "x0")),
+             RawGate("xor_aab", "XOR", ("x1", "x1", "x2")),
+             RawGate("nor_aaaab", "NOR", ("x3", "x3", "x3", "x3", "q"))]
+    signals = inputs + [g.output for g in gates]
+    for arity in range(2, 10):
+        for kind in MULTI_INPUT_KINDS:
+            out = f"{kind.lower()}{arity}"
+            gates.append(RawGate(out, kind, tuple(rng.choice(signals) for _ in range(arity))))
+            signals.append(out)
+        for kind in ("NOT", "BUF"):
+            out = f"{kind.lower()}{arity}"
+            gates.append(RawGate(out, kind, (rng.choice(signals),)))
+            signals.append(out)
+    gates.append(RawGate("last", "XNOR", tuple(signals[-9:])))
+    return Netlist(name="arities", primary_inputs=inputs, primary_outputs=["last"],
+                   gates=gates[::-1])
+
+
+def test_kernel_matches_oracle_at_every_arity():
+    rng = random.Random(41)
+    for trial in range(3):
+        g = _assert_kernel_matches_oracle(_every_arity_netlist(rng), seed=trial)
+        arities = {len(g.fanins[n]) for n in range(g.node_count) if g.kinds[n] != "INPUT"}
+        assert arities == set(range(10))
+        assert g.topo_order != list(range(g.node_count))  # levelized by the heap sort
+        assert g.kinds[g.node_id("q")] == "INPUT"  # the DFF's output, scan-converted
+
+
+def test_kernel_matches_oracle_on_blif_constants_and_a_latch():
+    text = """.model consts
+.inputs a b c
+.outputs y z w
+.names one
+1
+.names zero
+.names a one t
+11 1
+.names b zero u
+1- 1
+-1 1
+.names t u a a v
+1111 1
+.names v q zero one y
+0000 0
+.names q c one z
+111 1
+.names zero one w
+1- 1
+-1 1
+.latch z q 0
+.end
+"""
+    netlist = parse_blif(text, name="consts")
+    assert {g.kind for g in netlist.gates} >= {"CONST0", "CONST1", "DFF"}
+    _assert_kernel_matches_oracle(netlist, seed=5)
+
+
+def test_kernel_matches_oracle_on_random_circuits_in_any_declared_order():
+    rng = random.Random(43)
+    for trial in range(12):
+        netlist = random_netlist(rng, rng.randint(1, 7), rng.randint(1, 50),
+                                 with_dffs=trial % 2 == 0)
+        if trial % 3 == 0:
+            rng.shuffle(netlist.gates)
+        _assert_kernel_matches_oracle(netlist, seed=trial)
+
+
+def _reference_cone(g, nodes):
+    cone, frontier = set(), list(nodes)
+    while frontier:
+        node = frontier.pop()
+        if node not in cone:
+            cone.add(node)
+            frontier.extend(g.fanins[node])
+    return cone
+
+
+def test_plan_holds_each_cone_gate_once_after_its_fanins():
+    rng = random.Random(47)
+    for trial in range(80):
+        netlist = random_netlist(rng, rng.randint(1, 6), rng.randint(1, 60),
+                                 with_dffs=trial % 2 == 1)
+        if trial % 3 == 0:
+            rng.shuffle(netlist.gates)
+        netlist = scan_convert(netlist)
+        g = build_graph(netlist)
+        needed = rng.sample(range(g.node_count), rng.randint(1, min(4, g.node_count)))
+        for wanted in (None, needed):
+            view = range(g.node_count) if wanted is None else _reference_cone(g, wanted)
+            gates = sorted(n for n in view if g.kinds[n] != "INPUT")
+            plan = compile_ops(g, wanted)
+            order = [item[0] for _, _, _, items in plan for item in items]
+            assert sorted(order) == gates  # every cone gate exactly once, nothing else
+            position = {node: i for i, node in enumerate(order)}
+            for _, arity, _, items in plan:
+                for node, *srcs in items:
+                    assert tuple(srcs) == g.fanins[node] and len(srcs) == arity
+                    assert all(g.kinds[s] == "INPUT" or position[s] < position[node]
+                               for s in srcs)
+        patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
+                    for _ in range(rng.choice(LANE_COUNTS))]
+        words = run_pass(g, compile_ops(g, needed), patterns)
+        cone = _reference_cone(g, needed)
+        for node in range(g.node_count):
+            if node not in cone and node not in g.primary_inputs:
+                assert words[node] == 0
+        for lane, p in enumerate(patterns):
+            expected = ref_eval(netlist, p.bits)
+            for node in cone:
+                assert words[node] >> lane & 1 == expected[g.names[node]]
