@@ -312,16 +312,21 @@ class SolverSession:
                 # Every unwatched literal is false, so only the watched ones
                 # that are not false are left to make up k.
                 kept.append(card)
-                false_lits = [l for l in lits if val[l] == _FALSE]
                 free = [l for l in lits[:k + 1] if val[l] != _FALSE]
                 if len(free) < k:
-                    conflict = false_lits
+                    conflict = [l for l in lits if val[l] == _FALSE]
                     kept.extend(watchers[idx + 1:])
                     break
+                # most visits find the free watched literals already true;
+                # the false ones are listed only for a reason, and before
+                # the first enqueue, which may falsify a complement
+                false_lits = None
                 for lit in free:
                     # a complement among them turns false here; its own
                     # watch reports the conflict
                     if val[lit] == _UNDEF:
+                        if false_lits is None:
+                            false_lits = [l for l in lits if val[l] == _FALSE]
                         enqueue(lit, [lit] + false_lits)
         card_watches[false_lit] = kept
         return conflict
@@ -337,11 +342,14 @@ class SolverSession:
             return
         floor = self._trail_lim[level]
         val = self._lit_val
+        reason = self._reason
+        order = self._order
+        activity = self._activity
         for lit in reversed(self._trail[floor:]):
             val[lit] = val[lit ^ 1] = _UNDEF
             var = lit >> 1
-            self._reason[var] = None
-            heappush(self._order, (-self._activity[var], var))
+            reason[var] = None
+            heappush(order, (-activity[var], var))
         del self._trail[floor:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -365,9 +373,12 @@ class SolverSession:
         """The unassigned variable of highest activity, or None.  Every
         unassigned variable has a live entry: a bump or an unassignment
         pushes one, and a rescale rebuilds the heap."""
-        while self._order:
-            act, var = heappop(self._order)
-            if self._lit_val[2 * var] == _UNDEF and -act == self._activity[var]:
+        order = self._order
+        val = self._lit_val
+        activity = self._activity
+        while order:
+            act, var = heappop(order)
+            if val[2 * var] == _UNDEF and -act == activity[var]:
                 return var
         return None
 

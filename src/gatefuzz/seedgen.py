@@ -1,6 +1,6 @@
 """SAT-driven generation of diverse targeted input patterns.
 
-Every emitted pattern is a solver model of the circuit formula under the
+Every emitted pattern is a solver model of the circuit formula and the
 target literals, so by construction it drives all target nodes to their
 desired values.  Diversity is enforced as a minimum pairwise Hamming
 distance: each accepted pattern contributes an at-least-``d_min`` constraint
@@ -11,6 +11,14 @@ solver handles the constraint natively, so the session never grows beyond the
 formula's own variables.  Patterns are packed ints, and one pass over the
 accepted words per candidate (an XOR and a popcount each) serves both the
 acceptance guard and the reported distance extremes.
+
+The target literals hold for every solve of a run, so they are permanent
+facts of the run's session: each is added once as a unit clause, and their
+implications are derived once at level 0 rather than again, under
+assumptions, by every solve.  A spec that propagation alone refutes is
+therefore UNSAT without a conflict, whatever the conflict budget.  Naming
+the targets that conflict (an assumption core) would take one more solve,
+with the targets as assumptions, on the invalid path.
 
 Generation is also the validity check: one solver session serves the whole
 run, and its first model is the witness that the targeted state is reachable.
@@ -88,13 +96,14 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             f"d_min {config.d_min} exceeds the {width} primary inputs")
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
-    target_literals = list(target_literals)
+    for lit in target_literals:
+        session.add_clause([lit])
     patterns: list[InputPattern] = []
     d_lo = d_hi = 0  # pairwise distance extremes; (0, 0) below two patterns
     stop_reason = "budget"
     while len(patterns) < config.pattern_budget:
         try:
-            result = session.solve(assumptions=target_literals)
+            result = session.solve()
         except SolverBudgetError:
             stop_reason = "solver-budget"
             break

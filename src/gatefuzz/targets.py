@@ -81,8 +81,8 @@ def targets_from_diff(diff: GraphDiff, desired_default: str = "both") -> list[Ta
 def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:
     """Translate desired states into literals: positive for 1, negated for 0.
 
-    The conjunction of these literals is what the solver takes as assumptions
-    (or unit clauses) on top of the circuit formula.
+    Their conjunction is added to the circuit formula as unit clauses, by
+    ``generate`` in its solver session and by ``write_dimacs`` in the file.
     """
     literals = []
     for node, bit in spec.entries:

@@ -269,6 +269,25 @@ def test_gen_budget_exhausted_exits_4(tmp_path, capsys):
     assert manifest["solver"]["stop_reason"] == "solver-budget"
 
 
+def test_gen_spec_refuted_by_propagation_exits_3_at_budget_0(tmp_path, capsys):
+    # q=1 forces a=b=1, and then p = XOR(a, b) is 0: the targets are facts
+    # of the session, so propagation at level 0 refutes them with no
+    # conflict, and a budget of 0 still gives the verdict
+    netlist = _write(tmp_path, "refuted.bench",
+                     "INPUT(a)\nINPUT(b)\nOUTPUT(p)\nOUTPUT(q)\n"
+                     "p = XOR(a, b)\nq = AND(a, b)\n")
+    targets = _write(tmp_path, "t.targets", "p=1\nq=1\n")
+    code = main(["gen", netlist, targets, "--conflict-budget", "0",
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 3
+    assert capsys.readouterr().out == ("targeted state is invalid: no input reaches "
+                                       "all 2 target values simultaneously\n")
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 3 and "error" not in manifest
+    assert manifest["solver"]["stop_reason"] == "exhausted"
+    assert manifest["solver"]["conflicts"] == 0
+
+
 def test_gen_budget_exhausted_keeps_proven_patterns(tmp_path, capsys):
     netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
     targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))

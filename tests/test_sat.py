@@ -8,7 +8,7 @@ from gatefuzz.cnf import CnfFormula, encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
-from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, SolverBudgetError,
+from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, _UNDEF, SolverBudgetError,
                           SolverSession)
 from gatefuzz.seedgen import project_model
 from gatefuzz.simulate import simulate
@@ -401,6 +401,36 @@ def _check_dense_sessions():
     return conflicts
 
 
+@pytest.mark.parametrize("rescale_at", [sat_module._ACTIVITY_RESCALE, 1.0])
+def test_picks_follow_activity(monkeypatch, rescale_at):
+    # every pick of the dense sessions above, checked against a scan of the
+    # variables; at a bound of 1.0 a bump past it rescales every activity
+    monkeypatch.setattr("gatefuzz.sat._ACTIVITY_RESCALE", rescale_at)
+    pick = SolverSession._pick_branch_var
+    checked = {"var": 0, "None": 0, "rescaled": 0}
+
+    def checked_pick(session):
+        activity = session._activity
+        live = {var for key, var in session._order if -key == activity[var]}
+        unassigned = [v for v in range(1, session.nvars + 1)
+                      if session._lit_val[2 * v] == _UNDEF]
+        assert set(unassigned) <= live
+        var = pick(session)
+        if var is None:
+            assert unassigned == []
+            checked["None"] += 1
+        else:
+            assert var == max(unassigned, key=lambda v: (activity[v], -v))
+            checked["var"] += 1
+        checked["rescaled"] += session._var_inc < 1.0
+        return var
+
+    monkeypatch.setattr(SolverSession, "_pick_branch_var", checked_pick)
+    _check_dense_sessions()
+    assert checked["var"] > 8000 and checked["None"] > 1500
+    assert (checked["rescaled"] > 2000) == (rescale_at == 1.0)
+
+
 def test_at_least_k_duplicate_literal_counts_twice():
     s = SolverSession(formula_of([], 2))
     s.encode_at_least_k([1, 1, 2], 2)
@@ -592,4 +622,33 @@ def test_check_masks_stay_within_a_block():
     assignment[2] = False  # only -(far - 1) is left of the three
     _force(s, assignment)
     with pytest.raises(AssertionError, match="at-least-3"):
+        s._extract_model()
+
+
+@debug_check
+def test_check_names_the_violated_clause():
+    s = _sat_session(4, clauses=[(1, -2), (2, 3), (-1, 4)])
+    _force(s, [None, True, True, False, True])
+    s._extract_model()
+    _force(s, [None, False, False, False, True])  # only (2, 3) is violated
+    with pytest.raises(AssertionError, match=r"^model violates clause \[2, 3\]$"):
+        s._extract_model()
+    _force(s, [None, True, False, True, False])  # only (-1, 4) is violated
+    with pytest.raises(AssertionError, match=r"^model violates clause \[-1, 4\]$"):
+        s._extract_model()
+
+
+@debug_check
+def test_check_names_the_violated_at_least_k():
+    cards = [([1, -2, 3, 4], 3), ([2, 3, 4], 2), ([-2, 3, -4], 2), ([1, 1, 2], 2)]
+    s = _sat_session(4, cards=cards)
+    _force(s, [None, True, False, True, True])
+    s._extract_model()  # 4, 2, 2 and 2 of them
+    _force(s, [None, True, False, True, False])  # [2, 3, 4] has only 3
+    with pytest.raises(AssertionError,
+                       match=r"^model violates at-least-2 over \[2, 3, 4\]$"):
+        s._extract_model()
+    _force(s, [None, True, True, True, False])  # [1, -2, 3, 4] has only 1 and 3
+    with pytest.raises(AssertionError,
+                       match=r"^model violates at-least-3 over \[1, -2, 3, 4\]$"):
         s._extract_model()

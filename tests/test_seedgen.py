@@ -102,24 +102,32 @@ def test_every_pattern_hits_all_targets_randomized():
 
 
 def test_exhausted_confirmed_by_brute_force_randomized():
+    # specs of 1-3 targets, valid and invalid; the targets are facts of the
+    # session, so an invalid spec is refuted when they are added or by the
+    # first solve, and a valid one exhausts the distance-d_min code
     rng = random.Random(89)
-    checked = 0
-    while checked < 10:
+    kinds = {(valid, several): 0 for valid in (True, False) for several in (True, False)}
+    while min(kinds.values()) < 3:
         n = random_netlist(rng, rng.randint(2, 6), rng.randint(1, 12))
         g = build_graph(scan_convert(n))
         f = encode(g)
-        node = rng.randrange(g.node_count)
-        entries = [(node, rng.randrange(2))]
+        nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
+        entries = [(node, rng.randrange(2)) for node in nodes]
         lits = build_target_formula(
-            parse_targets(f"{g.names[node]}={entries[0][1]}", g), f)
-        report = generate(f, lits, GenConfig(pattern_budget=1000, d_min=2))
-        if not report.exhausted:
-            continue
-        checked += 1
+            parse_targets("".join(f"{g.names[node]}={v}\n" for node, v in entries), g), f)
+        d_min = rng.randint(2, min(3, g.input_count))
+        # a budget above the 2**6 input patterns: every run ends exhausted
+        report = generate(f, lits, GenConfig(pattern_budget=1000, d_min=d_min,
+                                             seed=rng.randrange(4)))
+        assert report.exhausted
+        qualifying = _qualifying_inputs(g, entries)
+        assert (report.patterns == []) == (qualifying == [])
+        kinds[bool(qualifying), len(entries) > 1] += 1
         emitted = set(report.patterns)
-        for q in _qualifying_inputs(g, entries):
+        assert emitted <= set(qualifying)
+        for q in qualifying:
             if q not in emitted:
-                assert any((q.word ^ p.word).bit_count() < 2 for p in report.patterns)
+                assert any((q.word ^ p.word).bit_count() < d_min for p in report.patterns)
 
 
 def test_invalid_target_yields_empty_exhausted_report():
