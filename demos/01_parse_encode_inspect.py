@@ -22,8 +22,7 @@ print(f"after full-scan conversion: {len(scan.primary_inputs)} inputs "
 
 graph = build_graph(scan)
 print(f"graph: {graph.node_count} nodes, depth {graph.max_level()}")
-print("level of each node:",
-      {graph.names[n]: graph.levels[n] for n in graph.topo_order})
+print("level of each node, in id order:", dict(zip(graph.names, graph.levels)))
 
 with open("s27_graph.dot", "w") as fh:
     fh.write(to_dot(graph))

@@ -1,12 +1,13 @@
 """Gate-wise Tseitin translation of a circuit graph into CNF.
 
 Literals are nonzero signed integers in the DIMACS convention: ``v`` is the
-positive literal of variable ``v >= 1`` and ``-v`` its negation.  Every graph
-node gets exactly one variable, assigned in topological order so that the
-primary inputs occupy variables ``1..I`` in declaration order.  Wide XOR and
-XNOR gates are chained through fresh helper variables that have no node
-mapping.  The satisfying assignments of the result, projected onto the node
-variables, are exactly the consistent circuit valuations.
+positive literal of variable ``v >= 1`` and ``-v`` its negation.  The graph's
+node ids are the only numbering: node ``n`` is variable ``n + 1``
+(:meth:`CnfFormula.node_var`), so the primary inputs, nodes ``0..I-1``,
+occupy variables ``1..I`` in declaration order.  Wide XOR and XNOR gates are
+chained through fresh helper variables numbered after the nodes, which stand
+for no node.  The satisfying assignments of the result, projected onto the
+node variables, are exactly the consistent circuit valuations.
 """
 
 from __future__ import annotations
@@ -18,20 +19,35 @@ from .graph import CircuitGraph
 Clause = tuple[int, ...]
 
 
+class TargetError(ValueError):
+    """A malformed target spec, or a target node the circuit does not have;
+    :mod:`gatefuzz.targets` re-exports it, and :meth:`CnfFormula.node_var`
+    raises it."""
+
+
 @dataclass
 class CnfFormula:
-    """CNF clauses plus the bidirectional node/variable map."""
+    """CNF clauses over the node variables and the XOR/XNOR helpers.
+
+    ``names`` is the graph's node-name list, shared, not copied; it gives the
+    node count and the DIMACS comments.
+    """
 
     clauses: list[Clause]
     var_count: int
-    node_to_var: dict[int, int]
-    var_to_node: dict[int, int]
-    input_vars: list[int] = field(default_factory=list)
-    node_names: dict[int, str] = field(default_factory=dict)
+    names: list[str] = field(default_factory=list)
+    input_count: int = 0
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
+
+    def node_var(self, node: int) -> int:
+        """The variable of graph node ``node``: its id + 1."""
+        if not 0 <= node < len(self.names):
+            raise TargetError(f"target node {node} has no variable in the formula "
+                              f"(nodes 0..{len(self.names) - 1})")
+        return node + 1
 
 
 def encode(graph: CircuitGraph) -> CnfFormula:
@@ -40,22 +56,19 @@ def encode(graph: CircuitGraph) -> CnfFormula:
     Clause schemata per gate with k fanins: NOT/BUF 2 clauses, AND/NAND/OR/NOR
     k+1 clauses, XOR/XNOR a chain of 2-input stages with 4 clauses each,
     constants a single unit clause.  Pure and deterministic: the same graph
-    always yields the same formula.
+    always yields the same formula.  Clauses are written gate by gate in id
+    order.
     """
-    topo = graph.topo_order
     kinds = graph.kinds
     fanins = graph.fanins
-    node_to_var = dict(zip(topo, range(1, len(topo) + 1)))
-    # var_of, the clauses and var_to_node share node_to_var's int objects
-    var_of = [0] * graph.node_count
-    for node, var in node_to_var.items():
-        var_of[node] = var
+    # node n is variable n + 1 (CnfFormula.node_var); the clauses share these
+    # int objects rather than each literal making its own
+    var_of = list(range(1, graph.node_count + 1))
     next_var = graph.node_count + 1
 
     clauses: list[Clause] = []
     append = clauses.append
-    for node in topo:
-        kind = kinds[node]
+    for node, kind in enumerate(kinds):
         if kind == "INPUT":
             continue
         y = var_of[node]
@@ -109,27 +122,18 @@ def encode(graph: CircuitGraph) -> CnfFormula:
         else:
             raise ValueError(f"cannot encode node kind {kind!r}")
 
-    return CnfFormula(
-        clauses=clauses,
-        var_count=next_var - 1,
-        node_to_var=node_to_var,
-        var_to_node=dict(zip(node_to_var.values(), topo)),
-        input_vars=[var_of[n] for n in graph.primary_inputs],
-        node_names=dict(enumerate(graph.names)),
-    )
+    return CnfFormula(clauses=clauses, var_count=next_var - 1,
+                      names=graph.names, input_count=graph.input_count)
 
 
 def write_dimacs(formula: CnfFormula, assumptions: list[int] = ()) -> str:
     """Serialize to DIMACS CNF; assumptions become trailing unit clauses.
 
-    Node map comments (``c node <name> = var <k>``) precede the header, in
-    variable order.
+    Node map comments (``c node <name> = var <k>``), one per node in id
+    order, which is variable order, precede the header.
     """
-    lines = []
-    for var in sorted(formula.var_to_node):
-        node = formula.var_to_node[var]
-        name = formula.node_names.get(node, f"node{node}")
-        lines.append(f"c node {name} = var {var}")
+    lines = [f"c node {name} = var {formula.node_var(node)}"
+             for node, name in enumerate(formula.names)]
     lines.append(f"p cnf {formula.var_count} {formula.clause_count + len(assumptions)}")
     for clause in formula.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")

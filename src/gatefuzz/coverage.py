@@ -52,14 +52,12 @@ class CoverageReport:
 def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
     """Coverage report and per-pattern-prefix curve from one simulation pass.
 
-    Only the targets' fan-in cone is simulated.  A target's first 0 and first
-    1 are the lowest set bits of its complemented and plain words, and
+    Only the targets' fan-in cone is simulated, and a target node outside
+    the graph raises :class:`KeyError`.  A target's first 0 and first 1 are
+    the lowest set bits of its complemented and plain words, and
     :func:`report_and_curve` builds the result from them.
     """
     patterns = list(patterns)
-    for node, _ in spec.entries:
-        if node >= graph.node_count:
-            raise KeyError(f"target node {node} is not in graph {graph.name!r}")
     ops = compile_ops(graph, spec.nodes())
     firsts = [[None, None] for _ in spec.entries]  # 1-based number of the first 0, first 1
     for start in range(0, len(patterns), PASS_LANES):

@@ -1,16 +1,18 @@
 """Levelized DAG view of a scan-converted netlist.
 
 Nodes are dense integer ids covering every primary input, constant and gate
-output.  The graph is immutable after construction and carries a topological
-order (primary inputs first, in declaration order) plus per-node levels.
-Structural diffs between two graphs drive automatic target selection.
+output: the primary inputs are ``0..input_count-1`` in declaration order, then
+the gate outputs in declaration order.  These ids are the only numbering the
+pipeline uses (the CNF variable of node ``n`` is ``n + 1``).  The graph is
+immutable after construction and carries per-node levels; a gate's level is
+one more than its deepest fanin's, so sorting by level gives a topological
+order.  Structural diffs between two graphs drive automatic target selection.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .netlist import Netlist, NetlistError
 
@@ -35,19 +37,14 @@ class CircuitGraph:
     names: list[str]
     kinds: list[str]
     fanins: list[tuple[int, ...]]
-    primary_inputs: list[int]
+    input_count: int  # the primary inputs are nodes 0..input_count-1
     primary_outputs: list[int]
     name_to_id: dict[str, int]  # inverse of ``names``
-    topo_order: list[int] = field(default_factory=list)
-    levels: list[int] = field(default_factory=list)
+    levels: list[int]
 
     @property
     def node_count(self) -> int:
         return len(self.names)
-
-    @property
-    def input_count(self) -> int:
-        return len(self.primary_inputs)
 
     def node_id(self, name: str) -> int:
         try:
@@ -79,28 +76,25 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     node_of = ids.__getitem__
     fanins = [()] * n_inputs + [tuple(map(node_of, g.inputs)) for g in gates]
 
-    topo, levels = _levelize(names, fanins)
     return CircuitGraph(
         name=netlist.name,
         names=names,
         kinds=kinds,
         fanins=fanins,
-        primary_inputs=list(range(n_inputs)),
+        input_count=n_inputs,
         primary_outputs=[ids[po] for po in netlist.primary_outputs],
         name_to_id=ids,
-        topo_order=topo,
-        levels=levels,
+        levels=_levelize(names, fanins),
     )
 
 
 def _levelize(names, fanins):
-    """Topological order (smallest-id-first Kahn) and per-node levels.
+    """Per-node levels.
 
     When every node reads only lower ids, as in netlists declared in
-    topological order, Kahn's algorithm pops the ids in order, so one pass
-    computes the levels and the order is ``range(n)``.  At the first forward
-    reference (a gate reading itself or a later gate) it falls back to the
-    heap.
+    topological order, one pass in id order computes them.  At the first
+    forward reference (a gate reading itself or a later gate) it falls back
+    to Kahn's algorithm.
     """
     levels = [0] * len(names)
     for node, srcs in enumerate(fanins):
@@ -111,11 +105,16 @@ def _levelize(names, fanins):
             if levels[src] >= level:
                 level = levels[src] + 1
         levels[node] = level
-    return list(range(len(names))), levels
+    return levels
 
 
 def _levelize_kahn(names, fanins):
-    """Kahn topological sort (smallest-id-first) with level computation."""
+    """Levels by Kahn's algorithm; raises :class:`CycleError` on a cycle.
+
+    A node is levelled once all its fanins are, so neither the levels nor
+    the nodes left unlevelled by a cycle depend on the order the worklist
+    is drained in.
+    """
     n = len(names)
     remaining = [len(f) for f in fanins]
     consumers: list[list[int]] = [[] for _ in range(n)]
@@ -123,22 +122,21 @@ def _levelize_kahn(names, fanins):
         for src in srcs:
             consumers[src].append(node)
     ready = [i for i in range(n) if remaining[i] == 0]
-    topo = []
+    levelled = 0
     levels = [0] * n
-    heapq.heapify(ready)
     while ready:
-        node = heapq.heappop(ready)
-        topo.append(node)
+        node = ready.pop()
+        levelled += 1
         if fanins[node]:
             levels[node] = 1 + max(levels[s] for s in fanins[node])
         for consumer in consumers[node]:
             remaining[consumer] -= 1
             if remaining[consumer] == 0:
-                heapq.heappush(ready, consumer)
-    if len(topo) != n:
+                ready.append(consumer)
+    if levelled != n:
         stuck = next(i for i in range(n) if remaining[i] > 0)
         raise CycleError(_trace_cycle(stuck, fanins, remaining, names))
-    return topo, levels
+    return levels
 
 
 def _trace_cycle(start, fanins, remaining, names):
@@ -161,10 +159,6 @@ class GraphDiff:
 
     changed: list[int]
     added: list[int]
-    reason: dict[int, str]
-
-    def is_empty(self) -> bool:
-        return not self.changed and not self.added
 
     def target_nodes(self) -> list[int]:
         return sorted(set(self.changed) | set(self.added))
@@ -179,24 +173,17 @@ def diff_graphs(original: CircuitGraph, modified: CircuitGraph) -> GraphDiff:
     """
     changed = []
     added = []
-    reason = {}
     for node in range(modified.node_count):
         name = modified.names[node]
         old = original.name_to_id.get(name)
         if old is None:
             added.append(node)
-            reason[node] = "new-node"
-            continue
-        if modified.kinds[node] != original.kinds[old]:
+        elif modified.kinds[node] != original.kinds[old]:
             changed.append(node)
-            reason[node] = "kind-changed"
-            continue
-        new_fanin = Counter(modified.names[s] for s in modified.fanins[node])
-        old_fanin = Counter(original.names[s] for s in original.fanins[old])
-        if new_fanin != old_fanin:
+        elif (Counter(modified.names[s] for s in modified.fanins[node])
+              != Counter(original.names[s] for s in original.fanins[old])):
             changed.append(node)
-            reason[node] = "fanin-changed"
-    return GraphDiff(changed=changed, added=added, reason=reason)
+    return GraphDiff(changed=changed, added=added)
 
 
 def to_dot(graph: CircuitGraph) -> str:

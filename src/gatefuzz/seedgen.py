@@ -90,12 +90,13 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
     budget ends the run with ``stop_reason == "solver-budget"`` and the
     patterns proven so far.
     """
-    width = len(formula.input_vars)
+    width = formula.input_count
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
+    inputs = _input_variables(formula)
     for lit in target_literals:
         session.add_clause([lit])
     patterns: list[InputPattern] = []
@@ -122,7 +123,7 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
                     f"{config.d_min} to an accepted pattern")
             d_lo = min(d_lo, nearest) if d_lo else nearest
             d_hi = max(d_hi, max(distances))
-        session.encode_at_least_k(_difference_literals(candidate, formula), config.d_min)
+        session.encode_at_least_k(_difference_literals(candidate, inputs), config.d_min)
         patterns.append(candidate)
     return GenReport(
         patterns=patterns,
@@ -140,19 +141,25 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
 def project_model(model, formula: CnfFormula) -> InputPattern:
     """Extract the primary-input bits of a total model, in input order."""
     word = 0
-    for var in formula.input_vars:
+    for var in _input_variables(formula):
         word = word << 1 | model[var]
-    return InputPattern.from_word(word, len(formula.input_vars))
+    return InputPattern.from_word(word, formula.input_count)
 
 
-def _difference_literals(pattern: InputPattern, formula: CnfFormula):
-    """Literals true exactly where an input differs from ``pattern``.
+def _input_variables(formula: CnfFormula) -> list[int]:
+    """The variables of the primary inputs, nodes ``0..input_count-1``."""
+    return [formula.node_var(node) for node in range(formula.input_count)]
+
+
+def _difference_literals(pattern: InputPattern, inputs):
+    """Literals true exactly where an input differs from ``pattern``;
+    ``inputs`` are the input variables in input order.
 
     An at-least-k constraint over them is the Hamming-distance floor; for
     k >= 1 it implies their disjunction, the pattern's blocking clause.
     """
     return [-var if bit == "1" else var
-            for var, bit in zip(formula.input_vars, pattern.to_string())]
+            for var, bit in zip(inputs, pattern.to_string())]
 
 
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:
@@ -160,7 +167,7 @@ def write_patterns(report: GenReport, graph: CircuitGraph) -> str:
 
     The leftmost bit of each line is the first primary input.
     """
-    lines = ["# " + " ".join(graph.names[n] for n in graph.primary_inputs)]
+    lines = ["# " + " ".join(graph.names[:graph.input_count])]
     for p in report.patterns:
         lines.append(p.to_string())
     return "\n".join(lines) + "\n"

@@ -63,9 +63,16 @@ def compile_ops(graph: CircuitGraph, needed=None) -> list[tuple]:
     A group holds the gates of one level with one kind, so one op and
     inversion, and one fanin count; an item is ``(node, *fanins)``.  With
     ``needed`` given, only the fan-in cone of those nodes is kept; a pass over
-    the result leaves every other gate's word at 0.
+    the result leaves every other gate's word at 0.  A needed node outside
+    ``0..node_count-1`` raises :class:`KeyError`.
     """
-    nodes = range(graph.node_count) if needed is None else fanin_cone(graph, needed)
+    if needed is None:
+        nodes = range(graph.node_count)
+    else:
+        for node in needed:
+            if not 0 <= node < graph.node_count:
+                raise KeyError(f"target node {node} is not in graph {graph.name!r}")
+        nodes = fanin_cone(graph, needed)
     kinds, fanins, levels = graph.kinds, graph.fanins, graph.levels
     groups: dict[tuple, list[tuple]] = {}
     for node in nodes:
@@ -99,7 +106,7 @@ def run_pass(graph: CircuitGraph, ops, patterns) -> list[int]:
                 f"pattern has {p.width} bits, circuit has {graph.input_count} inputs")
     # character i of every pattern string, last lane first, is input i's word
     rows = [p.to_string() for p in reversed(patterns)]
-    for node, column in zip(graph.primary_inputs, zip(*rows)):
+    for node, column in enumerate(zip(*rows)):  # input i is node i
         words[node] = int("".join(column), 2)
     mask = (1 << len(patterns)) - 1
     for op, arity, inverted, items in ops:

@@ -12,20 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, TargetError
 from .graph import CircuitGraph, GraphDiff
-
-
-class TargetError(ValueError):
-    pass
 
 
 @dataclass
 class TargetSpec:
-    """Ordered (node id, desired bit) pairs plus their provenance."""
+    """Ordered (node id, desired bit) pairs."""
 
     entries: list[tuple[int, int]]
-    source: str = "manual"  # "manual" or "graph-diff"
 
     def __len__(self):
         return len(self.entries)
@@ -59,7 +54,7 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
             raise TargetError(f"line {lineno}: duplicate target node {name!r}")
         seen.add(node)
         entries.append((node, int(value)))
-    return TargetSpec(entries=entries, source="manual")
+    return TargetSpec(entries=entries)
 
 
 def targets_from_diff(diff: GraphDiff, desired_default: str = "both") -> list[TargetSpec]:
@@ -74,20 +69,19 @@ def targets_from_diff(diff: GraphDiff, desired_default: str = "both") -> list[Ta
     if not nodes:
         return []
     polarities = (0, 1) if desired_default == "both" else (int(desired_default),)
-    return [TargetSpec(entries=[(n, bit) for n in nodes], source="graph-diff")
-            for bit in polarities]
+    return [TargetSpec(entries=[(n, bit) for n in nodes]) for bit in polarities]
 
 
 def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:
-    """Translate desired states into literals: positive for 1, negated for 0.
+    """Translate desired states into literals over the node variables
+    (:meth:`~gatefuzz.cnf.CnfFormula.node_var`): positive for 1, negated for 0.
 
     Their conjunction is added to the circuit formula as unit clauses, by
     ``generate`` in its solver session and by ``write_dimacs`` in the file.
+    Raises :class:`TargetError` for a node the formula does not have.
     """
     literals = []
     for node, bit in spec.entries:
-        var = formula.node_to_var.get(node)
-        if var is None:
-            raise TargetError(f"target node {node} has no variable in the formula")
+        var = formula.node_var(node)
         literals.append(var if bit else -var)
     return literals

@@ -6,8 +6,8 @@ memoized recursion over signal names, with gate semantics written as plain
 truth functions.
 
 :func:`heap_levelize` is the levelization oracle: smallest-id-first Kahn over
-a heap for every graph, which is the order and the levels ``build_graph``
-must produce whatever path it takes.
+a heap for every graph, whose levels ``build_graph`` must produce whatever
+path it takes.
 """
 
 import heapq

@@ -128,14 +128,14 @@ def test_criterion_3_encoding_soundness():
             n = random_netlist(rng, rng.randint(2, 10), rng.randint(1, 18))
             graph = build_graph(scan_convert(n))
             formula = encode(graph)
-            node_vars = sorted(formula.node_to_var.values())
+            # node n is variable n + 1; helper variables come after the nodes
+            node_vars = range(1, graph.node_count + 1)
 
             sim_valuations = set()
             patterns = all_patterns(graph.input_count)
             words = run_pass(graph, compile_ops(graph), patterns)
             for lane in range(len(patterns)):
-                sim_valuations.add(tuple(
-                    (words[formula.var_to_node[v]] >> lane) & 1 for v in node_vars))
+                sim_valuations.add(tuple((word >> lane) & 1 for word in words))
 
             session = SolverSession(formula)
             sat_valuations = set()

@@ -19,17 +19,17 @@ def _encode(text):
 
 def test_textbook_and():
     graph, f = _encode("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    a = f.node_to_var[graph.node_id("a")]
-    b = f.node_to_var[graph.node_id("b")]
-    y = f.node_to_var[graph.node_id("y")]
+    a = f.node_var(graph.node_id("a"))
+    b = f.node_var(graph.node_id("b"))
+    y = f.node_var(graph.node_id("y"))
     assert sorted(tuple(sorted(c)) for c in f.clauses) == sorted(
         [tuple(sorted(c)) for c in [(-y, a), (-y, b), (y, -a, -b)]])
 
 
 def test_textbook_not():
     graph, f = _encode("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    a = f.node_to_var[graph.node_id("a")]
-    y = f.node_to_var[graph.node_id("y")]
+    a = f.node_var(graph.node_id("a"))
+    y = f.node_var(graph.node_id("y"))
     assert sorted(tuple(sorted(c)) for c in f.clauses) == sorted(
         [tuple(sorted(c)) for c in [(y, a), (-y, -a)]])
 
@@ -40,14 +40,15 @@ def test_c17_pinned_counts():
     f = encode(graph)
     assert f.var_count == 11
     assert f.clause_count == 18
-    assert sorted(f.node_to_var.values()) == list(range(1, 12))
+    assert [f.node_var(n) for n in range(graph.node_count)] == list(range(1, 12))
 
 
 def test_input_vars_are_first_in_input_order():
     graph, f = _encode("INPUT(b)\nINPUT(a)\nOUTPUT(y)\ny = AND(a, b)")
-    assert f.input_vars == [1, 2]
-    assert f.var_to_node[1] == graph.node_id("b")
-    assert f.var_to_node[2] == graph.node_id("a")
+    assert f.input_count == 2
+    assert f.node_var(graph.node_id("b")) == 1
+    assert f.node_var(graph.node_id("a")) == 2
+    assert f.node_var(graph.node_id("y")) == 3
 
 
 def test_xor_chain_helpers():
@@ -55,7 +56,9 @@ def test_xor_chain_helpers():
     # two helper stages, each 4 clauses, plus the final 4-clause stage
     assert f.var_count == 5 + 2
     assert f.clause_count == 12
-    assert set(f.node_to_var.values()) == set(range(1, 6))  # helpers unmapped
+    # the helpers, 6 and 7, come after the node variables and stand for no node
+    assert [f.node_var(n) for n in range(graph.node_count)] == [1, 2, 3, 4, 5]
+    assert {abs(lit) for c in f.clauses for lit in c} == set(range(1, 8))
 
 
 def test_const_unit_clauses():
@@ -68,12 +71,12 @@ def test_const_unit_clauses():
 
 
 def test_dimacs_empty_formula():
-    f = CnfFormula(clauses=[], var_count=0, node_to_var={}, var_to_node={})
+    f = CnfFormula(clauses=[], var_count=0)
     assert write_dimacs(f) == "p cnf 0 0\n"
 
 
 def test_dimacs_single_unit():
-    f = CnfFormula(clauses=[(1,)], var_count=1, node_to_var={}, var_to_node={})
+    f = CnfFormula(clauses=[(1,)], var_count=1)
     assert write_dimacs(f) == "p cnf 1 1\n1 0\n"
 
 
@@ -106,9 +109,9 @@ def test_encode_deterministic():
 
 @pytest.mark.parametrize("name,digest", [
     ("c432", "8fa1c5c1ab6ac38acaff265e30f6ca67062dd6e15fae90b2d29c0aeb22f82452"),
-    # s27 after scan conversion is not declared in topological order, so it
-    # takes the heap levelization
-    ("s27", "b1242a4740ddb9265d30fd6cb1dd86b2ff7beeb32d46857ed9c7ae9ad9f63557"),
+    # s27 after scan conversion is not declared in topological order (a gate
+    # reads a later one), so it takes the Kahn levelization
+    ("s27", "2437f798227ddbfb83448c891f9534c0ad4a0d6dcfd430773d60822c066538ec"),
     ("xor_ladder8", "e6ebb8774dac6038ac6ede4ba81255f819e62d7cf127f366e119ef36d047b549"),
 ])
 def test_dimacs_pinned(name, digest):
@@ -117,18 +120,21 @@ def test_dimacs_pinned(name, digest):
 
 
 def test_wide_gates_pinned_clause_order():
-    # declared out of order (heap levelization), wide XOR/XNOR chains through
-    # helpers 8..10, and a NAND and a NOR with their wide clause last
+    # declared out of order (w reads the later u and v, so Kahn levelization),
+    # yet node n is variable n + 1 and the gates' clauses come in id order:
+    # w = 4, u = 5, v = 6, z = 7; the wide XOR/XNOR chains go through helpers
+    # 8..10, and the NAND and the NOR write their wide clause last
     graph, f = _encode("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
                        "w = NAND(u, v, c)\nu = XOR(a, b, c)\nv = XNOR(a, b, c, u)\nz = NOR(w, a)")
-    assert graph.topo_order == [0, 1, 2, 4, 5, 3, 6]
+    assert graph.names == ["a", "b", "c", "w", "u", "v", "z"]
+    assert graph.levels == [0, 0, 0, 3, 1, 2, 4]
     assert f.var_count == 10
     assert f.clauses == [
+        (4, 5), (4, 6), (4, 3), (-4, -5, -6, -3),
         (-8, 1, 2), (-8, -1, -2), (8, -1, 2), (8, 1, -2),
-        (-4, 8, 3), (-4, -8, -3), (4, -8, 3), (4, 8, -3),
+        (-5, 8, 3), (-5, -8, -3), (5, -8, 3), (5, 8, -3),
         (-9, 1, 2), (-9, -1, -2), (9, -1, 2), (9, 1, -2),
         (-10, 9, 3), (-10, -9, -3), (10, -9, 3), (10, 9, -3),
-        (5, 10, 4), (5, -10, -4), (-5, -10, 4), (-5, 10, -4),
-        (6, 4), (6, 5), (6, 3), (-6, -4, -5, -3),
-        (-7, -6), (-7, -1), (7, 6, 1),
+        (6, 10, 5), (6, -10, -5), (-6, -10, 5), (-6, 10, -5),
+        (-7, -4), (-7, -1), (7, 4, 1),
     ]

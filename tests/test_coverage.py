@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
+from gatefuzz.cgf import run_cgf
 import gatefuzz.coverage as coverage_module
 from gatefuzz.coverage import curve_csv, measure, measure_with_curve
 from gatefuzz.fixtures import load_circuit
@@ -82,9 +83,16 @@ def test_unreached_target_has_no_index():
 
 
 def test_missing_target_node_raises():
+    # nodes 0 and 1 exist; -1 would otherwise read as the last node, and 2
+    # and 99 would index past the graph
     g = _graph("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
-    with pytest.raises(KeyError):
-        measure(g, TargetSpec(entries=[(99, 1)]), [InputPattern((0,))])
+    runs = (lambda spec: measure(g, spec, [InputPattern((0,))]),
+            lambda spec: measure_with_curve(g, spec, [InputPattern((0,))]),
+            lambda spec: run_cgf(g, spec, budget=4))
+    for node in (99, 2, -1):
+        for run in runs:
+            with pytest.raises(KeyError, match=f"target node {node} is not in graph"):
+                run(TargetSpec(entries=[(1, 1), (node, 1)]))
 
 
 def test_curve_single_full_hit():

@@ -17,8 +17,7 @@ from conftest import all_patterns
 
 
 def formula_of(clauses, nvars):
-    return CnfFormula(clauses=[tuple(c) for c in clauses], var_count=nvars,
-                      node_to_var={}, var_to_node={})
+    return CnfFormula(clauses=[tuple(c) for c in clauses], var_count=nvars)
 
 
 def brute_force_sat(clauses, nvars, fixed=()):
@@ -118,7 +117,8 @@ def test_determinism_same_seed_same_models():
             if not r.is_sat:
                 break
             models.append(tuple(r.model[1:]))
-            s.add_clause([-v if r.model[v] else v for v in f.input_vars])
+            s.add_clause([-v if r.model[v] else v
+                          for v in map(f.node_var, range(f.input_count))])
         return models
 
     first = model_sequence(42)
@@ -205,7 +205,7 @@ def test_c17_output_assumption_model_simulates():
     netlist = scan_convert(load_circuit("c17"))
     graph = build_graph(netlist)
     f = encode(graph)
-    out_var = f.node_to_var[graph.node_id("n22")]
+    out_var = f.node_var(graph.node_id("n22"))
     r = SolverSession(f).solve(assumptions=[out_var])
     assert r.is_sat
     pattern = project_model(r.model, f)

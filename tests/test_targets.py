@@ -10,8 +10,8 @@ from gatefuzz.netlist import scan_convert
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate, project_model
 from gatefuzz.simulate import compile_ops, run_pass, simulate
-from gatefuzz.targets import (TargetError, build_target_formula, parse_targets,
-                              targets_from_diff)
+from gatefuzz.targets import (TargetError, TargetSpec, build_target_formula,
+                              parse_targets, targets_from_diff)
 
 from conftest import all_patterns, random_netlist
 
@@ -48,7 +48,6 @@ def test_parse_two_entries_on_c17():
     spec = parse_targets("n22=1\nn23=0", g)
     assert len(spec) == 2
     assert spec.entries == [(g.node_id("n22"), 1), (g.node_id("n23"), 0)]
-    assert spec.source == "manual"
 
 
 def test_parse_unknown_node():
@@ -90,7 +89,6 @@ def test_targets_from_diff_single_polarity():
     specs = targets_from_diff(diff_graphs(a, b), "1")
     assert len(specs) == 1
     assert specs[0].entries == [(b.node_id("y"), 1)]
-    assert specs[0].source == "graph-diff"
 
 
 def test_targets_from_diff_both_polarities():
@@ -108,9 +106,8 @@ def test_build_target_formula_polarity():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nt1 = AND(a, b)\nt2 = OR(a, b)\nz = XOR(t1, t2)")
     spec = parse_targets("t1=1\nt2=0\nz=1", g)
     lits = build_target_formula(spec, f)
-    assert lits == [f.node_to_var[g.node_id("t1")],
-                    -f.node_to_var[g.node_id("t2")],
-                    f.node_to_var[g.node_id("z")]]
+    # node n is variable n + 1
+    assert lits == [g.node_id("t1") + 1, -(g.node_id("t2") + 1), g.node_id("z") + 1]
 
 
 def test_build_target_formula_empty():
@@ -121,7 +118,17 @@ def test_build_target_formula_empty():
 def test_single_zero_target():
     g, f = _pipeline("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     spec = parse_targets("y=0", g)
-    assert build_target_formula(spec, f) == [-f.node_to_var[g.node_id("y")]]
+    assert build_target_formula(spec, f) == [-f.node_var(g.node_id("y"))]
+
+
+def test_build_target_formula_rejects_a_node_outside_the_graph():
+    # nodes 0..2 are variables 1..3 and the XOR chain's helper is 4: node -1
+    # would be variable 0, and node 3 would silently pick the helper
+    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b, a)")
+    assert g.node_count == 3 and f.var_count == 4
+    for node in (-1, 3, 4, 99):
+        with pytest.raises(TargetError, match=f"target node {node} has no variable"):
+            build_target_formula(TargetSpec(entries=[(0, 1), (node, 1)]), f)
 
 
 def test_validity_and_gate():
