@@ -21,7 +21,7 @@ print(f"after full-scan conversion: {len(scan.primary_inputs)} inputs "
       f"{len(scan.primary_outputs)} outputs, {len(scan.gates)} combinational gates")
 
 graph = build_graph(scan)
-print(f"graph: {graph.node_count} nodes, depth {graph.max_level()}")
+print(f"graph: {graph.node_count} nodes, depth {max(graph.levels)}")
 print("level of each node, in id order:", dict(zip(graph.names, graph.levels)))
 
 with open("s27_graph.dot", "w") as fh:

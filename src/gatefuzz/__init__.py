@@ -11,7 +11,7 @@ is the witness pattern, or is absent when the targeted state is unreachable.
 
 __version__ = "0.1.0"
 
-from .bench import parse_bench, parse_bench_file, write_bench
+from .bench import parse_bench, write_bench
 from .blif import parse_blif
 from .cgf import run_cgf
 from .cnf import CnfFormula, encode, write_dimacs
@@ -25,7 +25,7 @@ from .seedgen import GenConfig, GenReport, generate, write_patterns
 from .targets import TargetSpec, build_target_formula, parse_targets, targets_from_diff
 
 __all__ = [
-    "parse_bench", "parse_bench_file", "write_bench", "parse_blif",
+    "parse_bench", "write_bench", "parse_blif",
     "run_cgf", "CnfFormula", "encode", "write_dimacs",
     "CoverageReport", "measure", "measure_with_curve", "load_circuit",
     "CircuitGraph", "GraphDiff", "build_graph", "diff_graphs", "to_dot",

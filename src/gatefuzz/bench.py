@@ -70,14 +70,6 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     return netlist
 
 
-def parse_bench_file(path, name=None) -> Netlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if name is None:
-        name = re.sub(r"\.bench$", "", str(path).rsplit("/", 1)[-1])
-    return parse_bench(text, name=name)
-
-
 def write_bench(netlist: Netlist) -> str:
     """Emit ``.bench`` text; inverse of :func:`parse_bench`.
 

@@ -6,7 +6,9 @@ the gate outputs in declaration order.  These ids are the only numbering the
 pipeline uses (the CNF variable of node ``n`` is ``n + 1``).  The graph is
 immutable after construction and carries per-node levels; a gate's level is
 one more than its deepest fanin's, so sorting by level gives a topological
-order.  Structural diffs between two graphs drive automatic target selection.
+order.  Netlists may declare their gates in any order: one depth-first search
+over fanins gives the levels, or names a cycle.  Structural diffs between two
+graphs drive automatic target selection.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class CircuitGraph:
     kinds: list[str]
     fanins: list[tuple[int, ...]]
     input_count: int  # the primary inputs are nodes 0..input_count-1
-    primary_outputs: list[int]
     name_to_id: dict[str, int]  # inverse of ``names``
     levels: list[int]
 
@@ -52,18 +53,18 @@ class CircuitGraph:
         except KeyError:
             raise KeyError(f"no node named {name!r} in {self.name!r}") from None
 
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else 0
-
 
 def build_graph(netlist: Netlist) -> CircuitGraph:
     """Construct the levelized DAG for a combinational netlist.
 
     Node ids are assigned primary inputs first (declaration order), then gate
     outputs in declaration order: the map :meth:`Netlist.validate` returns.
-    Raises :class:`~gatefuzz.netlist.NetlistError` if the netlist holds a DFF
-    (pass it through :func:`~gatefuzz.netlist.scan_convert` first) or is
-    invalid, and :class:`CycleError` if the combinational logic is cyclic.
+    The gates may be declared in any order; one depth-first search over
+    fanins levels them.  Raises :class:`~gatefuzz.netlist.NetlistError` if
+    the netlist holds a DFF (pass it through
+    :func:`~gatefuzz.netlist.scan_convert` first) or is invalid, and
+    :class:`CycleError`, naming the cycle the search closed, if the
+    combinational logic is cyclic.
     """
     if netlist.has_dff:
         raise NetlistError(f"netlist {netlist.name!r} holds a DFF and must be "
@@ -82,75 +83,52 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
         kinds=kinds,
         fanins=fanins,
         input_count=n_inputs,
-        primary_outputs=[ids[po] for po in netlist.primary_outputs],
         name_to_id=ids,
         levels=_levelize(names, fanins),
     )
 
 
 def _levelize(names, fanins):
-    """Per-node levels.
+    """Per-node levels by one iterative depth-first search over fanins.
 
-    When every node reads only lower ids, as in netlists declared in
-    topological order, one pass in id order computes them.  At the first
-    forward reference (a gate reading itself or a later gate) it falls back
-    to Kahn's algorithm.
+    Roots are visited in id order and a node's fanins in gate-input order.
+    ``levels`` holds -1 for a node not yet reached, -2 for a node on the
+    search path, and then its level, given once every fanin has one; a
+    netlist declared in topological order finds every fanin levelled, so the
+    search never descends.  Reaching a fanin on the search path raises
+    :class:`CycleError` with the path from that fanin on: the search starts
+    at the smallest id that cannot be levelled and, at each node, follows
+    the first fanin that cannot.
     """
-    levels = [0] * len(names)
-    for node, srcs in enumerate(fanins):
-        level = 0
-        for src in srcs:
-            if src >= node:
-                return _levelize_kahn(names, fanins)
-            if levels[src] >= level:
-                level = levels[src] + 1
-        levels[node] = level
+    levels = [-1] * len(fanins)
+    path = []  # (node, its fanins still to read, its level so far) above ``node``
+    for root, srcs in enumerate(fanins):
+        if levels[root] >= 0:
+            continue
+        levels[root] = -2
+        node, todo, level = root, iter(srcs), 0
+        while True:
+            for src in todo:
+                src_level = levels[src]
+                if src_level < 0:
+                    break
+                if src_level >= level:
+                    level = src_level + 1
+            else:
+                levels[node] = level
+                if not path:
+                    break
+                node, todo, parent_level = path.pop()
+                level = max(parent_level, level + 1)
+                continue
+            if src_level == -2:
+                on_path = [entry[0] for entry in path] + [node]
+                cycle = on_path[on_path.index(src):] + [src]
+                raise CycleError([names[i] for i in cycle])
+            path.append((node, todo, level))
+            levels[src] = -2
+            node, todo, level = src, iter(fanins[src]), 0
     return levels
-
-
-def _levelize_kahn(names, fanins):
-    """Levels by Kahn's algorithm; raises :class:`CycleError` on a cycle.
-
-    A node is levelled once all its fanins are, so neither the levels nor
-    the nodes left unlevelled by a cycle depend on the order the worklist
-    is drained in.
-    """
-    n = len(names)
-    remaining = [len(f) for f in fanins]
-    consumers: list[list[int]] = [[] for _ in range(n)]
-    for node, srcs in enumerate(fanins):
-        for src in srcs:
-            consumers[src].append(node)
-    ready = [i for i in range(n) if remaining[i] == 0]
-    levelled = 0
-    levels = [0] * n
-    while ready:
-        node = ready.pop()
-        levelled += 1
-        if fanins[node]:
-            levels[node] = 1 + max(levels[s] for s in fanins[node])
-        for consumer in consumers[node]:
-            remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                ready.append(consumer)
-    if levelled != n:
-        stuck = next(i for i in range(n) if remaining[i] > 0)
-        raise CycleError(_trace_cycle(stuck, fanins, remaining, names))
-    return levels
-
-
-def _trace_cycle(start, fanins, remaining, names):
-    """Walk unresolved fanins from a stuck node until a node repeats."""
-    path = [start]
-    seen = {start: 0}
-    node = start
-    while True:
-        node = next(s for s in fanins[node] if remaining[s] > 0)
-        if node in seen:
-            cycle = path[seen[node]:] + [node]
-            return [names[i] for i in cycle]
-        seen[node] = len(path)
-        path.append(node)
 
 
 @dataclass

@@ -6,8 +6,9 @@ memoized recursion over signal names, with gate semantics written as plain
 truth functions.
 
 :func:`heap_levelize` is the levelization oracle: smallest-id-first Kahn over
-a heap for every graph, whose levels ``build_graph`` must produce whatever
-path it takes.
+a heap, whose levels ``build_graph`` must produce.  :func:`trace_cycle` names
+the cycle ``build_graph`` must report on a cyclic graph, by a walk over the
+nodes that Kahn leaves unordered.
 """
 
 import heapq
@@ -69,3 +70,19 @@ def heap_levelize(fanins):
             if remaining[consumer] == 0:
                 heapq.heappush(ready, consumer)
     return topo, levels
+
+
+def trace_cycle(fanins):
+    """The node ids of the cycle a cyclic graph is reported by.
+
+    The nodes :func:`heap_levelize` leaves unordered are those that cannot be
+    levelled.  The walk starts at the smallest of them and follows, at each
+    node, the first fanin among them until a node repeats.
+    """
+    ordered = set(heap_levelize(fanins)[0])
+    node = min(i for i in range(len(fanins)) if i not in ordered)
+    path = []
+    while node not in path:
+        path.append(node)
+        node = next(s for s in fanins[node] if s not in ordered)
+    return path[path.index(node):] + [node]

@@ -120,38 +120,58 @@ def test_criterion_2_validity_oracle():
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
+def _assert_models_equal_valuations(graph, case):
+    """The SAT models projected onto the nodes are the simulator's valuations."""
+    formula = encode(graph)
+    # node n is variable n + 1; helper variables come after the nodes
+    node_vars = range(1, graph.node_count + 1)
+
+    sim_valuations = set()
+    patterns = all_patterns(graph.input_count)
+    words = run_pass(graph, compile_ops(graph), patterns)
+    for lane in range(len(patterns)):
+        sim_valuations.add(tuple((word >> lane) & 1 for word in words))
+
+    session = SolverSession(formula)
+    sat_valuations = set()
+    while True:
+        result = session.solve()
+        if not result.is_sat:
+            break
+        projected = tuple(int(result.model[v]) for v in node_vars)
+        assert projected not in sat_valuations
+        sat_valuations.add(projected)
+        session.add_clause([-v if result.model[v] else v for v in node_vars])
+        assert len(sat_valuations) <= len(sim_valuations), \
+            f"case {case}: more models than valuations"
+    assert sat_valuations == sim_valuations, f"case {case}"
+
+
 def test_criterion_3_encoding_soundness():
     with criterion(3, "SAT models == simulator valuations (100 circuits)"):
         started = time.perf_counter()
         rng = random.Random(31415)
         for case in range(100):
             n = random_netlist(rng, rng.randint(2, 10), rng.randint(1, 18))
-            graph = build_graph(scan_convert(n))
-            formula = encode(graph)
-            # node n is variable n + 1; helper variables come after the nodes
-            node_vars = range(1, graph.node_count + 1)
-
-            sim_valuations = set()
-            patterns = all_patterns(graph.input_count)
-            words = run_pass(graph, compile_ops(graph), patterns)
-            for lane in range(len(patterns)):
-                sim_valuations.add(tuple((word >> lane) & 1 for word in words))
-
-            session = SolverSession(formula)
-            sat_valuations = set()
-            while True:
-                result = session.solve()
-                if not result.is_sat:
-                    break
-                projected = tuple(int(result.model[v]) for v in node_vars)
-                assert projected not in sat_valuations
-                sat_valuations.add(projected)
-                session.add_clause([-v if result.model[v] else v for v in node_vars])
-                assert len(sat_valuations) <= len(sim_valuations), \
-                    f"case {case}: more models than valuations"
-            assert sat_valuations == sim_valuations, f"case {case}"
+            _assert_models_equal_valuations(build_graph(scan_convert(n)), case)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+def test_encoding_soundness_on_shuffled_netlists():
+    # criterion 3's circuits are declared in topological order; here gates
+    # come in any order, so a node's id need not follow its fanins'
+    rng = random.Random(27182)
+    out_of_order = 0
+    for case in range(40):
+        graph = None
+        while graph is None or graph.input_count > 8:
+            n = random_netlist(rng, rng.randint(1, 5), rng.randint(2, 18), with_dffs=case % 2 == 1)
+            rng.shuffle(n.gates)
+            graph = build_graph(scan_convert(n))
+        out_of_order += any(src > node for node, srcs in enumerate(graph.fanins) for src in srcs)
+        _assert_models_equal_valuations(graph, case)
+    assert out_of_order >= 20
 
 
 def test_criterion_4_diversity():

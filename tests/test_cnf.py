@@ -110,7 +110,7 @@ def test_encode_deterministic():
 @pytest.mark.parametrize("name,digest", [
     ("c432", "8fa1c5c1ab6ac38acaff265e30f6ca67062dd6e15fae90b2d29c0aeb22f82452"),
     # s27 after scan conversion is not declared in topological order (a gate
-    # reads a later one), so it takes the Kahn levelization
+    # reads a later one)
     ("s27", "2437f798227ddbfb83448c891f9534c0ad4a0d6dcfd430773d60822c066538ec"),
     ("xor_ladder8", "e6ebb8774dac6038ac6ede4ba81255f819e62d7cf127f366e119ef36d047b549"),
 ])
@@ -120,8 +120,8 @@ def test_dimacs_pinned(name, digest):
 
 
 def test_wide_gates_pinned_clause_order():
-    # declared out of order (w reads the later u and v, so Kahn levelization),
-    # yet node n is variable n + 1 and the gates' clauses come in id order:
+    # declared out of order (w reads the later u and v), yet node n is
+    # variable n + 1 and the gates' clauses come in id order:
     # w = 4, u = 5, v = 6, z = 7; the wide XOR/XNOR chains go through helpers
     # 8..10, and the NAND and the NOR write their wide clause last
     graph, f = _encode("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"

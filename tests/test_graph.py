@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from gatefuzz import graph as graph_module
 from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import CycleError, build_graph, diff_graphs, to_dot
 from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
 
 from conftest import random_netlist
-from oracle import heap_levelize
+from oracle import heap_levelize, trace_cycle
 
 
 def _graph(text):
@@ -19,7 +18,7 @@ def _graph(text):
 def test_c17_shape():
     g = build_graph(scan_convert(load_circuit("c17")))
     assert g.node_count == 11  # 5 inputs + 6 gates
-    assert g.max_level() == 3
+    assert max(g.levels) == 3
     assert g.input_count == 5
     assert g.kinds[:5] == ["INPUT"] * 5 and "INPUT" not in g.kinds[5:]
 
@@ -56,57 +55,89 @@ def test_topo_order_inputs_first_and_valid():
                 assert g.levels[s] < g.levels[node]
 
 
-@pytest.fixture
-def heap_calls(monkeypatch):
-    """Count the calls that fall back to the heap Kahn sort."""
-    calls = []
-    kahn = graph_module._levelize_kahn
-
-    def counted(names, fanins):
-        calls.append(len(names))
-        return kahn(names, fanins)
-
-    monkeypatch.setattr(graph_module, "_levelize_kahn", counted)
-    return calls
-
-
-def test_levelize_matches_heap_kahn(heap_calls):
+def test_levelize_matches_heap_kahn():
     rng = random.Random(17)
-    paths = {True: 0, False: 0}
+    orders = {True: 0, False: 0}
     for trial in range(240):
         n = random_netlist(rng, rng.randint(1, 5), rng.randint(1, 40), with_dffs=trial % 2 == 1)
         if trial % 4 >= 2:
             rng.shuffle(n.gates)
-        del heap_calls[:]
         g = build_graph(scan_convert(n))
         in_order = all(src < node for node, srcs in enumerate(g.fanins) for src in srcs)
-        paths[in_order] += 1
-        assert heap_calls == ([] if in_order else [g.node_count])
+        orders[in_order] += 1
         assert g.levels == heap_levelize(g.fanins)[1]
-    assert paths[True] >= 120 and paths[False] >= 60
+    assert orders[True] >= 120 and orders[False] >= 60
 
 
-def test_declaration_order_is_topological_for_bundled_circuits(heap_calls):
+def test_declaration_order_is_topological_for_bundled_circuits():
     for name in ("c17", "c432"):
         g = build_graph(scan_convert(load_circuit(name)))
         assert all(src < node for node, srcs in enumerate(g.fanins) for src in srcs)
         assert g.levels == heap_levelize(g.fanins)[1]
-    assert heap_calls == []
     g = build_graph(scan_convert(load_circuit("s27")))
-    assert heap_calls == [g.node_count]
     assert g.levels == heap_levelize(g.fanins)[1]
 
 
-def test_forward_reference_to_the_last_gate(heap_calls):
+def test_forward_reference_to_the_last_gate():
     # every gate reads only earlier ones, except that the next-to-last gate
     # reads the last: the latest place a forward reference can sit in an
-    # acyclic netlist, after the one-pass levels are nearly complete
+    # acyclic netlist, after every earlier node is levelled
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n"
                "u = AND(a, b)\nv = NOT(u)\nw = OR(v, a)\ny = XOR(w, z)\nz = NOT(b)")
-    assert heap_calls == [g.node_count]
     assert g.levels == heap_levelize(g.fanins)[1]
     assert dict(zip(g.names, g.levels)) == {"a": 0, "b": 0, "u": 1, "v": 2, "w": 3,
                                             "y": 4, "z": 1}
+
+
+def test_chain_declared_last_gate_first_levels_without_recursion():
+    # the search descends the whole chain from the first declared gate
+    length = 50_000
+    gates = [(f"g{i}", "NOT", [f"g{i - 1}" if i else "a"]) for i in range(length)]
+    g = build_graph(_hand_built(["a"], gates[::-1], [f"g{length - 1}"]))
+    assert g.levels[1:] == list(range(length, 0, -1))
+
+
+def _random_cyclic_netlist(rng):
+    """A combinational netlist whose gates may read any signal, themselves too."""
+    inputs = [f"x{i}" for i in range(rng.randint(1, 4))]
+    outputs = [f"g{i}" for i in range(rng.randint(1, 12))]
+    gates = []
+    for i, out in enumerate(outputs):
+        readable = inputs + outputs[:i]
+        if rng.random() >= 0.3:
+            readable += outputs[i + 1:]
+        if rng.random() < 0.1:
+            readable.append(out)
+        if rng.random() < 0.2:
+            gates.append((out, rng.choice(("NOT", "BUF")), [rng.choice(readable)]))
+        else:
+            arity = rng.choice((2, 2, 3))
+            gates.append((out, rng.choice(("AND", "NAND", "OR", "NOR", "XOR", "XNOR")),
+                          [rng.choice(readable) for _ in range(arity)]))
+    if rng.random() < 0.5:
+        rng.shuffle(gates)
+    return _hand_built(inputs, gates, outputs[-1:])
+
+
+def test_cycle_reported_matches_oracle_walk():
+    rng = random.Random(23)
+    cyclic = self_loops = 0
+    for _ in range(900):
+        n = _random_cyclic_netlist(rng)
+        ids = n.validate()
+        names = list(ids)
+        fanins = [()] * len(n.primary_inputs) + [tuple(ids[s] for s in g.inputs) for g in n.gates]
+        if len(heap_levelize(fanins)[0]) == len(fanins):
+            assert build_graph(n).levels == heap_levelize(fanins)[1]
+            continue
+        expected = [names[i] for i in trace_cycle(fanins)]
+        with pytest.raises(CycleError) as exc:
+            build_graph(n)
+        assert exc.value.cycle == expected
+        assert str(exc.value) == "combinational cycle: " + " -> ".join(expected)
+        cyclic += 1
+        self_loops += len(expected) == 2
+    assert cyclic >= 500 and self_loops >= 40 and cyclic - self_loops >= 300
 
 
 @pytest.mark.parametrize("text,name", [

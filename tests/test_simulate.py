@@ -116,8 +116,8 @@ def test_cone_pass_matches_full_pass_inside_the_cone():
 
 def test_valuation_satisfies_every_cnf_clause():
     # node n is variable n + 1, also when gates read later ones (s27 after
-    # scan conversion, shuffled netlists), where levels come from Kahn's
-    # algorithm and the id order is not a topological order
+    # scan conversion, shuffled netlists), where the id order is not a
+    # topological order
     rng = random.Random(22)
     circuits = [scan_convert(load_circuit("c17"))]
     for _ in range(10):
@@ -207,7 +207,7 @@ def test_kernel_matches_oracle_at_every_arity():
         g = _assert_kernel_matches_oracle(_every_arity_netlist(rng), seed=trial)
         arities = {len(g.fanins[n]) for n in range(g.node_count) if g.kinds[n] != "INPUT"}
         assert arities == set(range(10))
-        # a gate reads a later one, so the graph is levelized by Kahn's algorithm
+        # a gate reads a later one, so the id order is not a topological order
         assert any(src > node for node, srcs in enumerate(g.fanins) for src in srcs)
         assert g.kinds[g.node_id("q")] == "INPUT"  # the DFF's output, scan-converted
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gatefuzz.bench import parse_bench_file, write_bench
+from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
@@ -192,13 +192,15 @@ def main():
         "xor_ladder8": {"parity": "p7=1\np4=0\n"},
     }
     for circuit, specs in targets.items():
-        netlist = parse_bench_file(CIRCUITS / f"{circuit}.bench", name=circuit)
+        netlist = parse_bench((CIRCUITS / f"{circuit}.bench").read_text(encoding="utf-8"),
+                              name=circuit)
         for label, text in specs.items():
             verify_reachable(netlist, text)
             (CIRCUITS / f"{circuit}.{label}.targets").write_text(text)
             print(f"{circuit}.{label}.targets verified reachable")
 
-    c432_netlist = parse_bench_file(CIRCUITS / "c432.bench", name="c432")
+    c432_netlist = parse_bench((CIRCUITS / "c432.bench").read_text(encoding="utf-8"),
+                               name="c432")
     text = observed_targets(c432_netlist, ["pa", "r4", "hi2", "ch1"], seed=7)
     (CIRCUITS / "c432.mixed.targets").write_text(text)
     print(f"c432.mixed.targets (from observed valuation):\n{text}", end="")
