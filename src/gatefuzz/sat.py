@@ -1,55 +1,54 @@
-"""Incremental CDCL SAT solver over CNF formulas and at-least-k constraints.
+"""Incremental CDCL SAT solver over CNF formulas and one distance floor.
 
 A :class:`SolverSession` decides one :class:`~gatefuzz.cnf.CnfFormula` (the
 formula object itself is never mutated), and its variables are the
 formula's: every array is sized once from ``var_count``, and a literal or
 assumption outside them is a ``ValueError``.  It decides satisfiability
 under assumptions, returns total models (unconstrained variables default to
-false), and accepts permanently added clauses and at-least-k cardinality
-constraints.  That is what solution enumeration needs: a blocking clause
-excludes one model, and an at-least-k constraint over the literals that
-differ from a model keeps every later model at least k away from it (for
-k >= 1 it implies that model's blocking clause).
+false), and accepts permanently added clauses and kept models.  That is what
+solution enumeration needs: a blocking clause excludes one model, and a kept
+model keeps every later model at least ``d`` primary inputs away from it.
 
 The engine is a deliberately compact MiniSat-style CDCL: two-watched-literal
 propagation, first-UIP conflict learning, activity-driven decisions with
 phase-false polarity, and Luby restarts.  Everything is deterministic for a
 fixed ``decision_seed``.
 
-A clause is the at-least-1 case, and both kinds of constraint go through one
-level-0 add path: literals fixed at level 0 are permanent, so false ones
-drop out and each true one lowers k; too few left makes the session UNSAT,
-exactly k left are propagated as units, and otherwise the constraint is
-watched, by two literals when k is 1.
+Clauses are added at level 0, where assignments are permanent: a true
+literal satisfies the clause and false ones drop out; none left makes the
+session UNSAT, one left is propagated as a unit, and otherwise the clause is
+watched by two literals.
 
-At-least-k constraints with k > 1 are native, after MiniCard (Liffiton &
-Maglalang, SAT 2012), and add no helper variables, so the solver decides
-only the formula's own variables.  Such a constraint watches k+1 literals
-that are not false.  When a watched literal becomes false the watch moves to
-an unwatched literal that is not false; when none is left, the other watched
-literals must all be true and are propagated.  A propagated literal's reason
-is the clause of that literal and the constraint's false literals, and a
-conflict is the clause of its false literals, so conflict analysis only ever
-sees clauses.  A literal listed twice counts twice.
+The distance floor (diverse solutions, after Hebrard, Hnich, O'Sullivan &
+Walsh, AAAI 2005) ranges over the primary inputs, variables
+``1..input_count``, so a kept model is one int, its input word, with bit
+``v - 1`` for input ``v``.  ``_enqueue`` and ``_cancel_until`` keep two more
+such masks, the assigned inputs and the true ones.  A floor ``d`` on a word
+``w`` can imply or fail only once at most ``d`` inputs are unassigned, so it
+is checked only then, whenever an input literal is dequeued.  With ``a`` the
+assigned inputs that differ from ``w`` and ``u`` the unassigned ones,
+``a + u < d`` is a conflict, whose clause is the "differs from ``w``"
+literals of the assigned inputs that agree with it, all false; ``a + u ==
+d`` with ``u > 0`` implies that every unassigned input differs, each with
+the reason clause of its literal and those false ones.  Conflict analysis
+thus only ever sees clauses.
 
 Values live in one array indexed by literal, as in MiniSat (Eén & Sörensson,
 SAT 2003): ``_lit_val[lit]`` is the literal's own value, so the hot loops read
 it with one index and no sign flip; assigning or unassigning a variable writes
 both of its literals.
 
-Every model is checked against every clause and at-least-k constraint ever
-added while asserts are on.  The check is bitmask arithmetic over literals,
-indexed like ``_lit_val``.  The model's true literals are packed into one int
-and cut into blocks of ``_CHECK_BLOCK_BITS`` literals.  A constraint is kept
-as ``(block, mask)`` segments, one per block that holds its literals, and a
-literal listed twice goes into two segments, so it still counts twice; a
-complementary pair sets two bits of which exactly one is true, so it counts
-once.  With ``w`` the block of true literals, a clause holds when ``w & mask``
-is nonzero for one of its segments, and an at-least-k constraint when the
-popcounts of ``w & mask`` over its segments sum to at least k.  A mask is
-never wider than a block, so the check's store grows with the number of
-literals and not with the distance between their variables; it is recorded
-only while asserts are on.
+Every model is checked against every clause ever added and every kept word
+while asserts are on.  A kept word holds when one popcount of its XOR with
+the model's input word reaches ``d``.  The clause check is bitmask
+arithmetic over literals, indexed like ``_lit_val``.  The model's true
+literals are packed into one int and cut into blocks of
+``_CHECK_BLOCK_BITS`` literals.  A clause is kept as ``(block, mask)``
+segments, one per block that holds its literals, and holds when ``w & mask``
+is nonzero for one of its segments, with ``w`` the block of true literals.
+A mask is never wider than a block, so the check's store grows with the
+number of literals and not with the distance between their variables; it is
+recorded only while asserts are on.
 """
 
 from __future__ import annotations
@@ -84,17 +83,6 @@ class SatResult:
         return self.status == "SAT"
 
 
-class _AtLeast:
-    """At least ``k`` of ``lits`` (internal literals) true; positions
-    0..k of ``lits`` are the watched ones."""
-
-    __slots__ = ("lits", "k")
-
-    def __init__(self, lits, k):
-        self.lits = lits
-        self.k = k
-
-
 def _luby(x):
     """Luby restart sequence 1,1,2,1,1,2,4,... (0-indexed)."""
     size, seq = 1, 0
@@ -111,8 +99,8 @@ def _luby(x):
 class SolverSession:
     """Exclusive-use incremental solver over one formula's variables.
 
-    Clauses and constraints only accumulate, and every literal they or an
-    assumption name must be one of the formula's variables.  The model
+    Clauses and kept models only accumulate, and every literal a clause or
+    an assumption names must be one of the formula's variables.  The model
     sequence for a fixed ``decision_seed`` and clause/solve sequence is
     reproducible.
     """
@@ -132,17 +120,21 @@ class SolverSession:
         self._reason: list = [None] * (n + 1)
         self._activity: list[float] = [0.0] + [rng.random() * 1e-9 for _ in range(n)]
         self._watches: list[list] = [[] for _ in range(2 * n + 2)]
-        self._card_watches: list[list[_AtLeast]] = [[] for _ in range(2 * n + 2)]
+        self._input_count = formula.input_count
+        self._all_inputs = (1 << formula.input_count) - 1
+        self._assigned_inputs = 0  # input masks: bit v - 1 is input v
+        self._true_inputs = 0
+        self._kept: list[int] = []  # input words of the kept models
+        self._floor = 0  # their distance floor d; 0 until a model is kept
         self._rebuild_order()
         self._var_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._unsat_forever = False
-        # every constraint ever added, for the model check: a clause is kept
-        # under the block of its first segment as (mask, other segments)
+        # every clause ever added, for the model check, kept under the block
+        # of its first segment as (mask, other segments)
         self._check_clauses: dict[int, list[tuple[int, tuple]]] = {}
-        self._check_cards: list[tuple[tuple[tuple[int, int], ...], int]] = []
 
         for clause in formula.clauses:
             self.add_clause(clause)
@@ -174,63 +166,50 @@ class SolverSession:
         lits = dict.fromkeys(self._internal_lits(clause))  # repeats dropped, in order
         if any(lit ^ 1 in lits for lit in lits):
             return  # tautology, always satisfied
-        self._add(list(lits), 1)
-
-    def encode_at_least_k(self, literals, k: int) -> None:
-        """Require at least ``k`` of the signed literals to be true.
-
-        Positions are counted, so a literal listed twice counts twice.  The
-        constraint is native and adds no variables.  Raises ValueError unless
-        ``1 <= k <= len(literals)``.
-        """
-        literals = list(literals)
-        if k > len(literals) or k < 1:
-            raise ValueError(f"at-least-{k} over {len(literals)} literals is not satisfiable")
-        self._add(self._internal_lits(literals), k)
-
-    def _add(self, lits, k):
-        """Add at-least-``k`` over internal literals at decision level 0,
-        where assignments are permanent: false literals drop out and each
-        true one lowers ``k``.  A clause is the case ``k == 1``."""
         if __debug__:
-            if k == 1:
-                (block, mask), *rest = _segments(lits)
-                self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
-            else:
-                self._check_cards.append((_segments(lits), k))
+            (block, mask), *rest = _segments(lits)
+            self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
         if self._unsat_forever:
             return
-        assert not self._trail_lim, "constraints are added at decision level 0"
+        assert not self._trail_lim, "clauses are added at decision level 0"
         val = self._lit_val
         free = []
         for lit in lits:
             value = val[lit]
             if value == _TRUE:
-                k -= 1
-            elif value == _UNDEF:
+                return
+            if value == _UNDEF:
                 free.append(lit)
-        if k <= 0:
-            return
-        if len(free) < k:
+        if not free:
             self._unsat_forever = True
-            return
-        if len(free) == k:
-            for lit in free:
-                value = val[lit]
-                if value == _FALSE:  # its complement was just enqueued
-                    self._unsat_forever = True
-                    return
-                if value == _UNDEF:
-                    self._enqueue(lit, None)
+        elif len(free) == 1:
+            self._enqueue(free[0], None)
             if self._propagate() is not None:
                 self._unsat_forever = True
-            return
-        if k == 1:
+        else:
             self._attach(free)
+
+    def keep_distance(self, model, d: int) -> None:
+        """Keep every later model at least ``d`` primary inputs away from
+        ``model``, a total model as :meth:`solve` returns it.
+
+        Only the inputs, variables ``1..input_count``, are read.  A session
+        has one floor: a ``d`` outside ``1..input_count``, or other than an
+        earlier call's, raises ValueError.
+        """
+        if not 1 <= d <= self._input_count:
+            raise ValueError(f"distance {d} is not in 1..{self._input_count}, "
+                             f"the primary inputs")
+        if self._floor not in (0, d):
+            raise ValueError(f"distance {d} differs from the session's floor {self._floor}")
+        self._floor = d
+        word = _input_word(model, self._input_count)
+        self._kept.append(word)
+        if self._unsat_forever:
             return
-        card = _AtLeast(free, k)
-        for lit in free[:k + 1]:
-            self._card_watches[lit].append(card)
+        assert not self._trail_lim, "models are kept at decision level 0"
+        if self._check_distance([word]) is not None or self._propagate() is not None:
+            self._unsat_forever = True
 
     def _attach(self, clause):
         self._watches[clause[0]].append(clause)
@@ -246,14 +225,20 @@ class SolverSession:
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
+        if var <= self._input_count:
+            bit = 1 << var - 1
+            self._assigned_inputs |= bit
+            if not lit & 1:
+                self._true_inputs |= bit
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause or None."""
         val = self._lit_val
         trail = self._trail
         watches = self._watches
-        card_watches = self._card_watches
         enqueue = self._enqueue
+        input_count = self._input_count
+        words = self._kept
         qhead = start = self._qhead
         conflict = None
         while qhead < len(trail):
@@ -281,55 +266,38 @@ class SolverSession:
                         break
                     enqueue(first, clause)
             watches[false_lit] = kept
-            if conflict is None and card_watches[false_lit]:
-                conflict = self._propagate_cards(false_lit)
+            if conflict is None and false_lit >> 1 <= input_count and words:
+                conflict = self._check_distance(words)
             if conflict is not None:
                 break
         self.propagations += qhead - start
         self._qhead = len(trail)
         return conflict
 
-    def _propagate_cards(self, false_lit):
-        """Visit the at-least-k constraints watching ``false_lit``; returns a
-        conflicting clause or None."""
+    def _check_distance(self, words):
+        """Hold the kept ``words`` to the distance floor under the current
+        input masks; returns a conflicting clause or None."""
+        assigned = self._assigned_inputs
+        free = self._input_count - assigned.bit_count()
+        room = self._floor - free  # the fewest assigned inputs that must differ
+        if room < 0:
+            return None  # every word can still reach the floor
+        ones = self._true_inputs
         val = self._lit_val
-        card_watches = self._card_watches
-        enqueue = self._enqueue
-        watchers = card_watches[false_lit]
-        kept = []
-        conflict = None
-        for idx, card in enumerate(watchers):
-            lits = card.lits
-            k = card.k
-            # this entry watches false_lit, so its lowest position is watched
-            i = lits.index(false_lit)
-            for j in range(k + 1, len(lits)):
-                if val[lits[j]] != _FALSE:
-                    lits[i], lits[j] = lits[j], lits[i]
-                    card_watches[lits[i]].append(card)
-                    break
-            else:
-                # Every unwatched literal is false, so only the watched ones
-                # that are not false are left to make up k.
-                kept.append(card)
-                free = [l for l in lits[:k + 1] if val[l] != _FALSE]
-                if len(free) < k:
-                    conflict = [l for l in lits if val[l] == _FALSE]
-                    kept.extend(watchers[idx + 1:])
-                    break
-                # most visits find the free watched literals already true;
-                # the false ones are listed only for a reason, and before
-                # the first enqueue, which may falsify a complement
-                false_lits = None
-                for lit in free:
-                    # a complement among them turns false here; its own
-                    # watch reports the conflict
-                    if val[lit] == _UNDEF:
-                        if false_lits is None:
-                            false_lits = [l for l in lits if val[l] == _FALSE]
-                        enqueue(lit, [lit] + false_lits)
-        card_watches[false_lit] = kept
-        return conflict
+        for w in [w for w in words if ((w ^ ones) & assigned).bit_count() <= room]:
+            differ = (w ^ ones) & assigned
+            short = differ.bit_count() < room
+            if not (short or free):
+                continue  # met exactly, and nothing is left to imply
+            reason = _differs(assigned ^ differ, w)  # all false
+            if short:
+                return reason
+            for lit in _differs(self._all_inputs ^ assigned, w):
+                # an earlier word may have set this input the other way; the
+                # check at its dequeue reports the conflict
+                if val[lit] == _UNDEF:
+                    self._enqueue(lit, [lit] + reason)
+        return None
 
     def _decision_level(self):
         return len(self._trail_lim)
@@ -345,11 +313,17 @@ class SolverSession:
         reason = self._reason
         order = self._order
         activity = self._activity
+        input_count = self._input_count
+        inputs = 0
         for lit in reversed(self._trail[floor:]):
             val[lit] = val[lit ^ 1] = _UNDEF
             var = lit >> 1
             reason[var] = None
             heappush(order, (-activity[var], var))
+            if var <= input_count:
+                inputs |= 1 << var - 1
+        self._assigned_inputs &= ~inputs
+        self._true_inputs &= ~inputs
         del self._trail[floor:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -508,12 +482,11 @@ class SolverSession:
                     if not w & mask:
                         assert any(words[b] & m for b, m in rest), \
                             f"model violates clause {_segment_literals(((block, mask),) + rest)}"
-            for segments, k in self._check_cards:
-                true_count = 0
-                for block, mask in segments:
-                    true_count += (words[block] & mask).bit_count()
-                assert true_count >= k, \
-                    f"model violates at-least-{k} over {_segment_literals(segments)}"
+            inputs = _input_word(model, self._input_count)
+            for w in self._kept:
+                assert (w ^ inputs).bit_count() >= self._floor, \
+                    f"model is closer than {self._floor} to kept inputs " \
+                    f"{[v if w >> v - 1 & 1 else -v for v in range(1, self._input_count + 1)]}"
         return model
 
 
@@ -522,15 +495,33 @@ class SolverSession:
 _BIT = tuple(1 << i for i in range(_CHECK_BLOCK_BITS))
 
 
+def _input_word(model, input_count):
+    """The inputs of a total model as one int: bit ``v - 1`` is input ``v``."""
+    word = 0
+    for var in range(input_count, 0, -1):
+        word = word << 1 | model[var]
+    return word
+
+
+def _differs(inputs, word):
+    """The internal literals "input ``v`` differs from ``word``", for each
+    input ``v`` in the mask ``inputs``, lowest first."""
+    lits = []
+    while inputs:
+        low = inputs & -inputs
+        lits.append(low.bit_length() << 1 | bool(word & low))
+        inputs ^= low
+    return lits
+
+
 def _segments(internal_lits):
-    """``(block, mask)`` segments of internal literals: bit ``lit %
-    _CHECK_BLOCK_BITS`` of a block's mask is set for each literal in it.  A
-    literal listed again starts a new segment, so it counts again."""
+    """``(block, mask)`` segments of distinct internal literals: bit ``lit %
+    _CHECK_BLOCK_BITS`` of a block's mask is set for each literal in it."""
     segments = []
     block = mask = -1
     for lit in sorted(internal_lits):
         bit = _BIT[lit % _CHECK_BLOCK_BITS]
-        if lit // _CHECK_BLOCK_BITS == block and not mask & bit:
+        if lit // _CHECK_BLOCK_BITS == block:
             mask |= bit
         else:
             if block >= 0:

@@ -3,14 +3,13 @@
 Every emitted pattern is a solver model of the circuit formula and the
 target literals, so by construction it drives all target nodes to their
 desired values.  Diversity is enforced as a minimum pairwise Hamming
-distance: each accepted pattern contributes an at-least-``d_min`` constraint
-over the input literals that disagree with it.  Since ``d_min >= 2``, that
-constraint implies the pattern's blocking clause (the disjunction of the same
-literals), so no pattern repeats without a separate blocking clause.  The
-solver handles the constraint natively, so the session never grows beyond the
-formula's own variables.  Patterns are packed ints, and one pass over the
-accepted words per candidate (an XOR and a popcount each) serves both the
-acceptance guard and the reported distance extremes.
+distance: each accepted model is kept by the solver
+(:meth:`~gatefuzz.sat.SolverSession.keep_distance`), which holds every later
+model at least ``d_min`` primary inputs away from it, so no pattern repeats
+and the session never grows beyond the formula's own variables.  Patterns
+are packed ints, and one pass over the accepted words per candidate (an XOR
+and a popcount each) serves both the acceptance guard and the reported
+distance extremes.
 
 The target literals hold for every solve of a run, so they are permanent
 facts of the run's session: each is added once as a unit clause, and their
@@ -96,7 +95,6 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
             f"d_min {config.d_min} exceeds the {width} primary inputs")
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
-    inputs = _input_variables(formula)
     for lit in target_literals:
         session.add_clause([lit])
     patterns: list[InputPattern] = []
@@ -115,15 +113,15 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         distances = [(candidate.word ^ p.word).bit_count() for p in patterns]
         if distances:
             nearest = min(distances)
-            # Each accepted pattern already carries its distance constraint, so
-            # only an unsound solver gets here with a model too close to one.
+            # The solver keeps every accepted model at distance, so only an
+            # unsound solver gets here with a model too close to one.
             if nearest < config.d_min:
                 raise RuntimeError(
                     f"solver model {candidate.to_string()} is closer than d_min "
                     f"{config.d_min} to an accepted pattern")
             d_lo = min(d_lo, nearest) if d_lo else nearest
             d_hi = max(d_hi, max(distances))
-        session.encode_at_least_k(_difference_literals(candidate, inputs), config.d_min)
+        session.keep_distance(result.model, config.d_min)
         patterns.append(candidate)
     return GenReport(
         patterns=patterns,
@@ -139,27 +137,12 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
 
 
 def project_model(model, formula: CnfFormula) -> InputPattern:
-    """Extract the primary-input bits of a total model, in input order."""
+    """Extract the primary-input bits of a total model, in input order: the
+    inputs are variables ``1..input_count``."""
     word = 0
-    for var in _input_variables(formula):
+    for var in range(1, formula.input_count + 1):
         word = word << 1 | model[var]
     return InputPattern.from_word(word, formula.input_count)
-
-
-def _input_variables(formula: CnfFormula) -> list[int]:
-    """The variables of the primary inputs, nodes ``0..input_count-1``."""
-    return [formula.node_var(node) for node in range(formula.input_count)]
-
-
-def _difference_literals(pattern: InputPattern, inputs):
-    """Literals true exactly where an input differs from ``pattern``;
-    ``inputs`` are the input variables in input order.
-
-    An at-least-k constraint over them is the Hamming-distance floor; for
-    k >= 1 it implies their disjunction, the pattern's blocking clause.
-    """
-    return [-var if bit == "1" else var
-            for var, bit in zip(inputs, pattern.to_string())]
 
 
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:

@@ -107,7 +107,7 @@ def test_gen_manifest_records_solver_counters(tmp_path):
 @pytest.mark.parametrize("seed,digest", [
     (0, "e8d718c4c1fea0c077dd1ed0fad4ec88193b321d4ebd470e106064a9502ae8f1"),
     (1, "ed358d748f0a44cb7fa7f10333d7c56d7549d0b76b091ea5871efae3f6532641"),
-    (2, "55caa6671f9ed91480aac69b722dd4269c8981fda6be1f21eff2a979c0d409ef"),
+    (2, "c1fa5105fb0f7a6e6b2742a017d4d796fec6d5718ae85f0fd6974e8042c771b9"),
     (7, "374675b903682b34469e0f9c41a809569b122fbeeb815294ee7397b20035f166"),
 ])
 def test_gen_c432_pattern_file_pinned(tmp_path, seed, digest):

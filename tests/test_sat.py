@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,7 +18,14 @@ from conftest import all_patterns
 
 
 def formula_of(clauses, nvars):
-    return CnfFormula(clauses=[tuple(c) for c in clauses], var_count=nvars)
+    # every variable is a primary input, so any of them can carry a floor
+    return CnfFormula(clauses=[tuple(c) for c in clauses], var_count=nvars,
+                      input_count=nvars)
+
+
+def model_of(*inputs):
+    """A total model as ``solve`` returns it: entry 0 unused."""
+    return [False] + [bool(b) for b in inputs]
 
 
 def brute_force_sat(clauses, nvars, fixed=()):
@@ -152,30 +160,35 @@ def test_add_single_negation_flips():
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 3)])
 def test_at_least_k_counts_by_enumeration(m, k):
+    # a floor of k over m inputs keeps the words at least k away from the
+    # kept one: sum over j >= k of C(m, j) of the 2**m
+    kept = model_of(*(v % 2 for v in range(1, m + 1)))
     sat_count = 0
     for bits in itertools.product([0, 1], repeat=m):
         s = SolverSession(formula_of([], m))
-        s.encode_at_least_k(list(range(1, m + 1)), k)
+        s.keep_distance(kept, k)
         assumptions = [v if bits[v - 1] else -v for v in range(1, m + 1)]
         if s.solve(assumptions=assumptions).is_sat:
             sat_count += 1
-    expected = sum(1 for bits in itertools.product([0, 1], repeat=m) if sum(bits) >= k)
-    assert sat_count == expected
+    assert sat_count == sum(math.comb(m, j) for j in range(k, m + 1))
 
 
 def test_at_least_2_of_4_is_11_of_16():
-    sat_count = 0
-    for bits in itertools.product([0, 1], repeat=4):
-        s = SolverSession(formula_of([], 4))
-        s.encode_at_least_k([1, 2, 3, 4], 2)
-        if s.solve(assumptions=[v if bits[v - 1] else -v for v in range(1, 5)]).is_sat:
-            sat_count += 1
-    assert sat_count == 11
+    # one session, enumerated with blocking clauses: 16 - 1 - 4 words
+    s = SolverSession(formula_of([], 4))
+    s.keep_distance(model_of(0, 1, 1, 0), 2)
+    words = set()
+    while (r := s.solve()).is_sat:
+        words.add(tuple(r.model[1:]))
+        s.add_clause([-v if r.model[v] else v for v in range(1, 5)])
+    assert len(words) == 11
+    assert all(sum(a != b for a, b in zip(w, (0, 1, 1, 0))) >= 2 for w in words)
 
 
 def test_at_least_k_negated_literals():
+    # far from an all-true model means at least two inputs false
     s = SolverSession(formula_of([], 3))
-    s.encode_at_least_k([-1, -2, -3], 2)
+    s.keep_distance(model_of(1, 1, 1), 2)
     r = s.solve()
     assert r.is_sat
     assert sum(not r.model[v] for v in (1, 2, 3)) >= 2
@@ -183,11 +196,16 @@ def test_at_least_k_negated_literals():
 
 
 def test_at_least_k_infeasible():
-    s = SolverSession(formula_of([], 2))
-    with pytest.raises(ValueError, match=r"^at-least-3 over 2 literals is not satisfiable$"):
-        s.encode_at_least_k([1, 2], 3)
-    with pytest.raises(ValueError, match=r"^at-least-0 over 2 literals is not satisfiable$"):
-        s.encode_at_least_k([1, 2], 0)
+    s = SolverSession(CnfFormula(clauses=[], var_count=4, input_count=3))
+    for d in (0, 4):
+        with pytest.raises(ValueError, match=rf"^distance {d} is not in 1..3, the primary inputs$"):
+            s.keep_distance(model_of(0, 0, 0, 0), d)
+    s.keep_distance(model_of(0, 0, 0, 0), 2)
+    with pytest.raises(ValueError, match=r"^distance 3 differs from the session's floor 2$"):
+        s.keep_distance(model_of(1, 1, 1, 0), 3)
+    s.keep_distance(model_of(1, 1, 1, 0), 2)  # the same floor is accepted
+    # two of three inputs true and two of three false: no model is left
+    assert s.solve().status == "UNSAT"
 
 
 def test_budget_exhausted_is_distinct_error():
@@ -222,7 +240,6 @@ def test_literal_outside_the_variables_is_rejected(bad):
     s = SolverSession(formula_of([(1,), (-2,)], 3))
     for add in (lambda: s.add_clause([3, bad]),
                 lambda: s.add_clause([1, -1, bad]),  # a tautology around it
-                lambda: s.encode_at_least_k([2, bad, 3], 2),
                 lambda: s.solve(assumptions=[3, bad])):
         calls = s.solve_calls
         with pytest.raises(ValueError, match=f"literal {bad} is not a variable in 1..3"):
@@ -259,20 +276,24 @@ def _count_true(model, literals):
     return sum(model[abs(l)] == (l > 0) for l in literals)
 
 
-def _brute_force_card_sat(nvars, clauses, cards, fixed):
-    """Exhaustive oracle over clauses and (literals, k) constraints; a
-    literal listed twice counts twice."""
+def _distance(model, kept, nvars):
+    return sum(model[v] != kept[v] for v in range(1, nvars + 1))
+
+
+def _brute_force_floor_sat(nvars, clauses, kept, d, fixed):
+    """Exhaustive oracle over clauses and kept models at distance ``d``."""
     for bits in itertools.product([False, True], repeat=nvars):
         model = (None,) + bits
         if (all(model[abs(l)] == (l > 0) for l in fixed)
                 and all(_count_true(model, c) >= 1 for c in clauses)
-                and all(_count_true(model, lits) >= k for lits, k in cards)):
+                and all(_distance(model, w, nvars) >= d for w in kept)):
             return True
     return False
 
 
-def _random_card_literals(rng, nvars):
-    """Distinct-variable literals, sometimes with a duplicate or a complement."""
+def _random_clause_literals(rng, nvars):
+    """Distinct-variable literals, sometimes with a repeat or a complement,
+    which ``add_clause`` drops or reads as a tautology."""
     lits = [v if rng.random() < 0.5 else -v
             for v in rng.sample(range(1, nvars + 1), rng.randint(1, min(6, nvars)))]
     roll = rng.random()
@@ -284,26 +305,33 @@ def _random_card_literals(rng, nvars):
     return lits
 
 
+def _model_to_keep(rng, nvars, last):
+    """The last model the session returned, or a random total model."""
+    if last is not None and rng.random() < 0.5:
+        return last
+    return [False] + [rng.random() < 0.5 for _ in range(nvars)]
+
+
 def test_incremental_cardinality_matches_brute_force():
     _check_incremental_cardinality()
 
 
 def test_incremental_cardinality_matches_brute_force_with_rescales(monkeypatch):
-    # these trials see 41 conflicts in all, so a bound even of 4.0 is never
-    # reached; at 1.0 the first bump of a session rescales
+    # at 1.0 the first bump of a session rescales
     monkeypatch.setattr("gatefuzz.sat._ACTIVITY_RESCALE", 1.0)
     assert _check_incremental_cardinality() > 20
 
 
 def _check_incremental_cardinality():
-    """Checks 500 random sessions against the brute-force oracle; returns
-    how many of them rescaled their activities."""
+    """Checks 500 random sessions of clauses and distance floors against the
+    brute-force oracle; returns how many of them rescaled their activities."""
     rng = random.Random(34)
     rescaled = 0
     verdicts = {True: 0, False: 0}
     for trial in range(500):
         nvars = rng.randint(1, 10)
-        clauses, cards = [], []
+        d = rng.randint(1, nvars)  # the session's one floor
+        clauses, kept, last = [], [], None
         session = SolverSession(formula_of([], nvars), decision_seed=trial)
         for _ in range(rng.randint(4, 12)):
             roll = rng.random()
@@ -314,30 +342,31 @@ def _check_incremental_cardinality():
                 clauses.append(clause)
                 session.add_clause(clause)
             elif roll < 0.6:
-                lits = _random_card_literals(rng, nvars)
-                k = rng.randint(1, len(lits))
-                cards.append((lits, k))
-                session.encode_at_least_k(lits, k)
+                model = _model_to_keep(rng, nvars, last)
+                kept.append(model)
+                session.keep_distance(model, d)
             else:
                 assumptions = [v if rng.random() < 0.5 else -v
                                for v in rng.sample(range(1, nvars + 1),
                                                    rng.randint(0, min(3, nvars)))]
                 got = session.solve(assumptions=assumptions)
-                expected = _brute_force_card_sat(nvars, clauses, cards, assumptions)
-                assert got.is_sat == expected, (trial, clauses, cards, assumptions)
+                expected = _brute_force_floor_sat(nvars, clauses, kept, d, assumptions)
+                assert got.is_sat == expected, (trial, clauses, kept, d, assumptions)
                 verdicts[expected] += 1
                 if got.is_sat:
+                    last = got.model
                     assert all(got.model[abs(l)] == (l > 0) for l in assumptions)
                     assert all(_count_true(got.model, c) >= 1 for c in clauses)
-                    assert all(_count_true(got.model, lits) >= k for lits, k in cards)
+                    assert all(_distance(got.model, w, nvars) >= d for w in kept)
         rescaled += session._var_inc < 1.0  # only a rescale lowers it
     assert verdicts[True] > 200 and verdicts[False] > 200
     return rescaled
 
 
 def test_dense_sessions_match_brute_force():
-    # ten times the conflicts of the 500 trials above, so conflict analysis,
-    # learnt clauses and backjumping are checked against the oracle too
+    # several times the conflicts of the 500 trials above, so conflict
+    # analysis, learnt clauses and backjumping are checked against the
+    # oracle too
     assert _check_dense_sessions() >= 410
 
 
@@ -352,15 +381,16 @@ def test_dense_sessions_match_brute_force_with_restarts(monkeypatch):
 
 
 def _check_dense_sessions():
-    """Checks 240 sessions of 8-12 variables and 20-50 mostly 3-literal
-    clauses, near the satisfiability threshold, against a brute-force oracle
-    that keeps the set of models as a bitset over all assignments.  Returns
-    the conflicts of all sessions."""
+    """Checks 240 sessions of 8-12 variables, 20-50 mostly 3-literal clauses
+    near the satisfiability threshold and a few distance floors, against a
+    brute-force oracle that keeps the set of models as a bitset over all
+    assignments.  Returns the conflicts of all sessions."""
     rng = random.Random(35)
     conflicts = 0
     verdicts = {True: 0, False: 0}
     for trial in range(240):
         nvars = rng.randint(8, 12)
+        d = rng.randint(1, 4)  # the session's one floor
         assignments = range(1 << nvars)
         models = (1 << len(assignments)) - 1  # bit a set: assignment a is a model
         true_in = {}  # literal -> bitset of the assignments that make it true
@@ -368,16 +398,13 @@ def _check_dense_sessions():
             true_in[v] = sum(1 << a for a in assignments if a >> (v - 1) & 1)
             true_in[-v] = models ^ true_in[v]
         session = SolverSession(formula_of([], nvars), decision_seed=trial)
+        last = None
         for _ in range(rng.randint(20, 50)):
             if rng.random() < 0.05:
-                lits = _random_card_literals(rng, nvars)
-                k = rng.randint(1, len(lits))
-                session.encode_at_least_k(lits, k)
-                at_least = [models] + [0] * k  # at_least[j]: j or more of lits so far
-                for lit in lits:
-                    for j in range(k, 0, -1):
-                        at_least[j] |= at_least[j - 1] & true_in[lit]
-                models = at_least[k]
+                model = _model_to_keep(rng, nvars, last)
+                session.keep_distance(model, d)
+                word = sum(1 << (v - 1) for v in range(1, nvars + 1) if model[v])
+                models &= sum(1 << a for a in assignments if (a ^ word).bit_count() >= d)
             else:
                 clause = [v if rng.random() < 0.5 else -v
                           for v in rng.sample(range(1, nvars + 1), 3)]
@@ -393,6 +420,7 @@ def _check_dense_sessions():
                 assert got.is_sat == (expected != 0), (trial, assumptions)
                 verdicts[got.is_sat] += 1
                 if got.is_sat:
+                    last = got.model
                     model = sum(1 << (v - 1) for v in range(1, nvars + 1) if got.model[v])
                     assert models >> model & 1
                     assert all(got.model[abs(l)] == (l > 0) for l in assumptions)
@@ -431,43 +459,41 @@ def test_picks_follow_activity(monkeypatch, rescale_at):
     assert (checked["rescaled"] > 2000) == (rescale_at == 1.0)
 
 
-def test_at_least_k_duplicate_literal_counts_twice():
-    s = SolverSession(formula_of([], 2))
-    s.encode_at_least_k([1, 1, 2], 2)
-    assert s.solve(assumptions=[1, -2]).is_sat
-    assert s.solve(assumptions=[-1, 2]).status == "UNSAT"
-
-
-def test_at_least_k_literal_with_its_complement():
-    # exactly one of x1 and -x1 is true, so x2 must be
-    s = SolverSession(formula_of([], 2))
-    s.encode_at_least_k([1, -1, 2], 2)
-    r = s.solve()
-    assert r.is_sat and r.model[2] is True
-    assert s.solve(assumptions=[-2]).status == "UNSAT"
-    s.encode_at_least_k([1, -1], 2)
-    assert s.solve().status == "UNSAT"
-
-
 def test_at_least_k_over_literals_fixed_at_level_0():
-    s = SolverSession(formula_of([(1,), (-2,)], 4))
-    s.encode_at_least_k([1, 2, 3, 4], 3)  # x1 counts, x2 cannot: x3 and x4
-    r = s.solve()
-    assert r.is_sat and r.model[3] is True and r.model[4] is True
-    assert s.solve(assumptions=[-3]).status == "UNSAT"
-    s.encode_at_least_k([1, 2], 1)  # already satisfied by x1
-    assert s.solve().is_sat
-    s.encode_at_least_k([-1, 2], 1)  # both false at level 0
-    assert s.solve().status == "UNSAT"
-    assert s.nvars == 4
+    # units fix inputs 1 and 2 as in the kept model, so a floor of 2 needs
+    # both inputs left to differ: they are implied at level 0, before or
+    # after the units
+    kept = model_of(1, 0, 1, 0)
+    for units_first in (True, False):
+        s = SolverSession(formula_of([(1,), (-2,)] if units_first else [], 4))
+        s.keep_distance(kept, 2)
+        if not units_first:
+            s.add_clause([1])
+            s.add_clause([-2])
+        r = s.solve()
+        assert r.is_sat and r.model == model_of(1, 0, 0, 1)
+        assert s.decisions == 0
+        assert s.solve(assumptions=[3]).status == "UNSAT"
+        assert s.conflicts == 0
+    # units that agree in three places leave too few inputs to differ: the
+    # session is UNSAT without a conflict, so no budget is spent
+    for units_first in (True, False):
+        s = SolverSession(formula_of([(1,), (-2,), (3,)] if units_first else [], 4),
+                          conflict_budget=0)
+        s.keep_distance(kept, 2)
+        if not units_first:
+            for unit in ([1], [-2], [3]):
+                s.add_clause(unit)
+        assert s.solve().status == "UNSAT"
+        assert s.conflicts == 0
 
 
 def test_budget_exhausted_on_cardinality_conflict():
-    # >= 2 of three true and >= 2 of them false: no clause at all, so every
-    # conflict comes from a cardinality constraint
+    # floors of 2 from 000 and from 111 over three inputs, and no clause at
+    # all, so every conflict comes from a floor
     s = SolverSession(formula_of([], 3), conflict_budget=0)
-    s.encode_at_least_k([1, 2, 3], 2)
-    s.encode_at_least_k([-1, -2, -3], 2)
+    s.keep_distance(model_of(0, 0, 0), 2)
+    s.keep_distance(model_of(1, 1, 1), 2)
     with pytest.raises(SolverBudgetError):
         s.solve()
     assert s.conflicts == 1
@@ -504,10 +530,10 @@ def _force(session, assignment):
         session._lit_val[2 * var + 1] = -value
 
 
-def _sat_session(nvars, clauses=(), cards=()):
+def _sat_session(nvars, clauses=(), kept=(), d=0):
     s = SolverSession(formula_of(clauses, nvars))
-    for lits, k in cards:
-        s.encode_at_least_k(lits, k)
+    for model in kept:
+        s.keep_distance(model, d)
     assert s.solve().is_sat
     return s
 
@@ -524,35 +550,12 @@ def test_model_check_fires_on_violated_clause():
 
 @debug_check
 def test_model_check_fires_on_violated_at_least_k():
-    s = _sat_session(4, cards=[([1, -2, 3, 4], 3)])
-    _force(s, [None, True, False, True, False])
-    s._extract_model()  # 1, -2 and 3 hold
-    _force(s, [None, True, True, True, False])  # only 1 and 3 hold
-    with pytest.raises(AssertionError, match="at-least-3"):
-        s._extract_model()
-
-
-@debug_check
-def test_model_check_counts_a_repeated_literal_twice():
-    s = _sat_session(2, cards=[([1, 1, 2], 2)])
-    _force(s, [None, True, False])
-    s._extract_model()  # x1 counts twice
-    _force(s, [None, True, True])
+    s = _sat_session(4, kept=[model_of(1, 0, 1, 1)], d=3)
+    _force(s, [None, False, True, False, True])  # three inputs differ
     s._extract_model()
-    _force(s, [None, False, True])  # only y: one of two
-    with pytest.raises(AssertionError, match="at-least-2"):
+    _force(s, [None, False, True, True, True])  # only two do
+    with pytest.raises(AssertionError, match="closer than 3"):
         s._extract_model()
-
-
-@debug_check
-def test_model_check_counts_a_complementary_pair_once():
-    s = _sat_session(2, cards=[([1, -1, 2], 2)])
-    for x1 in (False, True):
-        _force(s, [None, x1, True])
-        s._extract_model()  # one of the pair plus x2
-        _force(s, [None, x1, False])  # the pair alone makes only one
-        with pytest.raises(AssertionError, match="at-least-2"):
-            s._extract_model()
 
 
 @debug_check
@@ -568,29 +571,33 @@ def test_mask_check_matches_literal_recount(monkeypatch, block_bits):
         s = SolverSession(formula_of([], nvars))
         assignment = [None] + [rng.random() < 0.5 for _ in range(nvars)]
         model = tuple(assignment)
-        clauses, cards = [], []
+        clauses, kept, d = [], [], 0
         for _ in range(rng.randint(1, 4)):
-            if rng.random() < 0.4:
-                # repeats and complements: a clause with both is a tautology
-                clause = _random_card_literals(rng, nvars)
+            if rng.random() < 0.7:
+                clause = _random_clause_literals(rng, nvars)
+                if rng.random() < 0.3:
+                    # every literal false, unless a complement made it a
+                    # tautology, whose flip is a repeat
+                    clause = [-l if _count_true(model, [l]) else l for l in clause]
                 clauses.append(clause)
                 s.add_clause(clause)
             else:
-                lits = _random_card_literals(rng, nvars)
-                # k at the recount or one above it, so every constraint sits
-                # on the boundary of the check
-                k = min(len(lits), max(1, _count_true(model, lits) + rng.randint(0, 1)))
-                cards.append((lits, k))
-                s.encode_at_least_k(lits, k)
+                word = _model_to_keep(rng, nvars, None)
+                if not d:
+                    # at the distance or one above it, so the first floor sits
+                    # on the boundary of the check
+                    d = min(nvars, max(1, _distance(model, word, nvars) + rng.randint(0, 1)))
+                kept.append(word)
+                s.keep_distance(word, d)
         holds = (all(_count_true(model, c) >= 1 for c in clauses)
-                 and all(_count_true(model, lits) >= k for lits, k in cards))
+                 and all(_distance(model, w, nvars) >= d for w in kept))
         _force(s, assignment)
         try:
             got = s._extract_model()
         except AssertionError:
-            assert not holds, (trial, clauses, cards, assignment)
+            assert not holds, (trial, clauses, kept, d, assignment)
         else:
-            assert holds, (trial, clauses, cards, assignment)
+            assert holds, (trial, clauses, kept, d, assignment)
             assert got == [False] + assignment[1:]
         outcomes[holds] += 1
     assert outcomes[True] > 100 and outcomes[False] > 100
@@ -601,27 +608,29 @@ def test_check_masks_stay_within_a_block():
     # variables far apart: each mask covers its own block, not the span
     far = 4 * _CHECK_BLOCK_BITS
     s = SolverSession(formula_of([(1, -far, far // 2)], far))
-    s.encode_at_least_k([2, 2, -(far - 1), far // 2 + 1], 3)
-    ((home, [(mask, rest)]),) = s._check_clauses.items()
-    clause = ((home, mask),) + rest
-    ((card, k),) = s._check_cards
-    assert len(clause) == 3 and k == 3
-    assert len(card) == 4  # 2 is listed twice, so it takes two segments
-    for block, mask in clause + card:
-        assert 0 <= block <= 2 * far // _CHECK_BLOCK_BITS
-        assert 0 < mask < 1 << _CHECK_BLOCK_BITS
+    s.add_clause([2, 2, -(far - 1), far // 2 + 1])  # the repeat is dropped
+    ((home, entries),) = s._check_clauses.items()
+    assert home == 0 and len(entries) == 2
+    for mask, rest in entries:
+        clause = ((home, mask),) + rest
+        assert len(clause) == 3  # three blocks, one segment each
+        for block, mask in clause:
+            assert 0 <= block <= 2 * far // _CHECK_BLOCK_BITS
+            assert 0 < mask < 1 << _CHECK_BLOCK_BITS
     assignment = [None] + [False] * far
     assignment[2] = True
-    _force(s, assignment)  # -far holds; 2 twice and -(far - 1) make three
+    _force(s, assignment)  # -far holds the first clause, 2 the second
     s._extract_model()
-    assignment[far] = True  # now no literal of the clause holds
+    assignment[far] = True  # now no literal of the first clause holds
     _force(s, assignment)
     with pytest.raises(AssertionError, match=rf"violates clause \[1, {far // 2}, -{far}\]"):
         s._extract_model()
     assignment[far] = False
-    assignment[2] = False  # only -(far - 1) is left of the three
+    assignment[2] = False
+    assignment[far - 1] = True  # and now none of the second
     _force(s, assignment)
-    with pytest.raises(AssertionError, match="at-least-3"):
+    with pytest.raises(AssertionError,
+                       match=rf"violates clause \[2, {far // 2 + 1}, -{far - 1}\]"):
         s._extract_model()
 
 
@@ -640,15 +649,15 @@ def test_check_names_the_violated_clause():
 
 @debug_check
 def test_check_names_the_violated_at_least_k():
-    cards = [([1, -2, 3, 4], 3), ([2, 3, 4], 2), ([-2, 3, -4], 2), ([1, 1, 2], 2)]
-    s = _sat_session(4, cards=cards)
-    _force(s, [None, True, False, True, True])
-    s._extract_model()  # 4, 2, 2 and 2 of them
-    _force(s, [None, True, False, True, False])  # [2, 3, 4] has only 3
+    kept = [model_of(1, 0, 1, 1), model_of(0, 0, 0, 0)]
+    s = _sat_session(4, kept=kept, d=2)
+    _force(s, [None, False, True, False, True])  # 3 and 2 inputs away
+    s._extract_model()
+    _force(s, [None, True, False, True, False])  # 1 from the first
     with pytest.raises(AssertionError,
-                       match=r"^model violates at-least-2 over \[2, 3, 4\]$"):
+                       match=r"^model is closer than 2 to kept inputs \[1, -2, 3, 4\]$"):
         s._extract_model()
-    _force(s, [None, True, True, True, False])  # [1, -2, 3, 4] has only 1 and 3
+    _force(s, [None, False, False, False, True])  # 1 from the second
     with pytest.raises(AssertionError,
-                       match=r"^model violates at-least-3 over \[1, -2, 3, 4\]$"):
+                       match=r"^model is closer than 2 to kept inputs \[-1, -2, -3, -4\]$"):
         s._extract_model()

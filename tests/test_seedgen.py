@@ -107,6 +107,7 @@ def test_exhausted_confirmed_by_brute_force_randomized():
     # first solve, and a valid one exhausts the distance-d_min code
     rng = random.Random(89)
     kinds = {(valid, several): 0 for valid in (True, False) for several in (True, False)}
+    floors = {2: 0, 3: 0, 4: 0}  # exhausted runs by d_min
     while min(kinds.values()) < 3:
         n = random_netlist(rng, rng.randint(2, 6), rng.randint(1, 12))
         g = build_graph(scan_convert(n))
@@ -115,7 +116,7 @@ def test_exhausted_confirmed_by_brute_force_randomized():
         entries = [(node, rng.randrange(2)) for node in nodes]
         lits = build_target_formula(
             parse_targets("".join(f"{g.names[node]}={v}\n" for node, v in entries), g), f)
-        d_min = rng.randint(2, min(3, g.input_count))
+        d_min = rng.randint(2, min(4, g.input_count))
         # a budget above the 2**6 input patterns: every run ends exhausted
         report = generate(f, lits, GenConfig(pattern_budget=1000, d_min=d_min,
                                              seed=rng.randrange(4)))
@@ -123,11 +124,13 @@ def test_exhausted_confirmed_by_brute_force_randomized():
         qualifying = _qualifying_inputs(g, entries)
         assert (report.patterns == []) == (qualifying == [])
         kinds[bool(qualifying), len(entries) > 1] += 1
+        floors[d_min] += 1
         emitted = set(report.patterns)
         assert emitted <= set(qualifying)
         for q in qualifying:
             if q not in emitted:
                 assert any((q.word ^ p.word).bit_count() < d_min for p in report.patterns)
+    assert floors[4] >= 10, floors
 
 
 def test_invalid_target_yields_empty_exhausted_report():
@@ -213,11 +216,11 @@ def test_d_min_exceeding_inputs_is_config_error():
 
 
 def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
-    # without its distance constraints the solver returns models one flip
-    # apart, which the guard must refuse on every pattern, asserts on or off
+    # without its distance floor the solver returns the first model again,
+    # which the guard must refuse, asserts on or off
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
     lits = build_target_formula(parse_targets("y=1", g), f)
-    monkeypatch.setattr(SolverSession, "encode_at_least_k", lambda self, literals, k: None)
+    monkeypatch.setattr(SolverSession, "keep_distance", lambda self, model, d: None)
     with pytest.raises(RuntimeError, match="closer than d_min 2"):
         generate(f, lits, GenConfig(pattern_budget=15, d_min=2))
 
