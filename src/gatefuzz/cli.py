@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 parse or read error (including a file that cannot be
 opened), 2 configuration error, 3 invalid (unreachable) target state, 4
 solver conflict budget exhausted (``gen`` still writes the patterns proven
-before it).  Every exit after the arguments parse writes the JSON run
-manifest, with the exit code and, on exits 1, 2 and 4, the error message.
+before it).  Every exit but ``--help`` and ``--version`` writes the JSON run
+manifest, with the exit code and, on exits 1, 2 and 4, the error message; a
+usage error that argparse reports is exit 2, and its manifest goes to the
+``--manifest-out`` path if the command line names one.
 All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
 manifest.
@@ -40,6 +42,20 @@ EXIT_BUDGET = 4
 
 class _InputDecodeError(Exception):
     """An input file that is not UTF-8 text (a parse failure, not a config one)."""
+
+
+class _UsageError(Exception):
+    """A command line that argparse rejects; argparse has printed it already."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as argparse does, but raises instead of exiting,
+    so that :func:`main` can write the manifest.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
 
 
 class _Manifest:
@@ -110,7 +126,7 @@ _STOP_TEXT = {"budget": "budget reached", "exhausted": "space exhausted",
               "solver-budget": "conflict budget reached"}
 
 
-def _generate(args, manifest, spec, formula, literals):
+def _generate(args, manifest, graph, spec, formula, literals):
     """Generate patterns and record the solver counters in the manifest.
 
     The first model is the validity witness.  UNSAT before it means the
@@ -118,10 +134,11 @@ def _generate(args, manifest, spec, formula, literals):
     """
     config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
                        seed=args.seed, conflict_budget=args.conflict_budget)
-    report = generate(formula, literals, config)
+    report = generate(graph, formula, literals, config)
     manifest.data["solver"] = {key: getattr(report, key) for key in (
         "conflicts", "decisions", "propagations", "solver_calls", "solver_vars",
-        "stop_reason")}
+        "stop_reason", "lifted_models", "free_inputs_min", "free_inputs_median",
+        "free_inputs_max")}
     if report.exhausted and not report.patterns:
         print(f"targeted state is invalid: no input reaches all {len(spec)} "
               f"target values simultaneously")
@@ -135,7 +152,7 @@ def cmd_gen(args, manifest) -> int:
     if args.dimacs_out:
         manifest.write_output(args.dimacs_out, write_dimacs(formula, assumptions=literals))
 
-    report = _generate(args, manifest, spec, formula, literals)
+    report = _generate(args, manifest, graph, spec, formula, literals)
     manifest.stage("generate")
     if report is None:
         return EXIT_INVALID_TARGET
@@ -165,7 +182,8 @@ def cmd_compare(args, manifest) -> int:
     if args.trials < 1:
         return _fail(manifest, EXIT_CONFIG, "trials must be >= 1")
     graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
-    sat_report = _generate(args, manifest, spec, formula, build_target_formula(spec, formula))
+    sat_report = _generate(args, manifest, graph, spec, formula,
+                           build_target_formula(spec, formula))
     if sat_report is None:
         return EXIT_INVALID_TARGET
     if sat_report.stop_reason == "solver-budget":
@@ -256,7 +274,7 @@ def _polarity_paths(out, polarity):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gatefuzz",
         description="SAT-directed test pattern generation for gate-level netlists")
     parser.add_argument("--version", action="version", version=f"gatefuzz {__version__}")
@@ -303,8 +321,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest_path(argv):
+    """The ``--manifest-out`` path of a command line that failed to parse."""
+    default = "gatefuzz-manifest.json"
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--manifest-out", default=default)
+    try:
+        return pre.parse_known_args(argv)[0].manifest_out
+    except argparse.ArgumentError:  # the option without its path
+        return default
+
+
+def _save(manifest, code, path):
+    """Record the exit code and write the manifest; returns the exit code."""
+    manifest.data["exit_code"] = code
+    try:
+        manifest.save(path)
+    except OSError as exc:
+        return _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        manifest = _Manifest(None, argparse.Namespace())
+        manifest.data["error"] = str(exc)
+        return _save(manifest, EXIT_CONFIG, _manifest_path(argv))
     manifest = _Manifest(args.command, args)
     code = None  # recorded as null if an unexpected exception escapes
     try:
@@ -316,11 +361,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # GenConfigError and bad solver input are ValueErrors
         code = _fail(manifest, EXIT_CONFIG, str(exc))
     finally:
-        manifest.data["exit_code"] = code
-        try:
-            manifest.save(args.manifest_out)
-        except OSError as exc:
-            code = _fail(manifest, EXIT_PARSE, f"cannot open {exc.filename}")
+        code = _save(manifest, code, args.manifest_out)
     return code
 
 

@@ -3,10 +3,12 @@
 A pattern is held packed: ``word`` is a ``width``-bit int whose most
 significant bit is the first primary input.  That is the order of a pattern
 file line, so :meth:`InputPattern.to_string` is ``word`` in base 2, and the
-Hamming distance of two patterns is ``(p.word ^ q.word).bit_count()``.  Only
-this module maps an input position to a bit of ``word``: other modules use the
-word whole (XOR, popcount), build one by shifting in the inputs' values first
-input first, or go through the string form.
+Hamming distance of two patterns is ``(p.word ^ q.word).bit_count()``.  The
+solver keeps its input words in the same order (input variable ``v`` is bit
+``width - v``), so a model's :attr:`~gatefuzz.sat.SatResult.inputs` is its
+pattern's word.  Other modules use the word whole (XOR, popcount, masks of
+free inputs), build one by shifting in the inputs' values first input first,
+or go through the string form.
 """
 
 from __future__ import annotations

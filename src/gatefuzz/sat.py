@@ -22,8 +22,11 @@ watched by two literals.
 The distance floor (diverse solutions, after Hebrard, Hnich, O'Sullivan &
 Walsh, AAAI 2005) ranges over the primary inputs, variables
 ``1..input_count``, so a kept model is one int, its input word, with bit
-``v - 1`` for input ``v``.  ``_enqueue`` and ``_cancel_until`` keep two more
-such masks, the assigned inputs and the true ones.  A floor ``d`` on a word
+``input_count - v`` for input ``v``: the first input is the most significant
+bit, as in :attr:`~gatefuzz.pattern.InputPattern.word`, so a model's input
+word is its pattern's word.  ``_enqueue`` and ``_cancel_until`` keep two more
+such masks, the assigned inputs and the true ones; at a model the true ones
+are :attr:`SatResult.inputs`.  A floor ``d`` on a word
 ``w`` can imply or fail only once at most ``d`` inputs are unassigned, so it
 is checked only then, whenever an input literal is dequeued.  With ``a`` the
 assigned inputs that differ from ``w`` and ``u`` the unassigned ones,
@@ -77,6 +80,7 @@ class SolverBudgetError(Exception):
 class SatResult:
     status: str  # "SAT" or "UNSAT"
     model: list[bool] | None = None  # indexed by variable, entry 0 unused
+    inputs: int = 0  # the model's input word: bit input_count - v is input v
 
     @property
     def is_sat(self) -> bool:
@@ -189,21 +193,23 @@ class SolverSession:
         else:
             self._attach(free)
 
-    def keep_distance(self, model, d: int) -> None:
+    def keep_distance(self, word: int, d: int) -> None:
         """Keep every later model at least ``d`` primary inputs away from
-        ``model``, a total model as :meth:`solve` returns it.
+        the input word ``word`` (bit ``input_count - v`` is input ``v``, as in
+        :attr:`SatResult.inputs`).
 
-        Only the inputs, variables ``1..input_count``, are read.  A session
-        has one floor: a ``d`` outside ``1..input_count``, or other than an
-        earlier call's, raises ValueError.
+        A session has one floor: a ``d`` outside ``1..input_count``, or other
+        than an earlier call's, raises ValueError, and so does a word wider
+        than the inputs.
         """
+        if word < 0 or word >> self._input_count:
+            raise ValueError(f"input word {word} does not fit in {self._input_count} bits")
         if not 1 <= d <= self._input_count:
             raise ValueError(f"distance {d} is not in 1..{self._input_count}, "
                              f"the primary inputs")
         if self._floor not in (0, d):
             raise ValueError(f"distance {d} differs from the session's floor {self._floor}")
         self._floor = d
-        word = _input_word(model, self._input_count)
         self._kept.append(word)
         if self._unsat_forever:
             return
@@ -226,7 +232,7 @@ class SolverSession:
         self._reason[var] = reason
         self._trail.append(lit)
         if var <= self._input_count:
-            bit = 1 << var - 1
+            bit = 1 << self._input_count - var
             self._assigned_inputs |= bit
             if not lit & 1:
                 self._true_inputs |= bit
@@ -289,10 +295,10 @@ class SolverSession:
             short = differ.bit_count() < room
             if not (short or free):
                 continue  # met exactly, and nothing is left to imply
-            reason = _differs(assigned ^ differ, w)  # all false
+            reason = _differs(assigned ^ differ, w, self._input_count)  # all false
             if short:
                 return reason
-            for lit in _differs(self._all_inputs ^ assigned, w):
+            for lit in _differs(self._all_inputs ^ assigned, w, self._input_count):
                 # an earlier word may have set this input the other way; the
                 # check at its dequeue reports the conflict
                 if val[lit] == _UNDEF:
@@ -321,7 +327,7 @@ class SolverSession:
             reason[var] = None
             heappush(order, (-activity[var], var))
             if var <= input_count:
-                inputs |= 1 << var - 1
+                inputs |= 1 << input_count - var
         self._assigned_inputs &= ~inputs
         self._true_inputs &= ~inputs
         del self._trail[floor:]
@@ -458,8 +464,8 @@ class SolverSession:
                 if next_lit is None:
                     var = self._pick_branch_var()
                     if var is None:
-                        model = self._extract_model()
-                        return SatResult("SAT", model)
+                        # every input is assigned, so the true ones are the input word
+                        return SatResult("SAT", self._extract_model(), self._true_inputs)
                     next_lit = (var << 1) | 1  # phase default: false
                     self.decisions += 1
                 self._new_decision_level()
@@ -482,11 +488,12 @@ class SolverSession:
                     if not w & mask:
                         assert any(words[b] & m for b, m in rest), \
                             f"model violates clause {_segment_literals(((block, mask),) + rest)}"
-            inputs = _input_word(model, self._input_count)
+            n = self._input_count
+            inputs = int("0" + "".join("1" if v == _TRUE else "0" for v in val[2:2 * n + 1:2]), 2)
             for w in self._kept:
                 assert (w ^ inputs).bit_count() >= self._floor, \
                     f"model is closer than {self._floor} to kept inputs " \
-                    f"{[v if w >> v - 1 & 1 else -v for v in range(1, self._input_count + 1)]}"
+                    f"{[v if w >> n - v & 1 else -v for v in range(1, n + 1)]}"
         return model
 
 
@@ -495,22 +502,15 @@ class SolverSession:
 _BIT = tuple(1 << i for i in range(_CHECK_BLOCK_BITS))
 
 
-def _input_word(model, input_count):
-    """The inputs of a total model as one int: bit ``v - 1`` is input ``v``."""
-    word = 0
-    for var in range(input_count, 0, -1):
-        word = word << 1 | model[var]
-    return word
-
-
-def _differs(inputs, word):
+def _differs(inputs, word, input_count):
     """The internal literals "input ``v`` differs from ``word``", for each
-    input ``v`` in the mask ``inputs``, lowest first."""
+    input ``v`` in the mask ``inputs`` (bit ``input_count - v``), lowest
+    ``v`` first."""
     lits = []
     while inputs:
-        low = inputs & -inputs
-        lits.append(low.bit_length() << 1 | bool(word & low))
-        inputs ^= low
+        top = inputs.bit_length() - 1
+        lits.append((input_count - top) << 1 | (word >> top & 1))
+        inputs ^= 1 << top
     return lits
 
 

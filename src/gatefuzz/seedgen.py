@@ -1,15 +1,29 @@
-"""SAT-driven generation of diverse targeted input patterns.
+"""SAT-driven generation of diverse targeted input patterns: one solve, many patterns.
 
-Every emitted pattern is a solver model of the circuit formula and the
-target literals, so by construction it drives all target nodes to their
-desired values.  Diversity is enforced as a minimum pairwise Hamming
-distance: each accepted model is kept by the solver
+Every emitted pattern drives all target nodes to their desired values.
+Each solver model is first lifted to a cube (cube generalisation by ternary
+simulation, as in Ravi & Somenzi, TACAS 2004, and IC3/PDR): its inputs are
+made X one at a time, in input order, and an X is kept while every target
+stays definite at its desired value under
+:func:`~gatefuzz.simulate.run_ternary`, over the same targets' fan-in plan
+that coverage and CGF simulate.  X-valued simulation is conservative, so
+every completion of the cube reaches the targets.  The model is emitted
+first, and is the witness that the targeted state is reachable; then seeded
+completions of the cube, random bits on its free inputs only, are drawn and
+emitted while they keep their distance, until :data:`REJECTS_PER_CUBE` draws
+in a row do not.  Only then is the solver asked again.
+
+Diversity is a minimum pairwise Hamming distance ``d_min``: each emitted
+pattern is kept by the solver
 (:meth:`~gatefuzz.sat.SolverSession.keep_distance`), which holds every later
 model at least ``d_min`` primary inputs away from it, so no pattern repeats
 and the session never grows beyond the formula's own variables.  Patterns
-are packed ints, and one pass over the accepted words per candidate (an XOR
+are packed ints, and one pass over the emitted words per candidate (an XOR
 and a popcount each) serves both the acceptance guard and the reported
-distance extremes.
+distance extremes.  A completion too close to an emitted pattern is a
+rejection; a solver model too close is an unsound solver, and an error.
+Before returning, one two-valued pass checks every emitted pattern against
+the targets.
 
 The target literals hold for every solve of a run, so they are permanent
 facts of the run's session: each is added once as a unit clause, and their
@@ -19,23 +33,27 @@ therefore UNSAT without a conflict, whatever the conflict budget.  Naming
 the targets that conflict (an assumption core) would take one more solve,
 with the targets as assumptions, on the invalid path.
 
-Generation is also the validity check: one solver session serves the whole
-run, and its first model is the witness that the targeted state is reachable.
 ``GenReport.stop_reason`` says why generation stopped: ``"budget"`` (the
 pattern budget was reached), ``"exhausted"`` (UNSAT: no further pattern at
 distance >= ``d_min`` exists, and with no pattern at all the targeted state is
 invalid) or ``"solver-budget"`` (a solve ran out of its conflict budget; the
-patterns proven before it are kept).
+patterns emitted before it are kept).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
 from .graph import CircuitGraph
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
+from .simulate import compile_ops, run_pass, run_ternary
+
+# Consecutive completions of one cube that the distance guard may reject
+# before the cube is left and the solver asked for the next model.
+REJECTS_PER_CUBE = 32
 
 
 class GenConfigError(ValueError):
@@ -69,6 +87,10 @@ class GenReport:
     decisions: int = 0
     propagations: int = 0
     solver_vars: int = 0  # session variable count at the end of the run
+    lifted_models: int = 0  # one per SAT solve
+    free_inputs_min: int | None = None  # free inputs of the lifted cubes; None
+    free_inputs_median: float | None = None  # when no model was lifted
+    free_inputs_max: int | None = None
 
     @property
     def pattern_count(self) -> int:
@@ -80,27 +102,50 @@ class GenReport:
         return self.stop_reason == "exhausted"
 
 
-def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenReport:
+def generate(graph: CircuitGraph, formula: CnfFormula, target_literals,
+             config: GenConfig) -> GenReport:
     """Generate up to ``config.pattern_budget`` targeted patterns.
 
-    ``exhausted`` is set only on UNSAT, i.e. when no further pattern at
-    distance >= ``d_min`` from all accepted ones exists; exhausted with no
-    pattern means the targeted state is invalid.  A spent conflict
-    budget ends the run with ``stop_reason == "solver-budget"`` and the
-    patterns proven so far.
+    ``formula`` is ``graph``'s encoding and ``target_literals`` are literals
+    over its node variables (node ``n`` is variable ``n + 1``).  ``exhausted``
+    is set only on UNSAT, i.e. when no further pattern at distance >=
+    ``d_min`` from all emitted ones exists; exhausted with no pattern means
+    the targeted state is invalid.  A spent conflict budget ends the run with
+    ``stop_reason == "solver-budget"`` and the patterns emitted so far.
+    Raises RuntimeError if an emitted pattern misses a target or a solver
+    model is closer than ``d_min`` to an emitted pattern.
     """
     width = formula.input_count
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
+    targets = [(abs(lit) - 1, int(lit > 0)) for lit in target_literals]
+    ops = compile_ops(graph, [node for node, _ in targets])
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
     for lit in target_literals:
         session.add_clause([lit])
-    patterns: list[InputPattern] = []
+    rng = random.Random(config.seed)
+    words: list[int] = []  # the emitted patterns' words
+    free_counts: list[int] = []  # free inputs of each lifted model
     d_lo = d_hi = 0  # pairwise distance extremes; (0, 0) below two patterns
+
+    def emit(word):
+        """Emit ``word`` if it keeps ``d_min`` from every emitted pattern."""
+        nonlocal d_lo, d_hi
+        if words:
+            distances = list(map(int.bit_count, map(word.__xor__, words)))
+            nearest = min(distances)
+            if nearest < config.d_min:
+                return False
+            d_lo = min(d_lo, nearest) if d_lo else nearest
+            d_hi = max(d_hi, max(distances))
+        session.keep_distance(word, config.d_min)
+        words.append(word)
+        return True
+
     stop_reason = "budget"
-    while len(patterns) < config.pattern_budget:
+    while len(words) < config.pattern_budget:
         try:
             result = session.solve()
         except SolverBudgetError:
@@ -109,20 +154,24 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         if not result.is_sat:
             stop_reason = "exhausted"
             break
-        candidate = project_model(result.model, formula)
-        distances = [(candidate.word ^ p.word).bit_count() for p in patterns]
-        if distances:
-            nearest = min(distances)
-            # The solver keeps every accepted model at distance, so only an
-            # unsound solver gets here with a model too close to one.
-            if nearest < config.d_min:
-                raise RuntimeError(
-                    f"solver model {candidate.to_string()} is closer than d_min "
-                    f"{config.d_min} to an accepted pattern")
-            d_lo = min(d_lo, nearest) if d_lo else nearest
-            d_hi = max(d_hi, max(distances))
-        session.keep_distance(result.model, config.d_min)
-        patterns.append(candidate)
+        free = _lift(graph, ops, targets, result.inputs)
+        free_counts.append(free.bit_count())
+        # the solver keeps every emitted pattern at distance, so only an
+        # unsound solver returns a model too close to one
+        if not emit(result.inputs):
+            raise RuntimeError(
+                f"solver model {InputPattern.from_word(result.inputs, width).to_string()} "
+                f"is closer than d_min {config.d_min} to an accepted pattern")
+        if free_counts[-1] < config.d_min:
+            continue  # no completion is d_min away from the model
+        fixed = result.inputs & ~free
+        rejects = 0
+        while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
+            rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
+    patterns = [InputPattern.from_word(w, width) for w in words]
+    _check_targets(graph, ops, targets, patterns)
+    free_counts.sort()
+    mid = len(free_counts) // 2
     return GenReport(
         patterns=patterns,
         observed_d_max=d_hi,
@@ -133,16 +182,69 @@ def generate(formula: CnfFormula, target_literals, config: GenConfig) -> GenRepo
         decisions=session.decisions,
         propagations=session.propagations,
         solver_vars=session.nvars,
+        lifted_models=len(free_counts),
+        free_inputs_min=free_counts[0] if free_counts else None,
+        free_inputs_median=(free_counts[mid] + free_counts[~mid]) / 2 if free_counts else None,
+        free_inputs_max=free_counts[-1] if free_counts else None,
     )
 
 
-def project_model(model, formula: CnfFormula) -> InputPattern:
-    """Extract the primary-input bits of a total model, in input order: the
-    inputs are variables ``1..input_count``."""
-    word = 0
-    for var in range(1, formula.input_count + 1):
-        word = word << 1 | model[var]
-    return InputPattern.from_word(word, formula.input_count)
+def _lift(graph, ops, targets, word):
+    """The inputs of a cube around the pattern ``word`` that every target
+    ignores, as a mask in the same bit order: greedily, in input order, an
+    input is made X while all targets stay definite at their values.
+
+    X-valued simulation is monotone (an X never makes a value definite), so
+    an input whose X alone loses a target is never free: one pass with lane
+    ``i`` making only input ``i`` X skips those.  The rest are decided by
+    passes whose lane ``j`` adds the next ``j + 1`` candidates to the inputs
+    already freed; the lanes that hold form a prefix, so each pass frees the
+    candidates of that prefix and rejects the one after it, just as trying
+    them one at a time would.
+    """
+    width = graph.input_count
+    bits = [word >> width - 1 - i & 1 for i in range(width)]
+    alone = _holding(graph, ops, targets, bits, [1 << i for i in range(width)], width)
+    candidates = [i for i in range(width) if alone >> i & 1]
+    free = []
+    while candidates:
+        every = (1 << len(candidates)) - 1
+        x_lanes = [0] * width  # lanes in which each input is X
+        for i in free:
+            x_lanes[i] = every
+        for j, i in enumerate(candidates):
+            x_lanes[i] = every ^ ((1 << j) - 1)  # lanes j and up
+        held = _holding(graph, ops, targets, bits, x_lanes, len(candidates))
+        taken = (~held & held + 1).bit_length() - 1  # the lanes that hold from lane 0
+        free += candidates[:taken]
+        del candidates[:taken + 1]
+    return sum(1 << width - 1 - i for i in free)
+
+
+def _holding(graph, ops, targets, bits, x_lanes, lanes):
+    """The lanes, of ``lanes``, in which every target is definite at its
+    value, with input ``i`` at ``bits[i]`` except in the lanes ``x_lanes[i]``,
+    where it is X."""
+    mask = (1 << lanes) - 1
+    ones = [mask ^ x if b else 0 for b, x in zip(bits, x_lanes)]
+    zeros = [0 if b else mask ^ x for b, x in zip(bits, x_lanes)]
+    hi, lo = run_ternary(graph, ops, ones, zeros, lanes)
+    for node, value in targets:
+        mask &= (hi if value else lo)[node]
+    return mask
+
+
+def _check_targets(graph, ops, targets, patterns):
+    """Raise RuntimeError unless every pattern drives every target, by one
+    two-valued pass."""
+    words = run_pass(graph, ops, patterns)
+    everywhere = (1 << len(patterns)) - 1
+    for node, value in targets:
+        missed = words[node] ^ (everywhere if value else 0)
+        if missed:
+            lane = (missed & -missed).bit_length() - 1
+            raise RuntimeError(f"pattern {patterns[lane].to_string()} misses target "
+                               f"{graph.names[node]}={value}")
 
 
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:

@@ -1,15 +1,25 @@
-"""Two-valued levelized simulation of circuit graphs, any number of patterns per pass.
+"""Levelized simulation of circuit graphs, any number of patterns per pass.
 
-One kernel does all simulation.  :func:`compile_ops` turns a graph's gates,
+One plan serves all simulation.  :func:`compile_ops` turns a graph's gates,
 optionally only the fan-in cone of the nodes a caller needs, into a plan:
 the gates grouped by level, op, inversion and fanin count, the groups in
-level order.  :func:`run_pass` evaluates a plan over Python-int words, where
-lane ``j`` of a node's word is that node's value under pattern ``j``.
-Python ints have no fixed width, so one pass holds as many patterns as the
-caller gives it; callers with long pattern lists split them into passes
+level order.  :func:`run_pass` evaluates a plan two-valued over Python-int
+words, where lane ``j`` of a node's word is that node's value under pattern
+``j``.  Python ints have no fixed width, so one pass holds as many patterns as
+the caller gives it; callers with long pattern lists split them into passes
 themselves.  :func:`simulate` is the one-lane call.  Scan conversion
-guarantees the graph is combinational, so no X/Z handling is needed: every
-node gets a definite 0/1.
+guarantees the graph is combinational, so every node of a total pattern gets
+a definite 0/1.
+
+:func:`run_ternary` evaluates the same plan three-valued (0, 1, X) for
+partial patterns, dual-rail: each node has a word of the lanes where it is a
+definite 1 and one of the lanes where it is a definite 0, and X is neither.
+A gate is definite only when the definite values of its fanins force it
+(a 0 into an AND, a 1 into an OR, every fanin of an XOR), so the evaluation is
+conservative: a value it calls definite holds under every completion of the
+X inputs, and adding X inputs never makes a value definite.  Pattern
+generation uses it to lift a solver model to a cube of inputs that do not
+matter to the targets.
 
 Why grouped: a pass costs about the same per gate whether it carries 1 lane
 or 64, because the time goes to the interpreter's work per gate (dispatch on
@@ -39,6 +49,9 @@ _OPS = {
     "BUF": (xor, False), "NOT": (xor, True),
     "CONST0": (xor, False), "CONST1": (xor, True),
 }
+# AND is a definite 1 when every fanin is and a definite 0 when any fanin is:
+# on the 0 rail it is an OR, and OR is an AND there
+_DUAL = {and_: or_, or_: and_}
 
 
 class SimulationError(ValueError):
@@ -139,6 +152,31 @@ def run_pass(graph: CircuitGraph, ops, patterns) -> list[int]:
             for n, *srcs in items:
                 words[n] = reduce(op, map(words.__getitem__, srcs), start) ^ x
     return words
+
+
+def run_ternary(graph: CircuitGraph, ops, ones, zeros, lanes: int):
+    """Evaluate the plan ``ops`` three-valued over ``lanes`` partial patterns.
+
+    Lane ``j`` of ``ones[i]`` (``zeros[i]``) is set when input ``i`` is a
+    definite 1 (0) in pattern ``j``, and input ``i`` is X where neither is.
+    Returns ``(ones, zeros)`` lists by node id in the same form; nodes that are
+    neither primary inputs nor in ``ops`` read X.
+    """
+    hi = list(ones) + [0] * (graph.node_count - len(ones))
+    lo = list(zeros) + [0] * (graph.node_count - len(zeros))
+    mask = (1 << lanes) - 1
+    for op, _, inverted, items in ops:
+        dual = _DUAL.get(op)
+        for n, *srcs in items:
+            if dual:
+                h = reduce(op, map(hi.__getitem__, srcs))
+                z = reduce(dual, map(lo.__getitem__, srcs))
+            else:  # XOR, from a definite 0: definite while every fanin is
+                h, z = 0, mask
+                for s in srcs:
+                    h, z = h & lo[s] | z & hi[s], h & hi[s] | z & lo[s]
+            hi[n], lo[n] = (z, h) if inverted else (h, z)
+    return hi, lo
 
 
 def simulate(graph: CircuitGraph, pattern: InputPattern) -> list[int]:

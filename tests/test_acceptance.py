@@ -103,7 +103,7 @@ def test_criterion_2_validity_oracle():
             entries = [(node, rng.randrange(2)) for node in nodes]
             spec = TargetSpec(entries=entries)
             # valid iff generation's first solve returns a pattern, the witness
-            report = generate(formula, build_target_formula(spec, formula),
+            report = generate(graph, formula, build_target_formula(spec, formula),
                               GenConfig(pattern_budget=1))
             valid = bool(report.patterns)
             patterns = all_patterns(graph.input_count)
@@ -188,7 +188,7 @@ def test_criterion_4_diversity():
             literals = build_target_formula(
                 TargetSpec(entries=[(node, want)]), formula)
             d_min = rng.randint(2, min(4, graph.input_count))
-            report = generate(formula, literals,
+            report = generate(graph, formula, literals,
                               GenConfig(pattern_budget=50, d_min=d_min))
             if len(report.patterns) >= 2:
                 sets_checked += 1
@@ -220,7 +220,7 @@ def test_criterion_5_cgf_comparison():
         graph = _graph_for("and_tree16")
         spec = parse_targets("root=1", graph)
         formula = encode(graph)
-        report = generate(formula, build_target_formula(spec, formula),
+        report = generate(graph, formula, build_target_formula(spec, formula),
                           GenConfig(pattern_budget=100))
         curve = measure_with_curve(graph, spec, report.patterns)[1]
         assert curve[0][1] == 100.0  # T_C = 100% with one pattern
@@ -234,7 +234,7 @@ def test_criterion_5_cgf_comparison():
         graph = _graph_for("or4")
         spec = parse_targets("y=1", graph)
         formula = encode(graph)
-        report = generate(formula, build_target_formula(spec, formula),
+        report = generate(graph, formula, build_target_formula(spec, formula),
                           GenConfig(pattern_budget=100))
         sat_curve = measure_with_curve(graph, spec, report.patterns)[1]
         sat_first = next(i for i, s, _ in sat_curve if s == 100.0)

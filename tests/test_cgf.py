@@ -71,7 +71,7 @@ def test_and_tree_rarely_reached_but_sat_always():
                  for s in range(15)]
     assert sum(coverages) / len(coverages) <= 10.0  # 2^-16 event per random try
     f = encode(g)
-    report = generate(f, build_target_formula(spec, f), GenConfig(pattern_budget=1))
+    report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=1))
     assert len(report.patterns) == 1  # the SAT route reaches it in one pattern
 
 
@@ -92,7 +92,7 @@ def test_sat_coverage_dominates_cgf():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     spec = parse_targets("n10=1\nn16=1\nn19=0", g)
-    sat_report = generate(f, build_target_formula(spec, f), GenConfig(pattern_budget=20))
+    sat_report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=20))
     assert sat_report.patterns  # valid spec
     sat_cov = measure(g, spec, sat_report.patterns)
     assert sat_cov.state_coverage_pct == 100.0

@@ -93,22 +93,27 @@ def test_gen_manifest_records_solver_counters(tmp_path):
     assert code == 0
     solver = json.load(open(tmp_path / "m.json"))["solver"]
     assert set(solver) == {"conflicts", "decisions", "propagations", "solver_calls",
-                           "solver_vars", "stop_reason"}
+                           "solver_vars", "stop_reason", "lifted_models", "free_inputs_min",
+                           "free_inputs_median", "free_inputs_max"}
     graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
     # distance constraints add no helper variables to the session
     assert solver["solver_vars"] == encode(graph).var_count
-    # one solve per pattern, and the budget, not UNSAT, ended the run
-    assert solver["solver_calls"] == 20
+    # a solve gives a cube of patterns, so there are no more solves than
+    # patterns; every solve was SAT, and each SAT model was lifted; the
+    # budget, not UNSAT, ended the run
+    assert solver["solver_calls"] <= 20
+    assert solver["lifted_models"] == solver["solver_calls"]
+    assert solver["free_inputs_min"] <= solver["free_inputs_median"] <= solver["free_inputs_max"]
     assert solver["stop_reason"] == "budget"
     # every decision literal is dequeued by the propagation that follows it
     assert solver["propagations"] >= solver["decisions"] > 0
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (0, "e8d718c4c1fea0c077dd1ed0fad4ec88193b321d4ebd470e106064a9502ae8f1"),
-    (1, "ed358d748f0a44cb7fa7f10333d7c56d7549d0b76b091ea5871efae3f6532641"),
-    (2, "c1fa5105fb0f7a6e6b2742a017d4d796fec6d5718ae85f0fd6974e8042c771b9"),
-    (7, "374675b903682b34469e0f9c41a809569b122fbeeb815294ee7397b20035f166"),
+    (0, "1fb878cd0fbda7c5412ed5aad7fc632c661f1d889be8304ef9288e23c358e005"),
+    (1, "73bb3ee8224106d35e11209551aa4774eb7717a1646df3526b5d09b24cd4e23d"),
+    (2, "8a560349e3bb337ab0d50a5d1b14bf078674e10a0f4c0bb5f7d8c78367f5c94e"),
+    (7, "b0a17525862452cafde4b5080be02ead6d7e54ab49922c82fba38b60dadf0d3d"),
 ])
 def test_gen_c432_pattern_file_pinned(tmp_path, seed, digest):
     # the solver's decision order fixes these bytes; a change that moves
@@ -289,8 +294,10 @@ def test_gen_spec_refuted_by_propagation_exits_3_at_budget_0(tmp_path, capsys):
 
 
 def test_gen_budget_exhausted_keeps_proven_patterns(tmp_path, capsys):
-    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
-    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    # parity leaves no input free, so every pattern is a solve, and the
+    # third solve needs a conflict
+    netlist = _write(tmp_path, "xor_ladder8.bench", fixture_text("xor_ladder8.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("xor_ladder8.parity.targets"))
     patterns_out = str(tmp_path / "p.txt")
     code = main(["gen", netlist, targets, "-R", "200", "--conflict-budget", "0",
                  "--seed", "0", "--patterns-out", patterns_out,
@@ -301,16 +308,17 @@ def test_gen_budget_exhausted_keeps_proven_patterns(tmp_path, capsys):
     assert manifest["outputs"] == [patterns_out]
     patterns = read_patterns(open(patterns_out).read())
     assert len(patterns) == 2
-    graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
-    spec = parse_targets(fixture_text("c432.mixed.targets"), graph)
+    graph = build_graph(scan_convert(parse_bench(fixture_text("xor_ladder8.bench"),
+                                                 name="xor_ladder8")))
+    spec = parse_targets(fixture_text("xor_ladder8.parity.targets"), graph)
     for p in patterns:
         valuation = simulate(graph, p)
         assert all(valuation[n] == v for n, v in spec.entries), p.to_string()
 
 
 def test_compare_budget_exhausted_exits_4_without_outputs(tmp_path, capsys):
-    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
-    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    netlist = _write(tmp_path, "xor_ladder8.bench", fixture_text("xor_ladder8.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("xor_ladder8.parity.targets"))
     summary_out = tmp_path / "s.csv"
     code = main(["compare", netlist, targets, "-R", "200", "--conflict-budget", "0",
                  "--trials", "1", "--summary-out", str(summary_out),
@@ -319,6 +327,44 @@ def test_compare_budget_exhausted_exits_4_without_outputs(tmp_path, capsys):
     manifest = _assert_error_recorded(tmp_path, capsys, 4)
     assert manifest["outputs"] == [] and "cgf_trials" not in manifest["stage_times_s"]
     assert not summary_out.exists()
+
+
+def test_gen_c432_budget_0_needs_one_conflict_free_solve(tmp_path):
+    # the first model lifts to a cube that holds all 200 patterns
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    patterns_out = str(tmp_path / "p.txt")
+    code = main(["gen", netlist, targets, "-R", "200", "--conflict-budget", "0",
+                 "--patterns-out", patterns_out, "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 0
+    solver = _manifest(tmp_path)["solver"]
+    assert solver["conflicts"] == 0 and solver["stop_reason"] == "budget"
+    assert len(read_patterns(open(patterns_out).read())) == 200
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["-R", "many"], "argument -R/--patterns: invalid int value: 'many'"),
+])
+def test_gen_usage_error_exits_2_with_a_manifest(tmp_path, capsys, argv, message):
+    netlist, targets = _setup_c17(tmp_path)
+    code = main(["gen", netlist, targets, *argv, "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 2
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 2 and manifest["error"] == message
+    assert manifest["outputs"] == []
+    # argparse's own report: the usage, then the message
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gatefuzz") and err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["gen", "--help"]])
+def test_help_and_version_exit_0_without_a_manifest(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--manifest-out", "m.json"])
+    assert exc.value.code == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_blif_input(tmp_path):

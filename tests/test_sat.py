@@ -9,9 +9,9 @@ from gatefuzz.cnf import CnfFormula, encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
+from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, _UNDEF, SolverBudgetError,
                           SolverSession)
-from gatefuzz.seedgen import project_model
 from gatefuzz.simulate import simulate
 
 from conftest import all_patterns
@@ -26,6 +26,13 @@ def formula_of(clauses, nvars):
 def model_of(*inputs):
     """A total model as ``solve`` returns it: entry 0 unused."""
     return [False] + [bool(b) for b in inputs]
+
+
+def input_word(model, inputs=None):
+    """The word of a model's first ``inputs`` variables (all by default) as
+    ``keep_distance`` takes it: the first input is the most significant bit."""
+    bits = model[1:] if inputs is None else model[1:inputs + 1]
+    return int("0" + "".join("1" if bit else "0" for bit in bits), 2)
 
 
 def brute_force_sat(clauses, nvars, fixed=()):
@@ -166,7 +173,7 @@ def test_at_least_k_counts_by_enumeration(m, k):
     sat_count = 0
     for bits in itertools.product([0, 1], repeat=m):
         s = SolverSession(formula_of([], m))
-        s.keep_distance(kept, k)
+        s.keep_distance(input_word(kept), k)
         assumptions = [v if bits[v - 1] else -v for v in range(1, m + 1)]
         if s.solve(assumptions=assumptions).is_sat:
             sat_count += 1
@@ -176,7 +183,7 @@ def test_at_least_k_counts_by_enumeration(m, k):
 def test_at_least_2_of_4_is_11_of_16():
     # one session, enumerated with blocking clauses: 16 - 1 - 4 words
     s = SolverSession(formula_of([], 4))
-    s.keep_distance(model_of(0, 1, 1, 0), 2)
+    s.keep_distance(input_word(model_of(0, 1, 1, 0)), 2)
     words = set()
     while (r := s.solve()).is_sat:
         words.add(tuple(r.model[1:]))
@@ -188,7 +195,7 @@ def test_at_least_2_of_4_is_11_of_16():
 def test_at_least_k_negated_literals():
     # far from an all-true model means at least two inputs false
     s = SolverSession(formula_of([], 3))
-    s.keep_distance(model_of(1, 1, 1), 2)
+    s.keep_distance(input_word(model_of(1, 1, 1)), 2)
     r = s.solve()
     assert r.is_sat
     assert sum(not r.model[v] for v in (1, 2, 3)) >= 2
@@ -199,13 +206,24 @@ def test_at_least_k_infeasible():
     s = SolverSession(CnfFormula(clauses=[], var_count=4, input_count=3))
     for d in (0, 4):
         with pytest.raises(ValueError, match=rf"^distance {d} is not in 1..3, the primary inputs$"):
-            s.keep_distance(model_of(0, 0, 0, 0), d)
-    s.keep_distance(model_of(0, 0, 0, 0), 2)
+            s.keep_distance(input_word(model_of(0, 0, 0, 0), 3), d)
+    s.keep_distance(input_word(model_of(0, 0, 0, 0), 3), 2)
     with pytest.raises(ValueError, match=r"^distance 3 differs from the session's floor 2$"):
-        s.keep_distance(model_of(1, 1, 1, 0), 3)
-    s.keep_distance(model_of(1, 1, 1, 0), 2)  # the same floor is accepted
+        s.keep_distance(input_word(model_of(1, 1, 1, 0), 3), 3)
+    s.keep_distance(input_word(model_of(1, 1, 1, 0), 3), 2)  # the same floor is accepted
     # two of three inputs true and two of three false: no model is left
     assert s.solve().status == "UNSAT"
+
+
+def test_keep_distance_takes_the_input_word_first_input_first():
+    # input 1 is the most significant bit of the word, as in a pattern
+    s = SolverSession(formula_of([], 3))
+    s.keep_distance(0b100, 3)
+    r = s.solve()
+    assert r.model[1:] == [False, True, True] and r.inputs == 0b011
+    for word in (-1, 0b1000):
+        with pytest.raises(ValueError, match=rf"^input word {word} does not fit in 3 bits$"):
+            s.keep_distance(word, 3)
 
 
 def test_budget_exhausted_is_distinct_error():
@@ -226,7 +244,7 @@ def test_c17_output_assumption_model_simulates():
     out_var = f.node_var(graph.node_id("n22"))
     r = SolverSession(f).solve(assumptions=[out_var])
     assert r.is_sat
-    pattern = project_model(r.model, f)
+    pattern = InputPattern.from_word(r.inputs, f.input_count)
     assert simulate(graph, pattern)[graph.node_id("n22")] == 1
     # cross-check with brute force: some input must set n22=1
     assert any(simulate(graph, p)[graph.node_id("n22")] == 1 for p in all_patterns(5))
@@ -344,7 +362,7 @@ def _check_incremental_cardinality():
             elif roll < 0.6:
                 model = _model_to_keep(rng, nvars, last)
                 kept.append(model)
-                session.keep_distance(model, d)
+                session.keep_distance(input_word(model), d)
             else:
                 assumptions = [v if rng.random() < 0.5 else -v
                                for v in rng.sample(range(1, nvars + 1),
@@ -402,7 +420,7 @@ def _check_dense_sessions():
         for _ in range(rng.randint(20, 50)):
             if rng.random() < 0.05:
                 model = _model_to_keep(rng, nvars, last)
-                session.keep_distance(model, d)
+                session.keep_distance(input_word(model), d)
                 word = sum(1 << (v - 1) for v in range(1, nvars + 1) if model[v])
                 models &= sum(1 << a for a in assignments if (a ^ word).bit_count() >= d)
             else:
@@ -466,7 +484,7 @@ def test_at_least_k_over_literals_fixed_at_level_0():
     kept = model_of(1, 0, 1, 0)
     for units_first in (True, False):
         s = SolverSession(formula_of([(1,), (-2,)] if units_first else [], 4))
-        s.keep_distance(kept, 2)
+        s.keep_distance(input_word(kept), 2)
         if not units_first:
             s.add_clause([1])
             s.add_clause([-2])
@@ -480,7 +498,7 @@ def test_at_least_k_over_literals_fixed_at_level_0():
     for units_first in (True, False):
         s = SolverSession(formula_of([(1,), (-2,), (3,)] if units_first else [], 4),
                           conflict_budget=0)
-        s.keep_distance(kept, 2)
+        s.keep_distance(input_word(kept), 2)
         if not units_first:
             for unit in ([1], [-2], [3]):
                 s.add_clause(unit)
@@ -492,8 +510,8 @@ def test_budget_exhausted_on_cardinality_conflict():
     # floors of 2 from 000 and from 111 over three inputs, and no clause at
     # all, so every conflict comes from a floor
     s = SolverSession(formula_of([], 3), conflict_budget=0)
-    s.keep_distance(model_of(0, 0, 0), 2)
-    s.keep_distance(model_of(1, 1, 1), 2)
+    s.keep_distance(input_word(model_of(0, 0, 0)), 2)
+    s.keep_distance(input_word(model_of(1, 1, 1)), 2)
     with pytest.raises(SolverBudgetError):
         s.solve()
     assert s.conflicts == 1
@@ -533,7 +551,7 @@ def _force(session, assignment):
 def _sat_session(nvars, clauses=(), kept=(), d=0):
     s = SolverSession(formula_of(clauses, nvars))
     for model in kept:
-        s.keep_distance(model, d)
+        s.keep_distance(input_word(model), d)
     assert s.solve().is_sat
     return s
 
@@ -588,7 +606,7 @@ def test_mask_check_matches_literal_recount(monkeypatch, block_bits):
                     # on the boundary of the check
                     d = min(nvars, max(1, _distance(model, word, nvars) + rng.randint(0, 1)))
                 kept.append(word)
-                s.keep_distance(word, d)
+                s.keep_distance(input_word(word), d)
         holds = (all(_count_true(model, c) >= 1 for c in clauses)
                  and all(_distance(model, w, nvars) >= d for w in kept))
         _force(s, assignment)

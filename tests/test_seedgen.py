@@ -14,10 +14,10 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import (GenConfig, GenConfigError, generate, project_model,
-                              read_patterns, report_csv_row, write_patterns)
-from gatefuzz.simulate import simulate
-from gatefuzz.targets import build_target_formula, parse_targets
+from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, generate, read_patterns,
+                              report_csv_row, write_patterns)
+from gatefuzz.simulate import compile_ops, run_pass, run_ternary, simulate
+from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -40,7 +40,7 @@ def _qualifying_inputs(graph, entries):
 def test_unique_satisfying_input_exhausts():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     spec = parse_targets("y=1", g)
-    report = generate(f, build_target_formula(spec, f), GenConfig(pattern_budget=10))
+    report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=10))
     assert [p.bits for p in report.patterns] == [(1, 1)]
     assert report.exhausted and report.stop_reason == "exhausted"
     assert report.solver_calls >= 2  # the model, then the UNSAT proof
@@ -49,7 +49,7 @@ def test_unique_satisfying_input_exhausts():
 def test_or4_distance_two_code():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
     spec = parse_targets("y=1", g)
-    report = generate(f, build_target_formula(spec, f),
+    report = generate(g, f, build_target_formula(spec, f),
                       GenConfig(pattern_budget=100, d_min=2))
     qualifying = _qualifying_inputs(g, spec.entries)
     assert len(qualifying) == 15
@@ -78,7 +78,7 @@ def test_every_pattern_hits_all_targets_randomized():
         entries = [(node, rng.randrange(2)) for node in nodes]
         lits = build_target_formula(
             parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g), f)
-        report = generate(f, lits, GenConfig(pattern_budget=8, d_min=2, seed=done))
+        report = generate(g, f, lits, GenConfig(pattern_budget=8, d_min=2, seed=done))
         if len(report.patterns) < 2:
             # no pair, so no distance: both extremes read 0
             single += len(report.patterns)
@@ -108,6 +108,7 @@ def test_exhausted_confirmed_by_brute_force_randomized():
     rng = random.Random(89)
     kinds = {(valid, several): 0 for valid in (True, False) for several in (True, False)}
     floors = {2: 0, 3: 0, 4: 0}  # exhausted runs by d_min
+    cubes = 0  # runs that lifted a cube with room for a completion
     while min(kinds.values()) < 3:
         n = random_netlist(rng, rng.randint(2, 6), rng.randint(1, 12))
         g = build_graph(scan_convert(n))
@@ -118,25 +119,78 @@ def test_exhausted_confirmed_by_brute_force_randomized():
             parse_targets("".join(f"{g.names[node]}={v}\n" for node, v in entries), g), f)
         d_min = rng.randint(2, min(4, g.input_count))
         # a budget above the 2**6 input patterns: every run ends exhausted
-        report = generate(f, lits, GenConfig(pattern_budget=1000, d_min=d_min,
-                                             seed=rng.randrange(4)))
+        report = generate(g, f, lits, GenConfig(pattern_budget=1000, d_min=d_min,
+                                                seed=rng.randrange(4)))
         assert report.exhausted
         qualifying = _qualifying_inputs(g, entries)
         assert (report.patterns == []) == (qualifying == [])
         kinds[bool(qualifying), len(entries) > 1] += 1
         floors[d_min] += 1
+        cubes += report.lifted_models > 0 and report.free_inputs_max >= d_min
         emitted = set(report.patterns)
         assert emitted <= set(qualifying)
         for q in qualifying:
             if q not in emitted:
                 assert any((q.word ^ p.word).bit_count() < d_min for p in report.patterns)
     assert floors[4] >= 10, floors
+    assert cubes >= 25, cubes  # so the verdict covers completions, not just models
+
+
+def _lift_one_at_a_time(g, entries, word):
+    """Reference lifting: each input in order is made X by itself, one
+    single-lane ternary pass each, and stays X if every target stays definite."""
+    width = g.input_count
+    ops = compile_ops(g)
+    free = 0
+    for i in range(width):
+        trial = free | 1 << width - 1 - i
+        bits = [(word >> width - 1 - k & 1, trial >> width - 1 - k & 1) for k in range(width)]
+        hi, lo = run_ternary(g, ops, [int(b and not x) for b, x in bits],
+                             [int(not b and not x) for b, x in bits], 1)
+        if all((hi if v else lo)[n] for n, v in entries):
+            free = trial
+    return free
+
+
+def test_every_completion_of_a_lifted_cube_reaches_the_targets():
+    rng = random.Random(92)
+    lifted = checked = 0
+    for trial in range(300):
+        g = None
+        while g is None or g.input_count > 8:
+            g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 7),
+                                                        rng.randint(1, 20),
+                                                        with_dffs=trial % 3 == 0)))
+        f = encode(g)
+        nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
+        entries = [(node, rng.randrange(2)) for node in nodes]
+        session = SolverSession(f, decision_seed=trial)
+        for lit in build_target_formula(TargetSpec(entries=entries), f):
+            session.add_clause([lit])
+        result = session.solve()
+        if not result.is_sat:
+            continue
+        free = _lift(g, compile_ops(g, nodes), entries, result.inputs)
+        assert free == _lift_one_at_a_time(g, entries, result.inputs), trial
+        # every completion, by one exhaustive two-valued pass over the cube
+        width = g.input_count
+        positions = [i for i in range(width) if free >> width - 1 - i & 1]
+        cube = [InputPattern.from_word(result.inputs & ~free | sum(
+                    (c >> j & 1) << width - 1 - i for j, i in enumerate(positions)), width)
+                for c in range(1 << len(positions))]
+        words = run_pass(g, compile_ops(g), cube)
+        everywhere = (1 << len(cube)) - 1
+        for node, value in entries:
+            assert words[node] == (everywhere if value else 0), (trial, node)
+        checked += 1
+        lifted += len(positions) >= 2
+    assert checked >= 200 and lifted >= 100, (checked, lifted)
 
 
 def test_invalid_target_yields_empty_exhausted_report():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
     lits = build_target_formula(parse_targets("y=1", g), f)
-    report = generate(f, lits, GenConfig(pattern_budget=5))
+    report = generate(g, f, lits, GenConfig(pattern_budget=5))
     assert report.patterns == []
     assert report.exhausted
     assert report.solver_calls == 1
@@ -155,10 +209,10 @@ def test_validity_witness_is_the_first_generated_pattern():
         lits = build_target_formula(spec, f)
         for seed in (0, 1, 5):
             first = SolverSession(f, decision_seed=seed).solve(assumptions=lits)
-            report = generate(f, lits, GenConfig(pattern_budget=3, seed=seed))
+            report = generate(g, f, lits, GenConfig(pattern_budget=3, seed=seed))
             if first.is_sat:
                 valid += 1
-                assert report.patterns[0] == project_model(first.model, f)
+                assert report.patterns[0] == InputPattern.from_word(first.inputs, f.input_count)
             else:
                 invalid += 1
                 assert report.patterns == [] and report.exhausted
@@ -169,8 +223,8 @@ def test_determinism():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     lits = build_target_formula(parse_targets("n22=1", g), f)
-    a = generate(f, lits, GenConfig(pattern_budget=12, seed=3))
-    b = generate(f, lits, GenConfig(pattern_budget=12, seed=3))
+    a = generate(g, f, lits, GenConfig(pattern_budget=12, seed=3))
+    b = generate(g, f, lits, GenConfig(pattern_budget=12, seed=3))
     assert a.patterns == b.patterns
     assert a.solver_calls == b.solver_calls
     assert a.propagations == b.propagations > 0
@@ -188,7 +242,7 @@ formula = encode(graph)
 lits = build_target_formula(parse_targets(fixture_text("c432.mixed.targets"), graph), formula)
 print(__debug__)
 for seed in (0, 7):
-    report = generate(formula, lits, GenConfig(pattern_budget=200, d_min=2, seed=seed))
+    report = generate(graph, formula, lits, GenConfig(pattern_budget=200, d_min=2, seed=seed))
     print(report.stop_reason, report.solver_calls, report.conflicts, report.decisions,
           report.propagations)
     print(" ".join(p.to_string() for p in report.patterns))
@@ -205,14 +259,14 @@ def test_c432_patterns_are_the_same_with_asserts_on_and_off():
     assert runs[0][0] == "True" and runs[1][0] == "False"
     assert runs[0][1:] == runs[1][1:]
     for seed_stats, seed_patterns in zip(runs[0][1::2], runs[0][2::2]):
-        assert seed_stats.startswith("budget 200 ")
+        assert seed_stats.startswith("budget ")
         assert len(seed_patterns.split()) == 200
 
 
 def test_d_min_exceeding_inputs_is_config_error():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     with pytest.raises(GenConfigError, match="d_min"):
-        generate(f, [], GenConfig(d_min=3))
+        generate(g, f, [], GenConfig(d_min=3))
 
 
 def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
@@ -222,7 +276,19 @@ def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
     lits = build_target_formula(parse_targets("y=1", g), f)
     monkeypatch.setattr(SolverSession, "keep_distance", lambda self, model, d: None)
     with pytest.raises(RuntimeError, match="closer than d_min 2"):
-        generate(f, lits, GenConfig(pattern_budget=15, d_min=2))
+        generate(g, f, lits, GenConfig(pattern_budget=15, d_min=2))
+
+
+def test_target_check_raises_on_an_unsound_lift(monkeypatch):
+    # a lift that frees every input lets completions miss the AND's one
+    # qualifying pattern; the two-valued check must refuse them, asserts on
+    # or off
+    g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)")
+    lits = build_target_formula(parse_targets("y=1", g), f)
+    monkeypatch.setattr("gatefuzz.seedgen._lift",
+                        lambda graph, ops, targets, word: (1 << graph.input_count) - 1)
+    with pytest.raises(RuntimeError, match=r"^pattern [01]{4} misses target y=1$"):
+        generate(g, f, lits, GenConfig(pattern_budget=15, d_min=2))
 
 
 def test_config_validation():
@@ -238,7 +304,7 @@ def test_config_validation():
 def test_write_patterns_header_and_bits():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     lits = build_target_formula(parse_targets("y=1", g), f)
-    report = generate(f, lits, GenConfig(pattern_budget=4))
+    report = generate(g, f, lits, GenConfig(pattern_budget=4))
     text = write_patterns(report, g)
     assert text == "# a b\n11\n"
     assert read_patterns(text) == [InputPattern((1, 1))]
@@ -246,7 +312,7 @@ def test_write_patterns_header_and_bits():
 
 def test_write_patterns_empty_report():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
-    report = generate(f, build_target_formula(parse_targets("y=1", g), f),
+    report = generate(g, f, build_target_formula(parse_targets("y=1", g), f),
                       GenConfig(pattern_budget=4))
     assert write_patterns(report, g) == "# a b\n"
 
@@ -255,7 +321,7 @@ def test_report_csv_row_shape():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     lits = build_target_formula(parse_targets("n22=1", g), f)
-    report = generate(f, lits, GenConfig(pattern_budget=5))
+    report = generate(g, f, lits, GenConfig(pattern_budget=5))
     row = report_csv_row(report, g, state_pct=100.0, site_pct=50.0, target_count=1)
     fields = row.split(",")
     assert fields[0] == "c17"

@@ -10,7 +10,7 @@ from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass,
+from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass, run_ternary,
                                simulate)
 
 from conftest import all_patterns, random_netlist
@@ -249,6 +249,72 @@ def test_kernel_matches_oracle_on_random_circuits_in_any_declared_order():
         if trial % 3 == 0:
             rng.shuffle(netlist.gates)
         _assert_kernel_matches_oracle(netlist, seed=trial)
+
+
+# -- three-valued evaluation against exhaustive two-valued passes ------------
+
+
+def _assert_ternary_sound(g, rng, lanes=24):
+    """Random partial patterns, one per lane, each input 0, 1 or X: a node
+    that :func:`run_ternary` calls definite has that value under every
+    completion, found by one exhaustive :func:`run_pass`; a lane without X is
+    definite everywhere.  Returns (definite gates, X gates) over the lanes
+    that have an X."""
+    width = g.input_count
+    ops = compile_ops(g)
+    words = run_pass(g, ops, all_patterns(width))  # lane v is the pattern v
+    ones, zeros = [0] * width, [0] * width
+    completions = []  # per lane: the exhaustive lanes it covers, as a bitset
+    for lane in range(lanes):
+        covered = (1 << (1 << width)) - 1
+        for i in range(width):
+            value = rng.randrange(3)  # 2 is X
+            if value == 2:
+                continue
+            (ones if value else zeros)[i] |= 1 << lane
+            # patterns whose input i (bit width - 1 - i of v) is the value
+            covered &= sum(1 << v for v in range(1 << width)
+                           if (v >> (width - 1 - i) & 1) == value)
+        completions.append(covered)
+    hi, lo = run_ternary(g, ops, ones, zeros, lanes)
+    definite = unknown = 0
+    for lane, covered in enumerate(completions):
+        has_x = covered & (covered - 1) != 0  # more than one completion
+        for node in range(g.node_count):
+            is_1, is_0 = hi[node] >> lane & 1, lo[node] >> lane & 1
+            assert not (is_1 and is_0), (node, lane)
+            if is_1:
+                assert words[node] & covered == covered, (node, lane)
+            if is_0:
+                assert words[node] & covered == 0, (node, lane)
+            if not has_x:
+                assert is_1 or is_0, (node, lane)
+            elif g.kinds[node] != "INPUT":
+                definite += is_1 or is_0
+                unknown += not (is_1 or is_0)
+    return definite, unknown
+
+
+def test_ternary_values_hold_under_every_completion():
+    rng = random.Random(47)
+    definite = unknown = 0
+    for trial in range(300):
+        g = None
+        while g is None or g.input_count > 8:
+            netlist = random_netlist(rng, rng.randint(1, 6), rng.randint(1, 25),
+                                     with_dffs=trial % 3 == 0)
+            if trial % 4 == 0:
+                rng.shuffle(netlist.gates)
+            g = build_graph(scan_convert(netlist))
+        d, u = _assert_ternary_sound(g, rng)
+        definite += d
+        unknown += u
+    # wide gates, repeated fanins and both constants
+    for trial in range(3):
+        d, u = _assert_ternary_sound(build_graph(scan_convert(_every_arity_netlist(rng))), rng)
+        definite += d
+        unknown += u
+    assert definite > 10000 and unknown > 10000, (definite, unknown)
 
 
 def _reference_cone(g, nodes):

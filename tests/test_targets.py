@@ -7,8 +7,9 @@ from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph, diff_graphs
 from gatefuzz.netlist import scan_convert
+from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import GenConfig, generate, project_model
+from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import compile_ops, run_pass, simulate
 from gatefuzz.targets import (TargetError, TargetSpec, build_target_formula,
                               parse_targets, targets_from_diff)
@@ -21,9 +22,9 @@ def _pipeline(text):
     return graph, encode(graph)
 
 
-def first_pattern(spec, formula):
+def first_pattern(graph, spec, formula):
     """Generation's first pattern, the validity witness; None when invalid."""
-    report = generate(formula, build_target_formula(spec, formula),
+    report = generate(graph, formula, build_target_formula(spec, formula),
                       GenConfig(pattern_budget=1))
     return report.patterns[0] if report.patterns else None
 
@@ -33,7 +34,7 @@ def solve_witness(spec, formula):
     for circuits that may have one input, where ``d_min`` 2 rules out
     :func:`generate`."""
     result = SolverSession(formula).solve(assumptions=build_target_formula(spec, formula))
-    return project_model(result.model, formula) if result.is_sat else None
+    return InputPattern.from_word(result.inputs, formula.input_count) if result.is_sat else None
 
 
 def brute_force_reachable(graph, entries):
@@ -133,7 +134,7 @@ def test_build_target_formula_rejects_a_node_outside_the_graph():
 
 def test_validity_and_gate():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    witness = first_pattern(parse_targets("y=1", g), f)
+    witness = first_pattern(g, parse_targets("y=1", g), f)
     assert witness.bits == (1, 1)  # only satisfying input
 
 
@@ -146,7 +147,7 @@ def test_validity_witness_simulates_to_targets():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     spec = parse_targets(fixture_text("c17.internal.targets"), g)
-    witness = first_pattern(spec, f)
+    witness = first_pattern(g, spec, f)
     assert witness is not None
     valuation = simulate(g, witness)
     for node, want in spec.entries:
@@ -157,7 +158,7 @@ def test_c17_pair_matches_brute_force():
     g = build_graph(scan_convert(load_circuit("c17")))
     f = encode(g)
     spec = parse_targets("n22=1\nn23=1", g)
-    witness = first_pattern(spec, f)
+    witness = first_pattern(g, spec, f)
     assert (witness is not None) == brute_force_reachable(g, spec.entries)
 
 
