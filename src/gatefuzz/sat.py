@@ -41,17 +41,10 @@ SAT 2003): ``_lit_val[lit]`` is the literal's own value, so the hot loops read
 it with one index and no sign flip; assigning or unassigning a variable writes
 both of its literals.
 
-Every model is checked against every clause ever added and every kept word
-while asserts are on.  A kept word holds when one popcount of its XOR with
-the model's input word reaches ``d``.  The clause check is bitmask
-arithmetic over literals, indexed like ``_lit_val``.  The model's true
-literals are packed into one int and cut into blocks of
-``_CHECK_BLOCK_BITS`` literals.  A clause is kept as ``(block, mask)``
-segments, one per block that holds its literals, and holds when ``w & mask``
-is nonzero for one of its segments, with ``w`` the block of true literals.
-A mask is never wider than a block, so the check's store grows with the
-number of literals and not with the distance between their variables; it is
-recorded only while asserts are on.
+While asserts are on, every model is checked against every clause ever
+added, kept as given in one list that holds the formula's own tuples, and
+against every kept word, by one popcount of its XOR with the model's input
+word.  The list stays empty under ``python -O``.
 """
 
 from __future__ import annotations
@@ -69,7 +62,6 @@ _UNDEF = 0
 _RESTART_BASE = 100
 _ACTIVITY_DECAY = 0.95
 _ACTIVITY_RESCALE = 1e100
-_CHECK_BLOCK_BITS = 512  # literals per block in the debug model check
 
 
 class SolverBudgetError(Exception):
@@ -136,9 +128,7 @@ class SolverSession:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._unsat_forever = False
-        # every clause ever added, for the model check, kept under the block
-        # of its first segment as (mask, other segments)
-        self._check_clauses: dict[int, list[tuple[int, tuple]]] = {}
+        self._clauses: list[tuple] = []  # every clause ever added, for the model check
 
         for clause in formula.clauses:
             self.add_clause(clause)
@@ -156,11 +146,6 @@ class SolverSession:
             internal.append(signed << 1 if signed > 0 else (-signed << 1) | 1)
         return internal
 
-    @staticmethod
-    def _signed(internal):
-        var = internal >> 1
-        return -var if internal & 1 else var
-
     # -- constraints -------------------------------------------------------------
 
     def add_clause(self, clause) -> None:
@@ -171,8 +156,7 @@ class SolverSession:
         if any(lit ^ 1 in lits for lit in lits):
             return  # tautology, always satisfied
         if __debug__:
-            (block, mask), *rest = _segments(lits)
-            self._check_clauses.setdefault(block, []).append((mask, tuple(rest)))
+            self._clauses.append(tuple(clause))
         if self._unsat_forever:
             return
         assert not self._trail_lim, "clauses are added at decision level 0"
@@ -477,29 +461,18 @@ class SolverSession:
         val = self._lit_val
         model = [False] + [value == _TRUE for value in val[2::2]]
         if __debug__:
-            true_lits = int("".join("1" if v == _TRUE else "0" for v in reversed(val)), 2)
-            size = _CHECK_BLOCK_BITS >> 3
-            packed = true_lits.to_bytes(len(val) // 8 + 1, "little")
-            words = [int.from_bytes(packed[i:i + size], "little")
-                     for i in range(0, len(packed), size)]
-            for block, clauses in self._check_clauses.items():
-                w = words[block]
-                for mask, rest in clauses:
-                    if not w & mask:
-                        assert any(words[b] & m for b, m in rest), \
-                            f"model violates clause {_segment_literals(((block, mask),) + rest)}"
+            true = {v if model[v] else -v for v in range(1, self.nvars + 1)}
+            clause = next(filter(true.isdisjoint, self._clauses), None)
+            assert clause is None, f"model violates clause {list(clause)}"
             n = self._input_count
-            inputs = int("0" + "".join("1" if v == _TRUE else "0" for v in val[2:2 * n + 1:2]), 2)
+            inputs = int("0" + "".join("1" if b else "0" for b in model[1:n + 1]), 2)
+            assert inputs == self._true_inputs, \
+                f"model's input word {inputs} is not the true-input mask {self._true_inputs}"
             for w in self._kept:
                 assert (w ^ inputs).bit_count() >= self._floor, \
                     f"model is closer than {self._floor} to kept inputs " \
                     f"{[v if w >> n - v & 1 else -v for v in range(1, n + 1)]}"
         return model
-
-
-# Shared one-bit masks: most segments of a clause whose variables lie far
-# apart hold a single literal, and sharing their mask saves its int.
-_BIT = tuple(1 << i for i in range(_CHECK_BLOCK_BITS))
 
 
 def _differs(inputs, word, input_count):
@@ -513,27 +486,3 @@ def _differs(inputs, word, input_count):
         inputs ^= 1 << top
     return lits
 
-
-def _segments(internal_lits):
-    """``(block, mask)`` segments of distinct internal literals: bit ``lit %
-    _CHECK_BLOCK_BITS`` of a block's mask is set for each literal in it."""
-    segments = []
-    block = mask = -1
-    for lit in sorted(internal_lits):
-        bit = _BIT[lit % _CHECK_BLOCK_BITS]
-        if lit // _CHECK_BLOCK_BITS == block:
-            mask |= bit
-        else:
-            if block >= 0:
-                segments.append((block, mask))
-            block = lit // _CHECK_BLOCK_BITS
-            mask = bit
-    segments.append((block, mask))
-    return tuple(segments)
-
-
-def _segment_literals(segments):
-    """The signed literals of a constraint's segments, for messages."""
-    return [SolverSession._signed(block * _CHECK_BLOCK_BITS + i)
-            for block, mask in segments
-            for i in range(mask.bit_length()) if mask >> i & 1]

@@ -10,8 +10,7 @@ from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.sat import (_CHECK_BLOCK_BITS, _FALSE, _TRUE, _UNDEF, SolverBudgetError,
-                          SolverSession)
+from gatefuzz.sat import _FALSE, _TRUE, _UNDEF, SolverBudgetError, SolverSession
 from gatefuzz.simulate import simulate
 
 from conftest import all_patterns
@@ -540,12 +539,14 @@ debug_check = pytest.mark.skipif(
 
 
 def _force(session, assignment):
-    """Overwrite the session's value array with a total assignment
-    (index v of ``assignment`` is variable v; index 0 unused)."""
+    """Overwrite the session's value array and input masks with a total
+    assignment (index v of ``assignment`` is variable v; index 0 unused)."""
     for var in range(1, session.nvars + 1):
         value = _TRUE if assignment[var] else _FALSE
         session._lit_val[2 * var] = value
         session._lit_val[2 * var + 1] = -value
+    session._assigned_inputs = session._all_inputs
+    session._true_inputs = input_word(assignment, session._input_count)
 
 
 def _sat_session(nvars, clauses=(), kept=(), d=0):
@@ -577,11 +578,7 @@ def test_model_check_fires_on_violated_at_least_k():
 
 
 @debug_check
-@pytest.mark.parametrize("block_bits", [_CHECK_BLOCK_BITS, 8])
-def test_mask_check_matches_literal_recount(monkeypatch, block_bits):
-    # 8-bit blocks split most constraints over several blocks
-    monkeypatch.setattr("gatefuzz.sat._CHECK_BLOCK_BITS", block_bits)
-    monkeypatch.setattr("gatefuzz.sat._BIT", tuple(1 << i for i in range(block_bits)))
+def test_model_check_matches_literal_recount():
     rng = random.Random(35)
     outcomes = {True: 0, False: 0}
     for trial in range(400):
@@ -622,33 +619,48 @@ def test_mask_check_matches_literal_recount(monkeypatch, block_bits):
 
 
 @debug_check
-def test_check_masks_stay_within_a_block():
-    # variables far apart: each mask covers its own block, not the span
-    far = 4 * _CHECK_BLOCK_BITS
-    s = SolverSession(formula_of([(1, -far, far // 2)], far))
-    s.add_clause([2, 2, -(far - 1), far // 2 + 1])  # the repeat is dropped
-    ((home, entries),) = s._check_clauses.items()
-    assert home == 0 and len(entries) == 2
-    for mask, rest in entries:
-        clause = ((home, mask),) + rest
-        assert len(clause) == 3  # three blocks, one segment each
-        for block, mask in clause:
-            assert 0 <= block <= 2 * far // _CHECK_BLOCK_BITS
-            assert 0 < mask < 1 << _CHECK_BLOCK_BITS
+def test_check_names_a_clause_as_given():
+    # variables far apart, and a repeat the solver drops but the check keeps
+    far = 2048
+    formula = formula_of([(1, -far, far // 2)], far)
+    s = SolverSession(formula)
+    s.add_clause([2, 2, -(far - 1), far // 2 + 1])
+    assert s._clauses[0] is formula.clauses[0]  # a reference, not a copy
+    assert s._clauses[1] == (2, 2, -(far - 1), far // 2 + 1)
     assignment = [None] + [False] * far
     assignment[2] = True
     _force(s, assignment)  # -far holds the first clause, 2 the second
     s._extract_model()
     assignment[far] = True  # now no literal of the first clause holds
     _force(s, assignment)
-    with pytest.raises(AssertionError, match=rf"violates clause \[1, {far // 2}, -{far}\]"):
+    with pytest.raises(AssertionError,
+                       match=rf"^model violates clause \[1, -{far}, {far // 2}\]$"):
         s._extract_model()
     assignment[far] = False
     assignment[2] = False
     assignment[far - 1] = True  # and now none of the second
     _force(s, assignment)
     with pytest.raises(AssertionError,
-                       match=rf"violates clause \[2, {far // 2 + 1}, -{far - 1}\]"):
+                       match=rf"^model violates clause \[2, 2, -{far - 1}, {far // 2 + 1}\]$"):
+        s._extract_model()
+
+
+@pytest.mark.skipif(__debug__, reason="the clause list is empty only under python -O")
+def test_clause_list_stays_empty_without_asserts():
+    s = SolverSession(formula_of([(1, -2), (2, 3)], 3))
+    s.add_clause([-1, -3])
+    assert s.solve().is_sat
+    assert s._clauses == []
+
+
+@debug_check
+def test_model_check_fires_on_a_wrong_input_word():
+    s = _sat_session(4, clauses=[(1, 2)])
+    _force(s, [None, True, False, True, False])
+    s._extract_model()
+    s._true_inputs ^= 1 << 2  # input 2's bit, flipped
+    with pytest.raises(AssertionError, match=r"^model's input word 10 is not the "
+                                             r"true-input mask 14$"):
         s._extract_model()
 
 

@@ -230,37 +230,46 @@ def test_determinism():
     assert a.propagations == b.propagations > 0
 
 
-_C432_PATTERNS = """
+_GEN_PATTERNS = """
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.targets import build_target_formula, parse_targets
-graph = build_graph(scan_convert(load_circuit("c432")))
-formula = encode(graph)
-lits = build_target_formula(parse_targets(fixture_text("c432.mixed.targets"), graph), formula)
 print(__debug__)
-for seed in (0, 7):
-    report = generate(graph, formula, lits, GenConfig(pattern_budget=200, d_min=2, seed=seed))
-    print(report.stop_reason, report.solver_calls, report.conflicts, report.decisions,
-          report.propagations)
-    print(" ".join(p.to_string() for p in report.patterns))
+for circuit, targets, budget, seeds in (("c432", "c432.mixed", 200, (0, 7)),
+                                        ("xor_ladder8", "xor_ladder8.parity", 1000, (0,)),
+                                        ("s27", "s27.scan", 1000, (0,))):
+    graph = build_graph(scan_convert(load_circuit(circuit)))
+    formula = encode(graph)
+    lits = build_target_formula(parse_targets(fixture_text(targets + ".targets"), graph),
+                                formula)
+    for seed in seeds:
+        report = generate(graph, formula, lits,
+                          GenConfig(pattern_budget=budget, d_min=2, seed=seed))
+        print(report.stop_reason, report.solver_calls, report.conflicts, report.decisions,
+              report.propagations)
+        print(" ".join(p.to_string() for p in report.patterns))
 """
 
 
 def test_c432_patterns_are_the_same_with_asserts_on_and_off():
-    # the model check in the solver must not steer the search
+    # the model check in the solver must not steer the search; c432 makes one
+    # solve per seed, so the runs to exhaustion are the ones that check many
+    # models
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gatefuzz.__file__)))
     env.pop("PYTHONOPTIMIZE", None)
-    runs = [subprocess.run([sys.executable, *flags, "-c", _C432_PATTERNS], env=env,
+    runs = [subprocess.run([sys.executable, *flags, "-c", _GEN_PATTERNS], env=env,
                            capture_output=True, text=True, check=True).stdout.splitlines()
             for flags in ([], ["-O"])]
     assert runs[0][0] == "True" and runs[1][0] == "False"
     assert runs[0][1:] == runs[1][1:]
-    for seed_stats, seed_patterns in zip(runs[0][1::2], runs[0][2::2]):
-        assert seed_stats.startswith("budget ")
-        assert len(seed_patterns.split()) == 200
+    stats = [line.split() for line in runs[0][1::2]]
+    counts = [len(line.split()) for line in runs[0][2::2]]
+    assert [line[0] for line in stats] == ["budget", "budget", "exhausted", "exhausted"]
+    assert counts[:3] == [200, 200, 64]
+    assert stats[2][1] == "65"  # xor_ladder8's parity leaves no input free
 
 
 def test_d_min_exceeding_inputs_is_config_error():
