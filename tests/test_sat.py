@@ -578,11 +578,14 @@ def test_model_check_fires_on_violated_at_least_k():
 
 
 @debug_check
-def test_model_check_matches_literal_recount():
+@pytest.mark.parametrize("max_vars", [512, 8])
+def test_mask_check_matches_literal_recount(max_vars):
+    # 512: input words past a machine word, clauses over far-apart variables;
+    # 8: narrow formulas whose clauses and kept models overlap heavily
     rng = random.Random(35)
     outcomes = {True: 0, False: 0}
     for trial in range(400):
-        nvars = rng.randint(1, 40)
+        nvars = rng.randint(1, max_vars)
         s = SolverSession(formula_of([], nvars))
         assignment = [None] + [rng.random() < 0.5 for _ in range(nvars)]
         model = tuple(assignment)
