@@ -9,7 +9,8 @@ usage error that argparse reports is exit 2, and its manifest goes to the
 ``--manifest-out`` path if the command line names one.
 All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
-manifest.
+manifest, by stage.  Generation encodes the circuit and measures its own
+patterns, so it has no separate encode or coverage stage.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .blif import parse_blif
 from .bench import parse_bench
 from .cgf import run_cgf
 from .cnf import encode, write_dimacs
-from .coverage import curve_csv, measure, measure_with_curve
+from .coverage import curve_csv
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
 from .seedgen import REPORT_CSV_HEADER, GenConfig, generate, report_csv_row, write_patterns
@@ -109,11 +110,9 @@ def _prepare(manifest, netlist_path, targets_path):
     netlist = scan_convert(_load_netlist(manifest, netlist_path))
     graph = build_graph(netlist)
     manifest.stage("parse_and_graph")
-    formula = encode(graph)
-    manifest.stage("encode")
     spec = parse_targets(manifest.read_input(targets_path), graph)
     manifest.stage("parse_targets")
-    return graph, formula, spec
+    return graph, spec
 
 
 def _fail(manifest, code, message):
@@ -126,7 +125,7 @@ _STOP_TEXT = {"budget": "budget reached", "exhausted": "space exhausted",
               "solver-budget": "conflict budget reached"}
 
 
-def _generate(args, manifest, graph, spec, formula, literals):
+def _generate(args, manifest, graph, spec):
     """Generate patterns and record the solver counters in the manifest.
 
     The first model is the validity witness.  UNSAT before it means the
@@ -134,7 +133,7 @@ def _generate(args, manifest, graph, spec, formula, literals):
     """
     config = GenConfig(pattern_budget=args.pattern_budget, d_min=args.d_min,
                        seed=args.seed, conflict_budget=args.conflict_budget)
-    report = generate(graph, formula, literals, config)
+    report = generate(graph, spec, config)
     manifest.data["solver"] = {key: getattr(report, key) for key in (
         "conflicts", "decisions", "propagations", "solver_calls", "solver_vars",
         "stop_reason", "lifted_models", "free_inputs_min", "free_inputs_median",
@@ -147,24 +146,24 @@ def _generate(args, manifest, graph, spec, formula, literals):
 
 
 def cmd_gen(args, manifest) -> int:
-    graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
-    literals = build_target_formula(spec, formula)
+    graph, spec = _prepare(manifest, args.netlist, args.targets)
     if args.dimacs_out:
-        manifest.write_output(args.dimacs_out, write_dimacs(formula, assumptions=literals))
+        formula = encode(graph)
+        manifest.write_output(args.dimacs_out, write_dimacs(
+            formula, assumptions=build_target_formula(spec, formula)))
 
-    report = _generate(args, manifest, graph, spec, formula, literals)
+    report = _generate(args, manifest, graph, spec)
     manifest.stage("generate")
     if report is None:
         return EXIT_INVALID_TARGET
     if report.patterns:
         print(f"targeted state is valid (witness {report.patterns[0].to_string()})")
 
-    cov = measure(graph, spec, report.patterns)
+    cov = report.coverage
     manifest.write_output(args.patterns_out, write_patterns(report, graph))
     if args.report_out:
-        row = report_csv_row(report, graph, state_pct=cov.state_coverage_pct,
-                             site_pct=cov.site_coverage_pct, target_count=len(spec))
-        manifest.write_output(args.report_out, REPORT_CSV_HEADER + "\n" + row + "\n")
+        manifest.write_output(args.report_out,
+                              REPORT_CSV_HEADER + "\n" + report_csv_row(report, graph) + "\n")
     manifest.stage("report")
 
     print(f"{len(report.patterns)} patterns ({_STOP_TEXT[report.stop_reason]}), "
@@ -181,14 +180,12 @@ def cmd_gen(args, manifest) -> int:
 def cmd_compare(args, manifest) -> int:
     if args.trials < 1:
         return _fail(manifest, EXIT_CONFIG, "trials must be >= 1")
-    graph, formula, spec = _prepare(manifest, args.netlist, args.targets)
-    sat_report = _generate(args, manifest, graph, spec, formula,
-                           build_target_formula(spec, formula))
+    graph, spec = _prepare(manifest, args.netlist, args.targets)
+    sat_report = _generate(args, manifest, graph, spec)
     if sat_report is None:
         return EXIT_INVALID_TARGET
     if sat_report.stop_reason == "solver-budget":
         return _fail(manifest, EXIT_BUDGET, f"conflict budget {args.conflict_budget} exhausted")
-    sat_cov, sat_curve = measure_with_curve(graph, spec, sat_report.patterns)
     manifest.stage("sat_generation")
 
     trials = []
@@ -197,11 +194,9 @@ def cmd_compare(args, manifest) -> int:
                               rng_seed=args.seed + t))
     manifest.stage("cgf_trials")
 
-    manifest.write_output(args.sat_curve_out, curve_csv(sat_curve))
+    manifest.write_output(args.sat_curve_out, curve_csv(sat_report.curve))
     manifest.write_output(args.cgf_curve_out, curve_csv(_mean_curve([t.curve for t in trials])))
-    summary = _summary_csv(sat_cov, sat_curve, len(sat_report.patterns),
-                           [t.report for t in trials], [t.curve for t in trials],
-                           args.pattern_budget)
+    summary = _summary_csv(sat_report, trials, args.pattern_budget)
     manifest.write_output(args.summary_out, summary)
     manifest.stage("report")
     print(summary, end="")
@@ -221,7 +216,7 @@ def _first_full_state(curve):
     return None
 
 
-def _summary_csv(sat_cov, sat_curve, sat_patterns, cgf_reports, cgf_curves, budget):
+def _summary_csv(sat_report, trials, budget):
     def fmt(x):
         return "" if x is None else (f"{x:.2f}" if isinstance(x, float) else str(x))
 
@@ -233,13 +228,13 @@ def _summary_csv(sat_cov, sat_curve, sat_patterns, cgf_reports, cgf_curves, budg
 
     lines = ["metric,sat,cgf_mean,cgf_min,cgf_max"]
     for metric, sat_value, cgf_values in (
-        ("state_coverage_pct", sat_cov.state_coverage_pct,
-         [r.state_coverage_pct for r in cgf_reports]),
-        ("site_coverage_pct", sat_cov.site_coverage_pct,
-         [r.site_coverage_pct for r in cgf_reports]),
-        ("first_full_state_index", _first_full_state(sat_curve),
-         [_first_full_state(c) for c in cgf_curves]),
-        ("patterns", sat_patterns, [budget] * len(cgf_reports)),
+        ("state_coverage_pct", sat_report.coverage.state_coverage_pct,
+         [t.report.state_coverage_pct for t in trials]),
+        ("site_coverage_pct", sat_report.coverage.site_coverage_pct,
+         [t.report.site_coverage_pct for t in trials]),
+        ("first_full_state_index", _first_full_state(sat_report.curve),
+         [_first_full_state(t.curve) for t in trials]),
+        ("patterns", sat_report.pattern_count, [budget] * len(trials)),
     ):
         mean, lo, hi = stats(cgf_values)
         mean = float(mean) if mean is not None else None
@@ -256,7 +251,7 @@ def cmd_targets_diff(args, manifest) -> int:
     manifest.stage("diff")
 
     paths = _polarity_paths(args.out, args.polarity)
-    by_polarity = {spec.entries[0][1]: spec for spec in specs if spec.entries}
+    by_polarity = {spec.entries[0][1]: spec for spec in specs}
     for polarity, path in paths:
         spec = by_polarity.get(polarity)
         manifest.write_output(path, spec.to_text(modified) if spec else "")

@@ -5,13 +5,13 @@ drives it to its desired value.  Site coverage uses toggle semantics: a
 target node is covered once the pattern set has exercised it to both 0 and
 1.  Both metrics are cumulative, so appending patterns never decreases them.
 
-:func:`measure_with_curve` computes the report and the per-prefix curve
-together, from one wide-word pass over the targets' fan-in cone (split into
-passes of :data:`PASS_LANES` patterns for long lists); :func:`measure` is the
-view of its report alone.  Both are built by :func:`report_and_curve` from
-the number of the first pattern that drove each target to 0 and to 1, which a
-caller that already knows those numbers (the CGF loop does) can call without
-simulating again.
+:func:`first_sightings` finds the first pattern that drove each target to 0
+and to 1, by wide-word passes over the targets' fan-in cone, and
+:func:`report_and_curve` builds the report and per-prefix curve from those
+numbers alone.  Generation's closing check is that pass over its patterns,
+and the CGF loop knows the numbers as its admissions, so neither simulates
+again to be measured.  :func:`measure_with_curve` is the two in sequence;
+:func:`measure` is the view of its report.
 """
 
 from __future__ import annotations
@@ -49,17 +49,13 @@ class CoverageReport:
     patterns_applied: int
 
 
-def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
-    """Coverage report and per-pattern-prefix curve from one simulation pass.
-
-    Only the targets' fan-in cone is simulated, and a target node outside
-    the graph raises :class:`KeyError`.  A target's first 0 and first 1 are
-    the lowest set bits of its complemented and plain words, and
-    :func:`report_and_curve` builds the result from them.
-    """
-    patterns = list(patterns)
-    ops = compile_ops(graph, spec.nodes())
-    firsts = [[None, None] for _ in spec.entries]  # 1-based number of the first 0, first 1
+def first_sightings(graph: CircuitGraph, ops, spec: TargetSpec, patterns) -> list[list]:
+    """``[first_0, first_1]`` per entry of ``spec``: the 1-based numbers of
+    the first patterns that drove its node to 0 and to 1, ``None`` where none
+    did.  ``ops`` is a plan that holds the targets' fan-in cone; a pass of up
+    to :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as
+    the lowest set bits of its complemented and plain words."""
+    firsts = [[None, None] for _ in spec.entries]
     for start in range(0, len(patterns), PASS_LANES):
         chunk = patterns[start:start + PASS_LANES]
         words = run_pass(graph, ops, chunk)
@@ -68,8 +64,18 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
             for value, lanes in enumerate((words[node] ^ mask, words[node])):
                 if first[value] is None and lanes:
                     first[value] = start + (lanes & -lanes).bit_length()
+    return firsts
 
-    return report_and_curve(spec, firsts, len(patterns))
+
+def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
+    """Coverage report and per-pattern-prefix curve from one simulation pass.
+
+    Only the targets' fan-in cone is simulated, and a target node outside
+    the graph raises :class:`KeyError`.
+    """
+    patterns = list(patterns)
+    ops = compile_ops(graph, spec.nodes())
+    return report_and_curve(spec, first_sightings(graph, ops, spec, patterns), len(patterns))
 
 
 def report_and_curve(spec: TargetSpec, firsts, count: int):

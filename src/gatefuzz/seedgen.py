@@ -22,8 +22,8 @@ are packed ints, and one pass over the emitted words per candidate (an XOR
 and a popcount each) serves both the acceptance guard and the reported
 distance extremes.  A completion too close to an emitted pattern is a
 rejection; a solver model too close is an unsound solver, and an error.
-Before returning, one two-valued pass checks every emitted pattern against
-the targets.
+Before returning, one two-valued pass (:func:`~gatefuzz.coverage.first_sightings`)
+checks every emitted pattern against the targets and gives the run's coverage.
 
 The target literals hold for every solve of a run, so they are permanent
 facts of the run's session: each is added once as a unit clause, and their
@@ -45,11 +45,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cnf import CnfFormula
+from .cnf import encode
+from .coverage import CoverageReport, first_sightings, report_and_curve
 from .graph import CircuitGraph
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
-from .simulate import compile_ops, run_pass, run_ternary
+from .simulate import compile_ops, run_ternary
+from .targets import TargetSpec, build_target_formula
 
 # Consecutive completions of one cube that the distance guard may reject
 # before the cube is left and the solver asked for the next model.
@@ -91,6 +93,8 @@ class GenReport:
     free_inputs_min: int | None = None  # free inputs of the lifted cubes; None
     free_inputs_median: float | None = None  # when no model was lifted
     free_inputs_max: int | None = None
+    coverage: CoverageReport | None = None  # of the targets, over the patterns
+    curve: list[tuple] = field(default_factory=list)  # per pattern prefix
 
     @property
     def pattern_count(self) -> int:
@@ -102,28 +106,29 @@ class GenReport:
         return self.stop_reason == "exhausted"
 
 
-def generate(graph: CircuitGraph, formula: CnfFormula, target_literals,
-             config: GenConfig) -> GenReport:
-    """Generate up to ``config.pattern_budget`` targeted patterns.
+def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenReport:
+    """Generate up to ``config.pattern_budget`` patterns that drive every
+    target of ``spec``; the report's ``coverage`` and ``curve`` are theirs.
 
-    ``formula`` is ``graph``'s encoding and ``target_literals`` are literals
-    over its node variables (node ``n`` is variable ``n + 1``).  ``exhausted``
-    is set only on UNSAT, i.e. when no further pattern at distance >=
-    ``d_min`` from all emitted ones exists; exhausted with no pattern means
-    the targeted state is invalid.  A spent conflict budget ends the run with
+    ``graph`` is encoded with the targets' literals as unit clauses, and a
+    target node outside it raises ``TargetError``.  ``exhausted`` is set
+    only on UNSAT, i.e. when no further pattern at distance >= ``d_min``
+    from all emitted ones exists; exhausted with no pattern means the
+    targeted state is invalid.  A spent conflict budget ends the run with
     ``stop_reason == "solver-budget"`` and the patterns emitted so far.
     Raises RuntimeError if an emitted pattern misses a target or a solver
     model is closer than ``d_min`` to an emitted pattern.
     """
-    width = formula.input_count
+    width = graph.input_count
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
-    targets = [(abs(lit) - 1, int(lit > 0)) for lit in target_literals]
-    ops = compile_ops(graph, [node for node, _ in targets])
+    formula = encode(graph)
+    literals = build_target_formula(spec, formula)  # a TargetError before the plan's KeyError
+    ops = compile_ops(graph, spec.nodes())
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
-    for lit in target_literals:
+    for lit in literals:
         session.add_clause([lit])
     rng = random.Random(config.seed)
     words: list[int] = []  # the emitted patterns' words
@@ -154,7 +159,7 @@ def generate(graph: CircuitGraph, formula: CnfFormula, target_literals,
         if not result.is_sat:
             stop_reason = "exhausted"
             break
-        free = _lift(graph, ops, targets, result.inputs)
+        free = _lift(graph, ops, spec.entries, result.inputs)
         free_counts.append(free.bit_count())
         # the solver keeps every emitted pattern at distance, so only an
         # unsound solver returns a model too close to one
@@ -169,7 +174,12 @@ def generate(graph: CircuitGraph, formula: CnfFormula, target_literals,
         while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
             rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
     patterns = [InputPattern.from_word(w, width) for w in words]
-    _check_targets(graph, ops, targets, patterns)
+    firsts = first_sightings(graph, ops, spec, patterns)
+    for (node, value), first in zip(spec.entries, firsts):
+        if first[1 - value] is not None:
+            raise RuntimeError(f"pattern {patterns[first[1 - value] - 1].to_string()} "
+                               f"misses target {graph.names[node]}={value}")
+    coverage, curve = report_and_curve(spec, firsts, len(patterns))
     free_counts.sort()
     mid = len(free_counts) // 2
     return GenReport(
@@ -186,6 +196,8 @@ def generate(graph: CircuitGraph, formula: CnfFormula, target_literals,
         free_inputs_min=free_counts[0] if free_counts else None,
         free_inputs_median=(free_counts[mid] + free_counts[~mid]) / 2 if free_counts else None,
         free_inputs_max=free_counts[-1] if free_counts else None,
+        coverage=coverage,
+        curve=curve,
     )
 
 
@@ -234,19 +246,6 @@ def _holding(graph, ops, targets, bits, x_lanes, lanes):
     return mask
 
 
-def _check_targets(graph, ops, targets, patterns):
-    """Raise RuntimeError unless every pattern drives every target, by one
-    two-valued pass."""
-    words = run_pass(graph, ops, patterns)
-    everywhere = (1 << len(patterns)) - 1
-    for node, value in targets:
-        missed = words[node] ^ (everywhere if value else 0)
-        if missed:
-            lane = (missed & -missed).bit_length() - 1
-            raise RuntimeError(f"pattern {patterns[lane].to_string()} misses target "
-                               f"{graph.names[node]}={value}")
-
-
 def write_patterns(report: GenReport, graph: CircuitGraph) -> str:
     """Pattern file: a header of input names, then one bitstring per line.
 
@@ -268,13 +267,13 @@ def read_patterns(text: str) -> list[InputPattern]:
     return out
 
 
-def report_csv_row(report: GenReport, graph: CircuitGraph, state_pct: float,
-                   site_pct: float, target_count: int) -> str:
+def report_csv_row(report: GenReport, graph: CircuitGraph) -> str:
     """One summary CSV row: design, gate/node/input counts, target share,
     pattern count, an empty time field (data files hold no wall-clock
-    values), both coverage percentages, max Hamming distance."""
+    values), the report's two coverage percentages, max Hamming distance."""
     gates = sum(1 for k in graph.kinds if k != "INPUT")
-    pct_targets = 100.0 * target_count / graph.node_count if graph.node_count else 0.0
+    cov = report.coverage
+    pct_targets = 100.0 * len(cov.per_target) / graph.node_count if graph.node_count else 0.0
     return ",".join([
         graph.name,
         str(gates),
@@ -283,8 +282,8 @@ def report_csv_row(report: GenReport, graph: CircuitGraph, state_pct: float,
         f"{pct_targets:.2f}",
         str(report.pattern_count),
         "",
-        f"{state_pct:.2f}",
-        f"{site_pct:.2f}",
+        f"{cov.state_coverage_pct:.2f}",
+        f"{cov.site_coverage_pct:.2f}",
         str(report.observed_d_max),
     ])
 

@@ -77,7 +77,7 @@ def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:
     (:meth:`~gatefuzz.cnf.CnfFormula.node_var`): positive for 1, negated for 0.
 
     Their conjunction is added to the circuit formula as unit clauses, by
-    ``generate`` in its solver session and by ``write_dimacs`` in the file.
+    ``generate`` to its own encoding and by ``gen --dimacs-out`` in the file.
     Raises :class:`TargetError` for a node the formula does not have.
     """
     literals = []

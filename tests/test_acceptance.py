@@ -21,7 +21,7 @@ from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate, read_patterns
 from gatefuzz.simulate import compile_ops, run_pass, simulate
-from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
+from gatefuzz.targets import TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -97,14 +97,12 @@ def test_criterion_2_validity_oracle():
             if graph.input_count > 12:
                 continue
             cases += 1
-            formula = encode(graph)
             nodes = rng.sample(range(graph.node_count),
                                rng.randint(1, min(3, graph.node_count)))
             entries = [(node, rng.randrange(2)) for node in nodes]
             spec = TargetSpec(entries=entries)
             # valid iff generation's first solve returns a pattern, the witness
-            report = generate(graph, formula, build_target_formula(spec, formula),
-                              GenConfig(pattern_budget=1))
+            report = generate(graph, spec, GenConfig(pattern_budget=1))
             valid = bool(report.patterns)
             patterns = all_patterns(graph.input_count)
             words = run_pass(graph, compile_ops(graph), patterns)
@@ -182,13 +180,10 @@ def test_criterion_4_diversity():
         for _ in range(40):
             n = random_netlist(rng, rng.randint(2, 10), rng.randint(1, 16))
             graph = build_graph(scan_convert(n))
-            formula = encode(graph)
             node = rng.randrange(graph.node_count)
             want = rng.randrange(2)
-            literals = build_target_formula(
-                TargetSpec(entries=[(node, want)]), formula)
             d_min = rng.randint(2, min(4, graph.input_count))
-            report = generate(graph, formula, literals,
+            report = generate(graph, TargetSpec(entries=[(node, want)]),
                               GenConfig(pattern_budget=50, d_min=d_min))
             if len(report.patterns) >= 2:
                 sets_checked += 1
@@ -219,9 +214,7 @@ def test_criterion_5_cgf_comparison():
         # deep AND tree: SAT needs one pattern; CGF nearly never arrives
         graph = _graph_for("and_tree16")
         spec = parse_targets("root=1", graph)
-        formula = encode(graph)
-        report = generate(graph, formula, build_target_formula(spec, formula),
-                          GenConfig(pattern_budget=100))
+        report = generate(graph, spec, GenConfig(pattern_budget=100))
         curve = measure_with_curve(graph, spec, report.patterns)[1]
         assert curve[0][1] == 100.0  # T_C = 100% with one pattern
         cgf_coverages = []
@@ -233,9 +226,7 @@ def test_criterion_5_cgf_comparison():
         # 4-input OR: both saturate, SAT at least as early as the CGF mean
         graph = _graph_for("or4")
         spec = parse_targets("y=1", graph)
-        formula = encode(graph)
-        report = generate(graph, formula, build_target_formula(spec, formula),
-                          GenConfig(pattern_budget=100))
+        report = generate(graph, spec, GenConfig(pattern_budget=100))
         sat_curve = measure_with_curve(graph, spec, report.patterns)[1]
         sat_first = next(i for i, s, _ in sat_curve if s == 100.0)
         cgf_firsts = []

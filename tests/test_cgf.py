@@ -6,7 +6,6 @@ from gatefuzz.bench import parse_bench
 from gatefuzz import cgf
 from gatefuzz.cgf import (FIRST_WINDOW, FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW,
                          run_cgf)
-from gatefuzz.cnf import encode
 from gatefuzz.coverage import CoverageReport, TargetCoverage, measure, measure_with_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
@@ -14,7 +13,7 @@ from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import simulate
-from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
+from gatefuzz.targets import TargetSpec, parse_targets
 
 from conftest import random_netlist
 
@@ -70,8 +69,7 @@ def test_and_tree_rarely_reached_but_sat_always():
     coverages = [run_cgf(g, spec, budget=100, rng_seed=s).report.state_coverage_pct
                  for s in range(15)]
     assert sum(coverages) / len(coverages) <= 10.0  # 2^-16 event per random try
-    f = encode(g)
-    report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=1))
+    report = generate(g, spec, GenConfig(pattern_budget=1))
     assert len(report.patterns) == 1  # the SAT route reaches it in one pattern
 
 
@@ -90,9 +88,8 @@ def test_corpus_admission_is_coverage_driven():
 
 def test_sat_coverage_dominates_cgf():
     g = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(g)
     spec = parse_targets("n10=1\nn16=1\nn19=0", g)
-    sat_report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=20))
+    sat_report = generate(g, spec, GenConfig(pattern_budget=20))
     assert sat_report.patterns  # valid spec
     sat_cov = measure(g, spec, sat_report.patterns)
     assert sat_cov.state_coverage_pct == 100.0

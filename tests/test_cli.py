@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+import gatefuzz.simulate as simulate_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.cli import main
 from gatefuzz.sat import SolverSession
@@ -83,6 +85,45 @@ def test_gen_builds_one_solver_session(tmp_path, monkeypatch):
     assert main(["gen", netlist, targets, "-R", "5",
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
     assert len(sessions) == 1
+
+
+def test_gen_simulates_its_patterns_once(tmp_path, monkeypatch):
+    # generation's closing check is also the run's coverage, so the emitted
+    # patterns go through one two-valued pass over one compiled plan
+    calls = {"compile_ops": [], "run_pass": []}
+    originals = {name: getattr(simulate_module, name) for name in calls}
+
+    def counting(name):
+        def wrapper(graph, *args):
+            calls[name].append(args)
+            return originals[name](graph, *args)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gatefuzz")]:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name))
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    assert main(["gen", netlist, targets, "-R", "200",
+                 "--patterns-out", str(tmp_path / "p.txt"),
+                 "--report-out", str(tmp_path / "r.csv"),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert len(calls["compile_ops"]) == 1
+    assert [len(patterns) for _, patterns in calls["run_pass"]] == [200]
+
+
+@pytest.mark.parametrize("command,stages", [
+    ("gen", {"parse_and_graph", "parse_targets", "generate", "report"}),
+    ("compare", {"parse_and_graph", "parse_targets", "sat_generation", "cgf_trials", "report"}),
+])
+def test_manifest_stage_keys(tmp_path, command, stages):
+    # there is no encode stage: generation encodes the circuit itself
+    netlist, targets = _setup_c17(tmp_path)
+    extra = ["--trials", "2"] if command == "compare" else []
+    assert main([command, netlist, targets, "-R", "8", *extra,
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert set(_manifest(tmp_path)["stage_times_s"]) == stages
 
 
 def test_gen_manifest_records_solver_counters(tmp_path):

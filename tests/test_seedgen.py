@@ -9,7 +9,8 @@ import pytest
 import gatefuzz
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
-from gatefuzz.fixtures import load_circuit
+from gatefuzz.coverage import measure, measure_with_curve
+from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
@@ -17,14 +18,13 @@ from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, generate, read_patterns,
                               report_csv_row, write_patterns)
 from gatefuzz.simulate import compile_ops, run_pass, run_ternary, simulate
-from gatefuzz.targets import TargetSpec, build_target_formula, parse_targets
+from gatefuzz.targets import TargetError, TargetSpec, build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
 
 
-def _pipeline(text):
-    graph = build_graph(scan_convert(parse_bench(text)))
-    return graph, encode(graph)
+def _graph(text):
+    return build_graph(scan_convert(parse_bench(text)))
 
 
 def _qualifying_inputs(graph, entries):
@@ -38,19 +38,17 @@ def _qualifying_inputs(graph, entries):
 
 
 def test_unique_satisfying_input_exhausts():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    spec = parse_targets("y=1", g)
-    report = generate(g, f, build_target_formula(spec, f), GenConfig(pattern_budget=10))
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
+    report = generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=10))
     assert [p.bits for p in report.patterns] == [(1, 1)]
     assert report.exhausted and report.stop_reason == "exhausted"
     assert report.solver_calls >= 2  # the model, then the UNSAT proof
 
 
 def test_or4_distance_two_code():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
+    g = _graph("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
     spec = parse_targets("y=1", g)
-    report = generate(g, f, build_target_formula(spec, f),
-                      GenConfig(pattern_budget=100, d_min=2))
+    report = generate(g, spec, GenConfig(pattern_budget=100, d_min=2))
     qualifying = _qualifying_inputs(g, spec.entries)
     assert len(qualifying) == 15
     assert 2 <= len(report.patterns) <= 15
@@ -73,12 +71,10 @@ def test_every_pattern_hits_all_targets_randomized():
     while done < 15:
         n = random_netlist(rng, rng.randint(2, 7), rng.randint(2, 20))
         g = build_graph(scan_convert(n))
-        f = encode(g)
         nodes = rng.sample(range(g.node_count), rng.randint(1, 3))
         entries = [(node, rng.randrange(2)) for node in nodes]
-        lits = build_target_formula(
-            parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g), f)
-        report = generate(g, f, lits, GenConfig(pattern_budget=8, d_min=2, seed=done))
+        spec = parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g)
+        report = generate(g, spec, GenConfig(pattern_budget=8, d_min=2, seed=done))
         if len(report.patterns) < 2:
             # no pair, so no distance: both extremes read 0
             single += len(report.patterns)
@@ -112,15 +108,13 @@ def test_exhausted_confirmed_by_brute_force_randomized():
     while min(kinds.values()) < 3:
         n = random_netlist(rng, rng.randint(2, 6), rng.randint(1, 12))
         g = build_graph(scan_convert(n))
-        f = encode(g)
         nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
         entries = [(node, rng.randrange(2)) for node in nodes]
-        lits = build_target_formula(
-            parse_targets("".join(f"{g.names[node]}={v}\n" for node, v in entries), g), f)
+        spec = parse_targets("".join(f"{g.names[node]}={v}\n" for node, v in entries), g)
         d_min = rng.randint(2, min(4, g.input_count))
         # a budget above the 2**6 input patterns: every run ends exhausted
-        report = generate(g, f, lits, GenConfig(pattern_budget=1000, d_min=d_min,
-                                                seed=rng.randrange(4)))
+        report = generate(g, spec, GenConfig(pattern_budget=1000, d_min=d_min,
+                                             seed=rng.randrange(4)))
         assert report.exhausted
         qualifying = _qualifying_inputs(g, entries)
         assert (report.patterns == []) == (qualifying == [])
@@ -188,9 +182,8 @@ def test_every_completion_of_a_lifted_cube_reaches_the_targets():
 
 
 def test_invalid_target_yields_empty_exhausted_report():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
-    lits = build_target_formula(parse_targets("y=1", g), f)
-    report = generate(g, f, lits, GenConfig(pattern_budget=5))
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
+    report = generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=5))
     assert report.patterns == []
     assert report.exhausted
     assert report.solver_calls == 1
@@ -209,7 +202,7 @@ def test_validity_witness_is_the_first_generated_pattern():
         lits = build_target_formula(spec, f)
         for seed in (0, 1, 5):
             first = SolverSession(f, decision_seed=seed).solve(assumptions=lits)
-            report = generate(g, f, lits, GenConfig(pattern_budget=3, seed=seed))
+            report = generate(g, spec, GenConfig(pattern_budget=3, seed=seed))
             if first.is_sat:
                 valid += 1
                 assert report.patterns[0] == InputPattern.from_word(first.inputs, f.input_count)
@@ -221,33 +214,68 @@ def test_validity_witness_is_the_first_generated_pattern():
 
 def test_determinism():
     g = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(g)
-    lits = build_target_formula(parse_targets("n22=1", g), f)
-    a = generate(g, f, lits, GenConfig(pattern_budget=12, seed=3))
-    b = generate(g, f, lits, GenConfig(pattern_budget=12, seed=3))
+    spec = parse_targets("n22=1", g)
+    a = generate(g, spec, GenConfig(pattern_budget=12, seed=3))
+    b = generate(g, spec, GenConfig(pattern_budget=12, seed=3))
     assert a.patterns == b.patterns
     assert a.solver_calls == b.solver_calls
     assert a.propagations == b.propagations > 0
 
 
+FIXTURE_SPECS = (("c17", "c17.internal"), ("c17", "c17.outputs"), ("c432", "c432.mixed"),
+                 ("or4", "or4.y1"), ("s27", "s27.scan"), ("and_tree16", "and_tree16.root"),
+                 ("xor_ladder8", "xor_ladder8.parity"))
+
+
+def _assert_report_coverage_is_measured(graph, spec, report):
+    """The report's coverage and curve are those a fresh measure gives its
+    patterns; with targets and a pattern, every state is reached and no site
+    toggles, since every pattern drives every target to its value."""
+    assert report.coverage == measure(graph, spec, report.patterns)
+    assert report.curve == measure_with_curve(graph, spec, report.patterns)[1]
+    if spec.entries and report.patterns:
+        assert report.coverage.state_coverage_pct == 100.0
+        assert report.coverage.site_coverage_pct == 0.0
+
+
+@pytest.mark.parametrize("circuit,targets", FIXTURE_SPECS)
+def test_report_coverage_equals_measure_on_the_fixtures(circuit, targets):
+    graph = build_graph(scan_convert(load_circuit(circuit)))
+    spec = parse_targets(fixture_text(targets + ".targets"), graph)
+    for seed in range(3):
+        report = generate(graph, spec, GenConfig(pattern_budget=50, seed=seed))
+        assert report.patterns
+        _assert_report_coverage_is_measured(graph, spec, report)
+
+
+def test_report_coverage_equals_measure_randomized():
+    rng = random.Random(93)
+    covered = 0
+    for trial in range(100):
+        g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 7),
+                                                    rng.randint(1, 20))))
+        nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
+        spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in nodes])
+        report = generate(g, spec, GenConfig(pattern_budget=8, seed=trial))
+        _assert_report_coverage_is_measured(g, spec, report)
+        covered += bool(report.patterns)
+    assert covered >= 50, covered
+
+
 _GEN_PATTERNS = """
-from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
-from gatefuzz.targets import build_target_formula, parse_targets
+from gatefuzz.targets import parse_targets
 print(__debug__)
 for circuit, targets, budget, seeds in (("c432", "c432.mixed", 200, (0, 7)),
                                         ("xor_ladder8", "xor_ladder8.parity", 1000, (0,)),
                                         ("s27", "s27.scan", 1000, (0,))):
     graph = build_graph(scan_convert(load_circuit(circuit)))
-    formula = encode(graph)
-    lits = build_target_formula(parse_targets(fixture_text(targets + ".targets"), graph),
-                                formula)
+    spec = parse_targets(fixture_text(targets + ".targets"), graph)
     for seed in seeds:
-        report = generate(graph, formula, lits,
-                          GenConfig(pattern_budget=budget, d_min=2, seed=seed))
+        report = generate(graph, spec, GenConfig(pattern_budget=budget, d_min=2, seed=seed))
         print(report.stop_reason, report.solver_calls, report.conflicts, report.decisions,
               report.propagations)
         print(" ".join(p.to_string() for p in report.patterns))
@@ -273,31 +301,37 @@ def test_c432_patterns_are_the_same_with_asserts_on_and_off():
 
 
 def test_d_min_exceeding_inputs_is_config_error():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     with pytest.raises(GenConfigError, match="d_min"):
-        generate(g, f, [], GenConfig(d_min=3))
+        generate(g, TargetSpec(entries=[]), GenConfig(d_min=3))
+
+
+def test_target_outside_the_graph_is_a_target_error():
+    # generation encodes the graph itself; the target literals are built
+    # before the simulation plan, whose error would be a KeyError
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
+    with pytest.raises(TargetError, match="target node 3 has no variable"):
+        generate(g, TargetSpec(entries=[(0, 1), (3, 1)]), GenConfig())
 
 
 def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
     # without its distance floor the solver returns the first model again,
     # which the guard must refuse, asserts on or off
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
-    lits = build_target_formula(parse_targets("y=1", g), f)
+    g = _graph("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
     monkeypatch.setattr(SolverSession, "keep_distance", lambda self, model, d: None)
     with pytest.raises(RuntimeError, match="closer than d_min 2"):
-        generate(g, f, lits, GenConfig(pattern_budget=15, d_min=2))
+        generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=15, d_min=2))
 
 
 def test_target_check_raises_on_an_unsound_lift(monkeypatch):
     # a lift that frees every input lets completions miss the AND's one
     # qualifying pattern; the two-valued check must refuse them, asserts on
     # or off
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)")
-    lits = build_target_formula(parse_targets("y=1", g), f)
+    g = _graph("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)")
     monkeypatch.setattr("gatefuzz.seedgen._lift",
                         lambda graph, ops, targets, word: (1 << graph.input_count) - 1)
     with pytest.raises(RuntimeError, match=r"^pattern [01]{4} misses target y=1$"):
-        generate(g, f, lits, GenConfig(pattern_budget=15, d_min=2))
+        generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=15, d_min=2))
 
 
 def test_config_validation():
@@ -311,30 +345,28 @@ def test_config_validation():
 
 
 def test_write_patterns_header_and_bits():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    lits = build_target_formula(parse_targets("y=1", g), f)
-    report = generate(g, f, lits, GenConfig(pattern_budget=4))
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
+    report = generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=4))
     text = write_patterns(report, g)
     assert text == "# a b\n11\n"
     assert read_patterns(text) == [InputPattern((1, 1))]
 
 
 def test_write_patterns_empty_report():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
-    report = generate(g, f, build_target_formula(parse_targets("y=1", g), f),
-                      GenConfig(pattern_budget=4))
+    g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
+    report = generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=4))
     assert write_patterns(report, g) == "# a b\n"
 
 
 def test_report_csv_row_shape():
     g = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(g)
-    lits = build_target_formula(parse_targets("n22=1", g), f)
-    report = generate(g, f, lits, GenConfig(pattern_budget=5))
-    row = report_csv_row(report, g, state_pct=100.0, site_pct=50.0, target_count=1)
-    fields = row.split(",")
+    report = generate(g, parse_targets("n22=1", g), GenConfig(pattern_budget=5))
+    fields = report_csv_row(report, g).split(",")
     assert fields[0] == "c17"
     assert fields[1] == "6" and fields[2] == "11" and fields[3] == "5"
+    assert fields[4] == "9.09"  # one target of 11 nodes
     assert fields[5] == str(report.pattern_count)
     assert fields[6] == ""  # wall clock lives in the manifest, not data files
+    # the report's own coverage: every pattern drives n22 to 1, none to 0
+    assert fields[7:9] == ["100.00", "0.00"]
     assert fields[-1] == str(report.observed_d_max)

@@ -22,10 +22,9 @@ def _pipeline(text):
     return graph, encode(graph)
 
 
-def first_pattern(graph, spec, formula):
+def first_pattern(graph, spec):
     """Generation's first pattern, the validity witness; None when invalid."""
-    report = generate(graph, formula, build_target_formula(spec, formula),
-                      GenConfig(pattern_budget=1))
+    report = generate(graph, spec, GenConfig(pattern_budget=1))
     return report.patterns[0] if report.patterns else None
 
 
@@ -133,8 +132,8 @@ def test_build_target_formula_rejects_a_node_outside_the_graph():
 
 
 def test_validity_and_gate():
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    witness = first_pattern(g, parse_targets("y=1", g), f)
+    g = build_graph(scan_convert(parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")))
+    witness = first_pattern(g, parse_targets("y=1", g))
     assert witness.bits == (1, 1)  # only satisfying input
 
 
@@ -145,9 +144,8 @@ def test_validity_constant_zero_node():
 
 def test_validity_witness_simulates_to_targets():
     g = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(g)
     spec = parse_targets(fixture_text("c17.internal.targets"), g)
-    witness = first_pattern(g, spec, f)
+    witness = first_pattern(g, spec)
     assert witness is not None
     valuation = simulate(g, witness)
     for node, want in spec.entries:
@@ -156,9 +154,8 @@ def test_validity_witness_simulates_to_targets():
 
 def test_c17_pair_matches_brute_force():
     g = build_graph(scan_convert(load_circuit("c17")))
-    f = encode(g)
     spec = parse_targets("n22=1\nn23=1", g)
-    witness = first_pattern(g, spec, f)
+    witness = first_pattern(g, spec)
     assert (witness is not None) == brute_force_reachable(g, spec.entries)
 
 
