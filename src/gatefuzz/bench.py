@@ -38,9 +38,11 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     """
     netlist = Netlist(name=name)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        indent = len(code) - len(code.lstrip())  # columns count from the raw line
         if "=" not in line:
             # an _ID cannot contain "=", so only a gate line can hold one
             m = _INPUT_RE.match(line)
@@ -59,11 +61,12 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 kind = _KIND_ALIASES.get(kind, kind)
                 if kind not in _BENCH_KINDS:
                     raise NetlistSyntaxError(
-                        f"unsupported gate keyword {kind_word!r}", lineno, line.find(kind_word) + 1
+                        f"unsupported gate keyword {kind_word!r}", lineno, indent + m.start(2) + 1
                     )
                 args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
                 if "" in args:
-                    raise NetlistSyntaxError("empty argument in gate input list", lineno, line.find("(") + 1)
+                    raise NetlistSyntaxError("empty argument in gate input list", lineno,
+                                             indent + line.index("(", m.end(2)) + 1)
                 netlist.gates.append(RawGate(out, kind, tuple(args)))
                 continue
         raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno)
@@ -83,7 +86,7 @@ def write_bench(netlist: Netlist) -> str:
     for po in netlist.primary_outputs:
         lines.append(f"OUTPUT({po})")
     for g in netlist.gates:
-        if g.kind in ("CONST0", "CONST1"):
+        if g.kind in CONST_KINDS:
             raise NetlistError(f"{g.kind} gate {g.output!r} has no .bench representation")
         lines.append(f"{g.output} = {g.kind}({', '.join(g.inputs)})")
     return "\n".join(lines) + "\n"

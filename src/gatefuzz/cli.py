@@ -101,7 +101,9 @@ class _Manifest:
 def _load_netlist(manifest, path):
     text = manifest.read_input(path)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    if str(path).endswith(".blif") or text.lstrip().startswith(".model"):
+    # a BLIF file may open with comments, so sniff its first construct
+    first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
+    if str(path).endswith(".blif") or first.startswith(".model"):
         return parse_blif(text, name=name)
     return parse_bench(text, name=name)
 

@@ -4,17 +4,20 @@ Literals are nonzero signed integers in the DIMACS convention: ``v`` is the
 positive literal of variable ``v >= 1`` and ``-v`` its negation.  The graph's
 node ids are the only numbering: node ``n`` is variable ``n + 1``
 (:meth:`CnfFormula.node_var`), so the primary inputs, nodes ``0..I-1``,
-occupy variables ``1..I`` in declaration order.  Wide XOR and XNOR gates are
-chained through fresh helper variables numbered after the nodes, which stand
-for no node.  The satisfying assignments of the result, projected onto the
-node variables, are exactly the consistent circuit valuations.
+occupy variables ``1..I`` in declaration order.  The clause schemata follow
+the op in :data:`~gatefuzz.netlist.GATE_OPS`, not the kind; parity over 2 or
+more fanins is chained through fresh helpers numbered after the nodes, which
+stand for no node.  The satisfying assignments of the result, projected onto
+the node variables, are exactly the consistent circuit valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 
 from .graph import CircuitGraph
+from .netlist import GATE_OPS
 
 Clause = tuple[int, ...]
 
@@ -53,11 +56,12 @@ class CnfFormula:
 def encode(graph: CircuitGraph) -> CnfFormula:
     """Encode a circuit graph as an equisatisfiable CNF formula.
 
-    Clause schemata per gate with k fanins: NOT/BUF 2 clauses, AND/NAND/OR/NOR
-    k+1 clauses, XOR/XNOR a chain of 2-input stages with 4 clauses each,
-    constants a single unit clause.  Pure and deterministic: the same graph
-    always yields the same formula.  Clauses are written gate by gate in id
-    order.
+    Clause schemata per gate with k fanins, read from the kind's op, with y
+    negated for an inverted kind: AND and OR k+1 clauses; parity a unit
+    clause for k = 0 (a constant), 2 clauses for k = 1 (BUF, NOT), and for
+    k >= 2 a chain of 2-input stages with 4 clauses each.  Pure and
+    deterministic: the same graph always yields the same formula.  Clauses
+    are written gate by gate in id order.
     """
     kinds = graph.kinds
     fanins = graph.fanins
@@ -71,31 +75,32 @@ def encode(graph: CircuitGraph) -> CnfFormula:
     for node, kind in enumerate(kinds):
         if kind == "INPUT":
             continue
-        y = var_of[node]
+        op, inverted = GATE_OPS[kind]
+        y = -var_of[node] if inverted else var_of[node]
         srcs = fanins[node]
-        if kind == "AND" or kind == "NAND":
-            # y <-> AND(fanins); NAND is the same schema with y negated
-            if kind == "NAND":
-                y = -y
+        if op is and_:  # y <-> AND(fanins)
             wide = [y]
             for src in srcs:
                 a = var_of[src]
                 append((-y, a))
                 wide.append(-a)
             append(tuple(wide))
-        elif kind == "OR" or kind == "NOR":
-            # y <-> OR(fanins); NOR likewise negates y
-            if kind == "NOR":
-                y = -y
+        elif op is or_:  # y <-> OR(fanins)
             wide = [-y]
             for src in srcs:
                 a = var_of[src]
                 append((y, -a))
                 wide.append(a)
             append(tuple(wide))
-        elif kind == "XOR" or kind == "XNOR":
+        elif not srcs:  # y <-> 0
+            append((-y,))
+        elif len(srcs) == 1:  # y <-> a
+            a = var_of[srcs[0]]
+            append((-y, a))
+            append((y, -a))
+        else:
             # a k-ary parity is a chain of 2-input stages through fresh
-            # helpers; the last stage drives y (negated for XNOR)
+            # helpers; the last stage drives y
             a = var_of[srcs[0]]
             for src in srcs[1:-1]:
                 b = var_of[src]
@@ -104,23 +109,7 @@ def encode(graph: CircuitGraph) -> CnfFormula:
                 clauses += ((-h, a, b), (-h, -a, -b), (h, -a, b), (h, a, -b))
                 a = h
             b = var_of[srcs[-1]]
-            if kind == "XNOR":
-                y = -y
             clauses += ((-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b))
-        elif kind == "NOT":
-            a = var_of[srcs[0]]
-            append((y, a))
-            append((-y, -a))
-        elif kind == "BUF":
-            a = var_of[srcs[0]]
-            append((-y, a))
-            append((y, -a))
-        elif kind == "CONST0":
-            append((-y,))
-        elif kind == "CONST1":
-            append((y,))
-        else:
-            raise ValueError(f"cannot encode node kind {kind!r}")
 
     return CnfFormula(clauses=clauses, var_count=next_var - 1,
                       names=graph.names, input_count=graph.input_count)

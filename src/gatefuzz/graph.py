@@ -165,11 +165,13 @@ def diff_graphs(original: CircuitGraph, modified: CircuitGraph) -> GraphDiff:
 
 
 def to_dot(graph: CircuitGraph) -> str:
-    """GraphViz DOT rendering with name and kind labels."""
-    lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;"]
+    """GraphViz DOT rendering with name and kind labels; names are escaped."""
+    escape = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside DOT's quoted strings
+    lines = [f'digraph "{graph.name.translate(escape)}" {{', "  rankdir=LR;"]
     for node in range(graph.node_count):
         shape = "box" if graph.kinds[node] == "INPUT" else "ellipse"
-        lines.append(f'  n{node} [label="{graph.names[node]}\\n{graph.kinds[node]}" shape={shape}];')
+        label = graph.names[node].translate(escape)
+        lines.append(f'  n{node} [label="{label}\\n{graph.kinds[node]}" shape={shape}];')
     for node, srcs in enumerate(graph.fanins):
         for src in srcs:
             lines.append(f"  n{src} -> n{node};")

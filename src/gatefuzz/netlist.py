@@ -8,18 +8,26 @@ map, and before that by :func:`scan_convert` on a netlist with DFFs.
 Sequential elements (DFFs) are removed by :func:`scan_convert`, which models
 full scan access: every flip-flop output becomes a directly controllable
 pseudo-input and every flip-flop input a directly observable pseudo-output,
-leaving a purely combinational circuit.
+leaving a purely combinational circuit.  :data:`GATE_OPS` is the one place
+that says what a gate kind computes: simulation and the CNF encoding read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import and_, or_, xor
 from typing import NamedTuple
 
-GATE_KINDS = frozenset({
-    "AND", "NAND", "OR", "NOR", "XOR", "XNOR",
-    "NOT", "BUF", "DFF", "CONST0", "CONST1",
-})
+# kind -> (op, inverted), the op folded over the fanins.  NOT and BUF are
+# one-input XNOR and XOR; CONST1 and CONST0 are zero-input XNOR and XOR.
+GATE_OPS = {
+    "AND": (and_, False), "NAND": (and_, True),
+    "OR": (or_, False), "NOR": (or_, True),
+    "XOR": (xor, False), "XNOR": (xor, True),
+    "BUF": (xor, False), "NOT": (xor, True),
+    "CONST0": (xor, False), "CONST1": (xor, True),
+}
+GATE_KINDS = frozenset(GATE_OPS) | {"DFF"}  # scan conversion removes each DFF
 
 UNARY_KINDS = frozenset({"NOT", "BUF", "DFF"})
 CONST_KINDS = frozenset({"CONST0", "CONST1"})

@@ -88,7 +88,7 @@ class GenReport:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    solver_vars: int = 0  # session variable count at the end of the run
+    solver_vars: int = 0  # the formula's variable count; a session never adds one
     lifted_models: int = 0  # one per SAT solve
     free_inputs_min: int | None = None  # free inputs of the lifted cubes; None
     free_inputs_median: float | None = None  # when no model was lifted

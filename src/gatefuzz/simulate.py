@@ -3,13 +3,14 @@
 One plan serves all simulation.  :func:`compile_ops` turns a graph's gates,
 optionally only the fan-in cone of the nodes a caller needs, into a plan:
 the gates grouped by level, op, inversion and fanin count, the groups in
-level order.  :func:`run_pass` evaluates a plan two-valued over Python-int
-words, where lane ``j`` of a node's word is that node's value under pattern
-``j``.  Python ints have no fixed width, so one pass holds as many patterns as
-the caller gives it; callers with long pattern lists split them into passes
-themselves.  :func:`simulate` is the one-lane call.  Scan conversion
-guarantees the graph is combinational, so every node of a total pattern gets
-a definite 0/1.
+level order, each kind's op and inversion read from
+:data:`~gatefuzz.netlist.GATE_OPS`.  :func:`run_pass` evaluates a plan
+two-valued over Python-int words, where lane ``j`` of a node's word is that
+node's value under pattern ``j``.  Python ints have no fixed width, so one
+pass holds as many patterns as the caller gives it; callers with long pattern
+lists split them into passes themselves.  :func:`simulate` is the one-lane
+call.  Scan conversion guarantees the graph is combinational, so every node
+of a total pattern gets a definite 0/1.
 
 :func:`run_ternary` evaluates the same plan three-valued (0, 1, X) for
 partial patterns, dual-rail: each node has a word of the lanes where it is a
@@ -35,20 +36,12 @@ same words.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_, xor
+from operator import and_, or_
 
 from .graph import CircuitGraph
+from .netlist import GATE_OPS
 from .pattern import InputPattern
 
-# kind -> (op, inverted).  NOT and BUF are one-input XNOR and XOR; CONST1 and
-# CONST0 are zero-input XNOR and XOR.
-_OPS = {
-    "AND": (and_, False), "NAND": (and_, True),
-    "OR": (or_, False), "NOR": (or_, True),
-    "XOR": (xor, False), "XNOR": (xor, True),
-    "BUF": (xor, False), "NOT": (xor, True),
-    "CONST0": (xor, False), "CONST1": (xor, True),
-}
 # AND is a definite 1 when every fanin is and a definite 0 when any fanin is:
 # on the 0 rail it is an OR, and OR is an AND there
 _DUAL = {and_: or_, or_: and_}
@@ -99,9 +92,7 @@ def compile_ops(graph: CircuitGraph, needed=None) -> list[tuple]:
     for level, kind, arity in sorted(groups):
         if kind == "INPUT":
             continue
-        if kind not in _OPS:
-            raise SimulationError(f"cannot simulate node kind {kind!r}")
-        op, inverted = _OPS[kind]
+        op, inverted = GATE_OPS[kind]
         plan.append((op, arity, inverted, groups[level, kind, arity]))
     return plan
 
@@ -134,7 +125,7 @@ def run_pass(graph: CircuitGraph, ops, patterns) -> list[int]:
             else:
                 for n, a, b in items:
                     words[n] = words[a] ^ words[b] ^ x
-        elif arity == 1:  # NOT and BUF
+        elif arity == 1:  # one-input parity
             for n, a in items:
                 words[n] = words[a] ^ x
         elif arity == 3:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gatefuzz.blif import parse_blif
 from gatefuzz.netlist import Netlist, RawGate
 from gatefuzz.pattern import InputPattern
 
@@ -33,6 +34,58 @@ def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,
             n.primary_outputs.append(g.output)
     n.validate()
     return n
+
+
+def every_arity_netlist(rng: random.Random) -> Netlist:
+    """Each multi-input kind at 2 to 9 fanins, NOT, BUF, both constants and a
+    DFF.  Fanins repeat, and the gates are declared last first, so nearly
+    every gate reads a gate declared after it."""
+    inputs = [f"x{i}" for i in range(5)]
+    gates = [RawGate("c0", "CONST0", ()), RawGate("c1", "CONST1", ()),
+             RawGate("q", "DFF", ("last",)),
+             RawGate("and_aa", "AND", ("x0", "x0")),
+             RawGate("xor_aab", "XOR", ("x1", "x1", "x2")),
+             RawGate("nor_aaaab", "NOR", ("x3", "x3", "x3", "x3", "q"))]
+    signals = inputs + [g.output for g in gates]
+    for arity in range(2, 10):
+        for kind in BINARY_KINDS:
+            out = f"{kind.lower()}{arity}"
+            gates.append(RawGate(out, kind, tuple(rng.choice(signals) for _ in range(arity))))
+            signals.append(out)
+        for kind in UNARY_KINDS:
+            out = f"{kind.lower()}{arity}"
+            gates.append(RawGate(out, kind, (rng.choice(signals),)))
+            signals.append(out)
+    gates.append(RawGate("last", "XNOR", tuple(signals[-9:])))
+    return Netlist(name="arities", primary_inputs=inputs, primary_outputs=["last"],
+                   gates=gates[::-1])
+
+
+def blif_constants_netlist() -> Netlist:
+    """Both constants, AND and OR covers of up to four fanins, and a latch."""
+    return parse_blif(""".model consts
+.inputs a b c
+.outputs y z w
+.names one
+1
+.names zero
+.names a one t
+11 1
+.names b zero u
+1- 1
+-1 1
+.names t u a a v
+1111 1
+.names v q zero one y
+0000 0
+.names q c one z
+111 1
+.names zero one w
+1- 1
+-1 1
+.latch z q 0
+.end
+""", name="consts")
 
 
 def all_patterns(width: int):

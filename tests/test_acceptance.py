@@ -23,7 +23,7 @@ from gatefuzz.seedgen import GenConfig, generate, read_patterns
 from gatefuzz.simulate import compile_ops, run_pass, simulate
 from gatefuzz.targets import TargetSpec, parse_targets
 
-from conftest import all_patterns, random_netlist
+from conftest import all_patterns, blif_constants_netlist, every_arity_netlist, random_netlist
 
 BUNDLED_CIRCUITS = ("c17", "c432", "s27", "and_tree16", "or4", "xor_ladder8")
 
@@ -170,6 +170,18 @@ def test_encoding_soundness_on_shuffled_netlists():
         out_of_order += any(src > node for node, srcs in enumerate(graph.fanins) for src in srcs)
         _assert_models_equal_valuations(graph, case)
     assert out_of_order >= 20
+
+
+def test_encoding_soundness_on_every_kind_and_arity():
+    # criterion 3 draws gates of 1 to 3 inputs and no constants; these hold
+    # every kind, parity and AND/OR up to 9 fanins, repeated fanins and a DFF
+    for seed in range(3):
+        graph = build_graph(scan_convert(every_arity_netlist(random.Random(seed))))
+        gates = range(graph.input_count, graph.node_count)
+        assert {len(graph.fanins[n]) for n in gates} == set(range(10))
+        _assert_models_equal_valuations(graph, f"every arity, seed {seed}")
+    _assert_models_equal_valuations(build_graph(scan_convert(blif_constants_netlist())),
+                                    "BLIF constants and a latch")
 
 
 def test_criterion_4_diversity():

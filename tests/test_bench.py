@@ -79,6 +79,19 @@ def test_unsupported_keyword():
         parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = MUX(a, b)")
 
 
+@pytest.mark.parametrize("line,message", [
+    # the keyword's column, not the first match of its text in the output name
+    ("FOOx = FOO(a)", "line 2, col 8: unsupported gate keyword 'FOO'"),
+    # columns count the indentation that parsing strips
+    ("    y = FOO(a)", "line 2, col 9: unsupported gate keyword 'FOO'"),
+    ("  y = AND(a, )", "line 2, col 10: empty argument in gate input list"),
+])
+def test_syntax_error_columns(line, message):
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench(f"INPUT(a)\n{line}\nOUTPUT(y)")
+    assert str(exc.value) == message
+
+
 def test_numeric_identifiers():
     n = parse_bench("INPUT(1)\nINPUT(3)\nOUTPUT(10)\n10 = NAND(1, 3)")
     assert n.gates[0].output == "10"

@@ -419,6 +419,19 @@ def test_gen_blif_input(tmp_path):
     assert read_patterns(open(patterns_out).read())[0].bits == (1, 1)
 
 
+@pytest.mark.parametrize("name", ["m.net", "m.blif"])
+def test_gen_blif_behind_a_comment_header(tmp_path, name):
+    # the first construct, not the first line, tells BLIF from .bench
+    netlist = _write(tmp_path, name, "# header\n\n  # more\n.model m\n.inputs a b\n"
+                                     ".outputs y\n.names a b y\n11 1\n.end\n")
+    targets = _write(tmp_path, "y.targets", "y=1\n")
+    patterns_out = str(tmp_path / "p.txt")
+    code = main(["gen", netlist, targets, "--patterns-out", patterns_out,
+                 "--manifest-out", str(tmp_path / "m.json")])
+    assert code == 0
+    assert read_patterns(open(patterns_out).read())[0].bits == (1, 1)
+
+
 def test_compare_or4_and_determinism(tmp_path):
     netlist = _write(tmp_path, "or4.bench", fixture_text("or4.bench"))
     targets = _write(tmp_path, "t.targets", "y=1\n")

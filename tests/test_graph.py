@@ -270,3 +270,14 @@ def test_dot_export_mentions_every_node():
     for name in g.names:
         assert name in dot
     assert dot.startswith("digraph")
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    netlist = parse_bench('INPUT(a"b)\nINPUT(c\\d)\nOUTPUT(y)\ny = AND(a"b, c\\d)', name='q"\\n')
+    dot = to_dot(build_graph(netlist))
+    assert dot.splitlines()[:3] == ['digraph "q\\"\\\\n" {', "  rankdir=LR;",
+                                    '  n0 [label="a\\"b\\nINPUT" shape=box];']
+    assert '  n1 [label="c\\\\d\\nINPUT" shape=box];' in dot
+    # outside the escapes, each line's quotes pair up
+    for line in dot.splitlines():
+        assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0

@@ -4,16 +4,15 @@ import random
 import pytest
 
 from gatefuzz.bench import parse_bench
-from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
-from gatefuzz.netlist import Netlist, RawGate, scan_convert
+from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass, run_ternary,
                                simulate)
 
-from conftest import all_patterns, random_netlist
+from conftest import all_patterns, blif_constants_netlist, every_arity_netlist, random_netlist
 from oracle import ref_eval
 
 
@@ -153,7 +152,6 @@ def test_package_attribute_is_the_submodule():
 
 # -- the kernel against the independent oracle ---------------------------------
 
-MULTI_INPUT_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")
 LANE_COUNTS = (0, 1, 8, 64, 65)
 
 
@@ -176,35 +174,10 @@ def _assert_kernel_matches_oracle(netlist, seed):
     return g
 
 
-def _every_arity_netlist(rng):
-    """Each multi-input kind at 2 to 9 fanins, NOT, BUF, both constants and a
-    DFF.  Fanins repeat, and the gates are declared last first, so nearly
-    every gate reads a gate declared after it."""
-    inputs = [f"x{i}" for i in range(5)]
-    gates = [RawGate("c0", "CONST0", ()), RawGate("c1", "CONST1", ()),
-             RawGate("q", "DFF", ("last",)),
-             RawGate("and_aa", "AND", ("x0", "x0")),
-             RawGate("xor_aab", "XOR", ("x1", "x1", "x2")),
-             RawGate("nor_aaaab", "NOR", ("x3", "x3", "x3", "x3", "q"))]
-    signals = inputs + [g.output for g in gates]
-    for arity in range(2, 10):
-        for kind in MULTI_INPUT_KINDS:
-            out = f"{kind.lower()}{arity}"
-            gates.append(RawGate(out, kind, tuple(rng.choice(signals) for _ in range(arity))))
-            signals.append(out)
-        for kind in ("NOT", "BUF"):
-            out = f"{kind.lower()}{arity}"
-            gates.append(RawGate(out, kind, (rng.choice(signals),)))
-            signals.append(out)
-    gates.append(RawGate("last", "XNOR", tuple(signals[-9:])))
-    return Netlist(name="arities", primary_inputs=inputs, primary_outputs=["last"],
-                   gates=gates[::-1])
-
-
 def test_kernel_matches_oracle_at_every_arity():
     rng = random.Random(41)
     for trial in range(3):
-        g = _assert_kernel_matches_oracle(_every_arity_netlist(rng), seed=trial)
+        g = _assert_kernel_matches_oracle(every_arity_netlist(rng), seed=trial)
         arities = {len(g.fanins[n]) for n in range(g.node_count) if g.kinds[n] != "INPUT"}
         assert arities == set(range(10))
         # a gate reads a later one, so the id order is not a topological order
@@ -213,30 +186,7 @@ def test_kernel_matches_oracle_at_every_arity():
 
 
 def test_kernel_matches_oracle_on_blif_constants_and_a_latch():
-    text = """.model consts
-.inputs a b c
-.outputs y z w
-.names one
-1
-.names zero
-.names a one t
-11 1
-.names b zero u
-1- 1
--1 1
-.names t u a a v
-1111 1
-.names v q zero one y
-0000 0
-.names q c one z
-111 1
-.names zero one w
-1- 1
--1 1
-.latch z q 0
-.end
-"""
-    netlist = parse_blif(text, name="consts")
+    netlist = blif_constants_netlist()
     assert {g.kind for g in netlist.gates} >= {"CONST0", "CONST1", "DFF"}
     _assert_kernel_matches_oracle(netlist, seed=5)
 
@@ -311,7 +261,7 @@ def test_ternary_values_hold_under_every_completion():
         unknown += u
     # wide gates, repeated fanins and both constants
     for trial in range(3):
-        d, u = _assert_ternary_sound(build_graph(scan_convert(_every_arity_netlist(rng))), rng)
+        d, u = _assert_ternary_sound(build_graph(scan_convert(every_arity_netlist(rng))), rng)
         definite += d
         unknown += u
     assert definite > 10000 and unknown > 10000, (definite, unknown)
