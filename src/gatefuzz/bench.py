@@ -69,7 +69,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                                              indent + line.index("(", m.end(2)) + 1)
                 netlist.gates.append(RawGate(out, kind, tuple(args)))
                 continue
-        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno)
+        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, indent + 1)
     return netlist
 
 

@@ -1,10 +1,11 @@
 """Coverage-guided greybox fuzzing baseline over the same simulator.
 
-The classic mutate/simulate/admit loop: seeds whose valuations exercise a new
-(target node, value) pair join the corpus, and future mutants are bred from
-uniformly chosen corpus seeds.  Fitness is target-restricted toggle coverage,
-which makes the baseline as directed-friendly as a greybox loop can be.
-Everything is driven by one seeded RNG, so runs are reproducible.
+The classic mutate/simulate/admit loop: a pattern is admitted to the corpus
+when its valuation shows a (target node, value) pair that no executed
+pattern showed before, and future mutants are bred from uniformly chosen
+corpus patterns.  Admission looks only at the targets, which makes the
+baseline as directed-friendly as a greybox loop can be.  Everything is
+driven by one seeded RNG, so runs are reproducible.
 
 Mutants are bred and simulated a window at a time, one lane per mutant, by
 :func:`~gatefuzz.simulate.run_pass` over a plan of the targets' fan-in cone
@@ -42,14 +43,8 @@ WINDOW = 64  # the most mutants bred and simulated per pass
 
 
 @dataclass
-class CorpusSeed:
-    pattern: InputPattern
-    fitness: int  # count of (target node, value) pairs that were new at admission
-
-
-@dataclass
 class Corpus:
-    seeds: list[CorpusSeed] = field(default_factory=list)
+    seeds: list[InputPattern] = field(default_factory=list)  # the admitted patterns, in order
 
 
 @dataclass
@@ -64,11 +59,13 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
             rng_seed: int = 0) -> CgfResult:
     """Execute exactly ``budget`` mutated patterns.
 
-    The corpus starts from one uniform-random pattern.  Mutation picks a
-    corpus seed uniformly and either replaces it wholesale (probability 0.1)
-    or flips ``w`` distinct bits with ``w`` drawn geometrically (w=1 is the
-    plain single-bit flip).  Each mutant is bred from the corpus as it stands
-    after every earlier execution.
+    The first pattern is uniform random, one ``getrandbits`` over all inputs.
+    Every later one picks an admitted pattern uniformly and either replaces
+    it wholesale (probability 0.1) or flips ``w`` distinct inputs, with ``w``
+    drawn geometrically (w=1 is the plain single-input flip) and the inputs
+    drawn uniformly, one ``randrange`` at a time until ``w`` are distinct.
+    Each mutant is bred from the corpus as it stands after every earlier
+    execution; the corpus is the admitted patterns, in admission order.
 
     Mutants are simulated in windows of :data:`FIRST_WINDOW` lanes after an
     admission, doubling after each window without a hit up to :data:`WINDOW`;
@@ -90,7 +87,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     def breed():
         if not corpus.seeds:
             return _random_pattern(rng, width)
-        return _mutate(rng, rng.choice(corpus.seeds).pattern, width)
+        return _mutate(rng, rng.choice(corpus.seeds), width)
 
     size = FIRST_WINDOW
     while unseen and len(executed) < budget:
@@ -117,7 +114,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
         new_pairs = {pair for pair, lanes in lanes_of.items() if lanes & first}
         unseen -= new_pairs
         first_seen.update(dict.fromkeys(new_pairs, len(executed)))
-        corpus.seeds.append(CorpusSeed(pattern=window[lane], fitness=len(new_pairs)))
+        corpus.seeds.append(window[lane])
         size = FIRST_WINDOW
     while len(executed) < budget:
         executed.append(breed())
@@ -129,15 +126,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
 
 
 def _random_pattern(rng, width):
-    # rng.randrange(2) inlined: a 2-bit draw, redrawn while it is 2 or 3
-    getrandbits = rng.getrandbits
-    word = 0  # the first draw is the first input
-    for _ in range(width):
-        bit = getrandbits(2)
-        while bit > 1:
-            bit = getrandbits(2)
-        word = word << 1 | bit
-    return InputPattern.from_word(word, width)
+    return InputPattern.from_word(rng.getrandbits(width), width)
 
 
 def _mutate(rng, parent: InputPattern, width):
@@ -148,4 +137,7 @@ def _mutate(rng, parent: InputPattern, width):
     w = 1
     while w < width and rng.random() < MULTI_FLIP_CONTINUE_PROB:
         w += 1
-    return parent.flipped(rng.sample(range(width), w))
+    mask = 0  # input i is bit width - 1 - i
+    while mask.bit_count() < w:
+        mask |= 1 << (width - 1 - rng.randrange(width))
+    return InputPattern.from_word(parent.word ^ mask, width)

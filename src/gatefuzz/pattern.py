@@ -51,13 +51,6 @@ class InputPattern:
             raise ValueError("pattern bits must be 0 or 1")
         return cls.from_word(int(text, 2) if text else 0, len(text))
 
-    def flipped(self, positions) -> "InputPattern":
-        """This pattern with the inputs at ``positions`` (0 is the first) inverted."""
-        mask = 0
-        for pos in positions:
-            mask ^= 1 << (self.width - 1 - pos)
-        return InputPattern.from_word(self.word ^ mask, self.width)
-
     def to_string(self) -> str:
         return format(self.word, f"0{self.width}b") if self.width else ""
 

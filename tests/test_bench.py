@@ -85,6 +85,7 @@ def test_unsupported_keyword():
     # columns count the indentation that parsing strips
     ("    y = FOO(a)", "line 2, col 9: unsupported gate keyword 'FOO'"),
     ("  y = AND(a, )", "line 2, col 10: empty argument in gate input list"),
+    ("    what is this", "line 2, col 5: unrecognized construct 'what is this'"),
 ])
 def test_syntax_error_columns(line, message):
     with pytest.raises(NetlistSyntaxError) as exc:

@@ -79,11 +79,11 @@ def test_corpus_admission_is_coverage_driven():
     result = run_cgf(g, spec, budget=200, rng_seed=3)
     # admission only on new (node, value) pairs: at most 2 per target node
     assert len(result.corpus.seeds) <= 2 * len(spec)
-    assert result.corpus.seeds[0].fitness >= 1
+    assert result.corpus.seeds[0] == result.executed[0]  # every pair is unseen at first
     # every admitted seed was executed
     executed = set(result.executed)
     for seed in result.corpus.seeds:
-        assert seed.pattern in executed
+        assert seed in executed
 
 
 def test_sat_coverage_dominates_cgf():
@@ -99,10 +99,15 @@ def test_sat_coverage_dominates_cgf():
 
 
 def reference_random_pattern(rng, width):
-    return InputPattern(tuple(rng.randrange(2) for _ in range(width)))
+    """One draw of all the inputs; the first input is the draw's top bit."""
+    word = rng.getrandbits(width)
+    return InputPattern(tuple(word >> (width - 1 - i) & 1 for i in range(width)))
 
 
-@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 200])
+_WIDTHS = [0, 1, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
 def test_random_pattern_makes_the_reference_draws(width):
     for seed in range(300):
         rng, ref = random.Random(seed), random.Random(seed)
@@ -119,11 +124,24 @@ def reference_mutate(rng, parent, width):
     w = 1
     while w < width and rng.random() < MULTI_FLIP_CONTINUE_PROB:
         w += 1
-    positions = rng.sample(range(width), w)
+    positions = set()
+    while len(positions) < w:
+        positions.add(rng.randrange(width))
     bits = list(parent.bits)
     for pos in positions:
         bits[pos] ^= 1
     return InputPattern(tuple(bits))
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_mutate_makes_the_reference_draws(width):
+    parent_rng = random.Random(width)
+    for seed in range(300):
+        parent = reference_random_pattern(parent_rng, width)
+        rng, ref = random.Random(seed), random.Random(seed)
+        child = cgf._mutate(rng, parent, width)
+        assert child == reference_mutate(ref, parent, width)
+        assert rng.random() == ref.random()  # the RNG is left in the same state
 
 
 def sequential_cgf(graph, spec, budget, rng_seed):
@@ -136,14 +154,14 @@ def sequential_cgf(graph, spec, budget, rng_seed):
         if not seeds:
             candidate = reference_random_pattern(rng, width)
         else:
-            candidate = reference_mutate(rng, rng.choice(seeds)[0], width)
+            candidate = reference_mutate(rng, rng.choice(seeds), width)
         executed.append(candidate)
         valuation = simulate(graph, candidate)
         valuations.append(valuation)
         new_pairs = {(n, valuation[n]) for n in spec.nodes()} - seen
         if new_pairs:
             seen |= new_pairs
-            seeds.append((candidate, len(new_pairs)))
+            seeds.append(candidate)
 
     def percentages(per_target):
         if not per_target:
@@ -210,7 +228,7 @@ def test_windowed_run_equals_sequential_loop(budget):
         result = run_cgf(g, spec, budget=budget, rng_seed=rng_seed)
         executed, seeds, report, curve = sequential_cgf(g, spec, budget, rng_seed)
         assert result.executed == executed, name
-        assert [(s.pattern, s.fitness) for s in result.corpus.seeds] == seeds, name
+        assert result.corpus.seeds == seeds, name
         assert result.report == report, name
         assert result.curve == curve, name
         # the report read from admissions is the one a simulation pass gives

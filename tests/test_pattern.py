@@ -31,23 +31,11 @@ def test_bits_and_word_constructions_are_one_value():
     assert InputPattern((True, False)) == InputPattern((1, 0))
 
 
-def test_flipped_inverts_the_listed_inputs():
-    rng = random.Random(4)
-    for width in (1, 9, 70):
-        bits = [rng.randrange(2) for _ in range(width)]
-        positions = rng.sample(range(width), rng.randint(1, width))
-        flipped = list(bits)
-        for pos in positions:
-            flipped[pos] ^= 1
-        assert InputPattern(bits).flipped(positions) == InputPattern(flipped)
-
-
 def test_width_zero_pattern():
     p = InputPattern(())
     assert p.to_string() == "" and p.bits == () and len(p) == 0
     assert p == InputPattern.from_string("") == InputPattern.from_word(0, 0)
     assert hash(p) == hash(InputPattern.from_word(0, 0))
-    assert p.flipped([]) == p
     g = build_graph(scan_convert(parse_blif(".model k\n.outputs y\n.names y\n1\n.end\n")))
     assert g.input_count == 0
     assert simulate(g, p)[g.node_id("y")] == 1
