@@ -8,17 +8,18 @@ baseline as directed-friendly as a greybox loop can be.  Everything is
 driven by one seeded RNG, so runs are reproducible.
 
 Mutants are bred and simulated a window at a time, one lane per mutant, by
-:func:`~gatefuzz.simulate.run_pass` over a plan of the targets' fan-in cone
-that :func:`~gatefuzz.simulate.compile_ops` builds once per run, with the
-cone's gates grouped by level and shape.  Yet the run is the same executed
-sequence as evaluating one mutant at a time: a window is bred from the
-corpus as it stands, its first lane that shows an unseen pair is the next
-admission, the lanes after it are dropped, and the RNG is rewound to just
+:func:`~gatefuzz.simulate.run_pass` over a plan of the targets' fan-in cone,
+with the cone's gates grouped by level and shape.
+:func:`~gatefuzz.simulate.compile_ops` builds that plan once per graph and
+target set, not once per run, so repeated trials share it.  Yet the run is the
+same executed sequence as evaluating one mutant at a time: a window is bred
+from the corpus as it stands, its first lane that shows an unseen pair is the
+next admission, the lanes after it are dropped, and the RNG is rewound to just
 after that lane before the next window is bred.  Admissions come a few lanes
 apart, so a window starts at :data:`FIRST_WINDOW` lanes, doubles after every
 window without a hit up to :data:`WINDOW`, and starts small again after each
-admission; the lanes bred and thrown away stay few.  Once every pair is
-seen, the rest of the budget is bred without simulation.
+admission; the lanes bred and thrown away stay few.  Once every pair is seen,
+the rest of the budget is bred without simulation.
 
 No lane before an admitted one shows an unseen pair, so a pair's first
 pattern is the admission that removed it from the unseen set: the coverage
@@ -81,7 +82,8 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     corpus = Corpus()
     unseen = {(node, value) for node in spec.nodes() for value in (0, 1)}
     first_seen = {}  # (node, value) -> 1-based number of the admitting pattern
-    ops = compile_ops(graph, spec.nodes())
+    plan = compile_ops(graph, spec.nodes())
+    slot = plan.slot
     executed: list[InputPattern] = []
 
     def breed():
@@ -93,9 +95,9 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     while unseen and len(executed) < budget:
         state = rng.getstate()
         window = [breed() for _ in range(min(size, budget - len(executed)))]
-        words = run_pass(graph, ops, window)
+        words = run_pass(graph, plan, window)
         mask = (1 << len(window)) - 1
-        lanes_of = {pair: words[pair[0]] ^ (0 if pair[1] else mask) for pair in unseen}
+        lanes_of = {pair: words[slot[pair[0]]] ^ (0 if pair[1] else mask) for pair in unseen}
         hits = 0
         for lanes in lanes_of.values():
             hits |= lanes

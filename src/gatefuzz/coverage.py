@@ -49,19 +49,21 @@ class CoverageReport:
     patterns_applied: int
 
 
-def first_sightings(graph: CircuitGraph, ops, spec: TargetSpec, patterns) -> list[list]:
+def first_sightings(graph: CircuitGraph, plan, spec: TargetSpec, patterns) -> list[list]:
     """``[first_0, first_1]`` per entry of ``spec``: the 1-based numbers of
     the first patterns that drove its node to 0 and to 1, ``None`` where none
-    did.  ``ops`` is a plan that holds the targets' fan-in cone; a pass of up
-    to :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as
+    did.  ``plan`` holds the targets' fan-in cone, and a pass's words are
+    indexed by slot, so a target's word is at ``plan.slot[node]``; a pass of
+    up to :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as
     the lowest set bits of its complemented and plain words."""
     firsts = [[None, None] for _ in spec.entries]
+    slots = [plan.slot[node] for node, _ in spec.entries]
     for start in range(0, len(patterns), PASS_LANES):
         chunk = patterns[start:start + PASS_LANES]
-        words = run_pass(graph, ops, chunk)
+        words = run_pass(graph, plan, chunk)
         mask = (1 << len(chunk)) - 1
-        for (node, _), first in zip(spec.entries, firsts):
-            for value, lanes in enumerate((words[node] ^ mask, words[node])):
+        for slot, first in zip(slots, firsts):
+            for value, lanes in enumerate((words[slot] ^ mask, words[slot])):
                 if first[value] is None and lanes:
                     first[value] = start + (lanes & -lanes).bit_length()
     return firsts
@@ -74,8 +76,8 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
     the graph raises :class:`KeyError`.
     """
     patterns = list(patterns)
-    ops = compile_ops(graph, spec.nodes())
-    return report_and_curve(spec, first_sightings(graph, ops, spec, patterns), len(patterns))
+    plan = compile_ops(graph, spec.nodes())
+    return report_and_curve(spec, first_sightings(graph, plan, spec, patterns), len(patterns))
 
 
 def report_and_curve(spec: TargetSpec, firsts, count: int):

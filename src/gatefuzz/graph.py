@@ -2,19 +2,21 @@
 
 Nodes are dense integer ids covering every primary input, constant and gate
 output: the primary inputs are ``0..input_count-1`` in declaration order, then
-the gate outputs in declaration order.  These ids are the only numbering the
-pipeline uses (the CNF variable of node ``n`` is ``n + 1``).  The graph is
-immutable after construction and carries per-node levels; a gate's level is
-one more than its deepest fanin's, so sorting by level gives a topological
-order.  Netlists may declare their gates in any order: one depth-first search
-over fanins gives the levels, or names a cycle.  Structural diffs between two
-graphs drive automatic target selection.
+the gate outputs in declaration order.  These ids are the pipeline's numbering
+(the CNF variable of node ``n`` is ``n + 1``); only a simulation pass over a
+fan-in cone numbers its words otherwise, by slot.  The graph is immutable
+after construction, so it can keep the simulation plans compiled from it, and
+it carries per-node levels; a gate's level is one more than its deepest
+fanin's, so sorting by level gives a topological order.  Netlists may declare
+their gates in any order: one depth-first search over fanins gives the levels,
+or names a cycle.  Structural diffs between two graphs drive automatic target
+selection.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .netlist import Netlist, NetlistError
 
@@ -42,6 +44,8 @@ class CircuitGraph:
     input_count: int  # the primary inputs are nodes 0..input_count-1
     name_to_id: dict[str, int]  # inverse of ``names``
     levels: list[int]
+    # simulation plans by needed node set (None for all), kept by compile_ops
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:

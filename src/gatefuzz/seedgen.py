@@ -125,7 +125,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
             f"d_min {config.d_min} exceeds the {width} primary inputs")
     formula = encode(graph)
     literals = build_target_formula(spec, formula)  # a TargetError before the plan's KeyError
-    ops = compile_ops(graph, spec.nodes())
+    plan = compile_ops(graph, spec.nodes())
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
     for lit in literals:
@@ -159,7 +159,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         if not result.is_sat:
             stop_reason = "exhausted"
             break
-        free = _lift(graph, ops, spec.entries, result.inputs)
+        free = _lift(graph, plan, spec.entries, result.inputs)
         free_counts.append(free.bit_count())
         # the solver keeps every emitted pattern at distance, so only an
         # unsound solver returns a model too close to one
@@ -174,7 +174,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
             rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
     patterns = [InputPattern.from_word(w, width) for w in words]
-    firsts = first_sightings(graph, ops, spec, patterns)
+    firsts = first_sightings(graph, plan, spec, patterns)
     for (node, value), first in zip(spec.entries, firsts):
         if first[1 - value] is not None:
             raise RuntimeError(f"pattern {patterns[first[1 - value] - 1].to_string()} "
@@ -201,7 +201,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     )
 
 
-def _lift(graph, ops, targets, word):
+def _lift(graph, plan, targets, word):
     """The inputs of a cube around the pattern ``word`` that every target
     ignores, as a mask in the same bit order: greedily, in input order, an
     input is made X while all targets stay definite at their values.
@@ -216,7 +216,7 @@ def _lift(graph, ops, targets, word):
     """
     width = graph.input_count
     bits = [word >> width - 1 - i & 1 for i in range(width)]
-    alone = _holding(graph, ops, targets, bits, [1 << i for i in range(width)], width)
+    alone = _holding(graph, plan, targets, bits, [1 << i for i in range(width)], width)
     candidates = [i for i in range(width) if alone >> i & 1]
     free = []
     while candidates:
@@ -226,23 +226,23 @@ def _lift(graph, ops, targets, word):
             x_lanes[i] = every
         for j, i in enumerate(candidates):
             x_lanes[i] = every ^ ((1 << j) - 1)  # lanes j and up
-        held = _holding(graph, ops, targets, bits, x_lanes, len(candidates))
+        held = _holding(graph, plan, targets, bits, x_lanes, len(candidates))
         taken = (~held & held + 1).bit_length() - 1  # the lanes that hold from lane 0
         free += candidates[:taken]
         del candidates[:taken + 1]
     return sum(1 << width - 1 - i for i in free)
 
 
-def _holding(graph, ops, targets, bits, x_lanes, lanes):
+def _holding(graph, plan, targets, bits, x_lanes, lanes):
     """The lanes, of ``lanes``, in which every target is definite at its
     value, with input ``i`` at ``bits[i]`` except in the lanes ``x_lanes[i]``,
     where it is X."""
     mask = (1 << lanes) - 1
     ones = [mask ^ x if b else 0 for b, x in zip(bits, x_lanes)]
     zeros = [0 if b else mask ^ x for b, x in zip(bits, x_lanes)]
-    hi, lo = run_ternary(graph, ops, ones, zeros, lanes)
+    hi, lo = run_ternary(graph, plan, ones, zeros, lanes)
     for node, value in targets:
-        mask &= (hi if value else lo)[node]
+        mask &= (hi if value else lo)[plan.slot[node]]
     return mask
 
 

@@ -113,6 +113,24 @@ def test_gen_simulates_its_patterns_once(tmp_path, monkeypatch):
     assert [len(patterns) for _, patterns in calls["run_pass"]] == [200]
 
 
+def test_compare_builds_one_plan_for_generation_and_every_trial(tmp_path, monkeypatch):
+    # the plan is kept on the graph per target set, so the SAT run and every
+    # CGF trial share the one that generation built
+    built = []
+    original = simulate_module._build_plan
+
+    def counting(graph, needed):
+        built.append(needed)
+        return original(graph, needed)
+
+    monkeypatch.setattr(simulate_module, "_build_plan", counting)
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    assert main(["compare", netlist, targets, "-R", "64", "--trials", "3",
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("command,stages", [
     ("gen", {"parse_and_graph", "parse_targets", "generate", "report"}),
     ("compare", {"parse_and_graph", "parse_targets", "sat_generation", "cgf_trials", "report"}),

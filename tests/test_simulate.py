@@ -7,7 +7,7 @@ from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph
-from gatefuzz.netlist import scan_convert
+from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass, run_ternary,
                                simulate)
@@ -98,7 +98,22 @@ def test_batch_of_any_width_equals_per_lane_simulate():
             assert _valuation(words, lane) == simulate(g, p)
 
 
+def _node_at_slot(g, plan, view):
+    """The inverse of ``plan.slot``, after checking that the plan's slots are
+    exactly ``0..plan.size-1``, one for each node of ``view`` and each input,
+    and that the inputs keep their ids."""
+    nodes = set(view) | set(range(g.input_count))
+    assert set(plan.slot) == nodes
+    node_at = {plan.slot[node]: node for node in nodes}
+    assert sorted(node_at) == list(range(plan.size))
+    assert all(plan.slot[i] == i for i in range(g.input_count))
+    assert plan.size == len(nodes)
+    return node_at
+
+
 def test_cone_pass_matches_full_pass_inside_the_cone():
+    # a pass's words are indexed by slot, so a cone node's word is read at
+    # plan.slot[node] and the pass holds no word for a node outside the cone
     rng = random.Random(23)
     g = build_graph(scan_convert(random_netlist(rng, 6, 60)))
     patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
@@ -106,11 +121,13 @@ def test_cone_pass_matches_full_pass_inside_the_cone():
     target = g.node_count - 20
     cone = fanin_cone(g, [target])
     assert len(cone) < g.node_count - g.input_count
-    words = run_pass(g, compile_ops(g, [target]), patterns)
+    plan = compile_ops(g, [target])
+    node_at = _node_at_slot(g, plan, cone)
+    words = run_pass(g, plan, patterns)
     full = run_pass(g, compile_ops(g), patterns)
-    for node in range(g.node_count):
-        in_view = node in cone or node < g.input_count
-        assert words[node] == (full[node] if in_view else 0)
+    assert len(words) == plan.size
+    for slot, node in node_at.items():
+        assert words[slot] == full[node]
 
 
 def test_valuation_satisfies_every_cnf_clause():
@@ -152,25 +169,34 @@ def test_package_attribute_is_the_submodule():
 
 # -- the kernel against the independent oracle ---------------------------------
 
-LANE_COUNTS = (0, 1, 8, 64, 65)
+# 30 to 32 lanes are where a word grows from one CPython digit to two
+LANE_COUNTS = (0, 1, 8, 30, 31, 32, 64, 65)
+
+
+def _assert_plan_matches_oracle(netlist, g, plan, view, seed):
+    """Every node of ``view``, read at its slot of a pass over ``plan`` at
+    every lane count, equals ``ref_eval`` of the scan-converted ``netlist``."""
+    rng = random.Random(seed)
+    for lanes in LANE_COUNTS:
+        patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
+                    for _ in range(lanes)]
+        words = run_pass(g, plan, patterns)
+        assert len(words) == plan.size
+        assert all(w >> lanes == 0 for w in words)
+        for lane, p in enumerate(patterns):
+            expected = ref_eval(netlist, p.bits)
+            got = {g.names[n]: words[plan.slot[n]] >> lane & 1 for n in view}
+            assert got == {g.names[n]: expected[g.names[n]] for n in view}, (
+                lanes, lane, p.to_string())
 
 
 def _assert_kernel_matches_oracle(netlist, seed):
     """Every node of a full pass, at every lane count, equals ``ref_eval``."""
     netlist = scan_convert(netlist)
     g = build_graph(netlist)
-    ops = compile_ops(g)
-    rng = random.Random(seed)
-    for lanes in LANE_COUNTS:
-        patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
-                    for _ in range(lanes)]
-        words = run_pass(g, ops, patterns)
-        assert len(words) == g.node_count
-        assert all(w >> lanes == 0 for w in words)
-        for lane, p in enumerate(patterns):
-            expected = ref_eval(netlist, p.bits)
-            got = {name: words[g.node_id(name)] >> lane & 1 for name in expected}
-            assert got == expected, (lanes, lane, p.to_string())
+    plan = compile_ops(g)
+    assert plan.size == g.node_count
+    _assert_plan_matches_oracle(netlist, g, plan, range(g.node_count), seed)
     return g
 
 
@@ -199,6 +225,63 @@ def test_kernel_matches_oracle_on_random_circuits_in_any_declared_order():
         if trial % 3 == 0:
             rng.shuffle(netlist.gates)
         _assert_kernel_matches_oracle(netlist, seed=trial)
+
+
+def test_cone_kernel_matches_oracle_on_random_circuits_in_any_declared_order():
+    rng = random.Random(44)
+    for trial in range(12):
+        netlist = random_netlist(rng, rng.randint(1, 7), rng.randint(1, 50),
+                                 with_dffs=trial % 2 == 0)
+        if trial % 3 == 0:
+            rng.shuffle(netlist.gates)
+        netlist = scan_convert(netlist)
+        g = build_graph(netlist)
+        needed = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
+        cone = fanin_cone(g, needed)
+        _assert_plan_matches_oracle(netlist, g, compile_ops(g, needed), cone, seed=trial)
+
+
+def test_pass_over_a_circuit_without_inputs():
+    netlist = Netlist(name="consts", primary_outputs=["y", "z"], gates=[
+        RawGate("c0", "CONST0", ()), RawGate("c1", "CONST1", ()),
+        RawGate("y", "NAND", ("c1", "c0")), RawGate("b", "BUF", ("c1",)),
+        RawGate("z", "XOR", ("b", "c1", "c0"))])
+    g = build_graph(netlist)
+    assert g.input_count == 0
+    expected = ref_eval(netlist, ())
+    z = g.node_id("z")
+    for plan, view in ((compile_ops(g), range(g.node_count)),
+                       (compile_ops(g, [z]), fanin_cone(g, [z]))):
+        assert run_pass(g, plan, []) == [0] * plan.size
+        for lanes in (1, 3, 64):
+            words = run_pass(g, plan, [InputPattern(())] * lanes)
+            for node in view:
+                value = expected[g.names[node]]
+                assert words[plan.slot[node]] == value * ((1 << lanes) - 1), (lanes, node)
+
+
+def test_compile_ops_keeps_one_plan_per_graph_and_needed_set():
+    g = build_graph(scan_convert(load_circuit("c432")))
+    a, b = g.node_count - 1, g.node_count - 7
+    plan = compile_ops(g, [a, b])
+    assert compile_ops(g, [a, b]) is plan
+    assert compile_ops(g, (b, a, b)) is plan
+    other = compile_ops(g, [a])
+    assert other is not plan and other.size < plan.size
+    assert compile_ops(g) is compile_ops(g) is not plan
+    # the memo is neither part of the graph's value nor of its repr
+    fresh = build_graph(scan_convert(load_circuit("c432")))
+    assert fresh == g and "plans" not in repr(g)
+
+
+@pytest.mark.parametrize("node", [-1, "end"])
+def test_compile_ops_raises_for_a_node_outside_the_graph_on_every_call(node):
+    g = build_graph(scan_convert(load_circuit("c17")))
+    if node == "end":
+        node = g.node_count
+    for _ in range(2):
+        with pytest.raises(KeyError, match=f"target node {node} is not in graph"):
+            compile_ops(g, [0, node])
 
 
 # -- three-valued evaluation against exhaustive two-valued passes ------------
@@ -288,25 +371,27 @@ def test_plan_holds_each_cone_gate_once_after_its_fanins():
         g = build_graph(netlist)
         needed = rng.sample(range(g.node_count), rng.randint(1, min(4, g.node_count)))
         for wanted in (None, needed):
+            # items address word slots; node_at reads them back as node ids
             view = range(g.node_count) if wanted is None else _reference_cone(g, wanted)
             gates = sorted(n for n in view if g.kinds[n] != "INPUT")
             plan = compile_ops(g, wanted)
-            order = [item[0] for _, _, _, items in plan for item in items]
+            node_at = _node_at_slot(g, plan, view)
+            order = [node_at[item[0]] for _, _, _, items in plan.groups for item in items]
             assert sorted(order) == gates  # every cone gate exactly once, nothing else
             position = {node: i for i, node in enumerate(order)}
-            for _, arity, _, items in plan:
-                for node, *srcs in items:
+            for _, arity, _, items in plan.groups:
+                for slot, *src_slots in items:
+                    node, srcs = node_at[slot], [node_at[s] for s in src_slots]
                     assert tuple(srcs) == g.fanins[node] and len(srcs) == arity
                     assert all(g.kinds[s] == "INPUT" or position[s] < position[node]
                                for s in srcs)
         patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
                     for _ in range(rng.choice(LANE_COUNTS))]
-        words = run_pass(g, compile_ops(g, needed), patterns)
+        plan = compile_ops(g, needed)
+        words = run_pass(g, plan, patterns)
         cone = _reference_cone(g, needed)
-        for node in range(g.node_count):
-            if node not in cone and node >= g.input_count:
-                assert words[node] == 0
+        assert len(words) == plan.size  # no word for a node outside the cone
         for lane, p in enumerate(patterns):
             expected = ref_eval(netlist, p.bits)
-            for node in cone:
-                assert words[node] >> lane & 1 == expected[g.names[node]]
+            for node in cone | set(range(g.input_count)):
+                assert words[plan.slot[node]] >> lane & 1 == expected[g.names[node]]
