@@ -8,10 +8,9 @@ baseline as directed-friendly as a greybox loop can be.  Everything is
 driven by one seeded RNG, so runs are reproducible.
 
 Mutants are bred and simulated a window at a time, one lane per mutant, by
-:func:`~gatefuzz.simulate.run_pass` over a plan of the targets' fan-in cone,
-with the cone's gates grouped by level and shape.
-:func:`~gatefuzz.simulate.compile_ops` builds that plan once per graph and
-target set, not once per run, so repeated trials share it.  Yet the run is the
+:func:`~gatefuzz.simulate.run_pass` over the cut graph of the targets' fan-in
+cone, which keeps the graph's inputs.  :func:`~gatefuzz.graph.cone` cuts it
+once per graph and target set, so repeated trials share it.  Yet the run is the
 same executed sequence as evaluating one mutant at a time: a window is bred
 from the corpus as it stands, its first lane that shows an unseen pair is the
 next admission, the lanes after it are dropped, and the RNG is rewound to just
@@ -32,9 +31,9 @@ import random
 from dataclasses import dataclass, field
 
 from .coverage import CoverageReport, report_and_curve
-from .graph import CircuitGraph
+from .graph import CircuitGraph, cone
 from .pattern import InputPattern
-from .simulate import compile_ops, run_pass
+from .simulate import run_pass
 from .targets import TargetSpec
 
 FULL_RANDOM_PROB = 0.1
@@ -80,10 +79,10 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     rng = random.Random(rng_seed)
     width = graph.input_count
     corpus = Corpus()
-    unseen = {(node, value) for node in spec.nodes() for value in (0, 1)}
+    cut, new_id = cone(graph, spec.nodes())
+    nodes = [new_id[node] for node in spec.nodes()]  # the targets in the cut
+    unseen = {(node, value) for node in nodes for value in (0, 1)}
     first_seen = {}  # (node, value) -> 1-based number of the admitting pattern
-    plan = compile_ops(graph, spec.nodes())
-    slot = plan.slot
     executed: list[InputPattern] = []
 
     def breed():
@@ -95,9 +94,9 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     while unseen and len(executed) < budget:
         state = rng.getstate()
         window = [breed() for _ in range(min(size, budget - len(executed)))]
-        words = run_pass(graph, plan, window)
+        words = run_pass(cut, window)
         mask = (1 << len(window)) - 1
-        lanes_of = {pair: words[slot[pair[0]]] ^ (0 if pair[1] else mask) for pair in unseen}
+        lanes_of = {pair: words[pair[0]] ^ (0 if pair[1] else mask) for pair in unseen}
         hits = 0
         for lanes in lanes_of.values():
             hits |= lanes
@@ -121,8 +120,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     while len(executed) < budget:
         executed.append(breed())
 
-    firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1)))
-              for node, _ in spec.entries]
+    firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1))) for node in nodes]
     report, curve = report_and_curve(spec, firsts, len(executed))
     return CgfResult(executed=executed, report=report, curve=curve, corpus=corpus)
 

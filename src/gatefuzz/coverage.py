@@ -6,7 +6,8 @@ target node is covered once the pattern set has exercised it to both 0 and
 1.  Both metrics are cumulative, so appending patterns never decreases them.
 
 :func:`first_sightings` finds the first pattern that drove each target to 0
-and to 1, by wide-word passes over the targets' fan-in cone, and
+and to 1, by wide-word passes over the cut graph of the targets' fan-in cone
+(:func:`~gatefuzz.graph.cone`), and
 :func:`report_and_curve` builds the report and per-prefix curve from those
 numbers alone.  Generation's closing check is that pass over its patterns,
 and the CGF loop knows the numbers as its admissions, so neither simulates
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CircuitGraph
-from .simulate import compile_ops, run_pass
+from .graph import CircuitGraph, cone
+from .simulate import run_pass
 from .targets import TargetSpec
 
 # Widest simulation pass over a long pattern list: a pass holds one word of
@@ -49,21 +50,22 @@ class CoverageReport:
     patterns_applied: int
 
 
-def first_sightings(graph: CircuitGraph, plan, spec: TargetSpec, patterns) -> list[list]:
+def first_sightings(graph: CircuitGraph, spec: TargetSpec, patterns) -> list[list]:
     """``[first_0, first_1]`` per entry of ``spec``: the 1-based numbers of
     the first patterns that drove its node to 0 and to 1, ``None`` where none
-    did.  ``plan`` holds the targets' fan-in cone, and a pass's words are
-    indexed by slot, so a target's word is at ``plan.slot[node]``; a pass of
-    up to :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as
-    the lowest set bits of its complemented and plain words."""
+    did.  The passes run on the cut graph of the targets' fan-in cone, and a
+    target outside ``graph`` raises :class:`KeyError`; a pass of up to
+    :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as the
+    lowest set bits of its complemented and plain words."""
+    cut, new_id = cone(graph, spec.nodes())
     firsts = [[None, None] for _ in spec.entries]
-    slots = [plan.slot[node] for node, _ in spec.entries]
+    nodes = [new_id[node] for node, _ in spec.entries]
     for start in range(0, len(patterns), PASS_LANES):
         chunk = patterns[start:start + PASS_LANES]
-        words = run_pass(graph, plan, chunk)
+        words = run_pass(cut, chunk)
         mask = (1 << len(chunk)) - 1
-        for slot, first in zip(slots, firsts):
-            for value, lanes in enumerate((words[slot] ^ mask, words[slot])):
+        for node, first in zip(nodes, firsts):
+            for value, lanes in enumerate((words[node] ^ mask, words[node])):
                 if first[value] is None and lanes:
                     first[value] = start + (lanes & -lanes).bit_length()
     return firsts
@@ -76,8 +78,7 @@ def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
     the graph raises :class:`KeyError`.
     """
     patterns = list(patterns)
-    plan = compile_ops(graph, spec.nodes())
-    return report_and_curve(spec, first_sightings(graph, plan, spec, patterns), len(patterns))
+    return report_and_curve(spec, first_sightings(graph, spec, patterns), len(patterns))
 
 
 def report_and_curve(spec: TargetSpec, firsts, count: int):

@@ -3,20 +3,21 @@
 Nodes are dense integer ids covering every primary input, constant and gate
 output: the primary inputs are ``0..input_count-1`` in declaration order, then
 the gate outputs in declaration order.  These ids are the pipeline's numbering
-(the CNF variable of node ``n`` is ``n + 1``); only a simulation pass over a
-fan-in cone numbers its words otherwise, by slot.  The graph is immutable
-after construction, so it can keep the simulation plans compiled from it, and
-it carries per-node levels; a gate's level is one more than its deepest
-fanin's, so sorting by level gives a topological order.  Netlists may declare
-their gates in any order: one depth-first search over fanins gives the levels,
-or names a cycle.  Structural diffs between two graphs drive automatic target
-selection.
+(the CNF variable of node ``n`` is ``n + 1``).  The graph is immutable after
+construction, so it can keep what is derived from it: its simulation plan,
+and the cut graphs of its fan-in cones (:func:`cone`), on which generation,
+CGF and coverage work.  It carries per-node levels; a gate's level is one
+more than its deepest fanin's, so sorting by level gives a topological order.
+Netlists may declare their gates in any order: one depth-first search over
+fanins gives the levels, or names a cycle.  Structural diffs between two
+graphs drive automatic target selection.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .netlist import Netlist, NetlistError
 
@@ -44,8 +45,9 @@ class CircuitGraph:
     input_count: int  # the primary inputs are nodes 0..input_count-1
     name_to_id: dict[str, int]  # inverse of ``names``
     levels: list[int]
-    # simulation plans by needed node set (None for all), kept by compile_ops
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # memos: the cut graphs by needed node set (cone), the simulation plan
+    cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -133,6 +135,62 @@ def _levelize(names, fanins):
             levels[src] = -2
             node, todo, level = src, iter(fanins[src]), 0
     return levels
+
+
+def fanin_cone(graph: CircuitGraph, nodes) -> set[int]:
+    """The given nodes and every node they transitively read."""
+    reached = set(nodes)
+    stack = list(reached)
+    while stack:
+        for src in graph.fanins[stack.pop()]:
+            if src not in reached:
+                reached.add(src)
+                stack.append(src)
+    return reached
+
+
+def cone(graph: CircuitGraph, needed):
+    """``(cut, new_id)``: the cut graph of the fan-in cone of ``needed``, and
+    the map from the graph's node ids to the cut's.
+
+    The cut holds every primary input at its id, then the cone's gates in id
+    order, with their names, kinds and levels; a cone of every gate is the
+    graph itself, under the identity.  Cuts are memoized on the graph, keyed
+    by the needed node set, so every call with the same set, in any order,
+    returns the same pair.  A needed node outside ``0..node_count-1`` raises
+    :class:`KeyError`, on every call.
+    """
+    key = frozenset(needed)
+    cut = graph.cuts.get(key)
+    if cut is None:
+        cut = graph.cuts[key] = _cut(graph, key)
+    return cut
+
+
+def _cut(graph: CircuitGraph, needed):
+    """The uncached body of :func:`cone`."""
+    for node in needed:
+        if not 0 <= node < graph.node_count:
+            raise KeyError(f"target node {node} is not in graph {graph.name!r}")
+    inputs = range(graph.input_count)
+    gates = sorted(fanin_cone(graph, needed).difference(inputs))
+    if len(gates) == graph.node_count - graph.input_count:
+        return graph, range(graph.node_count)
+    old = [*inputs, *gates]
+    new_id = dict(zip(old, range(len(old))))
+    at = new_id.__getitem__
+    names = list(map(graph.names.__getitem__, old))
+    return CircuitGraph(
+        name=graph.name,
+        names=names,
+        kinds=list(map(graph.kinds.__getitem__, old)),
+        # an itemgetter of two or more keys remaps fastest, and returns a tuple
+        fanins=[itemgetter(*srcs)(new_id) if len(srcs) > 1 else tuple(map(at, srcs))
+                for srcs in map(graph.fanins.__getitem__, old)],
+        input_count=graph.input_count,
+        name_to_id=dict(zip(names, range(len(old)))),
+        levels=list(map(graph.levels.__getitem__, old)),
+    ), new_id
 
 
 @dataclass

@@ -1,17 +1,23 @@
 """SAT-driven generation of diverse targeted input patterns: one solve, many patterns.
 
 Every emitted pattern drives all target nodes to their desired values.
+Generation works on the cut graph of the targets' fan-in cone
+(:func:`~gatefuzz.graph.cone`).  Gates outside the cone read the inputs alone
+and no target names them, so under the targets the cut's formula has the
+circuit's input projections, and the same validity and exhaustion; the cut
+keeps the inputs' ids, so its models are the circuit's patterns.
+
 Each solver model is first lifted to a cube (cube generalisation by ternary
 simulation, as in Ravi & Somenzi, TACAS 2004, and IC3/PDR): its inputs are
 made X one at a time, in input order, and an X is kept while every target
 stays definite at its desired value under
-:func:`~gatefuzz.simulate.run_ternary`, over the same targets' fan-in plan
-that coverage and CGF simulate.  X-valued simulation is conservative, so
-every completion of the cube reaches the targets.  The model is emitted
-first, and is the witness that the targeted state is reachable; then seeded
-completions of the cube, random bits on its free inputs only, are drawn and
-emitted while they keep their distance, until :data:`REJECTS_PER_CUBE` draws
-in a row do not.  Only then is the solver asked again.
+:func:`~gatefuzz.simulate.run_ternary`.  X-valued simulation is
+conservative, so every completion of the cube reaches the targets.  The
+model is emitted first, and is the witness that the targeted state is
+reachable; then seeded completions of the cube, random bits on its free
+inputs only, are drawn and emitted while they keep their distance, until
+:data:`REJECTS_PER_CUBE` draws in a row do not.  Only then is the solver
+asked again.
 
 Diversity is a minimum pairwise Hamming distance ``d_min``: each emitted
 pattern is kept by the solver
@@ -47,11 +53,11 @@ from dataclasses import dataclass, field
 
 from .cnf import encode
 from .coverage import CoverageReport, first_sightings, report_and_curve
-from .graph import CircuitGraph
+from .graph import CircuitGraph, cone
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
-from .simulate import compile_ops, run_ternary
-from .targets import TargetSpec, build_target_formula
+from .simulate import run_ternary
+from .targets import TargetError, TargetSpec, build_target_formula
 
 # Consecutive completions of one cube that the distance guard may reject
 # before the cube is left and the solver asked for the next model.
@@ -88,7 +94,7 @@ class GenReport:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    solver_vars: int = 0  # the formula's variable count; a session never adds one
+    solver_vars: int = 0  # the cut formula's variable count; a session never adds one
     lifted_models: int = 0  # one per SAT solve
     free_inputs_min: int | None = None  # free inputs of the lifted cubes; None
     free_inputs_median: float | None = None  # when no model was lifted
@@ -110,22 +116,27 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     """Generate up to ``config.pattern_budget`` patterns that drive every
     target of ``spec``; the report's ``coverage`` and ``curve`` are theirs.
 
-    ``graph`` is encoded with the targets' literals as unit clauses, and a
-    target node outside it raises ``TargetError``.  ``exhausted`` is set
-    only on UNSAT, i.e. when no further pattern at distance >= ``d_min``
-    from all emitted ones exists; exhausted with no pattern means the
-    targeted state is invalid.  A spent conflict budget ends the run with
-    ``stop_reason == "solver-budget"`` and the patterns emitted so far.
-    Raises RuntimeError if an emitted pattern misses a target or a solver
+    The cut graph of the targets' fan-in cone is encoded with the targets'
+    literals as unit clauses, and a target node outside ``graph`` raises
+    ``TargetError``.  ``exhausted`` is set only on UNSAT, i.e. when no
+    further pattern at distance >= ``d_min`` from all emitted ones exists;
+    exhausted with no pattern means the targeted state is invalid.  A spent
+    conflict budget ends the run with ``stop_reason == "solver-budget"`` and
+    the patterns emitted so far.  Raises RuntimeError if an emitted pattern misses a target or a solver
     model is closer than ``d_min`` to an emitted pattern.
     """
     width = graph.input_count
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
-    formula = encode(graph)
-    literals = build_target_formula(spec, formula)  # a TargetError before the plan's KeyError
-    plan = compile_ops(graph, spec.nodes())
+    for node in spec.nodes():  # a TargetError, before the cut's KeyError
+        if not 0 <= node < graph.node_count:
+            raise TargetError(f"target node {node} has no variable in the formula "
+                              f"(nodes 0..{graph.node_count - 1})")
+    cut, new_id = cone(graph, spec.nodes())
+    targets = [(new_id[node], value) for node, value in spec.entries]
+    formula = encode(cut)
+    literals = build_target_formula(TargetSpec(entries=targets), formula)
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
     for lit in literals:
@@ -159,7 +170,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         if not result.is_sat:
             stop_reason = "exhausted"
             break
-        free = _lift(graph, plan, spec.entries, result.inputs)
+        free = _lift(cut, targets, result.inputs)
         free_counts.append(free.bit_count())
         # the solver keeps every emitted pattern at distance, so only an
         # unsound solver returns a model too close to one
@@ -174,7 +185,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
             rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
     patterns = [InputPattern.from_word(w, width) for w in words]
-    firsts = first_sightings(graph, plan, spec, patterns)
+    firsts = first_sightings(graph, spec, patterns)
     for (node, value), first in zip(spec.entries, firsts):
         if first[1 - value] is not None:
             raise RuntimeError(f"pattern {patterns[first[1 - value] - 1].to_string()} "
@@ -201,7 +212,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     )
 
 
-def _lift(graph, plan, targets, word):
+def _lift(graph, targets, word):
     """The inputs of a cube around the pattern ``word`` that every target
     ignores, as a mask in the same bit order: greedily, in input order, an
     input is made X while all targets stay definite at their values.
@@ -216,7 +227,7 @@ def _lift(graph, plan, targets, word):
     """
     width = graph.input_count
     bits = [word >> width - 1 - i & 1 for i in range(width)]
-    alone = _holding(graph, plan, targets, bits, [1 << i for i in range(width)], width)
+    alone = _holding(graph, targets, bits, [1 << i for i in range(width)], width)
     candidates = [i for i in range(width) if alone >> i & 1]
     free = []
     while candidates:
@@ -226,23 +237,23 @@ def _lift(graph, plan, targets, word):
             x_lanes[i] = every
         for j, i in enumerate(candidates):
             x_lanes[i] = every ^ ((1 << j) - 1)  # lanes j and up
-        held = _holding(graph, plan, targets, bits, x_lanes, len(candidates))
+        held = _holding(graph, targets, bits, x_lanes, len(candidates))
         taken = (~held & held + 1).bit_length() - 1  # the lanes that hold from lane 0
         free += candidates[:taken]
         del candidates[:taken + 1]
     return sum(1 << width - 1 - i for i in free)
 
 
-def _holding(graph, plan, targets, bits, x_lanes, lanes):
+def _holding(graph, targets, bits, x_lanes, lanes):
     """The lanes, of ``lanes``, in which every target is definite at its
     value, with input ``i`` at ``bits[i]`` except in the lanes ``x_lanes[i]``,
     where it is X."""
     mask = (1 << lanes) - 1
     ones = [mask ^ x if b else 0 for b, x in zip(bits, x_lanes)]
     zeros = [0 if b else mask ^ x for b, x in zip(bits, x_lanes)]
-    hi, lo = run_ternary(graph, plan, ones, zeros, lanes)
+    hi, lo = run_ternary(graph, ones, zeros, lanes)
     for node, value in targets:
-        mask &= (hi if value else lo)[plan.slot[node]]
+        mask &= (hi if value else lo)[node]
     return mask
 
 

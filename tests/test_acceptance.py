@@ -20,7 +20,7 @@ from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate, read_patterns
-from gatefuzz.simulate import compile_ops, run_pass, simulate
+from gatefuzz.simulate import run_pass, simulate
 from gatefuzz.targets import TargetSpec, parse_targets
 
 from conftest import all_patterns, blif_constants_netlist, every_arity_netlist, random_netlist
@@ -105,7 +105,7 @@ def test_criterion_2_validity_oracle():
             report = generate(graph, spec, GenConfig(pattern_budget=1))
             valid = bool(report.patterns)
             patterns = all_patterns(graph.input_count)
-            words = run_pass(graph, compile_ops(graph), patterns)
+            words = run_pass(graph, patterns)
             reachable = any(all((words[n_] >> lane) & 1 == v for n_, v in entries)
                             for lane in range(len(patterns)))
             if valid == reachable:
@@ -126,7 +126,7 @@ def _assert_models_equal_valuations(graph, case):
 
     sim_valuations = set()
     patterns = all_patterns(graph.input_count)
-    words = run_pass(graph, compile_ops(graph), patterns)
+    words = run_pass(graph, patterns)
     for lane in range(len(patterns)):
         sim_valuations.add(tuple((word >> lane) & 1 for word in words))
 

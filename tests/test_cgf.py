@@ -244,9 +244,9 @@ def test_never_hitting_run_simulates_full_windows(monkeypatch):
     passes = []
     real_run_pass = cgf.run_pass
 
-    def counting_run_pass(graph, ops, patterns):
+    def counting_run_pass(graph, patterns):
         passes.append(len(patterns))
-        return real_run_pass(graph, ops, patterns)
+        return real_run_pass(graph, patterns)
 
     monkeypatch.setattr(cgf, "run_pass", counting_run_pass)
     result = run_cgf(tree, spec, budget=300, rng_seed=4)

@@ -4,13 +4,14 @@ import sys
 
 import pytest
 
+import gatefuzz.graph as graph_module
 import gatefuzz.simulate as simulate_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.cli import main
 from gatefuzz.sat import SolverSession
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
-from gatefuzz.graph import build_graph
+from gatefuzz.graph import build_graph, cone
 from gatefuzz.netlist import Netlist, scan_convert
 from gatefuzz.seedgen import read_patterns
 from gatefuzz.simulate import simulate
@@ -87,48 +88,72 @@ def test_gen_builds_one_solver_session(tmp_path, monkeypatch):
     assert len(sessions) == 1
 
 
+def _count_cuts_and_plans(monkeypatch):
+    """Lists that record each cut :func:`~gatefuzz.graph.cone` builds and
+    each graph whose simulation plan is built, and one of every graph the
+    two-valued and the three-valued passes run on, with their lane counts."""
+    record = {"cuts": [], "plans": [], "run_pass": [], "run_ternary": []}
+    cut, plan = graph_module._cut, simulate_module._plan
+    run_pass, run_ternary = simulate_module.run_pass, simulate_module.run_ternary
+
+    def counting_cut(graph, needed):
+        result = cut(graph, needed)
+        record["cuts"].append(result[0])
+        return result
+
+    def counting_plan(graph):
+        if graph.plan is None:
+            record["plans"].append(graph)
+        return plan(graph)
+
+    def counting_run_pass(graph, patterns):
+        record["run_pass"].append((graph, len(patterns)))
+        return run_pass(graph, patterns)
+
+    def counting_run_ternary(graph, ones, zeros, lanes):
+        record["run_ternary"].append((graph, lanes))
+        return run_ternary(graph, ones, zeros, lanes)
+
+    monkeypatch.setattr(graph_module, "_cut", counting_cut)
+    monkeypatch.setattr(simulate_module, "_plan", counting_plan)
+    for module in [m for name, m in sys.modules.items() if name.startswith("gatefuzz")]:
+        for name, original, counting in (("run_pass", run_pass, counting_run_pass),
+                                         ("run_ternary", run_ternary, counting_run_ternary)):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return record
+
+
 def test_gen_simulates_its_patterns_once(tmp_path, monkeypatch):
     # generation's closing check is also the run's coverage, so the emitted
-    # patterns go through one two-valued pass over one compiled plan
-    calls = {"compile_ops": [], "run_pass": []}
-    originals = {name: getattr(simulate_module, name) for name in calls}
-
-    def counting(name):
-        def wrapper(graph, *args):
-            calls[name].append(args)
-            return originals[name](graph, *args)
-        return wrapper
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("gatefuzz")]:
-        for name, original in originals.items():
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting(name))
+    # patterns go through one two-valued pass, over the one cut that the run
+    # solves and lifts on, with its one plan
+    record = _count_cuts_and_plans(monkeypatch)
     netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
     targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
     assert main(["gen", netlist, targets, "-R", "200",
                  "--patterns-out", str(tmp_path / "p.txt"),
                  "--report-out", str(tmp_path / "r.csv"),
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
-    assert len(calls["compile_ops"]) == 1
-    assert [len(patterns) for _, patterns in calls["run_pass"]] == [200]
+    [cut] = record["cuts"]
+    [planned] = record["plans"]
+    assert planned is cut
+    assert [(graph is cut, lanes) for graph, lanes in record["run_pass"]] == [(True, 200)]
+    assert record["run_ternary"] and all(graph is cut for graph, _ in record["run_ternary"])
 
 
 def test_compare_builds_one_plan_for_generation_and_every_trial(tmp_path, monkeypatch):
-    # the plan is kept on the graph per target set, so the SAT run and every
-    # CGF trial share the one that generation built
-    built = []
-    original = simulate_module._build_plan
-
-    def counting(graph, needed):
-        built.append(needed)
-        return original(graph, needed)
-
-    monkeypatch.setattr(simulate_module, "_build_plan", counting)
+    # the cut is kept on the graph per target set, and its plan on the cut,
+    # so the SAT run and every CGF trial share the ones generation built
+    record = _count_cuts_and_plans(monkeypatch)
     netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
     targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
     assert main(["compare", netlist, targets, "-R", "64", "--trials", "3",
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
-    assert len(built) == 1
+    [cut] = record["cuts"]
+    [planned] = record["plans"]
+    assert planned is cut
+    assert len(record["run_pass"]) > 3 and all(graph is cut for graph, _ in record["run_pass"])
 
 
 @pytest.mark.parametrize("command,stages", [
@@ -155,8 +180,11 @@ def test_gen_manifest_records_solver_counters(tmp_path):
                            "solver_vars", "stop_reason", "lifted_models", "free_inputs_min",
                            "free_inputs_median", "free_inputs_max"}
     graph = build_graph(scan_convert(parse_bench(fixture_text("c432.bench"), name="c432")))
-    # distance constraints add no helper variables to the session
-    assert solver["solver_vars"] == encode(graph).var_count
+    spec = parse_targets(fixture_text("c432.mixed.targets"), graph)
+    cut, _ = cone(graph, spec.nodes())
+    # the session holds the cut's formula, and distance constraints add no
+    # helper variables to it
+    assert solver["solver_vars"] == encode(cut).var_count < encode(graph).var_count
     # a solve gives a cube of patterns, so there are no more solves than
     # patterns; every solve was SAT, and each SAT model was lifted; the
     # budget, not UNSAT, ended the run

@@ -7,10 +7,10 @@ from gatefuzz.cgf import run_cgf
 import gatefuzz.coverage as coverage_module
 from gatefuzz.coverage import curve_csv, measure, measure_with_curve
 from gatefuzz.fixtures import load_circuit
-from gatefuzz.graph import build_graph
+from gatefuzz.graph import build_graph, fanin_cone
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import fanin_cone, simulate
+from gatefuzz.simulate import simulate
 from gatefuzz.targets import TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist

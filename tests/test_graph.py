@@ -1,13 +1,20 @@
+import dataclasses
 import random
 
 import pytest
 
 from gatefuzz.bench import parse_bench, write_bench
+from gatefuzz.cgf import run_cgf
+from gatefuzz.cnf import encode
+from gatefuzz.coverage import measure_with_curve, report_and_curve
 from gatefuzz.fixtures import load_circuit
-from gatefuzz.graph import CycleError, build_graph, diff_graphs, to_dot
+from gatefuzz.graph import CycleError, build_graph, cone, diff_graphs, to_dot
 from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
+from gatefuzz.sat import SolverSession
+from gatefuzz.simulate import run_pass
+from gatefuzz.targets import TargetSpec, build_target_formula
 
-from conftest import random_netlist
+from conftest import all_patterns, random_netlist
 from oracle import heap_levelize, trace_cycle
 
 
@@ -281,3 +288,70 @@ def test_dot_export_escapes_quotes_and_backslashes():
     # outside the escapes, each line's quotes pair up
     for line in dot.splitlines():
         assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
+
+
+def _every_model(graph, spec):
+    """The input words of every model of ``graph``'s formula under the
+    targets of ``spec``, enumerated to exhaustion at distance floor 1."""
+    formula = encode(graph)
+    session = SolverSession(formula)
+    for lit in build_target_formula(spec, formula):
+        session.add_clause([lit])
+    words = set()
+    while (result := session.solve()).is_sat:
+        assert result.inputs not in words
+        words.add(result.inputs)
+        session.keep_distance(result.inputs, 1)
+    return words
+
+
+def _full_pass_coverage(graph, spec, patterns):
+    """Coverage report and curve read from one pass over the whole graph,
+    which no cut takes part in."""
+    words = run_pass(graph, patterns)
+    firsts = []
+    for node, _ in spec.entries:
+        lanes = [[lane + 1 for lane in range(len(patterns)) if (words[node] >> lane & 1) == v]
+                 for v in (0, 1)]
+        firsts.append([hits[0] if hits else None for hits in lanes])
+    return report_and_curve(spec, firsts, len(patterns))
+
+
+def test_the_cut_answers_as_the_graph_under_its_targets():
+    # gates outside the cone depend on the inputs alone, so the cut's formula
+    # has the graph's input projections under the targets, and simulation,
+    # coverage and CGF see the same values
+    rng = random.Random(95)
+    partial = invalid = 0
+    for trial in range(120):
+        g = None
+        while g is None or not 1 <= g.input_count <= 8:
+            netlist = random_netlist(rng, rng.randint(1, 8), rng.randint(1, 30),
+                                     with_dffs=trial % 3 == 0)
+            if trial % 4 == 0:
+                rng.shuffle(netlist.gates)
+            g = build_graph(scan_convert(netlist))
+        nodes = rng.sample(range(g.node_count), rng.randint(1, min(4, g.node_count)))
+        spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in nodes])
+        cut, new_id = cone(g, nodes)
+        cut_spec = TargetSpec(entries=[(new_id[node], value) for node, value in spec.entries])
+        partial += cut is not g
+        patterns = all_patterns(g.input_count)
+        words = run_pass(g, patterns)
+        qualifying = {p.word for lane, p in enumerate(patterns)
+                      if all(words[node] >> lane & 1 == value for node, value in spec.entries)}
+        invalid += not qualifying
+        assert _every_model(g, spec) == _every_model(cut, cut_spec) == qualifying, trial
+        # the report a full pass gives, on both, but for the node ids it names
+        shuffled = rng.sample(patterns, len(patterns))
+        report, curve = _full_pass_coverage(g, spec, shuffled)
+        assert measure_with_curve(g, spec, shuffled) == (report, curve)
+        assert measure_with_curve(cut, cut_spec, shuffled) == (dataclasses.replace(
+            report, per_target=[dataclasses.replace(t, node=new_id[t.node])
+                                for t in report.per_target]), curve)
+        full_run = run_cgf(g, spec, budget=40, rng_seed=trial)
+        cut_run = run_cgf(cut, cut_spec, budget=40, rng_seed=trial)
+        assert cut_run.executed == full_run.executed
+        assert cut_run.corpus == full_run.corpus and cut_run.curve == full_run.curve
+        assert (full_run.report, full_run.curve) == _full_pass_coverage(g, spec, full_run.executed)
+    assert partial >= 90 and invalid >= 20, (partial, invalid)

@@ -11,13 +11,13 @@ from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
 from gatefuzz.coverage import measure, measure_with_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
-from gatefuzz.graph import build_graph
+from gatefuzz.graph import build_graph, cone
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, generate, read_patterns,
                               report_csv_row, write_patterns)
-from gatefuzz.simulate import compile_ops, run_pass, run_ternary, simulate
+from gatefuzz.simulate import run_pass, run_ternary, simulate
 from gatefuzz.targets import TargetError, TargetSpec, build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
@@ -134,12 +134,11 @@ def _lift_one_at_a_time(g, entries, word):
     """Reference lifting: each input in order is made X by itself, one
     single-lane ternary pass each, and stays X if every target stays definite."""
     width = g.input_count
-    ops = compile_ops(g)
     free = 0
     for i in range(width):
         trial = free | 1 << width - 1 - i
         bits = [(word >> width - 1 - k & 1, trial >> width - 1 - k & 1) for k in range(width)]
-        hi, lo = run_ternary(g, ops, [int(b and not x) for b, x in bits],
+        hi, lo = run_ternary(g, [int(b and not x) for b, x in bits],
                              [int(not b and not x) for b, x in bits], 1)
         if all((hi if v else lo)[n] for n, v in entries):
             free = trial
@@ -155,16 +154,19 @@ def test_every_completion_of_a_lifted_cube_reaches_the_targets():
             g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 7),
                                                         rng.randint(1, 20),
                                                         with_dffs=trial % 3 == 0)))
-        f = encode(g)
         nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
         entries = [(node, rng.randrange(2)) for node in nodes]
+        # generation solves and lifts on the cut; the reference lifts on the graph
+        cut, new_id = cone(g, nodes)
+        targets = [(new_id[node], value) for node, value in entries]
+        f = encode(cut)
         session = SolverSession(f, decision_seed=trial)
-        for lit in build_target_formula(TargetSpec(entries=entries), f):
+        for lit in build_target_formula(TargetSpec(entries=targets), f):
             session.add_clause([lit])
         result = session.solve()
         if not result.is_sat:
             continue
-        free = _lift(g, compile_ops(g, nodes), entries, result.inputs)
+        free = _lift(cut, targets, result.inputs)
         assert free == _lift_one_at_a_time(g, entries, result.inputs), trial
         # every completion, by one exhaustive two-valued pass over the cube
         width = g.input_count
@@ -172,7 +174,7 @@ def test_every_completion_of_a_lifted_cube_reaches_the_targets():
         cube = [InputPattern.from_word(result.inputs & ~free | sum(
                     (c >> j & 1) << width - 1 - i for j, i in enumerate(positions)), width)
                 for c in range(1 << len(positions))]
-        words = run_pass(g, compile_ops(g), cube)
+        words = run_pass(g, cube)
         everywhere = (1 << len(cube)) - 1
         for node, value in entries:
             assert words[node] == (everywhere if value else 0), (trial, node)
@@ -190,16 +192,19 @@ def test_invalid_target_yields_empty_exhausted_report():
 
 
 def test_validity_witness_is_the_first_generated_pattern():
-    # one session gives both: the verdict is generation's first solve
+    # one session gives both: the verdict is generation's first solve, on the
+    # formula of the targets' cut
     rng = random.Random(91)
     valid = invalid = 0
     for _ in range(60):
         g = build_graph(scan_convert(random_netlist(rng, rng.randint(2, 7),
                                                     rng.randint(2, 20))))
-        f = encode(g)
         nodes = rng.sample(range(g.node_count), rng.randint(1, 4))
         spec = parse_targets("".join(f"{g.names[n]}={rng.randrange(2)}\n" for n in nodes), g)
-        lits = build_target_formula(spec, f)
+        cut, new_id = cone(g, nodes)
+        f = encode(cut)
+        lits = build_target_formula(
+            TargetSpec(entries=[(new_id[node], value) for node, value in spec.entries]), f)
         for seed in (0, 1, 5):
             first = SolverSession(f, decision_seed=seed).solve(assumptions=lits)
             report = generate(g, spec, GenConfig(pattern_budget=3, seed=seed))
@@ -264,7 +269,7 @@ def test_report_coverage_equals_measure_randomized():
 
 _GEN_PATTERNS = """
 from gatefuzz.fixtures import fixture_text, load_circuit
-from gatefuzz.graph import build_graph
+from gatefuzz.graph import build_graph, cone
 from gatefuzz.netlist import scan_convert
 from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.targets import parse_targets
@@ -329,7 +334,7 @@ def test_target_check_raises_on_an_unsound_lift(monkeypatch):
     # or off
     g = _graph("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)")
     monkeypatch.setattr("gatefuzz.seedgen._lift",
-                        lambda graph, ops, targets, word: (1 << graph.input_count) - 1)
+                        lambda graph, targets, word: (1 << graph.input_count) - 1)
     with pytest.raises(RuntimeError, match=r"^pattern [01]{4} misses target y=1$"):
         generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=15, d_min=2))
 

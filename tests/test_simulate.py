@@ -6,11 +6,11 @@ import pytest
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import load_circuit
-from gatefuzz.graph import build_graph
+import gatefuzz.simulate as simulate_module
+from gatefuzz.graph import build_graph, cone, fanin_cone
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import (SimulationError, compile_ops, fanin_cone, run_pass, run_ternary,
-                               simulate)
+from gatefuzz.simulate import SimulationError, run_pass, run_ternary, simulate
 
 from conftest import all_patterns, blif_constants_netlist, every_arity_netlist, random_netlist
 from oracle import ref_eval
@@ -64,7 +64,7 @@ def test_pattern_length_mismatch():
 def test_batch_of_one_equals_simulate():
     g = build_graph(scan_convert(load_circuit("c17")))
     p = InputPattern.from_string("10110")
-    words = run_pass(g, compile_ops(g), [p])
+    words = run_pass(g, [p])
     assert _valuation(words, 0) == simulate(g, p)
     assert all(w >> 1 == 0 for w in words)
 
@@ -76,14 +76,14 @@ def test_batch_matches_scalar_on_random_circuits():
         g = build_graph(scan_convert(n))
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(64)]
-        words = run_pass(g, compile_ops(g), patterns)
+        words = run_pass(g, patterns)
         for lane in (0, 17, 40, 63):
             assert _valuation(words, lane) == simulate(g, patterns[lane])
 
 
 def test_empty_batch():
     g = _graph("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    assert run_pass(g, compile_ops(g), []) == [0, 0]
+    assert run_pass(g, []) == [0, 0]
 
 
 def test_batch_of_any_width_equals_per_lane_simulate():
@@ -92,42 +92,44 @@ def test_batch_of_any_width_equals_per_lane_simulate():
         g = build_graph(scan_convert(random_netlist(rng, 7, 40, with_dffs=True)))
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(lanes)]
-        words = run_pass(g, compile_ops(g), patterns)
+        words = run_pass(g, patterns)
         assert all(w >> lanes == 0 for w in words)
         for lane, p in enumerate(patterns):
             assert _valuation(words, lane) == simulate(g, p)
 
 
-def _node_at_slot(g, plan, view):
-    """The inverse of ``plan.slot``, after checking that the plan's slots are
-    exactly ``0..plan.size-1``, one for each node of ``view`` and each input,
-    and that the inputs keep their ids."""
-    nodes = set(view) | set(range(g.input_count))
-    assert set(plan.slot) == nodes
-    node_at = {plan.slot[node]: node for node in nodes}
-    assert sorted(node_at) == list(range(plan.size))
-    assert all(plan.slot[i] == i for i in range(g.input_count))
-    assert plan.size == len(nodes)
-    return node_at
+def _assert_cut_of(g, needed, view):
+    """``cone(g, needed)`` after checking that the cut holds exactly the
+    inputs, at their ids, and then the gates of ``view`` in id order, each
+    with its name, kind and level and its fanins renumbered."""
+    cut, new_id = cone(g, needed)
+    old = list(range(g.input_count)) + sorted(set(view).difference(range(g.input_count)))
+    assert [new_id[node] for node in old] == list(range(cut.node_count))
+    assert cut.input_count == g.input_count
+    assert cut.names == [g.names[node] for node in old]
+    assert cut.name_to_id == {name: new for new, name in enumerate(cut.names)}
+    assert cut.kinds == [g.kinds[node] for node in old]
+    assert cut.levels == [g.levels[node] for node in old]
+    assert cut.fanins == [tuple(new_id[s] for s in g.fanins[node]) for node in old]
+    return cut, new_id
 
 
 def test_cone_pass_matches_full_pass_inside_the_cone():
-    # a pass's words are indexed by slot, so a cone node's word is read at
-    # plan.slot[node] and the pass holds no word for a node outside the cone
+    # the cut numbers its gates anew, so a cone node's word is read at
+    # new_id[node], and the pass holds no word for a node outside the cone
     rng = random.Random(23)
     g = build_graph(scan_convert(random_netlist(rng, 6, 60)))
     patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                 for _ in range(100)]
     target = g.node_count - 20
-    cone = fanin_cone(g, [target])
-    assert len(cone) < g.node_count - g.input_count
-    plan = compile_ops(g, [target])
-    node_at = _node_at_slot(g, plan, cone)
-    words = run_pass(g, plan, patterns)
-    full = run_pass(g, compile_ops(g), patterns)
-    assert len(words) == plan.size
-    for slot, node in node_at.items():
-        assert words[slot] == full[node]
+    view = fanin_cone(g, [target]) | set(range(g.input_count))
+    assert len(view) < g.node_count
+    cut, new_id = _assert_cut_of(g, [target], view)
+    words = run_pass(cut, patterns)
+    full = run_pass(g, patterns)
+    assert len(words) == cut.node_count == len(view)
+    for node in view:
+        assert words[new_id[node]] == full[node]
 
 
 def test_valuation_satisfies_every_cnf_clause():
@@ -173,20 +175,21 @@ def test_package_attribute_is_the_submodule():
 LANE_COUNTS = (0, 1, 8, 30, 31, 32, 64, 65)
 
 
-def _assert_plan_matches_oracle(netlist, g, plan, view, seed):
-    """Every node of ``view``, read at its slot of a pass over ``plan`` at
-    every lane count, equals ``ref_eval`` of the scan-converted ``netlist``."""
+def _assert_pass_matches_oracle(netlist, g, seed):
+    """Every node of a pass over ``g``, the graph of the scan-converted
+    ``netlist`` or a cut of it, at every lane count, equals ``ref_eval`` of
+    the netlist at the node's name."""
     rng = random.Random(seed)
     for lanes in LANE_COUNTS:
         patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
                     for _ in range(lanes)]
-        words = run_pass(g, plan, patterns)
-        assert len(words) == plan.size
+        words = run_pass(g, patterns)
+        assert len(words) == g.node_count
         assert all(w >> lanes == 0 for w in words)
         for lane, p in enumerate(patterns):
             expected = ref_eval(netlist, p.bits)
-            got = {g.names[n]: words[plan.slot[n]] >> lane & 1 for n in view}
-            assert got == {g.names[n]: expected[g.names[n]] for n in view}, (
+            got = {name: words[n] >> lane & 1 for n, name in enumerate(g.names)}
+            assert got == {name: expected[name] for name in g.names}, (
                 lanes, lane, p.to_string())
 
 
@@ -194,9 +197,7 @@ def _assert_kernel_matches_oracle(netlist, seed):
     """Every node of a full pass, at every lane count, equals ``ref_eval``."""
     netlist = scan_convert(netlist)
     g = build_graph(netlist)
-    plan = compile_ops(g)
-    assert plan.size == g.node_count
-    _assert_plan_matches_oracle(netlist, g, plan, range(g.node_count), seed)
+    _assert_pass_matches_oracle(netlist, g, seed)
     return g
 
 
@@ -237,8 +238,8 @@ def test_cone_kernel_matches_oracle_on_random_circuits_in_any_declared_order():
         netlist = scan_convert(netlist)
         g = build_graph(netlist)
         needed = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
-        cone = fanin_cone(g, needed)
-        _assert_plan_matches_oracle(netlist, g, compile_ops(g, needed), cone, seed=trial)
+        cut, _ = _assert_cut_of(g, needed, fanin_cone(g, needed))
+        _assert_pass_matches_oracle(netlist, cut, seed=trial)
 
 
 def test_pass_over_a_circuit_without_inputs():
@@ -250,38 +251,43 @@ def test_pass_over_a_circuit_without_inputs():
     assert g.input_count == 0
     expected = ref_eval(netlist, ())
     z = g.node_id("z")
-    for plan, view in ((compile_ops(g), range(g.node_count)),
-                       (compile_ops(g, [z]), fanin_cone(g, [z]))):
-        assert run_pass(g, plan, []) == [0] * plan.size
+    cut, _ = _assert_cut_of(g, [z], fanin_cone(g, [z]))
+    assert cut.node_count < g.node_count
+    for graph in (g, cut):
+        assert run_pass(graph, []) == [0] * graph.node_count
         for lanes in (1, 3, 64):
-            words = run_pass(g, plan, [InputPattern(())] * lanes)
-            for node in view:
-                value = expected[g.names[node]]
-                assert words[plan.slot[node]] == value * ((1 << lanes) - 1), (lanes, node)
+            words = run_pass(graph, [InputPattern(())] * lanes)
+            for node, name in enumerate(graph.names):
+                assert words[node] == expected[name] * ((1 << lanes) - 1), (lanes, node)
 
 
-def test_compile_ops_keeps_one_plan_per_graph_and_needed_set():
+def test_cone_keeps_one_cut_per_graph_and_needed_set():
     g = build_graph(scan_convert(load_circuit("c432")))
     a, b = g.node_count - 1, g.node_count - 7
-    plan = compile_ops(g, [a, b])
-    assert compile_ops(g, [a, b]) is plan
-    assert compile_ops(g, (b, a, b)) is plan
-    other = compile_ops(g, [a])
-    assert other is not plan and other.size < plan.size
-    assert compile_ops(g) is compile_ops(g) is not plan
-    # the memo is neither part of the graph's value nor of its repr
+    cut = cone(g, [a, b])
+    assert cone(g, [a, b]) is cut
+    assert cone(g, (b, a, b)) is cut
+    other = cone(g, [a])
+    assert other is not cut and other[0].node_count < cut[0].node_count
+    # a cone of every gate is the graph itself
+    whole = cone(g, range(g.input_count, g.node_count))
+    assert whole[0] is g and whole[1] == range(g.node_count)
+    # one simulation plan per graph, and a cut has its own
+    assert simulate_module._plan(cut[0]) is simulate_module._plan(cut[0])
+    assert simulate_module._plan(cut[0]) is not simulate_module._plan(g)
+    # the memos are neither part of the graph's value nor of its repr
     fresh = build_graph(scan_convert(load_circuit("c432")))
-    assert fresh == g and "plans" not in repr(g)
+    assert fresh == g and "cuts" not in repr(g) and "plan" not in repr(g)
 
 
 @pytest.mark.parametrize("node", [-1, "end"])
-def test_compile_ops_raises_for_a_node_outside_the_graph_on_every_call(node):
+def test_cone_raises_for_a_node_outside_the_graph_on_every_call(node):
     g = build_graph(scan_convert(load_circuit("c17")))
     if node == "end":
         node = g.node_count
     for _ in range(2):
         with pytest.raises(KeyError, match=f"target node {node} is not in graph"):
-            compile_ops(g, [0, node])
+            cone(g, [0, node])
 
 
 # -- three-valued evaluation against exhaustive two-valued passes ------------
@@ -294,8 +300,7 @@ def _assert_ternary_sound(g, rng, lanes=24):
     definite everywhere.  Returns (definite gates, X gates) over the lanes
     that have an X."""
     width = g.input_count
-    ops = compile_ops(g)
-    words = run_pass(g, ops, all_patterns(width))  # lane v is the pattern v
+    words = run_pass(g, all_patterns(width))  # lane v is the pattern v
     ones, zeros = [0] * width, [0] * width
     completions = []  # per lane: the exhaustive lanes it covers, as a bitset
     for lane in range(lanes):
@@ -309,7 +314,7 @@ def _assert_ternary_sound(g, rng, lanes=24):
             covered &= sum(1 << v for v in range(1 << width)
                            if (v >> (width - 1 - i) & 1) == value)
         completions.append(covered)
-    hi, lo = run_ternary(g, ops, ones, zeros, lanes)
+    hi, lo = run_ternary(g, ones, zeros, lanes)
     definite = unknown = 0
     for lane, covered in enumerate(completions):
         has_x = covered & (covered - 1) != 0  # more than one completion
@@ -370,28 +375,27 @@ def test_plan_holds_each_cone_gate_once_after_its_fanins():
         netlist = scan_convert(netlist)
         g = build_graph(netlist)
         needed = rng.sample(range(g.node_count), rng.randint(1, min(4, g.node_count)))
-        for wanted in (None, needed):
-            # items address word slots; node_at reads them back as node ids
-            view = range(g.node_count) if wanted is None else _reference_cone(g, wanted)
-            gates = sorted(n for n in view if g.kinds[n] != "INPUT")
-            plan = compile_ops(g, wanted)
-            node_at = _node_at_slot(g, plan, view)
-            order = [node_at[item[0]] for _, _, _, items in plan.groups for item in items]
+        view = _reference_cone(g, needed) | set(range(g.input_count))
+        cut, new_id = _assert_cut_of(g, needed, view)
+        # the graph's plan and the cut's, each over its own node ids
+        for graph, gates in ((g, [n for n in range(g.node_count) if g.kinds[n] != "INPUT"]),
+                             (cut, sorted(new_id[n] for n in view if g.kinds[n] != "INPUT"))):
+            plan = simulate_module._plan(graph)
+            order = [item[0] for _, _, _, items in plan for item in items]
             assert sorted(order) == gates  # every cone gate exactly once, nothing else
             position = {node: i for i, node in enumerate(order)}
-            for _, arity, _, items in plan.groups:
-                for slot, *src_slots in items:
-                    node, srcs = node_at[slot], [node_at[s] for s in src_slots]
-                    assert tuple(srcs) == g.fanins[node] and len(srcs) == arity
-                    assert all(g.kinds[s] == "INPUT" or position[s] < position[node]
+            for _, arity, _, items in plan:
+                for node, *srcs in items:
+                    assert tuple(srcs) == graph.fanins[node] and len(srcs) == arity
+                    assert all(graph.kinds[s] == "INPUT" or position[s] < position[node]
                                for s in srcs)
         patterns = [InputPattern.from_word(rng.getrandbits(g.input_count), g.input_count)
                     for _ in range(rng.choice(LANE_COUNTS))]
-        plan = compile_ops(g, needed)
-        words = run_pass(g, plan, patterns)
-        cone = _reference_cone(g, needed)
-        assert len(words) == plan.size  # no word for a node outside the cone
+        words = run_pass(cut, patterns)
+        full = run_pass(g, patterns)
+        assert len(words) == cut.node_count  # no word for a node outside the cone
         for lane, p in enumerate(patterns):
             expected = ref_eval(netlist, p.bits)
-            for node in cone | set(range(g.input_count)):
-                assert words[plan.slot[node]] >> lane & 1 == expected[g.names[node]]
+            for node in view:
+                assert words[new_id[node]] >> lane & 1 == expected[g.names[node]]
+                assert full[node] >> lane & 1 == expected[g.names[node]]

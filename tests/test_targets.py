@@ -10,7 +10,7 @@ from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate
-from gatefuzz.simulate import compile_ops, run_pass, simulate
+from gatefuzz.simulate import run_pass, simulate
 from gatefuzz.targets import (TargetError, TargetSpec, build_target_formula,
                               parse_targets, targets_from_diff)
 
@@ -38,7 +38,7 @@ def solve_witness(spec, formula):
 
 def brute_force_reachable(graph, entries):
     patterns = all_patterns(graph.input_count)
-    words = run_pass(graph, compile_ops(graph), patterns)
+    words = run_pass(graph, patterns)
     return any(all((words[n] >> lane) & 1 == v for n, v in entries)
                for lane in range(len(patterns)))
 

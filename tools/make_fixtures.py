@@ -27,7 +27,7 @@ from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
-from gatefuzz.simulate import compile_ops, run_pass, simulate
+from gatefuzz.simulate import run_pass, simulate
 from gatefuzz.targets import parse_targets
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "src" / "gatefuzz" / "circuits"
@@ -157,7 +157,7 @@ def verify_reachable(netlist, targets_text):
     width = graph.input_count
     assert width <= 16, f"{netlist.name}: too many inputs to brute-force"
     patterns = [InputPattern.from_word(v, width) for v in range(2 ** width)]
-    words = run_pass(graph, compile_ops(graph), patterns)
+    words = run_pass(graph, patterns)
     for lane in range(len(patterns)):
         if all((words[node] >> lane) & 1 == bit for node, bit in spec.entries):
             return True
