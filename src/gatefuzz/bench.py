@@ -7,24 +7,34 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored):
     <id> = <KIND>(<id>{, <id>})
 
 ``KIND`` is one of AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF (alias BUFF) or
-DFF.  Identifiers are case-sensitive; gate keywords are not.
+DFF.  Identifiers are case-sensitive; gate keywords are not.  Parsing runs
+with the cyclic garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`):
+a netlist holds only lists of tuples of strings, so a collection during it
+could free nothing.
 """
 
 from __future__ import annotations
 
 import re
 
-from .netlist import CONST_KINDS, GATE_KINDS, Netlist, NetlistError, NetlistSyntaxError, RawGate
+from .netlist import (CONST_KINDS, GATE_KINDS, Netlist, NetlistError, NetlistSyntaxError, RawGate,
+                      gc_paused)
 
 _ID = r"[^\s(),=#]+"
 _INPUT_RE = re.compile(rf"^INPUT\s*\(\s*({_ID})\s*\)$")
 _OUTPUT_RE = re.compile(rf"^OUTPUT\s*\(\s*({_ID})\s*\)$")
 _GATE_RE = re.compile(rf"^({_ID})\s*=\s*([A-Za-z0-9]+)\s*\(\s*([^()]*)\s*\)$")
 
-_KIND_ALIASES = {"BUFF": "BUF"}
-_BENCH_KINDS = GATE_KINDS - CONST_KINDS  # constants have no .bench keyword
+# keyword (upper-cased) -> kind; constants have no .bench keyword
+_KINDS = {kind: kind for kind in GATE_KINDS - CONST_KINDS} | {"BUFF": "BUF"}
 
 
+def _indent(code):
+    """The columns of leading whitespace, which error columns count."""
+    return len(code) - len(code.lstrip())
+
+
+@gc_paused
 def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse ``.bench`` source into a :class:`Netlist`.
 
@@ -37,12 +47,15 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     signal but not the line.
     """
     netlist = Netlist(name=name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
+    gates = netlist.gates
+    match_gate = _GATE_RE.match
+    new_gate = tuple.__new__  # RawGate's own __new__ is a Python-level call
+    for lineno, code in enumerate(text.splitlines(), start=1):
+        if "#" in code:
+            code = code[:code.index("#")]
         line = code.strip()
         if not line:
             continue
-        indent = len(code) - len(code.lstrip())  # columns count from the raw line
         if "=" not in line:
             # an _ID cannot contain "=", so only a gate line can hold one
             m = _INPUT_RE.match(line)
@@ -54,22 +67,20 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 netlist.primary_outputs.append(m.group(1))
                 continue
         else:
-            m = _GATE_RE.match(line)
+            m = match_gate(line)
             if m:
                 out, kind_word, arg_text = m.groups()
-                kind = kind_word.upper()
-                kind = _KIND_ALIASES.get(kind, kind)
-                if kind not in _BENCH_KINDS:
-                    raise NetlistSyntaxError(
-                        f"unsupported gate keyword {kind_word!r}", lineno, indent + m.start(2) + 1
-                    )
-                args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
+                kind = _KINDS.get(kind_word.upper())
+                if kind is None:
+                    raise NetlistSyntaxError(f"unsupported gate keyword {kind_word!r}", lineno,
+                                             _indent(code) + m.start(2) + 1)
+                args = tuple(map(str.strip, arg_text.split(","))) if arg_text.strip() else ()
                 if "" in args:
                     raise NetlistSyntaxError("empty argument in gate input list", lineno,
-                                             indent + line.index("(", m.end(2)) + 1)
-                netlist.gates.append(RawGate(out, kind, tuple(args)))
+                                             _indent(code) + line.index("(", m.end(2)) + 1)
+                gates.append(new_gate(RawGate, (out, kind, args)))
                 continue
-        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, indent + 1)
+        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, _indent(code) + 1)
     return netlist
 
 

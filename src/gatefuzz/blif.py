@@ -4,14 +4,15 @@ Each ``.names`` single-output cover must be recognizable as one of the
 supported gate kinds (AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF, CONST0,
 CONST1); anything else is rejected with the offending truth-table rows.
 ``.latch`` becomes a DFF; latch init values are ignored (logged as a
-warning).
+warning).  Parsing runs with the cyclic garbage collector paused, as
+``.bench`` parsing does (:func:`~gatefuzz.netlist.gc_paused`).
 """
 
 from __future__ import annotations
 
 import logging
 
-from .netlist import Netlist, NetlistError, NetlistSyntaxError, RawGate
+from .netlist import Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +95,7 @@ def _match_cover(output, input_names, rows):
     raise BlifCoverError(output, rows, "no supported gate matches")
 
 
+@gc_paused
 def parse_blif(text: str, name: str = "blif") -> Netlist:
     """Parse BLIF source into a :class:`Netlist`.
 

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -98,20 +99,27 @@ class _Manifest:
             fh.write("\n")
 
 
+# a nonempty line, between the separators that str.splitlines splits at
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
+
+
 def _load_netlist(manifest, path):
     text = manifest.read_input(path)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    # a BLIF file may open with comments, so sniff its first construct
-    first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
+    # a BLIF file may open with comments, so sniff its first construct, the
+    # first line that is neither blank nor a comment, reading no further
+    lines = (m.group().strip() for m in _LINE.finditer(text))
+    first = next((s for s in lines if s and s[0] != "#"), "")
     if str(path).endswith(".blif") or first.startswith(".model"):
         return parse_blif(text, name=name)
     return parse_bench(text, name=name)
 
 
 def _prepare(manifest, netlist_path, targets_path):
-    netlist = scan_convert(_load_netlist(manifest, netlist_path))
-    graph = build_graph(netlist)
-    manifest.stage("parse_and_graph")
+    netlist = _load_netlist(manifest, netlist_path)
+    manifest.stage("parse")
+    graph = build_graph(scan_convert(netlist))
+    manifest.stage("graph")
     spec = parse_targets(manifest.read_input(targets_path), graph)
     manifest.stage("parse_targets")
     return graph, spec
@@ -245,9 +253,12 @@ def _summary_csv(sat_report, trials, budget):
 
 
 def cmd_targets_diff(args, manifest) -> int:
-    original = build_graph(scan_convert(_load_netlist(manifest, args.original)))
-    modified = build_graph(scan_convert(_load_netlist(manifest, args.modified)))
-    manifest.stage("parse_and_graph")
+    original = _load_netlist(manifest, args.original)
+    modified = _load_netlist(manifest, args.modified)
+    manifest.stage("parse")
+    original = build_graph(scan_convert(original))
+    modified = build_graph(scan_convert(modified))
+    manifest.stage("graph")
     diff = diff_graphs(original, modified)
     specs = targets_from_diff(diff, args.polarity)
     manifest.stage("diff")

@@ -8,7 +8,10 @@ occupy variables ``1..I`` in declaration order.  The clause schemata follow
 the op in :data:`~gatefuzz.netlist.GATE_OPS`, not the kind; parity over 2 or
 more fanins is chained through fresh helpers numbered after the nodes, which
 stand for no node.  The satisfying assignments of the result, projected onto
-the node variables, are exactly the consistent circuit valuations.
+the node variables, are exactly the consistent circuit valuations.  Encoding
+runs with the cyclic garbage collector paused
+(:func:`~gatefuzz.netlist.gc_paused`): a formula is a list of tuples of ints,
+so a collection during it could free nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import and_, or_
 
 from .graph import CircuitGraph
-from .netlist import GATE_OPS
+from .netlist import GATE_OPS, gc_paused
 
 Clause = tuple[int, ...]
 
@@ -53,6 +56,7 @@ class CnfFormula:
         return node + 1
 
 
+@gc_paused
 def encode(graph: CircuitGraph) -> CnfFormula:
     """Encode a circuit graph as an equisatisfiable CNF formula.
 
@@ -78,7 +82,16 @@ def encode(graph: CircuitGraph) -> CnfFormula:
         op, inverted = GATE_OPS[kind]
         y = -var_of[node] if inverted else var_of[node]
         srcs = fanins[node]
-        if op is and_:  # y <-> AND(fanins)
+        if len(srcs) == 2:  # the common case, written out: the clauses below, in their order
+            a = var_of[srcs[0]]
+            b = var_of[srcs[1]]
+            if op is and_:
+                clauses += ((-y, a), (-y, b), (y, -a, -b))
+            elif op is or_:
+                clauses += ((y, -a), (y, -b), (-y, a, b))
+            else:
+                clauses += ((-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b))
+        elif op is and_:  # y <-> AND(fanins)
             wide = [y]
             for src in srcs:
                 a = var_of[src]

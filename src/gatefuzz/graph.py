@@ -9,8 +9,11 @@ and the cut graphs of its fan-in cones (:func:`cone`), on which generation,
 CGF and coverage work.  It carries per-node levels; a gate's level is one
 more than its deepest fanin's, so sorting by level gives a topological order.
 Netlists may declare their gates in any order: one depth-first search over
-fanins gives the levels, or names a cycle.  Structural diffs between two
-graphs drive automatic target selection.
+fanins gives the levels, or names a cycle.  Graph build runs with the cyclic
+garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`): it makes
+only lists, dicts and tuples of strings and ints, none of which refers back
+to what holds it, so a collection during it could free nothing.  Structural
+diffs between two graphs drive automatic target selection.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .netlist import Netlist, NetlistError
+from .netlist import Netlist, NetlistError, gc_paused
 
 
 class CycleError(NetlistError):
@@ -60,6 +63,7 @@ class CircuitGraph:
             raise KeyError(f"no node named {name!r} in {self.name!r}") from None
 
 
+@gc_paused
 def build_graph(netlist: Netlist) -> CircuitGraph:
     """Construct the levelized DAG for a combinational netlist.
 
@@ -81,7 +85,10 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     n_inputs = len(netlist.primary_inputs)
     kinds = ["INPUT"] * n_inputs + [g.kind for g in gates]
     node_of = ids.__getitem__
-    fanins = [()] * n_inputs + [tuple(map(node_of, g.inputs)) for g in gates]
+    # an itemgetter of two or more keys maps fastest, and returns a tuple
+    fanins = [()] * n_inputs + [
+        itemgetter(*srcs)(ids) if len(srcs) > 1 else tuple(map(node_of, srcs))
+        for srcs in map(itemgetter(2), gates)]
 
     return CircuitGraph(
         name=netlist.name,

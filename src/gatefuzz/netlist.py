@@ -14,8 +14,11 @@ that says what a gate kind computes: simulation and the CNF encoding read it.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
-from operator import and_, or_, xor
+from functools import wraps
+from itertools import chain
+from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
 # kind -> (op, inverted), the op folded over the fanins.  NOT and BUF are
@@ -31,6 +34,29 @@ GATE_KINDS = frozenset(GATE_OPS) | {"DFF"}  # scan conversion removes each DFF
 
 UNARY_KINDS = frozenset({"NOT", "BUF", "DFF"})
 CONST_KINDS = frozenset({"CONST0", "CONST1"})
+
+
+def gc_paused(fn):
+    """Wrap ``fn`` so that it runs with CPython's cyclic collector off.
+
+    The parsers, graph build and the CNF encoding make only acyclic
+    containers (tuples, lists, dicts and records that refer down to what
+    they hold, never back), so a collection during one can free nothing; on
+    a large netlist the collector would still traverse the young objects
+    hundreds of times.  The collector is left as it was found on every exit,
+    an exception included, so a caller that had disabled it finds it
+    disabled.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class NetlistError(Exception):
@@ -94,10 +120,11 @@ class Netlist:
             if output in ids:
                 raise NetlistError(f"duplicate definition of {output!r}")
             ids[output] = len(ids)
-        for g in self.gates:
-            for src in g.inputs:
-                if src not in ids:
-                    raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
+        if not all(map(ids.__contains__, chain.from_iterable(map(itemgetter(2), self.gates)))):
+            for g in self.gates:  # name the first undefined signal
+                for src in g.inputs:
+                    if src not in ids:
+                        raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
         for out in self.primary_outputs:
             if out not in ids:
                 raise NetlistError(f"undefined primary output {out!r}")
@@ -105,7 +132,7 @@ class Netlist:
 
     @property
     def has_dff(self) -> bool:
-        return any(g.kind == "DFF" for g in self.gates)
+        return "DFF" in map(itemgetter(1), self.gates)
 
 
 def scan_convert(netlist: Netlist) -> Netlist:

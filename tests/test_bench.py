@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -86,6 +87,16 @@ def test_unsupported_keyword():
     ("    y = FOO(a)", "line 2, col 9: unsupported gate keyword 'FOO'"),
     ("  y = AND(a, )", "line 2, col 10: empty argument in gate input list"),
     ("    what is this", "line 2, col 5: unrecognized construct 'what is this'"),
+    # a tab is one column of indentation
+    ("\ty = AND(a, )", "line 2, col 9: empty argument in gate input list"),
+    ("\t\twhat is this", "line 2, col 3: unrecognized construct 'what is this'"),
+    # CRLF line endings: the carriage return is neither a column nor part of the line
+    ("INPUT(b)\r\n  y = FOO(a, b)\r", "line 3, col 7: unsupported gate keyword 'FOO'"),
+    # a trailing comment is not part of the construct, nor of the keyword
+    ("what is this  # a comment", "line 2, col 1: unrecognized construct 'what is this'"),
+    ("y = FOO(a) # = BUF(a)", "line 2, col 5: unsupported gate keyword 'FOO'"),
+    # keywords are matched case-insensitively, so only the unknown one fails
+    ("b =buff( a )\ny  =  foo( a ,b )", "line 3, col 7: unsupported gate keyword 'foo'"),
 ])
 def test_syntax_error_columns(line, message):
     with pytest.raises(NetlistSyntaxError) as exc:
@@ -150,12 +161,24 @@ def test_round_trip_fixture():
     assert again.gates == n.gates
 
 
+def _crlf_with_comments(text):
+    return "".join(f"{line}  # note\r\n" for line in text.splitlines())
+
+
+def _lowercase_buff_odd_spacing(text):
+    # keywords in lower case, BUF as its alias BUFF, and blanks around every token
+    text = re.sub(r" = ([A-Z]+)\(", lambda m: f"\t=  {m.group(1).lower()}( ", text)
+    return text.replace("=  buf(", "=  buff(").replace(", ", " ,\t").replace(")\n", " )\n")
+
+
 def test_round_trip_random():
     rng = random.Random(11)
     for _ in range(25):
         n = random_netlist(rng, n_inputs=rng.randint(1, 6), n_gates=rng.randint(1, 20),
                            with_dffs=True)
-        again = parse_bench(write_bench(n), name=n.name)
-        assert again.primary_inputs == n.primary_inputs
-        assert again.primary_outputs == n.primary_outputs
-        assert again.gates == n.gates
+        text = write_bench(n)
+        for spelled in (text, _crlf_with_comments(text), _lowercase_buff_odd_spacing(text)):
+            again = parse_bench(spelled, name=n.name)
+            assert again.primary_inputs == n.primary_inputs
+            assert again.primary_outputs == n.primary_outputs
+            assert again.gates == n.gates

@@ -157,8 +157,8 @@ def test_compare_builds_one_plan_for_generation_and_every_trial(tmp_path, monkey
 
 
 @pytest.mark.parametrize("command,stages", [
-    ("gen", {"parse_and_graph", "parse_targets", "generate", "report"}),
-    ("compare", {"parse_and_graph", "parse_targets", "sat_generation", "cgf_trials", "report"}),
+    ("gen", {"parse", "graph", "parse_targets", "generate", "report"}),
+    ("compare", {"parse", "graph", "parse_targets", "sat_generation", "cgf_trials", "report"}),
 ])
 def test_manifest_stage_keys(tmp_path, command, stages):
     # there is no encode stage: generation encodes the circuit itself
@@ -167,6 +167,14 @@ def test_manifest_stage_keys(tmp_path, command, stages):
     assert main([command, netlist, targets, "-R", "8", *extra,
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
     assert set(_manifest(tmp_path)["stage_times_s"]) == stages
+
+
+def test_targets_diff_manifest_stage_keys(tmp_path):
+    # both netlists are parsed in the parse stage and built in the graph stage
+    netlist, _ = _setup_c17(tmp_path)
+    assert main(["targets-diff", netlist, netlist, "--out", str(tmp_path / "d.targets"),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert set(_manifest(tmp_path)["stage_times_s"]) == {"parse", "graph", "diff", "write"}
 
 
 def test_gen_manifest_records_solver_counters(tmp_path):
