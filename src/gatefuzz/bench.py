@@ -29,11 +29,6 @@ _GATE_RE = re.compile(rf"^({_ID})\s*=\s*([A-Za-z0-9]+)\s*\(\s*([^()]*)\s*\)$")
 _KINDS = {kind: kind for kind in GATE_KINDS - CONST_KINDS} | {"BUFF": "BUF"}
 
 
-def _indent(code):
-    """The columns of leading whitespace, which error columns count."""
-    return len(code) - len(code.lstrip())
-
-
 @gc_paused
 def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse ``.bench`` source into a :class:`Netlist`.
@@ -47,15 +42,12 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     signal but not the line.
     """
     netlist = Netlist(name=name)
-    gates = netlist.gates
-    match_gate = _GATE_RE.match
-    new_gate = tuple.__new__  # RawGate's own __new__ is a Python-level call
-    for lineno, code in enumerate(text.splitlines(), start=1):
-        if "#" in code:
-            code = code[:code.index("#")]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
         line = code.strip()
         if not line:
             continue
+        indent = len(code) - len(code.lstrip())  # columns count from the raw line
         if "=" not in line:
             # an _ID cannot contain "=", so only a gate line can hold one
             m = _INPUT_RE.match(line)
@@ -67,20 +59,21 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 netlist.primary_outputs.append(m.group(1))
                 continue
         else:
-            m = match_gate(line)
+            m = _GATE_RE.match(line)
             if m:
                 out, kind_word, arg_text = m.groups()
                 kind = _KINDS.get(kind_word.upper())
                 if kind is None:
-                    raise NetlistSyntaxError(f"unsupported gate keyword {kind_word!r}", lineno,
-                                             _indent(code) + m.start(2) + 1)
+                    raise NetlistSyntaxError(
+                        f"unsupported gate keyword {kind_word!r}", lineno, indent + m.start(2) + 1
+                    )
                 args = tuple(map(str.strip, arg_text.split(","))) if arg_text.strip() else ()
                 if "" in args:
                     raise NetlistSyntaxError("empty argument in gate input list", lineno,
-                                             _indent(code) + line.index("(", m.end(2)) + 1)
-                gates.append(new_gate(RawGate, (out, kind, args)))
+                                             indent + line.index("(", m.end(2)) + 1)
+                netlist.gates.append(RawGate(out, kind, args))
                 continue
-        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, _indent(code) + 1)
+        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, indent + 1)
     return netlist
 
 

@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 
@@ -99,17 +98,11 @@ class _Manifest:
             fh.write("\n")
 
 
-# a nonempty line, between the separators that str.splitlines splits at
-_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
-
-
 def _load_netlist(manifest, path):
     text = manifest.read_input(path)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    # a BLIF file may open with comments, so sniff its first construct, the
-    # first line that is neither blank nor a comment, reading no further
-    lines = (m.group().strip() for m in _LINE.finditer(text))
-    first = next((s for s in lines if s and s[0] != "#"), "")
+    # a BLIF file may open with comments, so sniff its first construct
+    first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
     if str(path).endswith(".blif") or first.startswith(".model"):
         return parse_blif(text, name=name)
     return parse_bench(text, name=name)

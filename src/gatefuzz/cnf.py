@@ -82,16 +82,7 @@ def encode(graph: CircuitGraph) -> CnfFormula:
         op, inverted = GATE_OPS[kind]
         y = -var_of[node] if inverted else var_of[node]
         srcs = fanins[node]
-        if len(srcs) == 2:  # the common case, written out: the clauses below, in their order
-            a = var_of[srcs[0]]
-            b = var_of[srcs[1]]
-            if op is and_:
-                clauses += ((-y, a), (-y, b), (y, -a, -b))
-            elif op is or_:
-                clauses += ((y, -a), (y, -b), (-y, a, b))
-            else:
-                clauses += ((-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b))
-        elif op is and_:  # y <-> AND(fanins)
+        if op is and_:  # y <-> AND(fanins)
             wide = [y]
             for src in srcs:
                 a = var_of[src]

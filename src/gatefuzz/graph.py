@@ -85,10 +85,7 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     n_inputs = len(netlist.primary_inputs)
     kinds = ["INPUT"] * n_inputs + [g.kind for g in gates]
     node_of = ids.__getitem__
-    # an itemgetter of two or more keys maps fastest, and returns a tuple
-    fanins = [()] * n_inputs + [
-        itemgetter(*srcs)(ids) if len(srcs) > 1 else tuple(map(node_of, srcs))
-        for srcs in map(itemgetter(2), gates)]
+    fanins = [()] * n_inputs + [tuple(map(node_of, g.inputs)) for g in gates]
 
     return CircuitGraph(
         name=netlist.name,

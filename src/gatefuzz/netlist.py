@@ -17,7 +17,6 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from itertools import chain
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
@@ -120,11 +119,10 @@ class Netlist:
             if output in ids:
                 raise NetlistError(f"duplicate definition of {output!r}")
             ids[output] = len(ids)
-        if not all(map(ids.__contains__, chain.from_iterable(map(itemgetter(2), self.gates)))):
-            for g in self.gates:  # name the first undefined signal
-                for src in g.inputs:
-                    if src not in ids:
-                        raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
+        for g in self.gates:
+            for src in g.inputs:
+                if src not in ids:
+                    raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
         for out in self.primary_outputs:
             if out not in ids:
                 raise NetlistError(f"undefined primary output {out!r}")
