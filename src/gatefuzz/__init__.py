@@ -15,22 +15,22 @@ from .bench import parse_bench, write_bench
 from .blif import parse_blif
 from .cgf import run_cgf
 from .cnf import CnfFormula, encode, write_dimacs
-from .coverage import CoverageReport, measure, measure_with_curve
+from .coverage import CoverageReport, measure
 from .fixtures import load_circuit
 from .graph import CircuitGraph, GraphDiff, build_graph, diff_graphs, to_dot
 from .netlist import Netlist, NetlistError, RawGate, scan_convert
 from .pattern import InputPattern
 from .sat import SatResult, SolverSession
 from .seedgen import GenConfig, GenReport, generate, write_patterns
-from .targets import TargetSpec, build_target_formula, parse_targets, targets_from_diff
+from .targets import TargetSpec, build_target_formula, parse_targets
 
 __all__ = [
     "parse_bench", "write_bench", "parse_blif",
     "run_cgf", "CnfFormula", "encode", "write_dimacs",
-    "CoverageReport", "measure", "measure_with_curve", "load_circuit",
+    "CoverageReport", "measure", "load_circuit",
     "CircuitGraph", "GraphDiff", "build_graph", "diff_graphs", "to_dot",
     "Netlist", "NetlistError", "RawGate", "scan_convert", "InputPattern",
     "SatResult", "SolverSession", "GenConfig",
     "GenReport", "generate", "write_patterns",
-    "TargetSpec", "build_target_formula", "parse_targets", "targets_from_diff",
+    "TargetSpec", "build_target_formula", "parse_targets",
 ]

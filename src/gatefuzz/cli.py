@@ -31,8 +31,7 @@ from .coverage import curve_csv
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
 from .seedgen import REPORT_CSV_HEADER, GenConfig, generate, report_csv_row, write_patterns
-from .targets import (TargetError, build_target_formula, parse_targets,
-                      targets_from_diff)
+from .targets import TargetError, TargetSpec, build_target_formula, parse_targets
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -253,14 +252,12 @@ def cmd_targets_diff(args, manifest) -> int:
     modified = build_graph(scan_convert(modified))
     manifest.stage("graph")
     diff = diff_graphs(original, modified)
-    specs = targets_from_diff(diff, args.polarity)
+    nodes = diff.target_nodes()
     manifest.stage("diff")
 
     paths = _polarity_paths(args.out, args.polarity)
-    by_polarity = {spec.entries[0][1]: spec for spec in specs}
     for polarity, path in paths:
-        spec = by_polarity.get(polarity)
-        manifest.write_output(path, spec.to_text(modified) if spec else "")
+        manifest.write_output(path, TargetSpec([(n, polarity) for n in nodes]).to_text(modified))
     manifest.stage("write")
     print(f"{len(diff.changed)} changed, {len(diff.added)} added; "
           f"wrote {', '.join(p for _, p in paths)}")
@@ -281,10 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gatefuzz {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_targets=True):
+    def common(p):
         p.add_argument("netlist", help="netlist file (.bench or .blif)")
-        if with_targets:
-            p.add_argument("targets", help="target file: <node>=<0|1> per line")
+        p.add_argument("targets", help="target file: <node>=<0|1> per line")
         p.add_argument("-R", "--patterns", dest="pattern_budget", type=int, default=100,
                        help="pattern budget (default 100)")
         p.add_argument("--dmin", dest="d_min", type=int, default=2,

@@ -11,8 +11,8 @@ and to 1, by wide-word passes over the cut graph of the targets' fan-in cone
 :func:`report_and_curve` builds the report and per-prefix curve from those
 numbers alone.  Generation's closing check is that pass over its patterns,
 and the CGF loop knows the numbers as its admissions, so neither simulates
-again to be measured.  :func:`measure_with_curve` is the two in sequence;
-:func:`measure` is the view of its report.
+again to be measured.  :func:`measure` is the two in sequence, and returns
+the report.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ def first_sightings(graph: CircuitGraph, spec: TargetSpec, patterns) -> list[lis
     return firsts
 
 
-def measure_with_curve(graph: CircuitGraph, spec: TargetSpec, patterns):
-    """Coverage report and per-pattern-prefix curve from one simulation pass.
-
-    Only the targets' fan-in cone is simulated, and a target node outside
-    the graph raises :class:`KeyError`.
-    """
-    patterns = list(patterns)
-    return report_and_curve(spec, first_sightings(graph, spec, patterns), len(patterns))
-
-
 def report_and_curve(spec: TargetSpec, firsts, count: int):
     """Coverage report and per-prefix curve of ``count`` patterns, from when
     each target was first seen at 0 and at 1.
@@ -123,8 +113,9 @@ def report_and_curve(spec: TargetSpec, firsts, count: int):
 
 
 def measure(graph: CircuitGraph, spec: TargetSpec, patterns) -> CoverageReport:
-    """Coverage of the target spec over the whole pattern list."""
-    return measure_with_curve(graph, spec, patterns)[0]
+    """Coverage of the target spec over the whole pattern sequence: the report
+    of :func:`report_and_curve` on the :func:`first_sightings` of ``patterns``."""
+    return report_and_curve(spec, first_sightings(graph, spec, patterns), len(patterns))[0]
 
 
 def _percentages(reached, toggled, k):

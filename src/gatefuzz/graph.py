@@ -6,8 +6,10 @@ the gate outputs in declaration order.  These ids are the pipeline's numbering
 (the CNF variable of node ``n`` is ``n + 1``).  The graph is immutable after
 construction, so it can keep what is derived from it: its simulation plan,
 and the cut graphs of its fan-in cones (:func:`cone`), on which generation,
-CGF and coverage work.  It carries per-node levels; a gate's level is one
-more than its deepest fanin's, so sorting by level gives a topological order.
+CGF and coverage work.  Neither memo refers back to the graph, so a dropped
+graph is freed by reference counting alone.  It carries per-node levels; a
+gate's level is one more than its deepest fanin's, so sorting by level gives
+a topological order.
 Netlists may declare their gates in any order: one depth-first search over
 fanins gives the levels, or names a cycle.  Graph build runs with the cyclic
 garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`): it makes
@@ -161,25 +163,25 @@ def cone(graph: CircuitGraph, needed):
     order, with their names, kinds and levels; a cone of every gate is the
     graph itself, under the identity.  Cuts are memoized on the graph, keyed
     by the needed node set, so every call with the same set, in any order,
-    returns the same pair.  A needed node outside ``0..node_count-1`` raises
+    returns the same cut; for a cone of every gate the memo holds None, not
+    the graph.  A needed node outside ``0..node_count-1`` raises
     :class:`KeyError`, on every call.
     """
     key = frozenset(needed)
-    cut = graph.cuts.get(key)
-    if cut is None:
-        cut = graph.cuts[key] = _cut(graph, key)
-    return cut
+    if key not in graph.cuts:
+        graph.cuts[key] = _cut(graph, key)
+    return graph.cuts[key] or (graph, range(graph.node_count))
 
 
 def _cut(graph: CircuitGraph, needed):
-    """The uncached body of :func:`cone`."""
+    """The uncached body of :func:`cone`, None for a cone of every gate."""
     for node in needed:
         if not 0 <= node < graph.node_count:
             raise KeyError(f"target node {node} is not in graph {graph.name!r}")
     inputs = range(graph.input_count)
     gates = sorted(fanin_cone(graph, needed).difference(inputs))
     if len(gates) == graph.node_count - graph.input_count:
-        return graph, range(graph.node_count)
+        return None
     old = [*inputs, *gates]
     new_id = dict(zip(old, range(len(old))))
     at = new_id.__getitem__

@@ -317,6 +317,8 @@ class SolverSession:
         del self._trail[floor:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        if len(order) > 2 * self.nvars:
+            self._rebuild_order()
 
     def _rebuild_order(self):
         """One live heap entry per variable, keyed by its activity."""
@@ -336,7 +338,8 @@ class SolverSession:
     def _pick_branch_var(self):
         """The unassigned variable of highest activity, or None.  Every
         unassigned variable has a live entry: a bump or an unassignment
-        pushes one, and a rescale rebuilds the heap."""
+        pushes one, and a rescale, or a backtrack that leaves over two
+        entries per variable, rebuilds the heap."""
         order = self._order
         val = self._lit_val
         activity = self._activity

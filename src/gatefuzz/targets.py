@@ -1,11 +1,13 @@
-"""Target sites and states: parsing, diff-based selection, target literals.
+"""Target sites and states: the spec, its text form, target literals.
 
 A target spec is an ordered list of (node, desired value) pairs.  A spec is
 *valid* when some primary-input assignment drives every listed node to its
 desired value simultaneously.  Validity is decided by generation itself
 (:func:`gatefuzz.seedgen.generate`): its first solve of the circuit formula
 under the target literals returns the witness pattern, or proves the state
-unreachable when it finds none.
+unreachable when it finds none.  Specs come from target files
+(:func:`parse_targets`), which ``gatefuzz targets-diff`` writes
+(:meth:`TargetSpec.to_text`) with a netlist diff's target nodes at one value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cnf import CnfFormula, TargetError
-from .graph import CircuitGraph, GraphDiff
+from .graph import CircuitGraph
 
 
 @dataclass
@@ -55,21 +57,6 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
         seen.add(node)
         entries.append((node, int(value)))
     return TargetSpec(entries=entries)
-
-
-def targets_from_diff(diff: GraphDiff, desired_default: str = "both") -> list[TargetSpec]:
-    """Build target specs over all changed and added nodes of a graph diff.
-
-    ``desired_default`` is ``"0"``, ``"1"`` or ``"both"``; ``both`` yields one
-    all-zeros and one all-ones spec.  An empty diff yields no specs.
-    """
-    if desired_default not in ("0", "1", "both"):
-        raise TargetError(f"desired_default must be '0', '1' or 'both', got {desired_default!r}")
-    nodes = diff.target_nodes()
-    if not nodes:
-        return []
-    polarities = (0, 1) if desired_default == "both" else (int(desired_default),)
-    return [TargetSpec(entries=[(n, bit) for n in nodes]) for bit in polarities]
 
 
 def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:

@@ -13,7 +13,7 @@ from gatefuzz.bench import parse_bench
 from gatefuzz.cgf import run_cgf
 from gatefuzz.cli import main
 from gatefuzz.cnf import encode
-from gatefuzz.coverage import measure, measure_with_curve
+from gatefuzz.coverage import first_sightings, measure, report_and_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -77,7 +77,8 @@ def test_criterion_1_per_pattern_targeting(tmp_path):
                     valuation = simulate(graph, p)
                     assert all(valuation[n] == v for n, v in spec.entries), \
                         (circuit, target_file, p.to_string())
-                curve = measure_with_curve(graph, spec, patterns)[1]
+                firsts = first_sightings(graph, spec, patterns)
+                curve = report_and_curve(spec, firsts, len(patterns))[1]
                 assert curve[0][1] == 100.0  # full state coverage after pattern 1
         elapsed = time.perf_counter() - started
         assert runs >= len(BUNDLED_CIRCUITS)
@@ -227,7 +228,8 @@ def test_criterion_5_cgf_comparison():
         graph = _graph_for("and_tree16")
         spec = parse_targets("root=1", graph)
         report = generate(graph, spec, GenConfig(pattern_budget=100))
-        curve = measure_with_curve(graph, spec, report.patterns)[1]
+        firsts = first_sightings(graph, spec, report.patterns)
+        curve = report_and_curve(spec, firsts, len(report.patterns))[1]
         assert curve[0][1] == 100.0  # T_C = 100% with one pattern
         cgf_coverages = []
         for trial in range(15):
@@ -239,7 +241,8 @@ def test_criterion_5_cgf_comparison():
         graph = _graph_for("or4")
         spec = parse_targets("y=1", graph)
         report = generate(graph, spec, GenConfig(pattern_budget=100))
-        sat_curve = measure_with_curve(graph, spec, report.patterns)[1]
+        firsts = first_sightings(graph, spec, report.patterns)
+        sat_curve = report_and_curve(spec, firsts, len(report.patterns))[1]
         sat_first = next(i for i, s, _ in sat_curve if s == 100.0)
         cgf_firsts = []
         for trial in range(15):

@@ -6,7 +6,8 @@ from gatefuzz.bench import parse_bench
 from gatefuzz import cgf
 from gatefuzz.cgf import (FIRST_WINDOW, FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW,
                          run_cgf)
-from gatefuzz.coverage import CoverageReport, TargetCoverage, measure, measure_with_curve
+from gatefuzz.coverage import (CoverageReport, TargetCoverage, first_sightings, measure,
+                               report_and_curve)
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -232,7 +233,9 @@ def test_windowed_run_equals_sequential_loop(budget):
         assert result.report == report, name
         assert result.curve == curve, name
         # the report read from admissions is the one a simulation pass gives
-        assert (result.report, result.curve) == measure_with_curve(g, spec, result.executed), name
+        firsts = first_sightings(g, spec, result.executed)
+        assert (result.report, result.curve) == report_and_curve(
+            spec, firsts, len(result.executed)), name
         if not spec.entries:
             assert not seeds
 

@@ -549,6 +549,9 @@ def test_targets_diff_identical_files(tmp_path):
                  "--out", out, "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
     assert open(out).read() == ""
+    assert main(["targets-diff", netlist, netlist, "--polarity", "both",
+                 "--out", out, "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert [open(tmp_path / f"d.all{v}.targets").read() for v in (0, 1)] == ["", ""]
 
 
 def test_targets_diff_kind_mutation(tmp_path):
@@ -574,6 +577,21 @@ def test_targets_diff_both_polarities_added_gate(tmp_path):
     all1 = open(tmp_path / "d.all1.targets").read()
     assert sorted(all1.splitlines()) == ["n16=1", "nX=1"]
     assert sorted(all0.splitlines()) == ["n16=0", "nX=0"]
+
+
+@pytest.mark.parametrize("polarity,written", [
+    ("0", {"d.targets": "n19=0\nn24=0\n"}),
+    ("1", {"d.targets": "n19=1\nn24=1\n"}),
+    ("both", {"d.all0.targets": "n19=0\nn24=0\n", "d.all1.targets": "n19=1\nn24=1\n"}),
+])
+def test_targets_diff_c17_kind_change_and_added_gate(tmp_path, polarity, written):
+    # the pair the CI runs: n19 turns from NAND to NOR, and n24 is a new gate
+    a = _write(tmp_path, "a.bench", fixture_text("c17.bench"))
+    b = _write(tmp_path, "b.bench", fixture_text("c17.bench").replace(
+        "n19 = NAND", "n19 = NOR") + "n24 = XOR(n10, n19)\n")
+    assert main(["targets-diff", a, b, "--polarity", polarity, "--out", str(tmp_path / "d.targets"),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert {name: open(tmp_path / name).read() for name in written} == written
 
 
 @pytest.mark.parametrize("out,written", [

@@ -2,7 +2,8 @@
 
 They make only acyclic containers, so a pause costs nothing; these tests
 check that premise and that each paused function leaves the collector as it
-found it, on success and on each kind of error.
+found it, on success and on each kind of error.  A graph's memos are acyclic
+too, so a dropped graph is freed without the collector.
 """
 
 import gc
@@ -13,9 +14,11 @@ import pytest
 from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
-from gatefuzz.graph import CycleError, build_graph
+from gatefuzz.graph import CycleError, build_graph, cone
 from gatefuzz.netlist import (Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused,
                               scan_convert)
+from gatefuzz.pattern import InputPattern
+from gatefuzz.simulate import run_pass
 
 from conftest import every_arity_netlist, random_netlist
 
@@ -99,4 +102,21 @@ def test_the_front_end_makes_no_cyclic_garbage(collector):
         encode(build_graph(scan_convert(parse_bench(text))))
     for netlist in sequential:
         encode(build_graph(scan_convert(netlist)))
+    assert gc.collect() == 0
+
+
+def test_a_graph_and_its_memos_make_no_cyclic_garbage(collector):
+    # the cut memo holds no reference back to the graph, not even for a cone
+    # of every gate, which is the graph itself; nor does the simulation plan
+    rng = random.Random(300)
+    netlists = [random_netlist(rng, 12, 300) for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    for netlist in netlists:
+        g = build_graph(netlist)
+        whole, new_id = cone(g, range(g.node_count))
+        assert whole is g and new_id == range(g.node_count)
+        cone(g, [g.node_count - 1])
+        run_pass(g, [InputPattern([0] * g.input_count)])
+        del g, whole, new_id
     assert gc.collect() == 0

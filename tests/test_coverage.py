@@ -5,7 +5,7 @@ import pytest
 from gatefuzz.bench import parse_bench
 from gatefuzz.cgf import run_cgf
 import gatefuzz.coverage as coverage_module
-from gatefuzz.coverage import curve_csv, measure, measure_with_curve
+from gatefuzz.coverage import curve_csv, first_sightings, measure, report_and_curve
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import build_graph, fanin_cone
 from gatefuzz.netlist import scan_convert
@@ -87,7 +87,7 @@ def test_missing_target_node_raises():
     # and 99 would index past the graph
     g = _graph("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     runs = (lambda spec: measure(g, spec, [InputPattern((0,))]),
-            lambda spec: measure_with_curve(g, spec, [InputPattern((0,))]),
+            lambda spec: first_sightings(g, spec, [InputPattern((0,))]),
             lambda spec: run_cgf(g, spec, budget=4))
     for node in (99, 2, -1):
         for run in runs:
@@ -98,7 +98,8 @@ def test_missing_target_node_raises():
 def test_curve_single_full_hit():
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     spec = parse_targets("y=1", g)
-    curve = measure_with_curve(g, spec, [InputPattern((1, 1))])[1]
+    patterns = [InputPattern((1, 1))]
+    curve = report_and_curve(spec, first_sightings(g, spec, patterns), len(patterns))[1]
     assert len(curve) == 1
     index, state, site = curve[0]
     assert index == 1 and state == 100.0
@@ -113,7 +114,7 @@ def test_curve_monotone_and_matches_measure():
         spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in nodes])
         patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                     for _ in range(rng.randint(1, 90))]
-        curve = measure_with_curve(g, spec, patterns)[1]
+        curve = report_and_curve(spec, first_sightings(g, spec, patterns), len(patterns))[1]
         assert len(curve) == len(patterns)
         for (i1, s1, t1), (i2, s2, t2) in zip(curve, curve[1:]):
             assert i2 == i1 + 1 and s2 >= s1 and t2 >= t1
@@ -161,7 +162,7 @@ def test_csv_outputs():
     g = build_graph(scan_convert(load_circuit("c17")))
     spec = parse_targets("n22=1\nn23=0", g)
     patterns = all_patterns(5)[:8]
-    curve = measure_with_curve(g, spec, patterns)[1]
+    curve = report_and_curve(spec, first_sightings(g, spec, patterns), len(patterns))[1]
     text = curve_csv(curve)
     assert text.splitlines()[0] == "pattern_index,state_coverage_pct,site_coverage_pct"
     assert len(text.splitlines()) == 9
@@ -201,9 +202,9 @@ def test_one_pass_matches_oracles_at_every_width(count, pass_lanes, monkeypatch)
     spec = TargetSpec(entries=[(node, rng.randrange(2)) for node in dict.fromkeys(nodes)])
     patterns = [InputPattern(tuple(rng.randrange(2) for _ in range(g.input_count)))
                 for _ in range(count)]
-    report, curve = measure_with_curve(g, spec, patterns)
+    report, curve = report_and_curve(spec, first_sightings(g, spec, patterns), len(patterns))
     assert report == measure(g, spec, patterns)
-    assert curve == measure_with_curve(g, spec, patterns)[1]
+    assert curve == report_and_curve(spec, first_sightings(g, spec, patterns), len(patterns))[1]
     assert (report.state_coverage_pct, report.site_coverage_pct) == naive_measure(g, spec, patterns)
     per_target, expected_curve = prefix_scan(g, spec, patterns)
     assert [(t.reached_state, t.saw_0, t.saw_1, t.first_reach_index)

@@ -6,7 +6,7 @@ import pytest
 from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.cgf import run_cgf
 from gatefuzz.cnf import encode
-from gatefuzz.coverage import measure_with_curve, report_and_curve
+from gatefuzz.coverage import first_sightings, report_and_curve
 from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import CycleError, build_graph, cone, diff_graphs, to_dot
 from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
@@ -345,8 +345,10 @@ def test_the_cut_answers_as_the_graph_under_its_targets():
         # the report a full pass gives, on both, but for the node ids it names
         shuffled = rng.sample(patterns, len(patterns))
         report, curve = _full_pass_coverage(g, spec, shuffled)
-        assert measure_with_curve(g, spec, shuffled) == (report, curve)
-        assert measure_with_curve(cut, cut_spec, shuffled) == (dataclasses.replace(
+        firsts = first_sightings(g, spec, shuffled)
+        assert report_and_curve(spec, firsts, len(shuffled)) == (report, curve)
+        cut_firsts = first_sightings(cut, cut_spec, shuffled)
+        assert report_and_curve(cut_spec, cut_firsts, len(shuffled)) == (dataclasses.replace(
             report, per_target=[dataclasses.replace(t, node=new_id[t.node])
                                 for t in report.per_target]), curve)
         full_run = run_cgf(g, spec, budget=40, rng_seed=trial)

@@ -11,9 +11,11 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import _FALSE, _TRUE, _UNDEF, SolverBudgetError, SolverSession
+from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import simulate
+from gatefuzz.targets import TargetSpec
 
-from conftest import all_patterns
+from conftest import all_patterns, random_netlist
 
 
 def formula_of(clauses, nvars):
@@ -474,6 +476,32 @@ def test_picks_follow_activity(monkeypatch, rescale_at):
     _check_dense_sessions()
     assert checked["var"] > 8000 and checked["None"] > 1500
     assert (checked["rescaled"] > 2000) == (rescale_at == 1.0)
+
+
+def test_decision_heap_stays_within_two_entries_per_variable(monkeypatch):
+    # an exhaustion run of over a thousand conflicts: every backtrack pushes
+    # the variables it unassigns, live entry or not, so the heap must be
+    # rebuilt for its length to stay bounded
+    sessions, lengths = [], []
+    pick = SolverSession._pick_branch_var
+
+    def recorded_pick(session):
+        if session not in sessions:
+            sessions.append(session)
+        lengths.append(len(session._order) / session.nvars)
+        return pick(session)
+
+    monkeypatch.setattr(SolverSession, "_pick_branch_var", recorded_pick)
+    rng = random.Random(100)
+    n_inputs = rng.randint(12, 16)
+    graph = build_graph(random_netlist(rng, n_inputs, 300))
+    values = simulate(graph, InputPattern(tuple(rng.randrange(2) for _ in range(n_inputs))))
+    spec = TargetSpec([(n, values[n]) for n in rng.sample(range(n_inputs, graph.node_count), 2)])
+    report = generate(graph, spec, GenConfig(pattern_budget=100_000, d_min=3, seed=100))
+    assert report.exhausted and report.conflicts > 1000
+    (session,) = sessions
+    assert max(lengths) <= 2
+    assert len(session._order) <= 2 * session.nvars
 
 
 def test_at_least_k_over_literals_fixed_at_level_0():

@@ -9,7 +9,7 @@ import pytest
 import gatefuzz
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
-from gatefuzz.coverage import measure, measure_with_curve
+from gatefuzz.coverage import first_sightings, measure, report_and_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph, cone
 from gatefuzz.netlist import scan_convert
@@ -237,7 +237,8 @@ def _assert_report_coverage_is_measured(graph, spec, report):
     patterns; with targets and a pattern, every state is reached and no site
     toggles, since every pattern drives every target to its value."""
     assert report.coverage == measure(graph, spec, report.patterns)
-    assert report.curve == measure_with_curve(graph, spec, report.patterns)[1]
+    firsts = first_sightings(graph, spec, report.patterns)
+    assert report.curve == report_and_curve(spec, firsts, len(report.patterns))[1]
     if spec.entries and report.patterns:
         assert report.coverage.state_coverage_pct == 100.0
         assert report.coverage.site_coverage_pct == 0.0

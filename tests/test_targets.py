@@ -5,14 +5,13 @@ import pytest
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text, load_circuit
-from gatefuzz.graph import build_graph, diff_graphs
+from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import run_pass, simulate
-from gatefuzz.targets import (TargetError, TargetSpec, build_target_formula,
-                              parse_targets, targets_from_diff)
+from gatefuzz.targets import TargetError, TargetSpec, build_target_formula, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -76,29 +75,6 @@ def test_all_gate_outputs_spec():
                    if g.kinds[n] != "INPUT")
     spec = parse_targets(text, g)
     assert len(spec) == 6  # c17 gate count
-
-
-def test_targets_from_empty_diff():
-    g = build_graph(scan_convert(load_circuit("c17")))
-    assert targets_from_diff(diff_graphs(g, g), "both") == []
-
-
-def test_targets_from_diff_single_polarity():
-    a, _ = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    b, _ = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)")
-    specs = targets_from_diff(diff_graphs(a, b), "1")
-    assert len(specs) == 1
-    assert specs[0].entries == [(b.node_id("y"), 1)]
-
-
-def test_targets_from_diff_both_polarities():
-    a, _ = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = AND(a, b)\ny = NOT(u)")
-    b, _ = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = OR(a, b)\ny = BUF(u)")
-    specs = targets_from_diff(diff_graphs(a, b), "both")
-    assert len(specs) == 2
-    assert [v for _, v in specs[0].entries] == [0, 0]
-    assert [v for _, v in specs[1].entries] == [1, 1]
-    assert len(specs[0].entries) == 2
 
 
 def test_build_target_formula_polarity():
