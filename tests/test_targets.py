@@ -4,6 +4,7 @@ import pytest
 
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
+from gatefuzz.cli import main
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -75,6 +76,43 @@ def test_all_gate_outputs_spec():
                    if g.kinds[n] != "INPUT")
     spec = parse_targets(text, g)
     assert len(spec) == 6  # c17 gate count
+
+
+def diff_specs(tmp_path, original, modified, polarity):
+    """The non-empty specs ``gatefuzz targets-diff`` writes for a netlist
+    pair, read back over the modified graph, all-zeros first."""
+    a, b = tmp_path / "a.bench", tmp_path / "b.bench"
+    a.write_text(original)
+    b.write_text(modified)
+    out = tmp_path / "d.targets"
+    assert main(["targets-diff", str(a), str(b), "--polarity", polarity, "--out", str(out),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    paths = [tmp_path / f"d.all{v}.targets" for v in (0, 1)] if polarity == "both" else [out]
+    graph, _ = _pipeline(modified)
+    return [parse_targets(path.read_text(), graph) for path in paths if path.read_text()]
+
+
+def test_targets_from_empty_diff(tmp_path):
+    c17 = fixture_text("c17.bench")
+    assert diff_specs(tmp_path, c17, c17, "both") == []
+
+
+def test_targets_from_diff_single_polarity(tmp_path):
+    a = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)"
+    b = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)"
+    specs = diff_specs(tmp_path, a, b, "1")
+    assert len(specs) == 1
+    assert specs[0].entries == [(_pipeline(b)[0].node_id("y"), 1)]
+
+
+def test_targets_from_diff_both_polarities(tmp_path):
+    a = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = AND(a, b)\ny = NOT(u)"
+    b = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nu = OR(a, b)\ny = BUF(u)"
+    specs = diff_specs(tmp_path, a, b, "both")
+    assert len(specs) == 2
+    assert [v for _, v in specs[0].entries] == [0, 0]
+    assert [v for _, v in specs[1].entries] == [1, 1]
+    assert len(specs[0].entries) == 2
 
 
 def test_build_target_formula_polarity():
