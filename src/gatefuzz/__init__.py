@@ -22,7 +22,7 @@ from .netlist import Netlist, NetlistError, RawGate, scan_convert
 from .pattern import InputPattern
 from .sat import SatResult, SolverSession
 from .seedgen import GenConfig, GenReport, generate, write_patterns
-from .targets import TargetSpec, build_target_formula, parse_targets
+from .targets import TargetSpec, parse_targets
 
 __all__ = [
     "parse_bench", "write_bench", "parse_blif",
@@ -32,5 +32,5 @@ __all__ = [
     "Netlist", "NetlistError", "RawGate", "scan_convert", "InputPattern",
     "SatResult", "SolverSession", "GenConfig",
     "GenReport", "generate", "write_patterns",
-    "TargetSpec", "build_target_formula", "parse_targets",
+    "TargetSpec", "parse_targets",
 ]

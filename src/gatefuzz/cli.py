@@ -26,12 +26,13 @@ from . import __version__
 from .blif import parse_blif
 from .bench import parse_bench
 from .cgf import run_cgf
-from .cnf import encode, write_dimacs
+from .cnf import write_dimacs
 from .coverage import curve_csv
 from .graph import build_graph, diff_graphs
 from .netlist import NetlistError, scan_convert
-from .seedgen import REPORT_CSV_HEADER, GenConfig, generate, report_csv_row, write_patterns
-from .targets import TargetError, TargetSpec, build_target_formula, parse_targets
+from .seedgen import (REPORT_CSV_HEADER, GenConfig, generate, report_csv_row, target_formula,
+                      write_patterns)
+from .targets import TargetError, TargetSpec, parse_targets
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -150,9 +151,8 @@ def _generate(args, manifest, graph, spec):
 def cmd_gen(args, manifest) -> int:
     graph, spec = _prepare(manifest, args.netlist, args.targets)
     if args.dimacs_out:
-        formula = encode(graph)
-        manifest.write_output(args.dimacs_out, write_dimacs(
-            formula, assumptions=build_target_formula(spec, formula)))
+        _, _, formula, literals = target_formula(graph, spec)
+        manifest.write_output(args.dimacs_out, write_dimacs(formula, assumptions=literals))
 
     report = _generate(args, manifest, graph, spec)
     manifest.stage("generate")
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate targeted patterns")
     common(gen)
     gen.add_argument("--dimacs-out", default=None,
-                     help="write the circuit CNF plus target unit clauses as DIMACS")
+                     help="write the target cone's formula that gen solves, plus the "
+                     "target unit clauses, as DIMACS")
     gen.add_argument("--patterns-out", default=None, help="write the pattern file")
     gen.add_argument("--report-out", default=None, help="write the summary CSV row")
     gen.set_defaults(func=cmd_gen)

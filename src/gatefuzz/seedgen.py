@@ -31,13 +31,14 @@ rejection; a solver model too close is an unsound solver, and an error.
 Before returning, one two-valued pass (:func:`~gatefuzz.coverage.first_sightings`)
 checks every emitted pattern against the targets and gives the run's coverage.
 
-The target literals hold for every solve of a run, so they are permanent
-facts of the run's session: each is added once as a unit clause, and their
-implications are derived once at level 0 rather than again, under
-assumptions, by every solve.  A spec that propagation alone refutes is
-therefore UNSAT without a conflict, whatever the conflict budget.  Naming
-the targets that conflict (an assumption core) would take one more solve,
-with the targets as assumptions, on the invalid path.
+The target literals, built with the solved formula by :func:`target_formula`
+(``gen --dimacs-out`` writes both), hold for every solve of a run, so they
+are permanent facts of the run's session: each is added once as a unit
+clause, and their implications are derived once at level 0 rather than
+again, under assumptions, by every solve.  A spec that propagation alone
+refutes is therefore UNSAT without a conflict, whatever the conflict
+budget.  Naming the targets that conflict (an assumption core) would take
+one more solve, with the targets as assumptions, on the invalid path.
 
 ``GenReport.stop_reason`` says why generation stopped: ``"budget"`` (the
 pattern budget was reached), ``"exhausted"`` (UNSAT: no further pattern at
@@ -57,7 +58,7 @@ from .graph import CircuitGraph, cone
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
 from .simulate import run_ternary
-from .targets import TargetError, TargetSpec, build_target_formula
+from .targets import TargetError, TargetSpec
 
 # Consecutive completions of one cube that the distance guard may reject
 # before the cube is left and the solver asked for the next model.
@@ -112,11 +113,28 @@ class GenReport:
         return self.stop_reason == "exhausted"
 
 
+def target_formula(graph: CircuitGraph, spec: TargetSpec):
+    """``(cut, targets, formula, literals)``: the cut graph of the fan-in cone
+    of ``spec``'s nodes, its entries in cut ids, the cut's encoding, and the
+    target literals ``±formula.node_var(node)``, built here alone.  A node
+    outside ``graph`` raises :class:`TargetError`, before the cut.
+    """
+    for node in spec.nodes():  # a TargetError, before the cut's KeyError
+        if not 0 <= node < graph.node_count:
+            raise TargetError(f"target node {node} has no variable in the formula "
+                              f"(nodes 0..{graph.node_count - 1})")
+    cut, new_id = cone(graph, spec.nodes())
+    targets = [(new_id[node], value) for node, value in spec.entries]
+    formula = encode(cut)
+    literals = [formula.node_var(node) * (1 if value else -1) for node, value in targets]
+    return cut, targets, formula, literals
+
+
 def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenReport:
     """Generate up to ``config.pattern_budget`` patterns that drive every
     target of ``spec``; the report's ``coverage`` and ``curve`` are theirs.
 
-    The cut graph of the targets' fan-in cone is encoded with the targets'
+    The formula of :func:`target_formula` is solved with the target
     literals as unit clauses, and a target node outside ``graph`` raises
     ``TargetError``.  ``exhausted`` is set only on UNSAT, i.e. when no
     further pattern at distance >= ``d_min`` from all emitted ones exists;
@@ -129,14 +147,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     if config.d_min > width:
         raise GenConfigError(
             f"d_min {config.d_min} exceeds the {width} primary inputs")
-    for node in spec.nodes():  # a TargetError, before the cut's KeyError
-        if not 0 <= node < graph.node_count:
-            raise TargetError(f"target node {node} has no variable in the formula "
-                              f"(nodes 0..{graph.node_count - 1})")
-    cut, new_id = cone(graph, spec.nodes())
-    targets = [(new_id[node], value) for node, value in spec.entries]
-    formula = encode(cut)
-    literals = build_target_formula(TargetSpec(entries=targets), formula)
+    cut, targets, formula, literals = target_formula(graph, spec)
     session = SolverSession(formula, decision_seed=config.seed,
                             conflict_budget=config.conflict_budget)
     for lit in literals:

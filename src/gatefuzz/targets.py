@@ -1,20 +1,21 @@
-"""Target sites and states: the spec, its text form, target literals.
+"""Target sites and states: the spec and its text form.
 
 A target spec is an ordered list of (node, desired value) pairs.  A spec is
 *valid* when some primary-input assignment drives every listed node to its
 desired value simultaneously.  Validity is decided by generation itself
-(:func:`gatefuzz.seedgen.generate`): its first solve of the circuit formula
-under the target literals returns the witness pattern, or proves the state
-unreachable when it finds none.  Specs come from target files
-(:func:`parse_targets`), which ``gatefuzz targets-diff`` writes
-(:meth:`TargetSpec.to_text`) with a netlist diff's target nodes at one value.
+(:func:`gatefuzz.seedgen.generate`): its first solve of the formula under
+the target literals, which :func:`gatefuzz.seedgen.target_formula` builds,
+returns the witness pattern, or proves the state unreachable if none.
+Specs come from target files (:func:`parse_targets`), which ``gatefuzz
+targets-diff`` writes (:meth:`TargetSpec.to_text`) with a netlist diff's
+target nodes at one value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, TargetError
+from .cnf import TargetError
 from .graph import CircuitGraph
 
 
@@ -58,17 +59,3 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
         entries.append((node, int(value)))
     return TargetSpec(entries=entries)
 
-
-def build_target_formula(spec: TargetSpec, formula: CnfFormula) -> list[int]:
-    """Translate desired states into literals over the node variables
-    (:meth:`~gatefuzz.cnf.CnfFormula.node_var`): positive for 1, negated for 0.
-
-    Their conjunction is added to the circuit formula as unit clauses, by
-    ``generate`` to its own encoding and by ``gen --dimacs-out`` in the file.
-    Raises :class:`TargetError` for a node the formula does not have.
-    """
-    literals = []
-    for node, bit in spec.entries:
-        var = formula.node_var(node)
-        literals.append(var if bit else -var)
-    return literals

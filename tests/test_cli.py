@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 import gatefuzz.graph as graph_module
 import gatefuzz.simulate as simulate_module
 from gatefuzz.bench import parse_bench
+from gatefuzz.blif import parse_blif
 from gatefuzz.cli import main
 from gatefuzz.sat import SolverSession
 from gatefuzz.cnf import encode
@@ -16,6 +18,8 @@ from gatefuzz.netlist import Netlist, scan_convert
 from gatefuzz.seedgen import read_patterns
 from gatefuzz.simulate import simulate
 from gatefuzz.targets import parse_targets
+
+from oracle import ref_eval
 
 
 def _write(tmp_path, name, text):
@@ -62,13 +66,56 @@ def test_gen_c17_end_to_end(tmp_path):
     assert report[0].startswith("design,")
     assert report[1].split(",")[7] == "100.00"  # state coverage
     dimacs = open(dimacs_out).read()
-    assert "p cnf 11 19" in dimacs  # 18 circuit clauses + 1 target unit
+    # the formula gen solved: n22's cone leaves out 2 of c17's 11 nodes, so
+    # 9 variables, and 12 cut clauses + 1 target unit
+    assert "p cnf 9 13" in dimacs
     manifest = _manifest(tmp_path)
     assert manifest["command"] == "gen"
     assert manifest["exit_code"] == 0 and "error" not in manifest
     assert manifest["solver"]["stop_reason"] == "exhausted"  # 9 patterns, then UNSAT
     assert len(manifest["inputs"]) == 2
     assert set(manifest["outputs"]) == {dimacs_out, patterns_out, report_out}
+
+
+# a constant cover, and a latch that scan conversion makes a pseudo-input
+CONSTS_BLIF = ("# constants and a latch\n.model consts\n.inputs a b\n.outputs y\n.names one\n1\n"
+               ".names a one t\n11 1\n.names t q y\n1- 1\n-1 1\n.latch y q 0\n.end\n")
+
+
+@pytest.mark.parametrize("name, text, targets", [
+    ("c17.bench", fixture_text("c17.bench"), "n22=1\n"),
+    ("s27.bench", fixture_text("s27.bench"), fixture_text("s27.scan.targets")),
+    ("consts.net", CONSTS_BLIF, "y=1\n"),
+])
+def test_gen_dimacs_is_the_formula_that_was_solved(tmp_path, name, text, targets):
+    # brute force over the file's variables projects onto the inputs under
+    # which the reference evaluator, on the whole netlist, drives every target
+    netlist = _write(tmp_path, name, text)
+    dimacs_out = str(tmp_path / "f.cnf")
+    assert main(["gen", netlist, _write(tmp_path, "t.targets", targets), "-R", "4",
+                 "--dimacs-out", dimacs_out, "--manifest-out", str(tmp_path / "m.json")]) == 0
+    var_of, clauses = {}, []
+    for line in open(dimacs_out).read().splitlines():
+        if line.startswith("c node "):
+            node, _, var = line[len("c node "):].rpartition(" = var ")
+            var_of[node] = int(var)
+        elif line.startswith("p cnf "):
+            var_count, clause_count = map(int, line.split()[2:])
+        else:
+            clauses.append([int(lit) for lit in line.split()[:-1]])
+    assert len(clauses) == clause_count
+    assert var_count == _manifest(tmp_path)["solver"]["solver_vars"] <= 15
+    full = scan_convert(parse_blif(text) if name.endswith(".net") else parse_bench(text))
+    input_vars = [var_of[i] for i in full.primary_inputs]
+    projections = set()
+    for word in range(1 << var_count):
+        if all(any((word >> abs(lit) - 1 & 1) == (lit > 0) for lit in clause)
+               for clause in clauses):
+            projections.add(tuple(word >> var - 1 & 1 for var in input_vars))
+    wanted = [line.split("=") for line in targets.split()]
+    expected = {bits for bits in itertools.product((0, 1), repeat=len(input_vars))
+                if all(ref_eval(full, bits)[node] == int(value) for node, value in wanted)}
+    assert expected and projections == expected
 
 
 def test_gen_builds_one_solver_session(tmp_path, monkeypatch):

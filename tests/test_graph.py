@@ -11,8 +11,9 @@ from gatefuzz.fixtures import load_circuit
 from gatefuzz.graph import CycleError, build_graph, cone, diff_graphs, to_dot
 from gatefuzz.netlist import Netlist, NetlistError, RawGate, scan_convert
 from gatefuzz.sat import SolverSession
+from gatefuzz.seedgen import target_formula
 from gatefuzz.simulate import run_pass
-from gatefuzz.targets import TargetSpec, build_target_formula
+from gatefuzz.targets import TargetSpec
 
 from conftest import all_patterns, random_netlist
 from oracle import heap_levelize, trace_cycle
@@ -290,12 +291,11 @@ def test_dot_export_escapes_quotes_and_backslashes():
         assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
 
 
-def _every_model(graph, spec):
-    """The input words of every model of ``graph``'s formula under the
-    targets of ``spec``, enumerated to exhaustion at distance floor 1."""
-    formula = encode(graph)
+def _every_model(formula, literals):
+    """The input words of every model of ``formula`` under the target
+    ``literals``, enumerated to exhaustion at distance floor 1."""
     session = SolverSession(formula)
-    for lit in build_target_formula(spec, formula):
+    for lit in literals:
         session.add_clause([lit])
     words = set()
     while (result := session.solve()).is_sat:
@@ -341,7 +341,13 @@ def test_the_cut_answers_as_the_graph_under_its_targets():
         qualifying = {p.word for lane, p in enumerate(patterns)
                       if all(words[node] >> lane & 1 == value for node, value in spec.entries)}
         invalid += not qualifying
-        assert _every_model(g, spec) == _every_model(cut, cut_spec) == qualifying, trial
+        # the whole graph's formula, and the cut's that generation solves
+        full = encode(g)
+        full_lits = [full.node_var(node) * (1 if value else -1) for node, value in spec.entries]
+        _, targets, cut_formula, cut_lits = target_formula(g, spec)
+        assert targets == cut_spec.entries
+        models = _every_model(full, full_lits)
+        assert models == _every_model(cut_formula, cut_lits) == qualifying, trial
         # the report a full pass gives, on both, but for the node ids it names
         shuffled = rng.sample(patterns, len(patterns))
         report, curve = _full_pass_coverage(g, spec, shuffled)

@@ -8,17 +8,16 @@ import pytest
 
 import gatefuzz
 from gatefuzz.bench import parse_bench
-from gatefuzz.cnf import encode
 from gatefuzz.coverage import first_sightings, measure, report_and_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
-from gatefuzz.graph import build_graph, cone
+from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
 from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, generate, read_patterns,
-                              report_csv_row, write_patterns)
+                              report_csv_row, target_formula, write_patterns)
 from gatefuzz.simulate import run_pass, run_ternary, simulate
-from gatefuzz.targets import TargetError, TargetSpec, build_target_formula, parse_targets
+from gatefuzz.targets import TargetError, TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -157,11 +156,9 @@ def test_every_completion_of_a_lifted_cube_reaches_the_targets():
         nodes = rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))
         entries = [(node, rng.randrange(2)) for node in nodes]
         # generation solves and lifts on the cut; the reference lifts on the graph
-        cut, new_id = cone(g, nodes)
-        targets = [(new_id[node], value) for node, value in entries]
-        f = encode(cut)
+        cut, targets, f, lits = target_formula(g, TargetSpec(entries=entries))
         session = SolverSession(f, decision_seed=trial)
-        for lit in build_target_formula(TargetSpec(entries=targets), f):
+        for lit in lits:
             session.add_clause([lit])
         result = session.solve()
         if not result.is_sat:
@@ -201,10 +198,7 @@ def test_validity_witness_is_the_first_generated_pattern():
                                                     rng.randint(2, 20))))
         nodes = rng.sample(range(g.node_count), rng.randint(1, 4))
         spec = parse_targets("".join(f"{g.names[n]}={rng.randrange(2)}\n" for n in nodes), g)
-        cut, new_id = cone(g, nodes)
-        f = encode(cut)
-        lits = build_target_formula(
-            TargetSpec(entries=[(new_id[node], value) for node, value in spec.entries]), f)
+        _, _, f, lits = target_formula(g, spec)
         for seed in (0, 1, 5):
             first = SolverSession(f, decision_seed=seed).solve(assumptions=lits)
             report = generate(g, spec, GenConfig(pattern_budget=3, seed=seed))
@@ -313,8 +307,8 @@ def test_d_min_exceeding_inputs_is_config_error():
 
 
 def test_target_outside_the_graph_is_a_target_error():
-    # generation encodes the graph itself; the target literals are built
-    # before the simulation plan, whose error would be a KeyError
+    # target_formula checks the spec against the graph before it cuts the
+    # cone, whose error would be a KeyError
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
     with pytest.raises(TargetError, match="target node 3 has no variable"):
         generate(g, TargetSpec(entries=[(0, 1), (3, 1)]), GenConfig())

@@ -10,9 +10,9 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import GenConfig, generate
+from gatefuzz.seedgen import GenConfig, generate, target_formula
 from gatefuzz.simulate import run_pass, simulate
-from gatefuzz.targets import TargetError, TargetSpec, build_target_formula, parse_targets
+from gatefuzz.targets import TargetError, TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -28,11 +28,12 @@ def first_pattern(graph, spec):
     return report.patterns[0] if report.patterns else None
 
 
-def solve_witness(spec, formula):
+def solve_witness(graph, spec):
     """The first model's input bits, or None when UNSAT: the validity check
     for circuits that may have one input, where ``d_min`` 2 rules out
     :func:`generate`."""
-    result = SolverSession(formula).solve(assumptions=build_target_formula(spec, formula))
+    _, _, formula, literals = target_formula(graph, spec)
+    result = SolverSession(formula).solve(assumptions=literals)
     return InputPattern.from_word(result.inputs, formula.input_count) if result.is_sat else None
 
 
@@ -115,34 +116,37 @@ def test_targets_from_diff_both_polarities(tmp_path):
     assert len(specs[0].entries) == 2
 
 
-def test_build_target_formula_polarity():
-    # three targets wanting (1, 0, 1) become literals (t1, -t2, t3)
-    g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nt1 = AND(a, b)\nt2 = OR(a, b)\nz = XOR(t1, t2)")
+def test_target_formula_polarity():
+    # three targets wanting (1, 0, 1) become literals (t1, -t2, t3); their
+    # cone is every gate, so the cut is the graph
+    g, _ = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nt1 = AND(a, b)\nt2 = OR(a, b)\nz = XOR(t1, t2)")
     spec = parse_targets("t1=1\nt2=0\nz=1", g)
-    lits = build_target_formula(spec, f)
+    cut, targets, _, lits = target_formula(g, spec)
+    assert cut is g and targets == spec.entries
     # node n is variable n + 1
     assert lits == [g.node_id("t1") + 1, -(g.node_id("t2") + 1), g.node_id("z") + 1]
 
 
-def test_build_target_formula_empty():
-    g, f = _pipeline("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    assert build_target_formula(parse_targets("", g), f) == []
+def test_target_formula_empty():
+    g, _ = _pipeline("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
+    assert target_formula(g, parse_targets("", g))[3] == []
 
 
 def test_single_zero_target():
-    g, f = _pipeline("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
+    g, _ = _pipeline("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     spec = parse_targets("y=0", g)
-    assert build_target_formula(spec, f) == [-f.node_var(g.node_id("y"))]
+    _, _, f, lits = target_formula(g, spec)
+    assert lits == [-f.node_var(g.node_id("y"))]
 
 
-def test_build_target_formula_rejects_a_node_outside_the_graph():
+def test_target_formula_rejects_a_node_outside_the_graph():
     # nodes 0..2 are variables 1..3 and the XOR chain's helper is 4: node -1
     # would be variable 0, and node 3 would silently pick the helper
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b, a)")
     assert g.node_count == 3 and f.var_count == 4
     for node in (-1, 3, 4, 99):
         with pytest.raises(TargetError, match=f"target node {node} has no variable"):
-            build_target_formula(TargetSpec(entries=[(0, 1), (node, 1)]), f)
+            target_formula(g, TargetSpec(entries=[(0, 1), (node, 1)]))
 
 
 def test_validity_and_gate():
@@ -152,8 +156,8 @@ def test_validity_and_gate():
 
 
 def test_validity_constant_zero_node():
-    g, f = _pipeline("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
-    assert solve_witness(parse_targets("y=1", g), f) is None
+    g, _ = _pipeline("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
+    assert solve_witness(g, parse_targets("y=1", g)) is None
 
 
 def test_validity_witness_simulates_to_targets():
@@ -178,12 +182,11 @@ def test_validity_agrees_with_brute_force_randomized():
     for _ in range(40):
         n = random_netlist(rng, rng.randint(1, 8), rng.randint(1, 25), with_dffs=True)
         g = build_graph(scan_convert(n))
-        f = encode(g)
         k = rng.randint(1, min(3, g.node_count))
         nodes = rng.sample(range(g.node_count), k)
         entries = [(node, rng.randrange(2)) for node in nodes]
         spec = parse_targets("".join(f"{g.names[n]}={v}\n" for n, v in entries), g)
-        witness = solve_witness(spec, f)
+        witness = solve_witness(g, spec)
         assert (witness is not None) == brute_force_reachable(g, entries)
         if witness is not None:
             valuation = simulate(g, witness)
