@@ -9,16 +9,16 @@ driven by one seeded RNG, so runs are reproducible.
 
 Mutants are bred and simulated a window at a time, one lane per mutant, by
 :func:`~gatefuzz.simulate.run_pass` over the cut graph of the targets' fan-in
-cone, which keeps the graph's inputs.  :func:`~gatefuzz.graph.cone` cuts it
-once per graph and target set, so repeated trials share it.  Yet the run is the
-same executed sequence as evaluating one mutant at a time: a window is bred
-from the corpus as it stands, its first lane that shows an unseen pair is the
-next admission, the lanes after it are dropped, and the RNG is rewound to just
-after that lane before the next window is bred.  Admissions come a few lanes
-apart, so a window starts at :data:`FIRST_WINDOW` lanes, doubles after every
-window without a hit up to :data:`WINDOW`, and starts small again after each
-admission; the lanes bred and thrown away stay few.  Once every pair is seen,
-the rest of the budget is bred without simulation.
+cone, which keeps the graph's inputs; :func:`~gatefuzz.targets.cut_targets`
+checks the spec and maps it onto that cut, memoized per graph and target set.
+Yet the run is the same executed sequence as evaluating one mutant at a time:
+a window is bred from the corpus as it stands, its first lane that shows an
+unseen pair is the next admission, the lanes after it are dropped, and the RNG
+is rewound to just after that lane before the next window is bred.  Admissions
+come a few lanes apart, so a window starts at :data:`FIRST_WINDOW` lanes,
+doubles after every window without a hit up to :data:`WINDOW`, and starts
+small again after each admission; the lanes bred and thrown away stay few.
+Once every pair is seen, the rest of the budget is bred without simulation.
 
 No lane before an admitted one shows an unseen pair, so a pair's first
 pattern is the admission that removed it from the unseen set: the coverage
@@ -31,10 +31,10 @@ import random
 from dataclasses import dataclass, field
 
 from .coverage import CoverageReport, report_and_curve
-from .graph import CircuitGraph, cone
+from .graph import CircuitGraph
 from .pattern import InputPattern
 from .simulate import run_pass
-from .targets import TargetSpec
+from .targets import TargetSpec, cut_targets
 
 FULL_RANDOM_PROB = 0.1
 MULTI_FLIP_CONTINUE_PROB = 0.5
@@ -79,9 +79,8 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     rng = random.Random(rng_seed)
     width = graph.input_count
     corpus = Corpus()
-    cut, new_id = cone(graph, spec.nodes())
-    nodes = [new_id[node] for node in spec.nodes()]  # the targets in the cut
-    unseen = {(node, value) for node in nodes for value in (0, 1)}
+    cut, targets = cut_targets(graph, spec)
+    unseen = {(node, value) for node, _ in targets for value in (0, 1)}
     first_seen = {}  # (node, value) -> 1-based number of the admitting pattern
     executed: list[InputPattern] = []
 
@@ -120,7 +119,7 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     while len(executed) < budget:
         executed.append(breed())
 
-    firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1))) for node in nodes]
+    firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1))) for node, _ in targets]
     report, curve = report_and_curve(spec, firsts, len(executed))
     return CgfResult(executed=executed, report=report, curve=curve, corpus=corpus)
 

@@ -6,7 +6,9 @@ solver conflict budget exhausted (``gen`` still writes the patterns proven
 before it).  Every exit but ``--help`` and ``--version`` writes the JSON run
 manifest, with the exit code and, on exits 1, 2 and 4, the error message; a
 usage error that argparse reports is exit 2, and its manifest goes to the
-``--manifest-out`` path if the command line names one.
+``--manifest-out`` path if the command line names one.  An unexpected
+exception leaves a null exit code and ``<Type>: <message>`` as the error, and
+is raised on, with its traceback.
 All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
 manifest, by stage.  Generation encodes the circuit and measures its own
@@ -358,6 +360,9 @@ def main(argv=None) -> int:
         code = _fail(manifest, EXIT_PARSE, str(exc))
     except ValueError as exc:  # GenConfigError and bad solver input are ValueErrors
         code = _fail(manifest, EXIT_CONFIG, str(exc))
+    except Exception as exc:
+        manifest.data["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         code = _save(manifest, code, args.manifest_out)
     return code

@@ -25,12 +25,6 @@ from .netlist import GATE_OPS, gc_paused
 Clause = tuple[int, ...]
 
 
-class TargetError(ValueError):
-    """A malformed target spec, or a target node the circuit does not have;
-    :mod:`gatefuzz.targets` re-exports it, and :meth:`CnfFormula.node_var`
-    raises it."""
-
-
 @dataclass
 class CnfFormula:
     """CNF clauses over the node variables and the XOR/XNOR helpers.
@@ -50,9 +44,6 @@ class CnfFormula:
 
     def node_var(self, node: int) -> int:
         """The variable of graph node ``node``: its id + 1."""
-        if not 0 <= node < len(self.names):
-            raise TargetError(f"target node {node} has no variable in the formula "
-                              f"(nodes 0..{len(self.names) - 1})")
         return node + 1
 
 

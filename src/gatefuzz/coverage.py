@@ -7,7 +7,7 @@ target node is covered once the pattern set has exercised it to both 0 and
 
 :func:`first_sightings` finds the first pattern that drove each target to 0
 and to 1, by wide-word passes over the cut graph of the targets' fan-in cone
-(:func:`~gatefuzz.graph.cone`), and
+(:func:`~gatefuzz.targets.cut_targets`), and
 :func:`report_and_curve` builds the report and per-prefix curve from those
 numbers alone.  Generation's closing check is that pass over its patterns,
 and the CGF loop knows the numbers as its admissions, so neither simulates
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CircuitGraph, cone
+from .graph import CircuitGraph
 from .simulate import run_pass
-from .targets import TargetSpec
+from .targets import TargetSpec, cut_targets
 
 # Widest simulation pass over a long pattern list: a pass holds one word of
 # PASS_LANES bits per simulated node, so memory stays flat in the list length.
@@ -53,18 +53,17 @@ class CoverageReport:
 def first_sightings(graph: CircuitGraph, spec: TargetSpec, patterns) -> list[list]:
     """``[first_0, first_1]`` per entry of ``spec``: the 1-based numbers of
     the first patterns that drove its node to 0 and to 1, ``None`` where none
-    did.  The passes run on the cut graph of the targets' fan-in cone, and a
-    target outside ``graph`` raises :class:`KeyError`; a pass of up to
+    did.  The passes run on the cut of :func:`~gatefuzz.targets.cut_targets`,
+    which raises its ``TargetError`` for a bad spec; a pass of up to
     :data:`PASS_LANES` patterns finds a target's first 0 and first 1 as the
     lowest set bits of its complemented and plain words."""
-    cut, new_id = cone(graph, spec.nodes())
-    firsts = [[None, None] for _ in spec.entries]
-    nodes = [new_id[node] for node, _ in spec.entries]
+    cut, targets = cut_targets(graph, spec)
+    firsts = [[None, None] for _ in targets]
     for start in range(0, len(patterns), PASS_LANES):
         chunk = patterns[start:start + PASS_LANES]
         words = run_pass(cut, chunk)
         mask = (1 << len(chunk)) - 1
-        for node, first in zip(nodes, firsts):
+        for (node, _), first in zip(targets, firsts):
             for value, lanes in enumerate((words[node] ^ mask, words[node])):
                 if first[value] is None and lanes:
                     first[value] = start + (lanes & -lanes).bit_length()

@@ -164,8 +164,8 @@ def cone(graph: CircuitGraph, needed):
     graph itself, under the identity.  Cuts are memoized on the graph, keyed
     by the needed node set, so every call with the same set, in any order,
     returns the same cut; for a cone of every gate the memo holds None, not
-    the graph.  A needed node outside ``0..node_count-1`` raises
-    :class:`KeyError`, on every call.
+    the graph.  Callers pass nodes of the graph, ``0..node_count-1``: a spec
+    reaches it through :func:`gatefuzz.targets.cut_targets`, which checks it.
     """
     key = frozenset(needed)
     if key not in graph.cuts:
@@ -175,9 +175,6 @@ def cone(graph: CircuitGraph, needed):
 
 def _cut(graph: CircuitGraph, needed):
     """The uncached body of :func:`cone`, None for a cone of every gate."""
-    for node in needed:
-        if not 0 <= node < graph.node_count:
-            raise KeyError(f"target node {node} is not in graph {graph.name!r}")
     inputs = range(graph.input_count)
     gates = sorted(fanin_cone(graph, needed).difference(inputs))
     if len(gates) == graph.node_count - graph.input_count:

@@ -1,11 +1,11 @@
 """SAT-driven generation of diverse targeted input patterns: one solve, many patterns.
 
 Every emitted pattern drives all target nodes to their desired values.
-Generation works on the cut graph of the targets' fan-in cone
-(:func:`~gatefuzz.graph.cone`).  Gates outside the cone read the inputs alone
-and no target names them, so under the targets the cut's formula has the
-circuit's input projections, and the same validity and exhaustion; the cut
-keeps the inputs' ids, so its models are the circuit's patterns.
+Generation works on the cut graph of the targets' fan-in cone, which
+:func:`~gatefuzz.targets.cut_targets` gives.  Gates outside the cone read the
+inputs alone and no target names them, so under the targets the cut's formula
+has the circuit's input projections, and the same validity and exhaustion;
+the cut keeps the inputs' ids, so its models are the circuit's patterns.
 
 Each solver model is first lifted to a cube (cube generalisation by ternary
 simulation, as in Ravi & Somenzi, TACAS 2004, and IC3/PDR): its inputs are
@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 
 from .cnf import encode
 from .coverage import CoverageReport, first_sightings, report_and_curve
-from .graph import CircuitGraph, cone
+from .graph import CircuitGraph
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
 from .simulate import run_ternary
-from .targets import TargetError, TargetSpec
+from .targets import TargetSpec, cut_targets
 
 # Consecutive completions of one cube that the distance guard may reject
 # before the cube is left and the solver asked for the next model.
@@ -114,17 +114,11 @@ class GenReport:
 
 
 def target_formula(graph: CircuitGraph, spec: TargetSpec):
-    """``(cut, targets, formula, literals)``: the cut graph of the fan-in cone
-    of ``spec``'s nodes, its entries in cut ids, the cut's encoding, and the
-    target literals ``±formula.node_var(node)``, built here alone.  A node
-    outside ``graph`` raises :class:`TargetError`, before the cut.
-    """
-    for node in spec.nodes():  # a TargetError, before the cut's KeyError
-        if not 0 <= node < graph.node_count:
-            raise TargetError(f"target node {node} has no variable in the formula "
-                              f"(nodes 0..{graph.node_count - 1})")
-    cut, new_id = cone(graph, spec.nodes())
-    targets = [(new_id[node], value) for node, value in spec.entries]
+    """``(cut, targets, formula, literals)``: the cut and entries of
+    :func:`~gatefuzz.targets.cut_targets`, which checks ``spec``, the cut's
+    encoding, and the target literals ``±formula.node_var(node)``, built here
+    alone."""
+    cut, targets = cut_targets(graph, spec)
     formula = encode(cut)
     literals = [formula.node_var(node) * (1 if value else -1) for node, value in targets]
     return cut, targets, formula, literals
@@ -135,7 +129,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     target of ``spec``; the report's ``coverage`` and ``curve`` are theirs.
 
     The formula of :func:`target_formula` is solved with the target
-    literals as unit clauses, and a target node outside ``graph`` raises
+    literals as unit clauses, and an entry the graph does not have raises
     ``TargetError``.  ``exhausted`` is set only on UNSAT, i.e. when no
     further pattern at distance >= ``d_min`` from all emitted ones exists;
     exhausted with no pattern means the targeted state is invalid.  A spent

@@ -1,4 +1,4 @@
-"""Target sites and states: the spec and its text form.
+"""Target sites and states: the spec, its text form, and its cut.
 
 A target spec is an ordered list of (node, desired value) pairs.  A spec is
 *valid* when some primary-input assignment drives every listed node to its
@@ -8,15 +8,20 @@ the target literals, which :func:`gatefuzz.seedgen.target_formula` builds,
 returns the witness pattern, or proves the state unreachable if none.
 Specs come from target files (:func:`parse_targets`), which ``gatefuzz
 targets-diff`` writes (:meth:`TargetSpec.to_text`) with a netlist diff's
-target nodes at one value.
+target nodes at one value.  :func:`cut_targets` is the one place a spec
+meets a graph: it checks the spec and maps it onto the cut of its fan-in
+cone, on which generation, coverage and CGF work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import TargetError
-from .graph import CircuitGraph
+from .graph import CircuitGraph, cone
+
+
+class TargetError(ValueError):
+    """A malformed target file, or a spec entry the graph does not have."""
 
 
 @dataclass
@@ -43,7 +48,7 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, sep, value = line.partition("=")
+        name, sep, value = line.rpartition("=")  # a name may hold "="
         name = name.strip()
         value = value.strip()
         if not sep or not name:
@@ -59,3 +64,16 @@ def parse_targets(text: str, graph: CircuitGraph) -> TargetSpec:
         entries.append((node, int(value)))
     return TargetSpec(entries=entries)
 
+
+def cut_targets(graph: CircuitGraph, spec: TargetSpec):
+    """``(cut, targets)``: the cut graph of the fan-in cone of ``spec``'s
+    nodes (:func:`~gatefuzz.graph.cone`) and ``spec``'s entries in its ids.
+    The first entry whose node is not one of ``graph``'s, or whose value is
+    not 0 or 1, raises :class:`TargetError`."""
+    for node, value in spec.entries:
+        if not 0 <= node < graph.node_count:
+            raise TargetError(f"target node {node} is not in graph {graph.name!r}")
+        if value not in (0, 1):
+            raise TargetError(f"target node {node}: desired value {value!r} is not 0 or 1")
+    cut, new_id = cone(graph, spec.nodes())
+    return cut, [(new_id[node], value) for node, value in spec.entries]

@@ -509,6 +509,21 @@ def test_help_and_version_exit_0_without_a_manifest(tmp_path, monkeypatch, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unexpected_exception_is_recorded_and_raised_on(tmp_path, monkeypatch):
+    # an exception main() does not map to an exit code keeps its traceback,
+    # and the manifest says what it was
+    def failing_generate(graph, spec, config):
+        raise RuntimeError("pattern 11 misses target y=1")
+
+    monkeypatch.setattr("gatefuzz.cli.generate", failing_generate)
+    netlist, targets = _setup_c17(tmp_path)
+    with pytest.raises(RuntimeError, match="^pattern 11 misses target y=1$"):
+        main(["gen", netlist, targets, "--manifest-out", str(tmp_path / "m.json")])
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] is None
+    assert manifest["error"] == "RuntimeError: pattern 11 misses target y=1"
+
+
 def test_gen_blif_input(tmp_path):
     netlist = _write(tmp_path, "t.blif",
                      ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end")
@@ -657,6 +672,22 @@ def test_targets_diff_both_polarities_tag_only_the_file_name(tmp_path, monkeypat
                  "--manifest-out", "m.json"]) == 0
     assert _manifest(tmp_path)["outputs"] == written
     assert [open(path).read() for path in written] == ["z=0\n", "z=1\n"]
+
+
+def test_targets_diff_file_of_a_name_holding_an_equals_sign_reads_back(tmp_path):
+    # a BLIF signal name may hold "=", so a target line splits at its last one
+    blif = ".model m\n.inputs a b\n.outputs y=z\n.names a b y=z\n{}.end\n"
+    a = _write(tmp_path, "a.blif", blif.format("11 1\n"))
+    b = _write(tmp_path, "b.blif", blif.format("1- 1\n-1 1\n"))
+    out = str(tmp_path / "d.targets")
+    manifest = str(tmp_path / "m.json")
+    assert main(["targets-diff", a, b, "--polarity", "1", "--out", out,
+                 "--manifest-out", manifest]) == 0
+    assert open(out).read() == "y=z=1\n"
+    patterns_out = str(tmp_path / "p.txt")
+    assert main(["gen", b, out, "-R", "4", "--patterns-out", patterns_out,
+                 "--manifest-out", manifest]) == 0
+    assert {p.bits for p in read_patterns(open(patterns_out).read())} <= {(0, 1), (1, 0), (1, 1)}
 
 
 def test_targets_diff_parse_failure_exits_1(tmp_path, capsys):

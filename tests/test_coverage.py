@@ -11,7 +11,7 @@ from gatefuzz.graph import build_graph, fanin_cone
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.simulate import simulate
-from gatefuzz.targets import TargetSpec, parse_targets
+from gatefuzz.targets import TargetError, TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
 
@@ -91,7 +91,7 @@ def test_missing_target_node_raises():
             lambda spec: run_cgf(g, spec, budget=4))
     for node in (99, 2, -1):
         for run in runs:
-            with pytest.raises(KeyError, match=f"target node {node} is not in graph"):
+            with pytest.raises(TargetError, match=f"target node {node} is not in graph"):
                 run(TargetSpec(entries=[(1, 1), (node, 1)]))
 
 

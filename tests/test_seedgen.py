@@ -307,10 +307,9 @@ def test_d_min_exceeding_inputs_is_config_error():
 
 
 def test_target_outside_the_graph_is_a_target_error():
-    # target_formula checks the spec against the graph before it cuts the
-    # cone, whose error would be a KeyError
+    # cut_targets checks the spec against the graph before it cuts the cone
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")
-    with pytest.raises(TargetError, match="target node 3 has no variable"):
+    with pytest.raises(TargetError, match="target node 3 is not in graph"):
         generate(g, TargetSpec(entries=[(0, 1), (3, 1)]), GenConfig())
 
 

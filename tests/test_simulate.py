@@ -11,6 +11,7 @@ from gatefuzz.graph import build_graph, cone, fanin_cone
 from gatefuzz.netlist import Netlist, RawGate, scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.simulate import SimulationError, run_pass, run_ternary, simulate
+from gatefuzz.targets import TargetError, TargetSpec, cut_targets
 
 from conftest import all_patterns, blif_constants_netlist, every_arity_netlist, random_netlist
 from oracle import ref_eval
@@ -285,9 +286,11 @@ def test_cone_raises_for_a_node_outside_the_graph_on_every_call(node):
     g = build_graph(scan_convert(load_circuit("c17")))
     if node == "end":
         node = g.node_count
+    # the spec is checked before the cone's memo is read, so no call caches a cut
     for _ in range(2):
-        with pytest.raises(KeyError, match=f"target node {node} is not in graph"):
-            cone(g, [0, node])
+        with pytest.raises(TargetError, match=f"target node {node} is not in graph"):
+            cut_targets(g, TargetSpec(entries=[(0, 1), (node, 1)]))
+    assert not g.cuts
 
 
 # -- three-valued evaluation against exhaustive two-valued passes ------------

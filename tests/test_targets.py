@@ -4,7 +4,9 @@ import pytest
 
 from gatefuzz.bench import parse_bench
 from gatefuzz.cnf import encode
+from gatefuzz.cgf import run_cgf
 from gatefuzz.cli import main
+from gatefuzz.coverage import first_sightings, measure
 from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
@@ -145,8 +147,35 @@ def test_target_formula_rejects_a_node_outside_the_graph():
     g, f = _pipeline("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b, a)")
     assert g.node_count == 3 and f.var_count == 4
     for node in (-1, 3, 4, 99):
-        with pytest.raises(TargetError, match=f"target node {node} has no variable"):
+        with pytest.raises(TargetError, match=f"target node {node} is not in graph"):
             target_formula(g, TargetSpec(entries=[(0, 1), (node, 1)]))
+
+
+_ENTRY_POINTS = {
+    "generate": lambda g, spec: generate(g, spec, GenConfig()),
+    "target_formula": target_formula,
+    "first_sightings": lambda g, spec: first_sightings(g, spec, [InputPattern((1, 1))]),
+    "measure": lambda g, spec: measure(g, spec, [InputPattern((1, 1))]),
+    "run_cgf": lambda g, spec: run_cgf(g, spec, budget=4),
+}
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((-1, 1), "target node -1 is not in graph 'bench'"),
+    ((3, 1), "target node 3 is not in graph 'bench'"),  # node_count
+    ((99, 1), "target node 99 is not in graph 'bench'"),
+    ((1, 2), "target node 1: desired value 2 is not 0 or 1"),
+], ids=["node -1", "node node_count", "node 99", "value 2"])
+@pytest.mark.parametrize("entry_point", list(_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_entry_alike(entry_point, entry, message):
+    # cut_targets is the one check of a spec against a graph, so every stage
+    # that takes a spec raises the same TargetError, before any work
+    g = build_graph(scan_convert(parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)")))
+    assert g.node_count == 3
+    with pytest.raises(TargetError) as raised:
+        _ENTRY_POINTS[entry_point](g, TargetSpec(entries=[(2, 1), entry]))
+    assert type(raised.value) is TargetError and str(raised.value) == message
+    assert not g.cuts
 
 
 def test_validity_and_gate():
