@@ -196,6 +196,8 @@ def cmd_compare(args, manifest) -> int:
     for t in range(args.trials):
         trials.append(run_cgf(graph, spec, budget=args.pattern_budget,
                               rng_seed=args.seed + t))
+    manifest.data["cgf"] = {"passes": sum(t.passes for t in trials),
+                            "executions": sum(len(t.executed) for t in trials)}
     manifest.stage("cgf_trials")
 
     manifest.write_output(args.sat_curve_out, curve_csv(sat_report.curve))

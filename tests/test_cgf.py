@@ -240,19 +240,25 @@ def test_windowed_run_equals_sequential_loop(budget):
             assert not seeds
 
 
+def _record_windows(monkeypatch):
+    windows = []
+    real_run_pass = cgf.run_pass
+
+    def recording_run_pass(graph, patterns):
+        windows.append(list(patterns))
+        return real_run_pass(graph, patterns)
+
+    monkeypatch.setattr(cgf, "run_pass", recording_run_pass)
+    return windows
+
+
 def test_never_hitting_run_simulates_full_windows(monkeypatch):
     tree = build_graph(scan_convert(parse_bench(fixture_text("and_tree16.bench"),
                                                 name="and_tree16")))
     spec = parse_targets("root=1", tree)
-    passes = []
-    real_run_pass = cgf.run_pass
-
-    def counting_run_pass(graph, patterns):
-        passes.append(len(patterns))
-        return real_run_pass(graph, patterns)
-
-    monkeypatch.setattr(cgf, "run_pass", counting_run_pass)
+    windows = _record_windows(monkeypatch)
     result = run_cgf(tree, spec, budget=300, rng_seed=4)
+    passes = list(map(len, windows))
     assert len(result.corpus.seeds) == 1  # only the first pattern's (root, 0)
     assert passes[:2] == [FIRST_WINDOW, FIRST_WINDOW]  # the first pattern hits at lane 0
     assert max(passes) == WINDOW and passes.count(WINDOW) >= 2
@@ -260,11 +266,15 @@ def test_never_hitting_run_simulates_full_windows(monkeypatch):
     assert sum(passes) == 300 + FIRST_WINDOW - 1
 
 
+def _many_admissions_case():
+    g = build_graph(scan_convert(random_netlist(random.Random(2), 32, 400)))
+    return g, TargetSpec(entries=[(n, 1) for n in range(g.node_count) if g.kinds[n] != "INPUT"])
+
+
 def test_breeds_at_most_four_mutants_per_execution(monkeypatch):
     """A circuit that keeps admitting seeds: a full window per pass would breed
     about 14 mutants per execution (most of them dropped after a hit)."""
-    g = build_graph(scan_convert(random_netlist(random.Random(2), 32, 400)))
-    spec = TargetSpec(entries=[(n, 1) for n in range(g.node_count) if g.kinds[n] != "INPUT"])
+    g, spec = _many_admissions_case()
     counts = {"breeds": 0, "inside_mutate": 0}
     real_mutate, real_random_pattern = cgf._mutate, cgf._random_pattern
 
@@ -286,3 +296,51 @@ def test_breeds_at_most_four_mutants_per_execution(monkeypatch):
     result = run_cgf(g, spec, budget=budget, rng_seed=2)
     assert len(result.corpus.seeds) >= 40  # admissions all through the run
     assert counts["breeds"] <= 4 * budget
+
+
+def _walk_outcomes(windows, result):
+    """Lays the simulated windows along the executed sequence.
+
+    Each window's executed lanes are a prefix of it, and the next window
+    starts at the next execution.  Returns the number of lanes executed after
+    an admitted lane of their own window (kept by the walk) and of windows cut
+    short before another window (whose first lane the walk bred differently).
+    """
+    executed = result.executed
+    admitted = {executed.index(seed) for seed in result.corpus.seeds}
+    kept = carried = start = 0
+    for i, window in enumerate(windows):
+        count = 0
+        while count < len(window) and window[count] == executed[start + count]:
+            count += 1
+        firsts = [lane for lane in range(count) if start + lane in admitted]
+        kept += count - 1 - firsts[0] if firsts else 0
+        if i + 1 < len(windows):
+            assert windows[i + 1][0] == executed[start + count]
+            carried += count < len(window)
+        start += count
+    return kept, carried
+
+
+def test_walk_reaches_both_outcomes_of_a_rebreed(monkeypatch):
+    windows = _record_windows(monkeypatch)
+    kept = carried = 0
+    for name, g, spec in _equivalence_cases():
+        windows.clear()
+        result = run_cgf(g, spec, budget=200, rng_seed=200 + len(name))
+        assert result.passes == len(windows), name
+        case_kept, case_carried = _walk_outcomes(windows, result)
+        kept += case_kept
+        carried += case_carried
+    assert kept and carried
+
+
+def test_one_pass_serves_several_admissions(monkeypatch):
+    # the circuit of the four-breeds test, with over 40 admissions
+    g, spec = _many_admissions_case()
+    windows = _record_windows(monkeypatch)
+    result = run_cgf(g, spec, budget=256, rng_seed=2)
+    assert result.passes == len(windows) < len(result.corpus.seeds)
+    kept, carried = _walk_outcomes(windows, result)
+    assert kept and carried
+    assert sum(map(len, windows)) < 2 * 256  # fewer than two lanes per execution

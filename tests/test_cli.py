@@ -201,6 +201,9 @@ def test_compare_builds_one_plan_for_generation_and_every_trial(tmp_path, monkey
     [planned] = record["plans"]
     assert planned is cut
     assert len(record["run_pass"]) > 3 and all(graph is cut for graph, _ in record["run_pass"])
+    # the manifest counts the trials' passes: all but generation's one
+    assert _manifest(tmp_path)["cgf"] == {"passes": len(record["run_pass"]) - 1,
+                                          "executions": 3 * 64}
 
 
 @pytest.mark.parametrize("command,stages", [
@@ -266,6 +269,27 @@ def test_gen_c432_pattern_file_pinned(tmp_path, seed, digest):
     assert main(["gen", netlist, targets, "-R", "200", "--dmin", "2", "--seed", str(seed),
                  "--patterns-out", str(out), "--manifest-out", str(tmp_path / "m.json")]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("circuit,targets,cgf_digest,summary_digest", [
+    ("c432", "c432.mixed.targets",
+     "45c3d26d1fd669ebe20f4992ab27bb8f9a5e114597036509326e450a89ada846",
+     "b41a3aa5b613016b41a44cddf5a01d7020d44b2b97c8200fc1706c13b1f07e56"),
+    ("s27", "s27.scan.targets",
+     "c79f25aa2394b50f80c7e1e17364e11286a1776c3f5a0dece6d2a20fa031812c",
+     "6baccfdb86e8a63c433a198c13588d42defb23440335b1063fc4e0885821b799"),
+])
+def test_compare_outputs_pinned(tmp_path, circuit, targets, cgf_digest, summary_digest):
+    # the CGF trials' executed sequences fix these bytes, whatever the
+    # simulation schedule; a change that moves them on purpose updates the digests
+    netlist = _write(tmp_path, f"{circuit}.bench", fixture_text(f"{circuit}.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text(targets))
+    cgf_out, summary_out = tmp_path / "cgf.csv", tmp_path / "summary.csv"
+    assert main(["compare", netlist, targets, "-R", "200", "--trials", "3", "--seed", "0",
+                 "--cgf-curve-out", str(cgf_out), "--summary-out", str(summary_out),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert hashlib.sha256(cgf_out.read_bytes()).hexdigest() == cgf_digest
+    assert hashlib.sha256(summary_out.read_bytes()).hexdigest() == summary_digest
 
 
 def test_gen_unsatisfiable_target_exits_3(tmp_path, capsys):
