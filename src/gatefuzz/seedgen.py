@@ -26,7 +26,9 @@ model at least ``d_min`` primary inputs away from it, so no pattern repeats
 and the session never grows beyond the formula's own variables.  Patterns
 are packed ints, and one pass over the emitted words per candidate (an XOR
 and a popcount each) serves both the acceptance guard and the reported
-distance extremes.  A completion too close to an emitted pattern is a
+distance extremes.  The reported extremes are the exact pairwise minimum
+and maximum, so the scan stays O(R) per pattern even where an index could
+settle the guard alone.  A completion too close to an emitted pattern is a
 rejection; a solver model too close is an unsound solver, and an error.
 Before returning, one two-valued pass (:func:`~gatefuzz.coverage.first_sightings`)
 checks every emitted pattern against the targets and gives the run's coverage.
@@ -155,7 +157,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         """Emit ``word`` if it keeps ``d_min`` from every emitted pattern."""
         nonlocal d_lo, d_hi
         if words:
-            distances = list(map(int.bit_count, map(word.__xor__, words)))
+            distances = [(word ^ w).bit_count() for w in words]
             nearest = min(distances)
             if nearest < config.d_min:
                 return False

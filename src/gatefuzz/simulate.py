@@ -32,10 +32,16 @@ the op, a loop over the fanins, the inversion test), not to the word
 operations.  Inside a group that work is done once: the op and the
 inversion are fixed, and 1-, 2- and 3-input gates, nearly all gates, are
 unpacked by arity into a loop body of one expression; a non-inverted 1- or
-2-input body does no XOR at all, so a BUF is a copy.  A gate's level is one
-more than its deepest fanin's, so a level-sorted plan is topological and the
-gates of one level can run in any order.  Every topological order gives the
-same words.
+2-input body does no XOR at all, so a BUF is a copy.  :func:`run_ternary`
+is unrolled the same way, with one body of two expressions, one per rail,
+for AND and OR at 2 and 3 fanins and for parity at 1 and 2 (BUF and NOT are
+copies).  An inverted group writes the gate's 1-rail into the 0-rail list
+and its 0-rail into the 1-rail list, chosen once per group.  Its generic
+loop, a fold over the fanins, serves only constants, parity over 3 or more
+fanins and gates of 4 or more inputs, none of which c432's target cut holds.
+A gate's level is one more than its deepest fanin's, so a level-sorted plan
+is topological and the gates of one level can run in any order.  Every
+topological order gives the same words.
 """
 
 from __future__ import annotations
@@ -145,23 +151,53 @@ def run_ternary(graph: CircuitGraph, ones, zeros, lanes: int):
     """Evaluate ``graph`` three-valued over ``lanes`` partial patterns.
 
     Lane ``j`` of ``ones[i]`` (``zeros[i]``) is set when input ``i`` is a
-    definite 1 (0) in pattern ``j``, and input ``i`` is X where neither is.
-    Returns ``(ones, zeros)`` lists by node id in the same form.
+    definite 1 (0) in pattern ``j``, and input ``i`` is X where neither is;
+    no word holds a lane at or above ``lanes``.  Returns ``(ones, zeros)``
+    lists by node id in the same form.
     """
     hi = list(ones) + [0] * (graph.node_count - len(ones))
     lo = list(zeros) + [0] * (graph.node_count - len(zeros))
     mask = (1 << lanes) - 1
-    for op, _, inverted, items in _plan(graph):
-        dual = _DUAL.get(op)
-        for n, *srcs in items:
-            if dual:
-                h = reduce(op, map(hi.__getitem__, srcs))
-                z = reduce(dual, map(lo.__getitem__, srcs))
-            else:  # XOR, from a definite 0: definite while every fanin is
-                h, z = 0, mask
-                for s in srcs:
-                    h, z = h & lo[s] | z & hi[s], h & hi[s] | z & lo[s]
-            hi[n], lo[n] = (z, h) if inverted else (h, z)
+    for op, arity, inverted, items in _plan(graph):
+        # the rails that take the gate's uninverted 1 and 0
+        to1, to0 = (lo, hi) if inverted else (hi, lo)
+        if arity == 2:
+            if op is and_:
+                for n, a, b in items:
+                    to1[n] = hi[a] & hi[b]
+                    to0[n] = lo[a] | lo[b]
+            elif op is or_:
+                for n, a, b in items:
+                    to1[n] = hi[a] | hi[b]
+                    to0[n] = lo[a] & lo[b]
+            else:  # XOR: definite where both fanins are
+                for n, a, b in items:
+                    ha, la, hb, lb = hi[a], lo[a], hi[b], lo[b]
+                    to1[n] = ha & lb | la & hb
+                    to0[n] = ha & hb | la & lb
+        elif arity == 1:  # one-input parity: BUF, or NOT with the rails swapped
+            for n, a in items:
+                to1[n] = hi[a]
+                to0[n] = lo[a]
+        elif arity == 3 and op is and_:
+            for n, a, b, c in items:
+                to1[n] = hi[a] & hi[b] & hi[c]
+                to0[n] = lo[a] | lo[b] | lo[c]
+        elif arity == 3 and op is or_:
+            for n, a, b, c in items:
+                to1[n] = hi[a] | hi[b] | hi[c]
+                to0[n] = lo[a] & lo[b] & lo[c]
+        else:  # constants, parity over 3 or more fanins, gates of 4 or more inputs
+            dual = _DUAL.get(op)
+            for n, *srcs in items:
+                if dual:
+                    h = reduce(op, map(hi.__getitem__, srcs))
+                    z = reduce(dual, map(lo.__getitem__, srcs))
+                else:  # XOR, from a definite 0: definite while every fanin is
+                    h, z = 0, mask
+                    for s in srcs:
+                        h, z = h & lo[s] | z & hi[s], h & hi[s] | z & lo[s]
+                to1[n], to0[n] = h, z
     return hi, lo
 
 

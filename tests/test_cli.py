@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def _setup_c17(tmp_path, targets="n22=1\n"):
 
 
 def _manifest(tmp_path, name="m.json"):
-    return json.load(open(tmp_path / name))
+    return json.loads((tmp_path / name).read_text())
 
 
 def _assert_error_recorded(tmp_path, capsys, code):
@@ -56,16 +57,16 @@ def test_gen_c17_end_to_end(tmp_path):
                  "--dimacs-out", dimacs_out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    patterns = read_patterns(open(patterns_out).read())
+    patterns = read_patterns(Path(patterns_out).read_text())
     assert len(patterns) >= 1
     graph = build_graph(scan_convert(parse_bench(fixture_text("c17.bench"), name="c17")))
     spec = parse_targets("n22=1", graph)
     for p in patterns:
         assert simulate(graph, p)[spec.entries[0][0]] == 1
-    report = open(report_out).read().splitlines()
+    report = Path(report_out).read_text().splitlines()
     assert report[0].startswith("design,")
     assert report[1].split(",")[7] == "100.00"  # state coverage
-    dimacs = open(dimacs_out).read()
+    dimacs = Path(dimacs_out).read_text()
     # the formula gen solved: n22's cone leaves out 2 of c17's 11 nodes, so
     # 9 variables, and 12 cut clauses + 1 target unit
     assert "p cnf 9 13" in dimacs
@@ -95,7 +96,7 @@ def test_gen_dimacs_is_the_formula_that_was_solved(tmp_path, name, text, targets
     assert main(["gen", netlist, _write(tmp_path, "t.targets", targets), "-R", "4",
                  "--dimacs-out", dimacs_out, "--manifest-out", str(tmp_path / "m.json")]) == 0
     var_of, clauses = {}, []
-    for line in open(dimacs_out).read().splitlines():
+    for line in Path(dimacs_out).read_text().splitlines():
         if line.startswith("c node "):
             node, _, var = line[len("c node "):].rpartition(" = var ")
             var_of[node] = int(var)
@@ -233,7 +234,7 @@ def test_gen_manifest_records_solver_counters(tmp_path):
     code = main(["gen", netlist, targets, "-R", "20",
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    solver = json.load(open(tmp_path / "m.json"))["solver"]
+    solver = json.loads((tmp_path / "m.json").read_text())["solver"]
     assert set(solver) == {"conflicts", "decisions", "propagations", "solver_calls",
                            "solver_vars", "stop_reason", "lifted_models", "free_inputs_min",
                            "free_inputs_median", "free_inputs_max"}
@@ -472,7 +473,7 @@ def test_gen_budget_exhausted_keeps_proven_patterns(tmp_path, capsys):
     manifest = _assert_error_recorded(tmp_path, capsys, 4)
     assert manifest["solver"]["stop_reason"] == "solver-budget"
     assert manifest["outputs"] == [patterns_out]
-    patterns = read_patterns(open(patterns_out).read())
+    patterns = read_patterns(Path(patterns_out).read_text())
     assert len(patterns) == 2
     graph = build_graph(scan_convert(parse_bench(fixture_text("xor_ladder8.bench"),
                                                  name="xor_ladder8")))
@@ -505,7 +506,7 @@ def test_gen_c432_budget_0_needs_one_conflict_free_solve(tmp_path):
     assert code == 0
     solver = _manifest(tmp_path)["solver"]
     assert solver["conflicts"] == 0 and solver["stop_reason"] == "budget"
-    assert len(read_patterns(open(patterns_out).read())) == 200
+    assert len(read_patterns(Path(patterns_out).read_text())) == 200
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -556,7 +557,7 @@ def test_gen_blif_input(tmp_path):
     code = main(["gen", netlist, targets, "--patterns-out", patterns_out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    assert read_patterns(open(patterns_out).read())[0].bits == (1, 1)
+    assert read_patterns(Path(patterns_out).read_text())[0].bits == (1, 1)
 
 
 @pytest.mark.parametrize("name", ["m.net", "m.blif"])
@@ -569,7 +570,7 @@ def test_gen_blif_behind_a_comment_header(tmp_path, name):
     code = main(["gen", netlist, targets, "--patterns-out", patterns_out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    assert read_patterns(open(patterns_out).read())[0].bits == (1, 1)
+    assert read_patterns(Path(patterns_out).read_text())[0].bits == (1, 1)
 
 
 def test_compare_or4_and_determinism(tmp_path):
@@ -590,8 +591,8 @@ def test_compare_or4_and_determinism(tmp_path):
                      "--manifest-out", str(tmp_path / f"m_{run}.json")])
         assert code == 0
     for key in ("sat", "cgf", "summary"):
-        assert open(outs["a"][key]).read() == open(outs["b"][key]).read()
-    summary = open(outs["a"]["summary"]).read().splitlines()
+        assert Path(outs["a"][key]).read_text() == Path(outs["b"][key]).read_text()
+    summary = Path(outs["a"]["summary"]).read_text().splitlines()
     assert summary[0] == "metric,sat,cgf_mean,cgf_min,cgf_max"
     state = summary[1].split(",")
     assert state[0] == "state_coverage_pct" and state[1] == "100.00"
@@ -605,7 +606,7 @@ def test_compare_single_trial(tmp_path):
                  "--summary-out", summary_out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    row = open(summary_out).read().splitlines()[1].split(",")
+    row = Path(summary_out).read_text().splitlines()[1].split(",")
     assert row[2] == row[3] == row[4]  # mean == min == max with one trial
     manifest = _manifest(tmp_path)
     assert manifest["command"] == "compare" and manifest["exit_code"] == 0
@@ -634,10 +635,10 @@ def test_targets_diff_identical_files(tmp_path):
     code = main(["targets-diff", netlist, netlist, "--polarity", "1",
                  "--out", out, "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    assert open(out).read() == ""
+    assert Path(out).read_text() == ""
     assert main(["targets-diff", netlist, netlist, "--polarity", "both",
                  "--out", out, "--manifest-out", str(tmp_path / "m.json")]) == 0
-    assert [open(tmp_path / f"d.all{v}.targets").read() for v in (0, 1)] == ["", ""]
+    assert [(tmp_path / f"d.all{v}.targets").read_text() for v in (0, 1)] == ["", ""]
 
 
 def test_targets_diff_kind_mutation(tmp_path):
@@ -647,7 +648,7 @@ def test_targets_diff_kind_mutation(tmp_path):
     code = main(["targets-diff", a, b, "--polarity", "1", "--out", out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    assert open(out).read() == "z=1\n"
+    assert Path(out).read_text() == "z=1\n"
 
 
 def test_targets_diff_both_polarities_added_gate(tmp_path):
@@ -659,8 +660,8 @@ def test_targets_diff_both_polarities_added_gate(tmp_path):
     code = main(["targets-diff", a, b, "--polarity", "both", "--out", out,
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
-    all0 = open(tmp_path / "d.all0.targets").read()
-    all1 = open(tmp_path / "d.all1.targets").read()
+    all0 = (tmp_path / "d.all0.targets").read_text()
+    all1 = (tmp_path / "d.all1.targets").read_text()
     assert sorted(all1.splitlines()) == ["n16=1", "nX=1"]
     assert sorted(all0.splitlines()) == ["n16=0", "nX=0"]
 
@@ -677,7 +678,7 @@ def test_targets_diff_c17_kind_change_and_added_gate(tmp_path, polarity, written
         "n19 = NAND", "n19 = NOR") + "n24 = XOR(n10, n19)\n")
     assert main(["targets-diff", a, b, "--polarity", polarity, "--out", str(tmp_path / "d.targets"),
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
-    assert {name: open(tmp_path / name).read() for name in written} == written
+    assert {name: (tmp_path / name).read_text() for name in written} == written
 
 
 @pytest.mark.parametrize("out,written", [
@@ -695,7 +696,7 @@ def test_targets_diff_both_polarities_tag_only_the_file_name(tmp_path, monkeypat
     assert main(["targets-diff", a, b, "--polarity", "both", "--out", out,
                  "--manifest-out", "m.json"]) == 0
     assert _manifest(tmp_path)["outputs"] == written
-    assert [open(path).read() for path in written] == ["z=0\n", "z=1\n"]
+    assert [Path(path).read_text() for path in written] == ["z=0\n", "z=1\n"]
 
 
 def test_targets_diff_file_of_a_name_holding_an_equals_sign_reads_back(tmp_path):
@@ -707,11 +708,11 @@ def test_targets_diff_file_of_a_name_holding_an_equals_sign_reads_back(tmp_path)
     manifest = str(tmp_path / "m.json")
     assert main(["targets-diff", a, b, "--polarity", "1", "--out", out,
                  "--manifest-out", manifest]) == 0
-    assert open(out).read() == "y=z=1\n"
+    assert Path(out).read_text() == "y=z=1\n"
     patterns_out = str(tmp_path / "p.txt")
     assert main(["gen", b, out, "-R", "4", "--patterns-out", patterns_out,
                  "--manifest-out", manifest]) == 0
-    assert {p.bits for p in read_patterns(open(patterns_out).read())} <= {(0, 1), (1, 0), (1, 1)}
+    assert {p.bits for p in read_patterns(Path(patterns_out).read_text())} <= {(0, 1), (1, 0), (1, 1)}
 
 
 def test_targets_diff_parse_failure_exits_1(tmp_path, capsys):

@@ -358,6 +358,67 @@ def test_ternary_values_hold_under_every_completion():
     assert definite > 10000 and unknown > 10000, (definite, unknown)
 
 
+def _ternary_reference(g, inputs):
+    """Every node's value, 0, 1 or None for X, with the inputs at ``inputs``:
+    AND is 0 if any fanin is 0 and 1 if all are 1, OR is its dual, parity is
+    definite only when every fanin is, and an inverting kind swaps 0 and 1."""
+    values = dict(enumerate(inputs))
+
+    def value(node):
+        if node not in values:
+            kind, srcs = g.kinds[node], [value(s) for s in g.fanins[node]]
+            if kind in ("AND", "NAND"):
+                v = 0 if 0 in srcs else 1 if all(srcs) else None
+            elif kind in ("OR", "NOR"):
+                v = 1 if 1 in srcs else 0 if None not in srcs else None
+            elif kind in ("CONST0", "CONST1"):
+                v = 0
+            else:  # XOR, XNOR, BUF and NOT
+                v = None if None in srcs else sum(srcs) % 2
+            if kind in ("NAND", "NOR", "XNOR", "NOT", "CONST1") and v is not None:
+                v = 1 - v
+            values[node] = v
+        return values[node]
+
+    return [value(node) for node in range(g.node_count)]
+
+
+def test_ternary_is_exact_against_a_scalar_reference():
+    # soundness alone would pass a kernel that leaves X where the fanins'
+    # definite values force a gate; here every node of every lane is exact
+    rng = random.Random(48)
+    graphs = [build_graph(scan_convert(every_arity_netlist(rng))) for _ in range(3)]
+    for trial in range(20):
+        netlist = random_netlist(rng, rng.randint(1, 8), rng.randint(1, 50),
+                                 with_dffs=trial % 2 == 0)
+        if trial % 3 == 0:
+            rng.shuffle(netlist.gates)
+        graphs.append(build_graph(scan_convert(netlist)))
+    seen = set()
+    for g in graphs:
+        for lanes in (1, 8, 29, 31, 64, 65):
+            patterns = [[rng.choice((0, 1, None)) for _ in range(g.input_count)]
+                        for _ in range(lanes)]
+            ones = [sum(1 << j for j, p in enumerate(patterns) if p[i] == 1)
+                    for i in range(g.input_count)]
+            zeros = [sum(1 << j for j, p in enumerate(patterns) if p[i] == 0)
+                     for i in range(g.input_count)]
+            hi, lo = run_ternary(g, ones, zeros, lanes)
+            assert len(hi) == len(lo) == g.node_count
+            assert all(w >> lanes == 0 for w in hi + lo)
+            assert not any(h & z for h, z in zip(hi, lo))  # no lane both 1 and 0
+            for lane, p in enumerate(patterns):
+                expected = _ternary_reference(g, p)
+                got = [1 if hi[n] >> lane & 1 else 0 if lo[n] >> lane & 1 else None
+                       for n in range(g.node_count)]
+                assert got == expected, (lanes, lane, p)
+                seen.update((g.kinds[n], len(g.fanins[n]), v) for n, v in enumerate(expected))
+    # every unrolled case, and the generic one, met each of 0, 1 and X
+    for kind, arity in (("AND", 2), ("NOR", 2), ("XOR", 2), ("NOT", 1), ("BUF", 1),
+                        ("NAND", 3), ("OR", 3), ("XNOR", 3), ("AND", 5)):
+        assert {v for k, a, v in seen if (k, a) == (kind, arity)} == {0, 1, None}, (kind, arity)
+
+
 def _reference_cone(g, nodes):
     cone, frontier = set(), list(nodes)
     while frontier:
