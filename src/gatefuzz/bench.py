@@ -7,10 +7,12 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored):
     <id> = <KIND>(<id>{, <id>})
 
 ``KIND`` is one of AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF (alias BUFF) or
-DFF.  Identifiers are case-sensitive; gate keywords are not.  Parsing runs
-with the cyclic garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`):
-a netlist holds only lists of tuples of strings, so a collection during it
-could free nothing.
+DFF.  Identifiers are case-sensitive; gate keywords are not.  Lines are
+those of ``str.splitlines``; one regular expression reads them all in one
+pass.  Parsing runs with the cyclic garbage collector paused
+(:func:`~gatefuzz.netlist.gc_paused`): a netlist holds only lists of tuples
+of strings, so no collection, during parsing or after it, could free any of
+it, and it starts out in the oldest generation.
 """
 
 from __future__ import annotations
@@ -21,9 +23,15 @@ from .netlist import (CONST_KINDS, GATE_KINDS, Netlist, NetlistError, NetlistSyn
                       gc_paused)
 
 _ID = r"[^\s(),=#]+"
-_INPUT_RE = re.compile(rf"^INPUT\s*\(\s*({_ID})\s*\)$")
-_OUTPUT_RE = re.compile(rf"^OUTPUT\s*\(\s*({_ID})\s*\)$")
-_GATE_RE = re.compile(rf"^({_ID})\s*=\s*([A-Za-z0-9]+)\s*\(\s*([^()]*)\s*\)$")
+_WS = r"[^\S\n]*"  # blanks within one line of the "\n"-joined text
+# One line, its groups: a gate's output, keyword and argument text; an
+# INPUT's id; an OUTPUT's id; or else the text before any comment, stripped,
+# which is empty on a blank or comment line and a syntax error otherwise.
+# Every line matches, so the n-th match of the joined text is its line n.
+_LINE = re.compile(
+    rf"^{_WS}(?:({_ID}){_WS}={_WS}([A-Za-z0-9]+){_WS}\(([^()#\n]*)\)"
+    rf"|INPUT{_WS}\({_WS}({_ID}){_WS}\)|OUTPUT{_WS}\({_WS}({_ID}){_WS}\)|([^#\n]*?))"
+    rf"{_WS}(?:#.*)?$", re.MULTILINE)
 
 # keyword (upper-cased) -> kind; constants have no .bench keyword
 _KINDS = {kind: kind for kind in GATE_KINDS - CONST_KINDS} | {"BUFF": "BUF"}
@@ -41,40 +49,35 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     :meth:`Netlist.validate`, whose :class:`NetlistError` names the gate or
     signal but not the line.
     """
-    netlist = Netlist(name=name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        line = code.strip()
-        if not line:
-            continue
-        indent = len(code) - len(code.lstrip())  # columns count from the raw line
-        if "=" not in line:
-            # an _ID cannot contain "=", so only a gate line can hold one
-            m = _INPUT_RE.match(line)
-            if m:
-                netlist.primary_inputs.append(m.group(1))
-                continue
-            m = _OUTPUT_RE.match(line)
-            if m:
-                netlist.primary_outputs.append(m.group(1))
-                continue
-        else:
-            m = _GATE_RE.match(line)
-            if m:
-                out, kind_word, arg_text = m.groups()
-                kind = _KINDS.get(kind_word.upper())
-                if kind is None:
-                    raise NetlistSyntaxError(
-                        f"unsupported gate keyword {kind_word!r}", lineno, indent + m.start(2) + 1
-                    )
-                args = tuple(map(str.strip, arg_text.split(","))) if arg_text.strip() else ()
-                if "" in args:
-                    raise NetlistSyntaxError("empty argument in gate input list", lineno,
-                                             indent + line.index("(", m.end(2)) + 1)
-                netlist.gates.append(RawGate(out, kind, args))
-                continue
-        raise NetlistSyntaxError(f"unrecognized construct {line!r}", lineno, indent + 1)
-    return netlist
+    rows = _LINE.findall("\n".join(text.splitlines()))
+    make = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
+    strip = str.strip
+    gates = []
+    for lineno, (output, word, arg_text, _, _, other) in enumerate(rows, start=1):
+        if output:
+            kind = _KINDS.get(word.upper())
+            args = tuple(map(strip, arg_text.split(","))) if arg_text.strip() else ()
+            if kind is None or "" in args:
+                raise _syntax_error(text, lineno)
+            gates.append(make(RawGate, (output, kind, args)))
+        elif other:
+            raise _syntax_error(text, lineno)
+    return Netlist(name, [row[3] for row in rows if row[3]], [row[4] for row in rows if row[4]],
+                   gates)
+
+
+def _syntax_error(text, lineno):
+    """The :class:`NetlistSyntaxError` of line ``lineno`` of ``text``, which
+    is not a construct, or is a gate with an unknown keyword or an empty
+    argument."""
+    line = text.splitlines()[lineno - 1]
+    m = _LINE.match(line)
+    if m[1] is None:
+        return NetlistSyntaxError(f"unrecognized construct {m[6]!r}", lineno, m.start(6) + 1)
+    if m[2].upper() not in _KINDS:
+        return NetlistSyntaxError(f"unsupported gate keyword {m[2]!r}", lineno, m.start(2) + 1)
+    return NetlistSyntaxError("empty argument in gate input list", lineno,
+                              line.index("(", m.end(2)) + 1)
 
 
 def write_bench(netlist: Netlist) -> str:

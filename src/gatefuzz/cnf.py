@@ -11,7 +11,8 @@ stand for no node.  The satisfying assignments of the result, projected onto
 the node variables, are exactly the consistent circuit valuations.  Encoding
 runs with the cyclic garbage collector paused
 (:func:`~gatefuzz.netlist.gc_paused`): a formula is a list of tuples of ints,
-so a collection during it could free nothing.
+so no collection, during encoding or after it, could free any of it, and it
+starts out in the oldest generation.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ Netlists may declare their gates in any order: one depth-first search over
 fanins gives the levels, or names a cycle.  Graph build runs with the cyclic
 garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`): it makes
 only lists, dicts and tuples of strings and ints, none of which refers back
-to what holds it, so a collection during it could free nothing.  Structural
+to what holds it, so no collection, during the build or after it, could free
+any of it, and the graph starts out in the oldest generation.  Structural
 diffs between two graphs drive automatic target selection.
 """
 
@@ -86,8 +87,9 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     gates = netlist.gates
     n_inputs = len(netlist.primary_inputs)
     kinds = ["INPUT"] * n_inputs + [g.kind for g in gates]
-    node_of = ids.__getitem__
-    fanins = [()] * n_inputs + [tuple(map(node_of, g.inputs)) for g in gates]
+    at = ids.__getitem__  # remapped as in _cut
+    fanins = [()] * n_inputs + [itemgetter(*srcs)(ids) if len(srcs) > 1 else tuple(map(at, srcs))
+                                for srcs in map(itemgetter(2), gates)]
 
     return CircuitGraph(
         name=netlist.name,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field, replace
 from functools import wraps
+from itertools import chain
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
@@ -36,26 +37,53 @@ CONST_KINDS = frozenset({"CONST0", "CONST1"})
 
 
 def gc_paused(fn):
-    """Wrap ``fn`` so that it runs with CPython's cyclic collector off.
+    """Wrap ``fn`` so that it runs with CPython's cyclic collector off, and
+    what it returns starts out in the oldest generation.
 
     The parsers, graph build and the CNF encoding make only acyclic
     containers (tuples, lists, dicts and records that refer down to what
     they hold, never back), so a collection during one can free nothing; on
     a large netlist the collector would still traverse the young objects
-    hundreds of times.  The collector is left as it was found on every exit,
-    an exception included, so a caller that had disabled it finds it
-    disabled.
+    hundreds of times.  Left young, they would all be traversed once more by
+    the first collection after the call.  So on return ``gc.freeze()`` and
+    ``gc.unfreeze()`` move every tracked object to the oldest generation,
+    which only a full collection traverses, and zero the young count.
+    Before the call, a young collection frees the caller's unreachable young
+    cycles, which the promotion would otherwise keep until a full
+    collection.  A caller that had the collector off, or that has frozen
+    objects (``unfreeze`` would thaw them), gets neither step.  The
+    collector is left as it was found on every exit, an exception included.
     """
     @wraps(fn)
     def paused(*args, **kwargs):
-        enabled = gc.isenabled()
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        promote = not gc.get_freeze_count()
+        if promote:
+            gc.collect(0)
         gc.disable()
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if promote:
+                gc.freeze()
+                gc.unfreeze()
+            return result
         finally:
-            if enabled:
-                gc.enable()
+            gc.enable()
     return paused
+
+
+def _arity_error(kind, n, output):
+    """Why a gate of a supported ``kind`` cannot have ``n`` inputs, or None."""
+    if kind in UNARY_KINDS:
+        if n != 1:
+            return f"{kind} requires exactly 1 input, got {n} for {output!r}"
+    elif kind in CONST_KINDS:
+        if n != 0:
+            return f"{kind} takes no inputs, got {n} for {output!r}"
+    elif n < 2:
+        return f"{kind} requires >= 2 inputs, got {n} for {output!r}"
+    return None
 
 
 class NetlistError(Exception):
@@ -96,37 +124,50 @@ class Netlist:
         arity (1 for NOT, BUF and DFF, 0 for constants, >= 2 otherwise).
         Output names must be unique, nothing may be both a primary input and
         a gate output, and every referenced signal must be defined.  Returns
-        the name -> node id map built while checking: primary inputs first,
-        then gate outputs, each in declaration order.
+        the name -> node id map: primary inputs first, then gate outputs,
+        each in declaration order.  The rules are checked in bulk; only a
+        netlist that breaks one is walked, gate by gate, to name the first
+        violation: a repeated primary input, then each gate's kind, output,
+        arity and duplicate in gate order, then undefined signals in gate
+        order, then undefined primary outputs.
         """
-        ids = {name: i for i, name in enumerate(self.primary_inputs)}
-        if len(ids) != len(self.primary_inputs):
-            raise NetlistError(f"duplicate primary input in {self.name!r}")
+        gates = self.gates
+        names = [*self.primary_inputs, *map(itemgetter(0), gates)]
+        ids = dict(zip(names, range(len(names))))
+        shapes = set(zip(map(itemgetter(1), gates), map(len, map(itemgetter(2), gates))))
+        if (len(ids) < len(names) or "" in ids  # only a gate output may not be empty
+                or not all(kind in GATE_KINDS and not _arity_error(kind, n, "")
+                           for kind, n in shapes)):
+            self._check_each_gate()
+        if not ids.keys() >= set(chain.from_iterable(map(itemgetter(2), gates))):
+            for output, _, inputs in gates:
+                for src in inputs:
+                    if src not in ids:
+                        raise NetlistError(f"undefined signal {src!r} feeding gate {output!r}")
+        for out in self.primary_outputs:
+            if out not in ids:
+                raise NetlistError(f"undefined primary output {out!r}")
+        return ids
+
+    def _check_each_gate(self):
+        """Raise the first repeated primary input, or else the first gate
+        error in gate order, if there is one."""
+        defined = set()
+        for name in self.primary_inputs:
+            if name in defined:
+                raise NetlistError(f"duplicate primary input {name!r} in {self.name!r}")
+            defined.add(name)
         for output, kind, inputs in self.gates:
             if kind not in GATE_KINDS:
                 raise NetlistError(f"unsupported gate kind {kind!r}")
             if not output:
                 raise NetlistError("gate output name must be nonempty")
-            n = len(inputs)
-            if kind in UNARY_KINDS:
-                if n != 1:
-                    raise NetlistError(f"{kind} requires exactly 1 input, got {n} for {output!r}")
-            elif kind in CONST_KINDS:
-                if n != 0:
-                    raise NetlistError(f"{kind} takes no inputs, got {n} for {output!r}")
-            elif n < 2:
-                raise NetlistError(f"{kind} requires >= 2 inputs, got {n} for {output!r}")
-            if output in ids:
+            error = _arity_error(kind, len(inputs), output)
+            if error:
+                raise NetlistError(error)
+            if output in defined:
                 raise NetlistError(f"duplicate definition of {output!r}")
-            ids[output] = len(ids)
-        for g in self.gates:
-            for src in g.inputs:
-                if src not in ids:
-                    raise NetlistError(f"undefined signal {src!r} feeding gate {g.output!r}")
-        for out in self.primary_outputs:
-            if out not in ids:
-                raise NetlistError(f"undefined primary output {out!r}")
-        return ids
+            defined.add(output)
 
     @property
     def has_dff(self) -> bool:

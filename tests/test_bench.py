@@ -97,6 +97,10 @@ def test_unsupported_keyword():
     ("y = FOO(a) # = BUF(a)", "line 2, col 5: unsupported gate keyword 'FOO'"),
     # keywords are matched case-insensitively, so only the unknown one fails
     ("b =buff( a )\ny  =  foo( a ,b )", "line 3, col 7: unsupported gate keyword 'foo'"),
+    # NBSP and the unit separator \x1f are blanks, and each is one column
+    ("\xa0\x1fy\xa0=\xa0FOO(a)", "line 2, col 7: unsupported gate keyword 'FOO'"),
+    # a comment cuts a gate line short wherever it starts
+    ("y = AND(a # , b)", "line 2, col 1: unrecognized construct 'y = AND(a'"),
 ])
 def test_syntax_error_columns(line, message):
     with pytest.raises(NetlistSyntaxError) as exc:
@@ -182,3 +186,90 @@ def test_round_trip_random():
             assert again.primary_inputs == n.primary_inputs
             assert again.primary_outputs == n.primary_outputs
             assert again.gates == n.gates
+
+
+@pytest.mark.parametrize("line,message", [
+    ("what is this", "line 1002, col 1: unrecognized construct 'what is this'"),
+    ("y = FOO(a)", "line 1002, col 5: unsupported gate keyword 'FOO'"),
+    ("y = AND(a,,b)", "line 1002, col 8: empty argument in gate input list"),
+])
+def test_first_error_after_many_valid_lines_reports_its_line(line, message):
+    body = "".join(f"g{i} = NOT(a)\n" if i % 7 else "# every seventh line a comment\n"
+                   for i in range(1000))
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench(f"INPUT(a)\n{body}{line}\nalso bad\n")
+    assert str(exc.value) == message
+    assert exc.value.line == 1002
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_lines_split_where_splitlines_splits(sep):
+    n = parse_bench(sep.join(["INPUT(a)", "OUTPUT(y)", "y = NOT(a)"]))
+    assert (n.primary_inputs, n.primary_outputs, n.gates) == (["a"], ["y"], [("y", "NOT", ("a",))])
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench(sep.join(["INPUT(a)", "  # note", "", "  what is this"]))
+    assert str(exc.value) == "line 4, col 3: unrecognized construct 'what is this'"
+
+
+def test_blanks_that_are_not_line_breaks_separate_tokens():
+    # NBSP, tab and the unit separator \x1f are whitespace but do not end a line
+    n = parse_bench("\xa0INPUT\t(\xa0a\x1f)\nINPUT(b)\nOUTPUT( y )\xa0\n"
+                    "\ty\xa0=\tAND(\xa0a ,\tb\x1f)\xa0\x1f\n")
+    assert n.primary_inputs == ["a", "b"]
+    assert n.primary_outputs == ["y"]
+    assert n.gates == [("y", "AND", ("a", "b"))]
+
+
+def test_a_comment_may_hold_parentheses_and_equals():
+    n = parse_bench("INPUT(a) # (x = y\nINPUT(b)#)\nOUTPUT(y) # = AND(a, b)\n"
+                    "y = AND(a, b) # = OR(a, b)\n# y = (\n")
+    assert n.primary_inputs == ["a", "b"]
+    assert n.primary_outputs == ["y"]
+    assert n.gates == [("y", "AND", ("a", "b"))]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only a comment", "  \n\t\n"])
+def test_text_without_constructs_is_an_empty_netlist(text):
+    n = parse_bench(text, name="empty")
+    assert n == Netlist("empty")
+
+
+def test_no_trailing_newline():
+    n = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUFF(a)  # last")
+    assert n.gates == [("y", "BUF", ("a",))]
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench("INPUT(a)\nOUTPUT(y)\ny = AND(a, )")
+    assert str(exc.value) == "line 3, col 8: empty argument in gate input list"
+
+
+_BLANKS = ["", "", " ", "  ", "\t", "\xa0", "\x1f"]
+
+
+def _respelled(text, rng):
+    """``text`` with random blanks between its tokens, comments, blank lines
+    and line breaks."""
+    lines = []
+    for line in text.splitlines():
+        tokens = re.findall(r"[(),=]|[^(),=\s]+", line)
+        if tokens[0] == "#":
+            lines.append(line)
+            continue
+        spelled = "".join(rng.choice(_BLANKS) + t for t in tokens) + rng.choice(_BLANKS)
+        if rng.random() < 0.3:
+            spelled += rng.choice(["#", " # (a = b)", "\t#,", "# INPUT(x)"])
+        lines.append(spelled)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "# a comment", "\t# = ("]))
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
+    return "".join(line + rng.choice(breaks) for line in lines)
+
+
+def test_round_trip_random_spelling():
+    rng = random.Random(30)
+    for _ in range(40):
+        n = random_netlist(rng, n_inputs=rng.randint(1, 8), n_gates=rng.randint(1, 60),
+                           with_dffs=True)
+        text = write_bench(n)
+        assert parse_bench(text, name=n.name) == n
+        assert parse_bench(_respelled(text, rng), name=n.name) == n

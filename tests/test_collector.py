@@ -1,19 +1,26 @@
 """The parsers, graph build and encoding run with the cyclic collector paused.
 
-They make only acyclic containers, so a pause costs nothing; these tests
-check that premise and that each paused function leaves the collector as it
-found it, on success and on each kind of error.  A graph's memos are acyclic
-too, so a dropped graph is freed without the collector.
+They make only acyclic containers, so no collection could free what they
+make; these tests check that premise and that each paused function leaves
+the collector as it found it, on success and on each kind of error.  What a
+paused call returns is promoted to the oldest generation, after a young
+collection on entry: these tests check that the result leaves the young
+generation, that a caller's young garbage cycles are still freed, that
+repeated calls leave no garbage behind, and that a caller's frozen objects
+or disabled collector are left alone.  A graph's memos are acyclic too, so
+a dropped graph is freed without the collector.
 """
 
 import gc
 import random
+import weakref
 
 import pytest
 
 from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
+from gatefuzz.fixtures import fixture_text
 from gatefuzz.graph import CycleError, build_graph, cone
 from gatefuzz.netlist import (Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused,
                               scan_convert)
@@ -25,11 +32,13 @@ from conftest import every_arity_netlist, random_netlist
 
 @pytest.fixture
 def collector():
-    """Restores the collector's state after the test, whatever the test left."""
+    """Restores the collector's state after the test, whatever the test left,
+    and thaws anything the test froze."""
     enabled = gc.isenabled()
     try:
         yield
     finally:
+        gc.unfreeze()
         (gc.enable if enabled else gc.disable)()
 
 
@@ -120,3 +129,98 @@ def test_a_graph_and_its_memos_make_no_cyclic_garbage(collector):
         run_pass(g, [InputPattern([0] * g.input_count)])
         del g, whole, new_id
     assert gc.collect() == 0
+
+
+class Cycle:
+    """An object that refers to itself, so only the collector frees it."""
+
+    def __init__(self):
+        self.me = self
+
+
+def _containers(result):
+    """``result`` and the tracked containers it holds, two levels down."""
+    found = [result, *vars(result).values()]
+    for value in list(found):
+        if isinstance(value, (list, tuple)):
+            found += value[:50]
+    return [obj for obj in found if gc.is_tracked(obj)]
+
+
+def _young_ids():
+    return {id(obj) for obj in gc.get_objects(generation=0)}
+
+
+# paused calls in pipeline order, each on the previous one's result
+PIPELINE = [parse_bench, build_graph, encode]
+
+
+def test_a_paused_call_promotes_its_result_out_of_the_young_generation(collector):
+    gc.enable()
+    value = fixture_text("c432.bench")
+    for fn in PIPELINE:
+        value = fn(value)
+        containers = _containers(value)
+        assert len(containers) > 10
+        young = _young_ids()
+        assert not [obj for obj in containers if id(obj) in young]
+        oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+        assert all(id(obj) in oldest for obj in containers)
+
+
+def test_a_callers_young_garbage_cycle_is_freed_by_the_call(collector):
+    gc.enable()
+    text = fixture_text("c17.bench")
+    for fn, argument in [(parse_bench, text), (build_graph, parse_bench(text))]:
+        gc.collect()  # the young count starts at 0, so no collection runs before the call
+        cycle = Cycle()
+        ref = weakref.ref(cycle)
+        del cycle
+        assert ref() is not None
+        fn(argument)
+        assert ref() is None
+
+
+def test_repeated_calls_leave_no_garbage_behind(collector):
+    # without the young collection on entry, each promotion would carry the
+    # cycle made before it into the oldest generation, which a loop that
+    # makes nothing else never collects
+    gc.enable()
+    text = fixture_text("c432.bench")
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(20_000):
+        Cycle()
+        build_graph(parse_bench(text))
+    assert len(gc.get_objects()) - before < 100
+
+
+def test_a_callers_frozen_objects_stay_frozen(collector):
+    gc.enable()
+    frozen = Cycle()
+    gc.freeze()
+    count = gc.get_freeze_count()
+    assert count > 0
+    text = fixture_text("c17.bench")
+    ref = weakref.ref(Cycle())  # freeze zeroed the young count, so no collection frees it
+    netlist = parse_bench(text)
+    # neither collected on entry nor promoted on return
+    assert ref() is not None
+    young = _young_ids()
+    assert all(id(obj) in young for obj in _containers(netlist))
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == count
+    # get_objects lists the three generations, not the frozen objects
+    assert gc.is_tracked(frozen) and not any(obj is frozen for obj in gc.get_objects())
+
+
+def test_a_callers_disabled_collector_is_neither_run_nor_promoted_into(collector):
+    gc.disable()
+    ref = weakref.ref(Cycle())
+    value = fixture_text("c17.bench")
+    for fn in PIPELINE:
+        value = fn(value)
+        assert not gc.isenabled()
+        assert ref() is not None
+        young = _young_ids()
+        assert all(id(obj) in young for obj in _containers(value))

@@ -167,7 +167,7 @@ def _hand_built(primary_inputs, gates, primary_outputs):
 
 @pytest.mark.parametrize("netlist,message", [
     (_hand_built(["a", "b", "a"], [("y", "AND", ["a", "b"])], ["y"]),
-     "duplicate primary input in 'hand'"),
+     "duplicate primary input 'a' in 'hand'"),
     (_hand_built(["a", "b"], [("y", "AND", ["a", "b"]), ("y", "NOT", ["a"])], ["y"]),
      "duplicate definition of 'y'"),
     (_hand_built(["a", "b"], [("b", "NOT", ["a"])], ["b"]),
@@ -193,6 +193,48 @@ def test_hand_built_netlist_rejected_by_build_graph(netlist, message):
     with pytest.raises(NetlistError) as exc:
         build_graph(netlist)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("netlist,message", [
+    # a repeated primary input comes before every gate error
+    (_hand_built(["a", "b", "b", "a"], [("y", "MUX", ["a"]), ("", "AND", [])], ["z"]),
+     "duplicate primary input 'b' in 'hand'"),
+    # per gate: kind, then output, then arity, then duplicate
+    (_hand_built(["a"], [("", "MUX", ["a"])], ["y"]), "unsupported gate kind 'MUX'"),
+    (_hand_built(["a"], [("", "AND", ["a"])], ["y"]), "gate output name must be nonempty"),
+    (_hand_built(["a"], [("a", "NOT", [])], ["a"]), "NOT requires exactly 1 input, got 0 for 'a'"),
+    # the gates in order: an earlier gate's error first, whatever its rule
+    (_hand_built(["a", "b"], [("a", "AND", ["a", "b"]), ("y", "MUX", ["a", "b"])], ["y"]),
+     "duplicate definition of 'a'"),
+    (_hand_built(["a", "b"], [("u", "OR", ["b"]), ("", "NOT", ["a"]), ("u", "AND", ["a", "b"])],
+                 ["u"]), "OR requires >= 2 inputs, got 1 for 'u'"),
+    (_hand_built(["a", "b"], [("u", "CONST1", []), ("u", "BUF", ["a", "b"])], ["u"]),
+     "BUF requires exactly 1 input, got 2 for 'u'"),
+    # every gate error before any undefined signal, even one read earlier
+    (_hand_built(["a"], [("u", "AND", ["a", "ghost"]), ("v", "CONST0", ["a"])], ["v"]),
+     "CONST0 takes no inputs, got 1 for 'v'"),
+    (_hand_built(["a"], [("u", "AND", ["a", "ghost"]), ("a", "NOT", ["a"])], ["u"]),
+     "duplicate definition of 'a'"),
+    # undefined signals in gate order, then input order, before any undefined output
+    (_hand_built(["a"], [("u", "AND", ["a", "p", "q"]), ("v", "OR", ["r", "a"])], ["z"]),
+     "undefined signal 'p' feeding gate 'u'"),
+    (_hand_built(["a"], [("u", "AND", ["a", "a"]), ("v", "OR", ["a", "r"])], ["z", "w"]),
+     "undefined signal 'r' feeding gate 'v'"),
+    (_hand_built(["a"], [("u", "AND", ["a", "a"])], ["u", "z", "w"]),
+     "undefined primary output 'z'"),
+    # an empty primary input name breaks no rule, so the next error is named
+    (_hand_built(["", "a"], [("u", "AND", ["a", ""])], ["u", "z"]),
+     "undefined primary output 'z'"),
+])
+def test_validate_names_the_first_violation_in_rule_order(netlist, message):
+    with pytest.raises(NetlistError) as exc:
+        netlist.validate()
+    assert str(exc.value) == message
+
+
+def test_an_empty_primary_input_name_is_valid():
+    n = _hand_built(["", "a"], [("u", "AND", ["a", ""])], ["u"])
+    assert n.validate() == {"": 0, "a": 1, "u": 2}
 
 
 def test_combinational_netlist_builds_without_scan_convert():
