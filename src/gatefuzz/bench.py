@@ -9,10 +9,11 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored):
 ``KIND`` is one of AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF (alias BUFF) or
 DFF.  Identifiers are case-sensitive; gate keywords are not.  Lines are
 those of ``str.splitlines``; one regular expression reads them all in one
-pass.  Parsing runs with the cyclic garbage collector paused
-(:func:`~gatefuzz.netlist.gc_paused`): a netlist holds only lists of tuples
-of strings, so no collection, during parsing or after it, could free any of
-it, and it starts out in the oldest generation.
+pass, over the text itself when line feeds are its only line breaks, else
+over its lines joined by line feeds.  Parsing runs with the cyclic garbage
+collector paused (:func:`~gatefuzz.netlist.gc_paused`): a netlist holds
+only lists of tuples of strings, so no collection, during parsing or after
+it, could free any of it, and it starts out in the oldest generation.
 """
 
 from __future__ import annotations
@@ -23,15 +24,18 @@ from .netlist import (CONST_KINDS, GATE_KINDS, Netlist, NetlistError, NetlistSyn
                       gc_paused)
 
 _ID = r"[^\s(),=#]+"
-_WS = r"[^\S\n]*"  # blanks within one line of the "\n"-joined text
+_WS = r"[^\S\n]*"  # blanks within one line of a text that "\n" alone breaks
 # One line, its groups: a gate's output, keyword and argument text; an
 # INPUT's id; an OUTPUT's id; or else the text before any comment, stripped,
 # which is empty on a blank or comment line and a syntax error otherwise.
-# Every line matches, so the n-th match of the joined text is its line n.
+# Every line matches, so the n-th match of such a text is its line n.
 _LINE = re.compile(
     rf"^{_WS}(?:({_ID}){_WS}={_WS}([A-Za-z0-9]+){_WS}\(([^()#\n]*)\)"
     rf"|INPUT{_WS}\({_WS}({_ID}){_WS}\)|OUTPUT{_WS}\({_WS}({_ID}){_WS}\)|([^#\n]*?))"
     rf"{_WS}(?:#.*)?$", re.MULTILINE)
+
+# the line breaks of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # keyword (upper-cased) -> kind; constants have no .bench keyword
 _KINDS = {kind: kind for kind in GATE_KINDS - CONST_KINDS} | {"BUFF": "BUF"}
@@ -49,13 +53,16 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     :meth:`Netlist.validate`, whose :class:`NetlistError` names the gate or
     signal but not the line.
     """
-    rows = _LINE.findall("\n".join(text.splitlines()))
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        rows = _LINE.findall("\n".join(text.splitlines()))
+    else:  # "\n" alone breaks the lines, so the text is matched in place
+        rows = _LINE.findall(text)
     make = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
     strip = str.strip
     gates = []
     for lineno, (output, word, arg_text, _, _, other) in enumerate(rows, start=1):
         if output:
-            kind = _KINDS.get(word.upper())
+            kind = _KINDS.get(word) or _KINDS.get(word.upper())
             args = tuple(map(strip, arg_text.split(","))) if arg_text.strip() else ()
             if kind is None or "" in args:
                 raise _syntax_error(text, lineno)

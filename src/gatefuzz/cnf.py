@@ -57,7 +57,9 @@ def encode(graph: CircuitGraph) -> CnfFormula:
     clause for k = 0 (a constant), 2 clauses for k = 1 (BUF, NOT), and for
     k >= 2 a chain of 2-input stages with 4 clauses each.  Pure and
     deterministic: the same graph always yields the same formula.  Clauses
-    are written gate by gate in id order.
+    are written gate by gate in id order.  Gates of two fanins, most of a
+    netlist, take their own loop bodies, one per op, which write the same
+    clauses as the k-fanin schemata.
     """
     kinds = graph.kinds
     fanins = graph.fanins
@@ -68,13 +70,27 @@ def encode(graph: CircuitGraph) -> CnfFormula:
 
     clauses: list[Clause] = []
     append = clauses.append
-    for node, kind in enumerate(kinds):
+    for kind, srcs, y in zip(kinds, fanins, var_of):
         if kind == "INPUT":
             continue
         op, inverted = GATE_OPS[kind]
-        y = -var_of[node] if inverted else var_of[node]
-        srcs = fanins[node]
-        if op is and_:  # y <-> AND(fanins)
+        if inverted:
+            y = -y
+        if len(srcs) == 2:  # the common case, each op with its own body
+            a, b = srcs
+            a = var_of[a]
+            b = var_of[b]
+            if op is and_:  # y <-> a AND b
+                ny = -y
+                clauses += ((ny, a), (ny, b), (y, -a, -b))
+            elif op is or_:  # y <-> a OR b
+                clauses += ((y, -a), (y, -b), (-y, a, b))
+            else:  # y <-> a XOR b
+                ny = -y
+                na = -a
+                nb = -b
+                clauses += ((ny, a, b), (ny, na, nb), (y, na, b), (y, a, nb))
+        elif op is and_:  # y <-> AND(fanins)
             wide = [y]
             for src in srcs:
                 a = var_of[src]

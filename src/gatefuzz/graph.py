@@ -5,11 +5,11 @@ output: the primary inputs are ``0..input_count-1`` in declaration order, then
 the gate outputs in declaration order.  These ids are the pipeline's numbering
 (the CNF variable of node ``n`` is ``n + 1``).  The graph is immutable after
 construction, so it can keep what is derived from it: its simulation plan,
-and the cut graphs of its fan-in cones (:func:`cone`), on which generation,
-CGF and coverage work.  Neither memo refers back to the graph, so a dropped
-graph is freed by reference counting alone.  It carries per-node levels; a
-gate's level is one more than its deepest fanin's, so sorting by level gives
-a topological order.
+its CNF formula once generation has encoded it, and the cut graphs of its
+fan-in cones (:func:`cone`), on which generation, CGF and coverage work.  No
+memo refers back to the graph, so a dropped graph is freed by reference
+counting alone.  It carries per-node levels; a gate's level is one more
+than its deepest fanin's, so sorting by level gives a topological order.
 Netlists may declare their gates in any order: one depth-first search over
 fanins gives the levels, or names a cycle.  Graph build runs with the cyclic
 garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`): it makes
@@ -51,9 +51,11 @@ class CircuitGraph:
     input_count: int  # the primary inputs are nodes 0..input_count-1
     name_to_id: dict[str, int]  # inverse of ``names``
     levels: list[int]
-    # memos: the cut graphs by needed node set (cone), the simulation plan
+    # memos: the cut graphs by needed node set (cone), the simulation plan,
+    # and the CNF formula that generation solves (seedgen.target_formula)
     cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    formula: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -71,34 +73,33 @@ def build_graph(netlist: Netlist) -> CircuitGraph:
     """Construct the levelized DAG for a combinational netlist.
 
     Node ids are assigned primary inputs first (declaration order), then gate
-    outputs in declaration order: the map :meth:`Netlist.validate` returns.
-    The gates may be declared in any order; one depth-first search over
-    fanins levels them.  Raises :class:`~gatefuzz.netlist.NetlistError` if
-    the netlist holds a DFF (pass it through
-    :func:`~gatefuzz.netlist.scan_convert` first) or is invalid, and
-    :class:`CycleError`, naming the cycle the search closed, if the
-    combinational logic is cyclic.
+    outputs in declaration order: the map :meth:`Netlist.validate` returns,
+    whose names, kinds and fanins become the graph's.  The gates may be
+    declared in any order; one depth-first search over fanins levels them.
+    Raises :class:`~gatefuzz.netlist.NetlistError` if the netlist holds a
+    DFF (pass it through :func:`~gatefuzz.netlist.scan_convert` first),
+    ahead of any other violation, or is invalid, and :class:`CycleError`,
+    naming the cycle the search closed, if the combinational logic is
+    cyclic.  The DFF is found among the kinds that validation read, so the
+    gates are scanned for one only when validation fails.
     """
-    if netlist.has_dff:
+    try:
+        ids = netlist.validate()
+    except NetlistError:
+        if not netlist.has_dff:
+            raise
+        ids = None
+    if ids is None or ids.has_dff:
         raise NetlistError(f"netlist {netlist.name!r} holds a DFF and must be "
                            "scan-converted before graph build")
-    ids = netlist.validate()
-    names = list(ids)
-    gates = netlist.gates
-    n_inputs = len(netlist.primary_inputs)
-    kinds = ["INPUT"] * n_inputs + [g.kind for g in gates]
-    at = ids.__getitem__  # remapped as in _cut
-    fanins = [()] * n_inputs + [itemgetter(*srcs)(ids) if len(srcs) > 1 else tuple(map(at, srcs))
-                                for srcs in map(itemgetter(2), gates)]
-
     return CircuitGraph(
         name=netlist.name,
-        names=names,
-        kinds=kinds,
-        fanins=fanins,
-        input_count=n_inputs,
+        names=ids.names,
+        kinds=ids.kinds,
+        fanins=ids.fanins,
+        input_count=len(netlist.primary_inputs),
         name_to_id=ids,
-        levels=_levelize(names, fanins),
+        levels=_levelize(ids.names, ids.fanins),
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from itertools import chain
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
@@ -99,6 +98,16 @@ class NetlistSyntaxError(NetlistError):
         self.column = column
 
 
+class NodeIds(dict):
+    """The name -> node id map of a netlist that :meth:`Netlist.validate`
+    checked, with what the check derived, each list indexed by node id:
+    ``names``, ``kinds`` (``"INPUT"`` for a primary input) and ``fanins``
+    (a gate's inputs as ids, in order), which graph build takes as they are,
+    and ``has_dff``."""
+
+    __slots__ = ("names", "kinds", "fanins", "has_dff")
+
+
 class RawGate(NamedTuple):
     """One gate instance, ``output = kind(inputs...)``, checked only by
     :meth:`Netlist.validate`; it equals the plain tuple of its fields."""
@@ -117,7 +126,7 @@ class Netlist:
     primary_outputs: list[str] = field(default_factory=list)
     gates: list[RawGate] = field(default_factory=list)
 
-    def validate(self) -> dict[str, int]:
+    def validate(self) -> NodeIds:
         """Check every rule; raise :class:`NetlistError` on the first violation.
 
         Each gate needs a supported kind, a nonempty output and its kind's
@@ -125,28 +134,40 @@ class Netlist:
         Output names must be unique, nothing may be both a primary input and
         a gate output, and every referenced signal must be defined.  Returns
         the name -> node id map: primary inputs first, then gate outputs,
-        each in declaration order.  The rules are checked in bulk; only a
-        netlist that breaks one is walked, gate by gate, to name the first
-        violation: a repeated primary input, then each gate's kind, output,
-        arity and duplicate in gate order, then undefined signals in gate
-        order, then undefined primary outputs.
+        each in declaration order.  The rules are checked in bulk, and the
+        check for undefined signals is the map of each gate's inputs to
+        ids, which the result keeps as its ``fanins`` (:class:`NodeIds`).
+        Only a netlist that breaks a rule is walked, gate by gate, to name
+        the first violation: a repeated primary input, then each gate's
+        kind, output, arity and duplicate in gate order, then undefined
+        signals in gate order, then undefined primary outputs.
         """
         gates = self.gates
         names = [*self.primary_inputs, *map(itemgetter(0), gates)]
-        ids = dict(zip(names, range(len(names))))
-        shapes = set(zip(map(itemgetter(1), gates), map(len, map(itemgetter(2), gates))))
+        ids = NodeIds(zip(names, range(len(names))))
+        kinds = list(map(itemgetter(1), gates))
+        srcs_of = list(map(itemgetter(2), gates))
+        shapes = set(zip(kinds, map(len, srcs_of)))
         if (len(ids) < len(names) or "" in ids  # only a gate output may not be empty
                 or not all(kind in GATE_KINDS and not _arity_error(kind, n, "")
                            for kind, n in shapes)):
             self._check_each_gate()
-        if not ids.keys() >= set(chain.from_iterable(map(itemgetter(2), gates))):
-            for output, _, inputs in gates:
-                for src in inputs:
-                    if src not in ids:
-                        raise NetlistError(f"undefined signal {src!r} feeding gate {output!r}")
+        at = ids.__getitem__
+        try:  # an itemgetter of two or more keys remaps fastest, and returns a tuple
+            fanins = [itemgetter(*srcs)(ids) if len(srcs) > 1 else tuple(map(at, srcs))
+                      for srcs in srcs_of]
+        except KeyError:
+            raise next(NetlistError(f"undefined signal {src!r} feeding gate {output!r}")
+                       for output, _, inputs in gates for src in inputs
+                       if src not in ids) from None
         for out in self.primary_outputs:
             if out not in ids:
                 raise NetlistError(f"undefined primary output {out!r}")
+        n_inputs = len(self.primary_inputs)
+        ids.names = names
+        ids.kinds = ["INPUT"] * n_inputs + kinds
+        ids.fanins = [()] * n_inputs + fanins
+        ids.has_dff = ("DFF", 1) in shapes
         return ids
 
     def _check_each_gate(self):

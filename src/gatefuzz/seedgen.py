@@ -119,9 +119,12 @@ def target_formula(graph: CircuitGraph, spec: TargetSpec):
     """``(cut, targets, formula, literals)``: the cut and entries of
     :func:`~gatefuzz.targets.cut_targets`, which checks ``spec``, the cut's
     encoding, and the target literals ``±formula.node_var(node)``, built here
-    alone."""
+    alone.  The encoding is kept on the cut, as its simulation plan is, so a
+    cut is encoded once however often it is asked for."""
     cut, targets = cut_targets(graph, spec)
-    formula = encode(cut)
+    formula = cut.formula
+    if formula is None:
+        formula = cut.formula = encode(cut)
     literals = [formula.node_var(node) * (1 if value else -1) for node, value in targets]
     return cut, targets, formula, literals
 

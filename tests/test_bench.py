@@ -273,3 +273,33 @@ def test_round_trip_random_spelling():
         text = write_bench(n)
         assert parse_bench(text, name=n.name) == n
         assert parse_bench(_respelled(text, rng), name=n.name) == n
+
+
+BAD_LINES = ["what is this", "y = FOO(a)", "y = AND(a,,b)", "y = AND(a b", "  INPUT(a",
+             "x = and(a, )"]
+
+
+def _first_error(text):
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_bench(text)
+    return type(exc.value), str(exc.value), exc.value.line, exc.value.column
+
+
+def test_line_breaks_do_not_change_the_parse():
+    # a text that "\n" alone breaks is matched in place; any other break
+    # sends it through str.splitlines; both must read the same netlist, and
+    # the same first error, with its line and column
+    rng = random.Random(2026)
+    for _ in range(40):
+        n = random_netlist(rng, n_inputs=rng.randint(1, 8), n_gates=rng.randint(1, 60),
+                           with_dffs=rng.random() < 0.5)
+        lines = write_bench(n).splitlines()
+        spellings = ["\n".join(lines), "\n".join(lines) + "\n", "\r\n".join(lines) + "\r\n",
+                     "\u2028".join(lines)]
+        assert all(parse_bench(text, name=n.name) == n for text in spellings)
+        bad = rng.randrange(len(lines) + 1)
+        broken = [*lines[:bad], rng.choice(BAD_LINES), *lines[bad:]]
+        errors = [_first_error(sep.join(broken) + end)
+                  for sep, end in (("\n", ""), ("\n", "\n"), ("\r\n", "\r\n"), ("\u2028", ""))]
+        assert errors[0][2] == bad + 1
+        assert errors.count(errors[0]) == len(errors)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gatefuzz.graph as graph_module
+import gatefuzz.seedgen as seedgen_module
 import gatefuzz.simulate as simulate_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.blif import parse_blif
@@ -134,6 +135,27 @@ def test_gen_builds_one_solver_session(tmp_path, monkeypatch):
     assert main(["gen", netlist, targets, "-R", "5",
                  "--manifest-out", str(tmp_path / "m.json")]) == 0
     assert len(sessions) == 1
+
+
+@pytest.mark.parametrize("circuit,targets", [
+    ("c432", "c432.mixed.targets"),  # a cut of part of the circuit
+    ("c17", "c17.internal.targets"),
+])
+def test_gen_dimacs_out_encodes_the_cut_once(tmp_path, monkeypatch, circuit, targets):
+    # the file and generation both take the cut's formula, kept on the cut
+    encoded = []
+
+    def counting_encode(graph):
+        encoded.append(graph)
+        return encode(graph)
+
+    monkeypatch.setattr(seedgen_module, "encode", counting_encode)
+    netlist = _write(tmp_path, f"{circuit}.bench", fixture_text(f"{circuit}.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text(targets))
+    assert main(["gen", netlist, targets, "-R", "8", "--dimacs-out", str(tmp_path / "f.cnf"),
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert len(encoded) == 1
+    assert encoded[0].formula.var_count == _manifest(tmp_path)["solver"]["solver_vars"]
 
 
 def _count_cuts_and_plans(monkeypatch):

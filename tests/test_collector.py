@@ -25,7 +25,9 @@ from gatefuzz.graph import CycleError, build_graph, cone
 from gatefuzz.netlist import (Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused,
                               scan_convert)
 from gatefuzz.pattern import InputPattern
+from gatefuzz.seedgen import target_formula
 from gatefuzz.simulate import run_pass
+from gatefuzz.targets import TargetSpec
 
 from conftest import every_arity_netlist, random_netlist
 
@@ -128,6 +130,25 @@ def test_a_graph_and_its_memos_make_no_cyclic_garbage(collector):
         cone(g, [g.node_count - 1])
         run_pass(g, [InputPattern([0] * g.input_count)])
         del g, whole, new_id
+    assert gc.collect() == 0
+
+
+def test_a_kept_formula_makes_no_cyclic_garbage(collector):
+    # generation keeps a cut's formula on the cut, the whole graph's on the
+    # graph; the formula shares the graph's names but refers to no graph
+    rng = random.Random(301)
+    netlists = [random_netlist(rng, 12, 300) for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    for netlist in netlists:
+        g = build_graph(netlist)
+        for nodes in ([g.node_count - 1], range(g.input_count, g.node_count)):
+            cut, _, formula, _ = target_formula(g, TargetSpec([(node, 0) for node in nodes]))
+            assert cut.formula is formula
+            # the same nodes at other values: the same cut, not encoded again
+            assert target_formula(g, TargetSpec([(node, 1) for node in nodes]))[2] is formula
+        assert g.formula is formula
+        del g, cut, formula
     assert gc.collect() == 0
 
 

@@ -195,7 +195,7 @@ def test_hand_built_netlist_rejected_by_build_graph(netlist, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("netlist,message", [
+VIOLATIONS_IN_RULE_ORDER = [
     # a repeated primary input comes before every gate error
     (_hand_built(["a", "b", "b", "a"], [("y", "MUX", ["a"]), ("", "AND", [])], ["z"]),
      "duplicate primary input 'b' in 'hand'"),
@@ -225,11 +225,41 @@ def test_hand_built_netlist_rejected_by_build_graph(netlist, message):
     # an empty primary input name breaks no rule, so the next error is named
     (_hand_built(["", "a"], [("u", "AND", ["a", ""])], ["u", "z"]),
      "undefined primary output 'z'"),
-])
+]
+
+
+@pytest.mark.parametrize("netlist,message", VIOLATIONS_IN_RULE_ORDER)
 def test_validate_names_the_first_violation_in_rule_order(netlist, message):
     with pytest.raises(NetlistError) as exc:
         netlist.validate()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("netlist,message", VIOLATIONS_IN_RULE_ORDER)
+def test_build_graph_raises_what_validate_raises(netlist, message):
+    # graph build checks the netlist by validating it, so it names the same
+    # first violation, with the same type
+    assert not netlist.has_dff
+    with pytest.raises(NetlistError) as by_validate:
+        netlist.validate()
+    with pytest.raises(NetlistError) as by_graph:
+        build_graph(netlist)
+    assert type(by_graph.value) is type(by_validate.value)
+    assert str(by_graph.value) == str(by_validate.value) == message
+
+
+@pytest.mark.parametrize("netlist", [case[0] for case in VIOLATIONS_IN_RULE_ORDER])
+@pytest.mark.parametrize("dff", [("q", "DFF", ("a",)), ("q", "DFF", ("a", "ghost"))])
+@pytest.mark.parametrize("first", [True, False])
+def test_build_graph_names_a_dff_before_any_violation(netlist, dff, first):
+    # a DFF comes first, whatever else is wrong, and wherever the DFF is
+    gates = [RawGate(*dff), *netlist.gates] if first else [*netlist.gates, RawGate(*dff)]
+    sequential = Netlist(netlist.name, netlist.primary_inputs, netlist.primary_outputs, gates)
+    with pytest.raises(NetlistError) as exc:
+        build_graph(sequential)
+    assert type(exc.value) is NetlistError
+    assert str(exc.value) == ("netlist 'hand' holds a DFF and must be scan-converted before "
+                              "graph build")
 
 
 def test_an_empty_primary_input_name_is_valid():
