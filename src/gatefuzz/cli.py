@@ -275,7 +275,9 @@ def _polarity_paths(out, polarity):
     return [(0, f"{stem}.all0{ext}"), (1, f"{stem}.all1{ext}")]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered, with its
+    help; a ``command`` gets its arguments alone, and None gives them all."""
     parser = _Parser(
         prog="gatefuzz",
         description="SAT-directed test pattern generation for gate-level netlists")
@@ -296,30 +298,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run manifest path (default gatefuzz-manifest.json)")
 
     gen = sub.add_parser("gen", help="generate targeted patterns")
-    common(gen)
-    gen.add_argument("--dimacs-out", default=None,
-                     help="write the target cone's formula that gen solves, plus the "
-                     "target unit clauses, as DIMACS")
-    gen.add_argument("--patterns-out", default=None, help="write the pattern file")
-    gen.add_argument("--report-out", default=None, help="write the summary CSV row")
     gen.set_defaults(func=cmd_gen)
+    if command in (None, "gen"):
+        common(gen)
+        gen.add_argument("--dimacs-out", default=None,
+                         help="write the target cone's formula that gen solves, plus the "
+                         "target unit clauses, as DIMACS")
+        gen.add_argument("--patterns-out", default=None, help="write the pattern file")
+        gen.add_argument("--report-out", default=None, help="write the summary CSV row")
 
     cmp_ = sub.add_parser("compare", help="compare against coverage-guided fuzzing")
-    common(cmp_)
-    cmp_.add_argument("--trials", type=int, default=15,
-                      help="number of seeded CGF runs (default 15)")
-    cmp_.add_argument("--sat-curve-out", default=None, help="SAT coverage curve CSV")
-    cmp_.add_argument("--cgf-curve-out", default=None, help="mean CGF coverage curve CSV")
-    cmp_.add_argument("--summary-out", default=None, help="summary CSV")
     cmp_.set_defaults(func=cmd_compare)
+    if command in (None, "compare"):
+        common(cmp_)
+        cmp_.add_argument("--trials", type=int, default=15,
+                          help="number of seeded CGF runs (default 15)")
+        cmp_.add_argument("--sat-curve-out", default=None, help="SAT coverage curve CSV")
+        cmp_.add_argument("--cgf-curve-out", default=None, help="mean CGF coverage curve CSV")
+        cmp_.add_argument("--summary-out", default=None, help="summary CSV")
 
     diff = sub.add_parser("targets-diff", help="derive targets from a netlist diff")
-    diff.add_argument("original", help="original netlist")
-    diff.add_argument("modified", help="modified netlist")
-    diff.add_argument("--polarity", choices=("0", "1", "both"), default="both")
-    diff.add_argument("--out", default="diff.targets", help="output target file")
-    diff.add_argument("--manifest-out", default="gatefuzz-manifest.json")
     diff.set_defaults(func=cmd_targets_diff)
+    if command in (None, "targets-diff"):
+        diff.add_argument("original", help="original netlist")
+        diff.add_argument("modified", help="modified netlist")
+        diff.add_argument("--polarity", choices=("0", "1", "both"), default="both")
+        diff.add_argument("--out", default="diff.targets", help="output target file")
+        diff.add_argument("--manifest-out", default="gatefuzz-manifest.json")
     return parser
 
 
@@ -346,8 +351,11 @@ def _save(manifest, code, path):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # no option before the command takes a value, so the command is the
+    # first word that is not an option; only it gets its arguments
+    command = next((word for word in argv if not word.startswith("-")), "")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except _UsageError as exc:
         manifest = _Manifest(None, argparse.Namespace())
         manifest.data["error"] = str(exc)

@@ -36,6 +36,23 @@ d`` with ``u > 0`` implies that every unassigned input differs, each with
 the reason clause of its literal and those false ones.  Conflict analysis
 thus only ever sees clauses.
 
+The check does not visit every kept word.  The kept words are indexed by
+pigeonhole (multi-index hashing: Greene, Parnas & Yao, FOCS 1994; Norouzi,
+Punjani & Fleet, CVPR 2012): the inputs are split into ``d + 1`` contiguous
+blocks, and each block has a dict from a word's bits on it to the numbers of
+the kept words with those bits.  With ``f`` inputs unassigned and
+``r = d - f`` the room, at most ``f`` blocks hold an unassigned input, so at
+least ``r + 1`` are fully assigned; a word the floor acts on (``a <= r``)
+differs from the true inputs on at most ``r`` of those.  So the ``r + 1``
+fully assigned blocks with the fewest words under the true inputs' bits
+hold every such word.  Only they are looked up, and the words found are
+visited in the order they were kept, so the implications and their reasons
+are those of a full scan.  :meth:`SolverSession.near` asks the same index
+whether a kept word is closer than ``d`` to a given word: such a word
+differs from it on at most ``d - 1`` blocks, so all but the fullest are
+looked up.  With fewer inputs than ``d + 1`` some blocks are empty, and
+every kept word agrees on them: the lookup is then a full scan.
+
 Values live in one array indexed by literal, as in MiniSat (Eén & Sörensson,
 SAT 2003): ``_lit_val[lit]`` is the literal's own value, so the hot loops read
 it with one index and no sign flip; assigning or unassigning a variable writes
@@ -122,6 +139,7 @@ class SolverSession:
         self._true_inputs = 0
         self._kept: list[int] = []  # input words of the kept models
         self._floor = 0  # their distance floor d; 0 until a model is kept
+        self._index: list[tuple[int, dict]] = []  # per block: its mask, value -> word numbers
         self._rebuild_order()
         self._var_inc = 1.0
         self._trail: list[int] = []
@@ -193,13 +211,35 @@ class SolverSession:
                              f"the primary inputs")
         if self._floor not in (0, d):
             raise ValueError(f"distance {d} differs from the session's floor {self._floor}")
-        self._floor = d
+        if not self._floor:
+            self._floor = d
+            n = self._input_count
+            # d + 1 contiguous blocks, as even as the inputs allow; some are empty below d + 1 inputs
+            self._index = [((1 << n * (k + 1) // (d + 1)) - (1 << n * k // (d + 1)), {})
+                           for k in range(d + 1)]
+        number = len(self._kept)
         self._kept.append(word)
+        for mask, bucket in self._index:
+            bucket.setdefault(word & mask, []).append(number)
         if self._unsat_forever:
             return
         assert not self._trail_lim, "models are kept at decision level 0"
-        if self._check_distance([word]) is not None or self._propagate() is not None:
+        if self._check_distance([number]) is not None or self._propagate() is not None:
             self._unsat_forever = True
+
+    def near(self, word: int) -> bool:
+        """Whether a kept word is closer than the floor to the input word
+        ``word``; False before a model is kept."""
+        # such a word differs on at most d - 1 of the d + 1 blocks, so the
+        # index finds it without the block of the most candidates
+        found = [bucket.get(word & mask, ()) for mask, bucket in self._index]
+        found.sort(key=len)
+        kept, d = self._kept, self._floor
+        for numbers in found[:-1]:
+            for i in numbers:
+                if (word ^ kept[i]).bit_count() < d:
+                    return True
+        return False
 
     def _attach(self, clause):
         self._watches[clause[0]].append(clause)
@@ -257,16 +297,17 @@ class SolverSession:
                     enqueue(first, clause)
             watches[false_lit] = kept
             if conflict is None and false_lit >> 1 <= input_count and words:
-                conflict = self._check_distance(words)
+                conflict = self._check_distance()
             if conflict is not None:
                 break
         self.propagations += qhead - start
         self._qhead = len(trail)
         return conflict
 
-    def _check_distance(self, words):
-        """Hold the kept ``words`` to the distance floor under the current
-        input masks; returns a conflicting clause or None."""
+    def _check_distance(self, numbers=None):
+        """Hold the kept words numbered ``numbers``, or else every kept word,
+        to the distance floor under the current input masks, in the order
+        they were kept; returns a conflicting clause or None."""
         assigned = self._assigned_inputs
         free = self._input_count - assigned.bit_count()
         room = self._floor - free  # the fewest assigned inputs that must differ
@@ -274,7 +315,16 @@ class SolverSession:
             return None  # every word can still reach the floor
         ones = self._true_inputs
         val = self._lit_val
-        for w in [w for w in words if ((w ^ ones) & assigned).bit_count() <= room]:
+        if numbers is None:
+            # the room + 1 fully assigned blocks of fewest words hold every
+            # word the floor acts on (see the module docstring)
+            hits = [bucket.get(ones & mask, ()) for mask, bucket in self._index
+                    if assigned & mask == mask]
+            hits.sort(key=len)
+            numbers = set().union(*hits[:room + 1])
+        kept = self._kept
+        for i in sorted([i for i in numbers if ((kept[i] ^ ones) & assigned).bit_count() <= room]):
+            w = kept[i]
             differ = (w ^ ones) & assigned
             short = differ.bit_count() < room
             if not (short or free):

@@ -24,12 +24,15 @@ pattern is kept by the solver
 (:meth:`~gatefuzz.sat.SolverSession.keep_distance`), which holds every later
 model at least ``d_min`` primary inputs away from it, so no pattern repeats
 and the session never grows beyond the formula's own variables.  Patterns
-are packed ints, and one pass over the emitted words per candidate (an XOR
-and a popcount each) serves both the acceptance guard and the reported
-distance extremes.  The reported extremes are the exact pairwise minimum
-and maximum, so the scan stays O(R) per pattern even where an index could
-settle the guard alone.  A completion too close to an emitted pattern is a
-rejection; a solver model too close is an unsound solver, and an error.
+are packed ints, and the session's pigeonhole index of the kept words
+answers the acceptance guard (:meth:`~gatefuzz.sat.SolverSession.near`)
+from a few exact block lookups, so a candidate costs no scan of the emitted
+patterns.  A completion too close to an emitted pattern is a rejection; a
+solver model too close is an unsound solver, and an error.  The reported
+distance extremes stay the exact pairwise minimum and maximum: one pass at
+the end counts each pattern against all of them at once, in fields of a few
+ints, and is also the check, shared with no solver code, that no two
+patterns are closer than ``d_min``.
 Before returning, one two-valued pass (:func:`~gatefuzz.coverage.first_sightings`)
 checks every emitted pattern against the targets and gives the run's coverage.
 
@@ -53,10 +56,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import xor
 
 from .cnf import encode
 from .coverage import CoverageReport, first_sightings, report_and_curve
 from .graph import CircuitGraph
+from .netlist import GATE_OPS
 from .pattern import InputPattern
 from .sat import SolverBudgetError, SolverSession
 from .simulate import run_ternary
@@ -65,6 +71,10 @@ from .targets import TargetSpec, cut_targets
 # Consecutive completions of one cube that the distance guard may reject
 # before the cube is left and the solver asked for the next model.
 REJECTS_PER_CUBE = 32
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string's characters as 0 and 1 bytes
+# the kinds whose output is X whenever one of their inputs is X
+_PARITY_KINDS = frozenset(kind for kind, (op, _) in GATE_OPS.items() if op is xor)
 
 
 class GenConfigError(ValueError):
@@ -139,8 +149,8 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     further pattern at distance >= ``d_min`` from all emitted ones exists;
     exhausted with no pattern means the targeted state is invalid.  A spent
     conflict budget ends the run with ``stop_reason == "solver-budget"`` and
-    the patterns emitted so far.  Raises RuntimeError if an emitted pattern misses a target or a solver
-    model is closer than ``d_min`` to an emitted pattern.
+    the patterns emitted so far.  Raises RuntimeError if an emitted pattern
+    misses a target, or is closer than ``d_min`` to another.
     """
     width = graph.input_count
     if config.d_min > width:
@@ -154,18 +164,11 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     rng = random.Random(config.seed)
     words: list[int] = []  # the emitted patterns' words
     free_counts: list[int] = []  # free inputs of each lifted model
-    d_lo = d_hi = 0  # pairwise distance extremes; (0, 0) below two patterns
 
     def emit(word):
         """Emit ``word`` if it keeps ``d_min`` from every emitted pattern."""
-        nonlocal d_lo, d_hi
-        if words:
-            distances = [(word ^ w).bit_count() for w in words]
-            nearest = min(distances)
-            if nearest < config.d_min:
-                return False
-            d_lo = min(d_lo, nearest) if d_lo else nearest
-            d_hi = max(d_hi, max(distances))
+        if session.near(word):
+            return False
         session.keep_distance(word, config.d_min)
         words.append(word)
         return True
@@ -195,6 +198,12 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
             rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
     patterns = [InputPattern.from_word(w, width) for w in words]
+    d_lo, d_hi = distance_extremes(words, width)
+    if d_lo < config.d_min and len(words) > 1:
+        i, j = next((i, j) for j, b in enumerate(words) for i, a in enumerate(words[:j])
+                    if (a ^ b).bit_count() == d_lo)
+        raise RuntimeError(f"patterns {patterns[i].to_string()} and {patterns[j].to_string()} "
+                           f"are closer than d_min {config.d_min}")
     firsts = first_sightings(graph, spec, patterns)
     for (node, value), first in zip(spec.entries, firsts):
         if first[1 - value] is not None:
@@ -222,20 +231,80 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
     )
 
 
+def distance_extremes(words: list[int], width: int) -> tuple[int, int]:
+    """The least and the greatest Hamming distance between two of the
+    ``width``-bit ``words``, exact; ``(0, 0)`` below two words.
+
+    Each word is counted against all of them at once.  Plane ``k`` holds bit
+    ``k`` of every word, one to a field of whole bytes, word 0's field on
+    top, and a field holds any distance up to ``width`` below a guard bit.
+    So the planes of a word's ones, summed, and taken from the planes' sum
+    and the word's popcount per field, give its distance to every word, one
+    to a field, with no carry between fields.  Adding a constant to every
+    field then sets the guard bits of the fields past a threshold, so an
+    extreme moves by one step per test while some field passes it: at most
+    ``width`` steps in all.
+    """
+    n = len(words)
+    if n < 2:
+        return 0, 0
+    size = (width.bit_length() + 8) // 8  # bytes per field: a distance, and the guard bit
+    guard = 1 << 8 * size - 1
+    ones = int.from_bytes((bytes(size - 1) + b"\1") * n, "big")  # 1 in every field
+    guards = guard * ones
+    # bit k of word i, most significant first, is byte i * width + k
+    flags = "".join([format(w, f"0{width}b") for w in words]).encode().translate(_BITS)
+    column = bytearray(n * size)
+    planes = []
+    for k in range(width):
+        column[size - 1::size] = flags[k::width]
+        planes.append(int.from_bytes(column, "big"))
+    sizes = sum(planes)  # every word's popcount
+    lo, hi = width + 1, 0
+    above, below = (guard - 1 - hi) * ones, (guard - lo) * ones
+    for i, w in enumerate(words):
+        # field j: |w_j| + |w| - 2 |w_j & w|, the distance from w_j to w
+        distances = (sizes + w.bit_count() * ones
+                     - 2 * sum(compress(planes, flags[i * width:(i + 1) * width])))
+        while (distances + above) & guards:  # a field above hi
+            hi += 1
+            above = (guard - 1 - hi) * ones
+        # every field but w's own, 0, at least lo
+        while ((distances + below) & guards).bit_count() < n - 1:
+            lo -= 1
+            below = (guard - lo) * ones
+    return lo, hi
+
+
 def _lift(graph, targets, word):
     """The inputs of a cube around the pattern ``word`` that every target
     ignores, as a mask in the same bit order: greedily, in input order, an
     input is made X while all targets stay definite at their values.
 
-    X-valued simulation is monotone (an X never makes a value definite), so
-    an input whose X alone loses a target is never free: one pass with lane
-    ``i`` making only input ``i`` X skips those.  The rest are decided by
-    passes whose lane ``j`` adds the next ``j + 1`` candidates to the inputs
-    already freed; the lanes that hold form a prefix, so each pass frees the
-    candidates of that prefix and rejects the one after it, just as trying
-    them one at a time would.
+    An input that reaches a target through XOR, XNOR, BUF and NOT gates
+    alone makes that target X whenever it is X, so it is never free; when
+    one backward walk from the targets marks every input so, no input is
+    tried.  X-valued simulation is monotone (an X never makes a value
+    definite), so an input whose X alone loses a target is never free: one
+    pass with lane ``i`` making only input ``i`` X skips those.  The rest are
+    decided by passes whose lane ``j`` adds the next ``j + 1`` candidates to
+    the inputs already freed; the lanes that hold form a prefix, so each pass
+    frees the candidates of that prefix and rejects the one after it, just as
+    trying them one at a time would.
     """
     width = graph.input_count
+    kinds, fanins = graph.kinds, graph.fanins
+    stack = [node for node, _ in targets]
+    bound = set(stack)
+    while stack:
+        node = stack.pop()
+        if kinds[node] in _PARITY_KINDS:
+            for fanin in fanins[node]:
+                if fanin not in bound:
+                    bound.add(fanin)
+                    stack.append(fanin)
+    if bound.issuperset(range(width)):
+        return 0
     bits = [word >> width - 1 - i & 1 for i in range(width)]
     alone = _holding(graph, targets, bits, [1 << i for i in range(width)], width)
     candidates = [i for i in range(width) if alone >> i & 1]

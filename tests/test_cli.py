@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import gatefuzz.cli as cli_module
 import gatefuzz.graph as graph_module
 import gatefuzz.seedgen as seedgen_module
 import gatefuzz.simulate as simulate_module
@@ -294,6 +295,20 @@ def test_gen_c432_pattern_file_pinned(tmp_path, seed, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gen_c432_report_file_pinned(tmp_path, seed):
+    # the report's d_max column is the exact greatest pairwise distance, 24
+    # at each seed; a change that moves it on purpose updates the digest
+    netlist = _write(tmp_path, "c432.bench", fixture_text("c432.bench"))
+    targets = _write(tmp_path, "t.targets", fixture_text("c432.mixed.targets"))
+    out = tmp_path / "r.csv"
+    assert main(["gen", netlist, targets, "-R", "200", "--dmin", "2", "--seed", str(seed),
+                 "--report-out", str(out), "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert out.read_text().splitlines()[1].endswith(",24")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "d4d21f7d0070cdfcfaf2f95e6ccd376d2220e060bd205a395f839b2b7352e334"
+
+
 @pytest.mark.parametrize("circuit,targets,cgf_digest,summary_digest", [
     ("c432", "c432.mixed.targets",
      "45c3d26d1fd669ebe20f4992ab27bb8f9a5e114597036509326e450a89ada846",
@@ -554,6 +569,38 @@ def test_help_and_version_exit_0_without_a_manifest(tmp_path, monkeypatch, argv)
         main([*argv, "--manifest-out", "m.json"])
     assert exc.value.code == 0
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["gen", "-h"], ["compare", "--help"], ["targets-diff", "-h"],
+    ["fuzz", "c17.bench"], ["gen", "c17.bench", "t.targets", "--bogus"],
+    ["compare", "c17.bench", "t.targets", "--trials"], ["gen", "c17.bench"],
+    ["targets-diff", "c17.bench"], ["--bogus", "gen", "c17.bench", "t.targets"],
+])
+def test_parser_of_the_command_run_answers_as_the_full_parser(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    # main() gives only the command it runs its arguments; what a user sees,
+    # the exit code and the manifest's error must be the full parser's
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps its help at the terminal width
+    (tmp_path / "c17.bench").write_text(fixture_text("c17.bench"))
+    (tmp_path / "t.targets").write_text("n22=1\n")
+    manifest = tmp_path / "gatefuzz-manifest.json"
+
+    def run():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        error = json.loads(manifest.read_text())["error"] if manifest.exists() else None
+        manifest.unlink(missing_ok=True)
+        return code, error, capsys.readouterr()
+
+    one = run()
+    full_parser = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda command: full_parser())
+    assert run() == one
+    assert one[0] in (0, 2)
 
 
 def test_unexpected_exception_is_recorded_and_raised_on(tmp_path, monkeypatch):

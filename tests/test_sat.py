@@ -722,3 +722,71 @@ def test_check_names_the_violated_at_least_k():
     with pytest.raises(AssertionError,
                        match=r"^model is closer than 2 to kept inputs \[-1, -2, -3, -4\]$"):
         s._extract_model()
+
+
+def _kept_words(rng, width, count):
+    """Random input words, most of them a few flips from an earlier one, so
+    that the index's buckets share words and near pairs are common."""
+    words = []
+    for _ in range(count):
+        word = rng.getrandbits(width)
+        if words and rng.random() < 0.7:
+            word = rng.choice(words)
+            for _ in range(rng.randint(0, 3)):
+                word ^= 1 << rng.randrange(width)
+        words.append(word)
+    return words
+
+
+def _session_keeping(monkeypatch, width, words, d):
+    """A clause-free session that holds ``words`` in its index at floor
+    ``d``, with no level-0 consequence of keeping them."""
+    s = SolverSession(formula_of([], width))
+    with monkeypatch.context() as m:
+        m.setattr(SolverSession, "_check_distance", lambda self, numbers=None: None)
+        m.setattr(SolverSession, "_propagate", lambda self: None)
+        for word in words:
+            s.keep_distance(word, d)
+    return s
+
+
+def test_index_finds_what_a_full_scan_finds(monkeypatch):
+    # widths from 1, every floor from 1 to the width, so d + 1 blocks
+    # include empty ones whenever the width is below d + 1
+    rng = random.Random(41)
+    seen = {"near": 0, "far": 0, "conflict": 0, "implied": 0, "quiet": 0}
+    for width in [*range(1, 11), 31, 64, 70]:
+        floors = range(1, width + 1) if width <= 10 else rng.sample(range(1, width + 1), 5)
+        for d in floors:
+            for _ in range(3):
+                words = _kept_words(rng, width, rng.randint(0, 40))
+                s = _session_keeping(monkeypatch, width, words, d)
+                full = _session_keeping(monkeypatch, width, words, d)
+                for _ in range(20):
+                    probe = rng.getrandbits(width)
+                    if words and rng.random() < 0.7:  # a few flips from a kept word
+                        probe = rng.choice(words) ^ (probe & rng.getrandbits(width)
+                                                     & rng.getrandbits(width))
+                    near = any((probe ^ w).bit_count() < d for w in words)
+                    assert s.near(probe) == near, (width, d, words, probe)
+                    seen["near" if near else "far"] += 1
+                # the floor check under partial assignments with at most d
+                # inputs free, against the same code handed every kept word
+                # in kept order
+                for _ in range(8 if words else 0):
+                    assigned = rng.sample(range(1, width + 1), width - rng.randint(0, d))
+                    lits = [var << 1 | rng.getrandbits(1) for var in assigned]
+                    for session in (s, full):
+                        session._cancel_until(0)
+                        session._new_decision_level()
+                        for lit in lits:
+                            session._enqueue(lit, None)
+                    got = s._check_distance()
+                    assert got == full._check_distance(list(range(len(words)))), \
+                        (width, d, words, lits)
+                    assert s._trail == full._trail
+                    assert [s._reason[lit >> 1] for lit in s._trail] == \
+                        [full._reason[lit >> 1] for lit in full._trail]
+                    seen["conflict" if got is not None else
+                         "implied" if len(s._trail) > len(lits) else "quiet"] += 1
+    assert min(seen.values()) > 100, seen

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import gatefuzz
+import gatefuzz.seedgen as seedgen_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.coverage import first_sightings, measure, report_and_curve
 from gatefuzz.fixtures import fixture_text, load_circuit
@@ -14,12 +15,17 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, generate, read_patterns,
-                              report_csv_row, target_formula, write_patterns)
+from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, distance_extremes, generate,
+                              read_patterns, report_csv_row, target_formula, write_patterns)
 from gatefuzz.simulate import run_pass, run_ternary, simulate
 from gatefuzz.targets import TargetError, TargetSpec, parse_targets
 
 from conftest import all_patterns, random_netlist
+
+
+FIXTURE_SPECS = (("c17", "c17.internal"), ("c17", "c17.outputs"), ("c432", "c432.mixed"),
+                 ("or4", "or4.y1"), ("s27", "s27.scan"), ("and_tree16", "and_tree16.root"),
+                 ("xor_ladder8", "xor_ladder8.parity"))
 
 
 def _graph(text):
@@ -180,6 +186,87 @@ def test_every_completion_of_a_lifted_cube_reaches_the_targets():
     assert checked >= 200 and lifted >= 100, (checked, lifted)
 
 
+def _models(graph, entries, seeds):
+    """The cut and targets of ``entries`` and a solver model per seed."""
+    cut, targets, f, lits = target_formula(graph, TargetSpec(entries=entries))
+    models = []
+    for seed in seeds:
+        session = SolverSession(f, decision_seed=seed)
+        for lit in lits:
+            session.add_clause([lit])
+        result = session.solve()
+        if result.is_sat:
+            models.append(result.inputs)
+    return cut, targets, models
+
+
+@pytest.mark.parametrize("circuit,targets", FIXTURE_SPECS)
+def test_lift_equals_the_one_at_a_time_reference_on_the_fixtures(circuit, targets):
+    graph = build_graph(scan_convert(load_circuit(circuit)))
+    entries = parse_targets(fixture_text(targets + ".targets"), graph).entries
+    cut, cut_targets, models = _models(graph, entries, range(4))
+    # the models, and completions of their cubes, which reach the targets too
+    words = models + [p.word for p in generate(graph, TargetSpec(entries=entries),
+                                                GenConfig(pattern_budget=12)).patterns]
+    for word in words:
+        assert _lift(cut, cut_targets, word) == _lift_one_at_a_time(graph, entries, word)
+
+
+def test_lift_skips_its_passes_when_parity_binds_every_input(monkeypatch):
+    # an input that reaches a target through XOR, XNOR, BUF and NOT alone is
+    # never free; the lift tries no input when the walk marks them all, and
+    # its mask is the reference's either way
+    passes = []
+    holding = seedgen_module._holding
+    monkeypatch.setattr(seedgen_module, "_holding",
+                        lambda *args: passes.append(1) or holding(*args))
+    graph = build_graph(scan_convert(load_circuit("xor_ladder8")))
+    entries = parse_targets(fixture_text("xor_ladder8.parity.targets"), graph).entries
+    cut, targets, models = _models(graph, entries, range(4))
+    for word in models:
+        assert _lift(cut, targets, word) == 0
+    assert not passes
+    rng = random.Random(94)
+    skipped = tried = 0
+    for trial in range(300):
+        g = build_graph(scan_convert(random_netlist(rng, rng.randint(1, 6), rng.randint(1, 15))))
+        entries = [(node, rng.randrange(2))
+                   for node in rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))]
+        cut, targets, models = _models(g, entries, (trial,))
+        for word in models:
+            del passes[:]
+            assert _lift(cut, targets, word) == _lift_one_at_a_time(g, entries, word), trial
+            skipped += not passes
+            tried += bool(passes)
+    assert skipped >= 20 and tried >= 100, (skipped, tried)
+
+
+def _brute_extremes(words):
+    distances = [(a ^ b).bit_count() for a, b in itertools.combinations(words, 2)]
+    return (min(distances), max(distances)) if distances else (0, 0)
+
+
+def test_distance_extremes_equal_brute_force():
+    # fields wide enough for a distance of every input: up to 1,100 inputs,
+    # with repeats (distance 0) and complements (the width itself)
+    rng = random.Random(95)
+    for width in (1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 63, 64, 65, 127, 128, 255, 256, 257,
+                  511, 1023, 1024, 1100):
+        every = (1 << width) - 1
+        for count in (0, 1, 2, 3, 5, 40):
+            for _ in range(4):
+                words = [rng.getrandbits(width) for _ in range(count)]
+                for i in range(count):
+                    roll = rng.random()
+                    if i and roll < 0.2:
+                        words[i] = words[rng.randrange(i)]
+                    elif i and roll < 0.4:
+                        words[i] = words[rng.randrange(i)] ^ every
+                    elif roll < 0.5:
+                        words[i] = rng.choice((0, every))
+                assert distance_extremes(words, width) == _brute_extremes(words), (width, words)
+
+
 def test_invalid_target_yields_empty_exhausted_report():
     g = _graph("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)")
     report = generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=5))
@@ -219,11 +306,6 @@ def test_determinism():
     assert a.patterns == b.patterns
     assert a.solver_calls == b.solver_calls
     assert a.propagations == b.propagations > 0
-
-
-FIXTURE_SPECS = (("c17", "c17.internal"), ("c17", "c17.outputs"), ("c432", "c432.mixed"),
-                 ("or4", "or4.y1"), ("s27", "s27.scan"), ("and_tree16", "and_tree16.root"),
-                 ("xor_ladder8", "xor_ladder8.parity"))
 
 
 def _assert_report_coverage_is_measured(graph, spec, report):
