@@ -9,6 +9,13 @@ usage error that argparse reports is exit 2, and its manifest goes to the
 ``--manifest-out`` path if the command line names one.  An unexpected
 exception leaves a null exit code and ``<Type>: <message>`` as the error, and
 is raised on, with its traceback.
+
+A command line whose first word is a command is parsed by a parser of that
+command alone, the full parser's subparser for it built on its own.  Words
+it leaves over, and a line that opens with an option or names no known
+command, go to the full parser, :func:`build_parser`; so every help text,
+usage line, message and exit code is the full parser's.
+
 All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
 manifest, by stage.  Generation encodes the circuit and measures its own
@@ -275,57 +282,89 @@ def _polarity_paths(out, polarity):
     return [(0, f"{stem}.all0{ext}"), (1, f"{stem}.all1{ext}")]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is registered, with its
-    help; a ``command`` gets its arguments alone, and None gives them all."""
+def _common_arguments(p):
+    p.add_argument("netlist", help="netlist file (.bench or .blif)")
+    p.add_argument("targets", help="target file: <node>=<0|1> per line")
+    p.add_argument("-R", "--patterns", dest="pattern_budget", type=int, default=100,
+                   help="pattern budget (default 100)")
+    p.add_argument("--dmin", dest="d_min", type=int, default=2,
+                   help="minimum pairwise Hamming distance (default 2)")
+    p.add_argument("--seed", type=int, default=0, help="base RNG/decision seed")
+    p.add_argument("--conflict-budget", type=int, default=None,
+                   help="abort any solve after this many conflicts")
+    p.add_argument("--manifest-out", default="gatefuzz-manifest.json",
+                   help="run manifest path (default gatefuzz-manifest.json)")
+
+
+def _gen_arguments(p):
+    _common_arguments(p)
+    p.add_argument("--dimacs-out", default=None,
+                   help="write the target cone's formula that gen solves, plus the "
+                   "target unit clauses, as DIMACS")
+    p.add_argument("--patterns-out", default=None, help="write the pattern file")
+    p.add_argument("--report-out", default=None, help="write the summary CSV row")
+
+
+def _compare_arguments(p):
+    _common_arguments(p)
+    p.add_argument("--trials", type=int, default=15,
+                   help="number of seeded CGF runs (default 15)")
+    p.add_argument("--sat-curve-out", default=None, help="SAT coverage curve CSV")
+    p.add_argument("--cgf-curve-out", default=None, help="mean CGF coverage curve CSV")
+    p.add_argument("--summary-out", default=None, help="summary CSV")
+
+
+def _targets_diff_arguments(p):
+    p.add_argument("original", help="original netlist")
+    p.add_argument("modified", help="modified netlist")
+    p.add_argument("--polarity", choices=("0", "1", "both"), default="both")
+    p.add_argument("--out", default="diff.targets", help="output target file")
+    p.add_argument("--manifest-out", default="gatefuzz-manifest.json")
+
+
+def _commands():
+    """Each command's help, the function that adds its arguments and the
+    one that runs it, read from the module at each call, so a patched
+    function is the one a parser built then runs."""
+    return {"gen": ("generate targeted patterns", _gen_arguments, cmd_gen),
+            "compare": ("compare against coverage-guided fuzzing", _compare_arguments,
+                        cmd_compare),
+            "targets-diff": ("derive targets from a netlist diff", _targets_diff_arguments,
+                             cmd_targets_diff)}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, every command a subparser."""
     parser = _Parser(
         prog="gatefuzz",
         description="SAT-directed test pattern generation for gate-level netlists")
     parser.add_argument("--version", action="version", version=f"gatefuzz {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("netlist", help="netlist file (.bench or .blif)")
-        p.add_argument("targets", help="target file: <node>=<0|1> per line")
-        p.add_argument("-R", "--patterns", dest="pattern_budget", type=int, default=100,
-                       help="pattern budget (default 100)")
-        p.add_argument("--dmin", dest="d_min", type=int, default=2,
-                       help="minimum pairwise Hamming distance (default 2)")
-        p.add_argument("--seed", type=int, default=0, help="base RNG/decision seed")
-        p.add_argument("--conflict-budget", type=int, default=None,
-                       help="abort any solve after this many conflicts")
-        p.add_argument("--manifest-out", default="gatefuzz-manifest.json",
-                       help="run manifest path (default gatefuzz-manifest.json)")
-
-    gen = sub.add_parser("gen", help="generate targeted patterns")
-    gen.set_defaults(func=cmd_gen)
-    if command in (None, "gen"):
-        common(gen)
-        gen.add_argument("--dimacs-out", default=None,
-                         help="write the target cone's formula that gen solves, plus the "
-                         "target unit clauses, as DIMACS")
-        gen.add_argument("--patterns-out", default=None, help="write the pattern file")
-        gen.add_argument("--report-out", default=None, help="write the summary CSV row")
-
-    cmp_ = sub.add_parser("compare", help="compare against coverage-guided fuzzing")
-    cmp_.set_defaults(func=cmd_compare)
-    if command in (None, "compare"):
-        common(cmp_)
-        cmp_.add_argument("--trials", type=int, default=15,
-                          help="number of seeded CGF runs (default 15)")
-        cmp_.add_argument("--sat-curve-out", default=None, help="SAT coverage curve CSV")
-        cmp_.add_argument("--cgf-curve-out", default=None, help="mean CGF coverage curve CSV")
-        cmp_.add_argument("--summary-out", default=None, help="summary CSV")
-
-    diff = sub.add_parser("targets-diff", help="derive targets from a netlist diff")
-    diff.set_defaults(func=cmd_targets_diff)
-    if command in (None, "targets-diff"):
-        diff.add_argument("original", help="original netlist")
-        diff.add_argument("modified", help="modified netlist")
-        diff.add_argument("--polarity", choices=("0", "1", "both"), default="both")
-        diff.add_argument("--out", default="diff.targets", help="output target file")
-        diff.add_argument("--manifest-out", default="gatefuzz-manifest.json")
+    for command, (help_text, arguments, func) in _commands().items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        arguments(p)
     return parser
+
+
+def _command_parser(command):
+    """The parser of one command alone: the full parser's subparser for it."""
+    _, arguments, func = _commands()[command]
+    parser = _Parser(prog=f"gatefuzz {command}")
+    parser.set_defaults(command=command, func=func)
+    arguments(parser)
+    return parser
+
+
+def _parse(argv):
+    """The full parser's namespace for ``argv``.  A command line that opens
+    with a command is parsed by that command's parser alone; whatever it
+    leaves over, and every other line, goes to the full parser."""
+    if argv and argv[0] in _commands():
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _manifest_path(argv):
@@ -351,11 +390,8 @@ def _save(manifest, code, path):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # no option before the command takes a value, so the command is the
-    # first word that is not an option; only it gets its arguments
-    command = next((word for word in argv if not word.startswith("-")), "")
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         manifest = _Manifest(None, argparse.Namespace())
         manifest.data["error"] = str(exc)

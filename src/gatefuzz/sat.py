@@ -17,7 +17,13 @@ fixed ``decision_seed``.
 Clauses are added at level 0, where assignments are permanent: a true
 literal satisfies the clause and false ones drop out; none left makes the
 session UNSAT, one left is propagated as a unit, and otherwise the clause is
-watched by two literals.
+watched by two literals.  A session loads its formula's clauses in one
+pass: a clause of two or more literals on distinct unassigned variables is
+watched there and then, and every other clause goes through
+:meth:`SolverSession.add_clause`, as does every clause of a formula with a
+literal out of range.  The session is the one that adding the clauses one
+at a time with ``add_clause`` makes: the same watch lists in the same order,
+the same assignments, the same debug clause list and the same error.
 
 The distance floor (diverse solutions, after Hebrard, Hnich, O'Sullivan &
 Walsh, AAAI 2005) ranges over the primary inputs, variables
@@ -69,6 +75,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .cnf import CnfFormula
 
@@ -148,8 +155,31 @@ class SolverSession:
         self._unsat_forever = False
         self._clauses: list[tuple] = []  # every clause ever added, for the model check
 
-        for clause in formula.clauses:
-            self.add_clause(clause)
+        # the formula in one pass: a clause of two or more literals on
+        # distinct unassigned variables is watched as add_clause would watch
+        # it, and every other clause goes through add_clause; a literal out
+        # of range sends every clause there, so its error is add_clause's
+        clauses = formula.clauses
+        signed = set(chain.from_iterable(clauses))
+        if signed and (min(signed) < -n or max(signed) > n or 0 in signed):
+            for clause in clauses:
+                self.add_clause(clause)
+        # the internal literal of each signed one at its index; a negative one counts from the end
+        internal = [1, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)].__getitem__
+        val = self._lit_val
+        watches = self._watches
+        trail = self._trail
+        recorded = self._clauses
+        for clause in clauses:
+            lits = list(map(internal, clause))
+            if (len({*map(abs, clause)}) == len(lits) > 1 and not self._unsat_forever
+                    and not (trail and any(map(val.__getitem__, lits)))):  # all _UNDEF
+                if __debug__:
+                    recorded.append(tuple(clause))
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            else:
+                self.add_clause(clause)
 
     # -- literals --------------------------------------------------------------
 
@@ -224,6 +254,8 @@ class SolverSession:
         if self._unsat_forever:
             return
         assert not self._trail_lim, "models are kept at decision level 0"
+        if self._input_count - self._assigned_inputs.bit_count() > d:
+            return  # with more than d inputs free the floor neither implies nor fails
         if self._check_distance([number]) is not None or self._propagate() is not None:
             self._unsat_forever = True
 

@@ -161,6 +161,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
                             conflict_budget=config.conflict_budget)
     for lit in literals:
         session.add_clause([lit])
+    rigid = _parity_binds_every_input(cut, targets)
     rng = random.Random(config.seed)
     words: list[int] = []  # the emitted patterns' words
     free_counts: list[int] = []  # free inputs of each lifted model
@@ -183,7 +184,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         if not result.is_sat:
             stop_reason = "exhausted"
             break
-        free = _lift(cut, targets, result.inputs)
+        free = 0 if rigid else _lift(cut, targets, result.inputs)
         free_counts.append(free.bit_count())
         # the solver keeps every emitted pattern at distance, so only an
         # unsound solver returns a model too close to one
@@ -276,23 +277,11 @@ def distance_extremes(words: list[int], width: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _lift(graph, targets, word):
-    """The inputs of a cube around the pattern ``word`` that every target
-    ignores, as a mask in the same bit order: greedily, in input order, an
-    input is made X while all targets stay definite at their values.
-
-    An input that reaches a target through XOR, XNOR, BUF and NOT gates
-    alone makes that target X whenever it is X, so it is never free; when
-    one backward walk from the targets marks every input so, no input is
-    tried.  X-valued simulation is monotone (an X never makes a value
-    definite), so an input whose X alone loses a target is never free: one
-    pass with lane ``i`` making only input ``i`` X skips those.  The rest are
-    decided by passes whose lane ``j`` adds the next ``j + 1`` candidates to
-    the inputs already freed; the lanes that hold form a prefix, so each pass
-    frees the candidates of that prefix and rejects the one after it, just as
-    trying them one at a time would.
-    """
-    width = graph.input_count
+def _parity_binds_every_input(graph, targets):
+    """Whether every input reaches a target through XOR, XNOR, BUF and NOT
+    gates alone, by one backward walk from the targets.  Such an input makes
+    that target X whenever it is X, so it is never free; when every input is
+    bound so, every lift is empty and :func:`generate` runs none."""
     kinds, fanins = graph.kinds, graph.fanins
     stack = [node for node, _ in targets]
     bound = set(stack)
@@ -303,8 +292,23 @@ def _lift(graph, targets, word):
                 if fanin not in bound:
                     bound.add(fanin)
                     stack.append(fanin)
-    if bound.issuperset(range(width)):
-        return 0
+    return bound.issuperset(range(graph.input_count))
+
+
+def _lift(graph, targets, word):
+    """The inputs of a cube around the pattern ``word`` that every target
+    ignores, as a mask in the same bit order: greedily, in input order, an
+    input is made X while all targets stay definite at their values.
+
+    X-valued simulation is monotone (an X never makes a value definite), so
+    an input whose X alone loses a target is never free: one pass with lane
+    ``i`` making only input ``i`` X skips those.  The rest are decided by
+    passes whose lane ``j`` adds the next ``j + 1`` candidates to the inputs
+    already freed; the lanes that hold form a prefix, so each pass frees the
+    candidates of that prefix and rejects the one after it, just as trying
+    them one at a time would.
+    """
+    width = graph.input_count
     bits = [word >> width - 1 - i & 1 for i in range(width)]
     alone = _holding(graph, targets, bits, [1 << i for i in range(width)], width)
     candidates = [i for i in range(width) if alone >> i & 1]

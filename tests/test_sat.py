@@ -790,3 +790,72 @@ def test_index_finds_what_a_full_scan_finds(monkeypatch):
                     seen["conflict" if got is not None else
                          "implied" if len(s._trail) > len(lits) else "quiet"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _session_state(s):
+    return (s._watches, s._lit_val, s._trail, s._level, s._reason, s._qhead,
+            s._assigned_inputs, s._true_inputs, s._unsat_forever, s._clauses, s.propagations)
+
+
+def test_formula_load_equals_adding_its_clauses_one_at_a_time():
+    # a session built from a formula is one of the same shape fed its
+    # clauses by add_clause, watch order, debug list and next model included
+    rng = random.Random(57)
+    kinds = dict.fromkeys(("watched", "unit", "repeat", "tautology", "fixed", "emptied",
+                           "unsat", "bad"), 0)
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        clauses, units = [], []
+        for _ in range(rng.randint(0, 14)):
+            roll = rng.random()
+            lit = rng.choice((1, -1)) * rng.randint(1, n)
+            if roll < 0.15:
+                clauses.append((lit,))
+                units.append(lit)
+                kinds["unit"] += 1
+                continue
+            clause = [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1),
+                                                                   rng.randint(1, min(n, 4)))]
+            if roll < 0.25:
+                clause.insert(rng.randint(0, len(clause)), rng.choice(clause))
+                kinds["repeat"] += 1
+            elif roll < 0.32:
+                clause.insert(rng.randint(0, len(clause)), -rng.choice(clause))
+                kinds["tautology"] += 1
+            elif roll < 0.45 and units:
+                # literals an earlier unit set, true or false
+                clause.insert(rng.randint(0, len(clause)), rng.choice((1, -1)) * rng.choice(units))
+                kinds["fixed"] += 1
+            elif roll < 0.52 and units:
+                clause = [-u for u in rng.sample(units, rng.randint(1, len(units)))]
+                kinds["emptied"] += 1
+            else:
+                kinds["watched"] += len(clause) > 1
+            clauses.append(tuple(clause))
+        input_count = rng.randint(0, n)
+        seed = rng.randrange(100)
+        formula = CnfFormula(clauses=clauses, var_count=n, input_count=input_count)
+        fed = SolverSession(CnfFormula(clauses=[], var_count=n, input_count=input_count),
+                            decision_seed=seed)
+        if rng.random() < 0.1:
+            # a literal 0 or beyond the variables, anywhere in the formula
+            at = rng.randint(0, len(clauses))
+            clauses.insert(at, (rng.randint(1, n), rng.choice((0, n + 1, -n - 1))))
+            with pytest.raises(ValueError) as by_formula:
+                SolverSession(formula, decision_seed=seed)
+            with pytest.raises(ValueError) as by_clause:
+                for clause in clauses:
+                    fed.add_clause(clause)
+            assert str(by_formula.value) == str(by_clause.value)
+            assert str(by_formula.value).startswith("literal ")
+            kinds["bad"] += 1
+            continue
+        built = SolverSession(formula, decision_seed=seed)
+        for clause in clauses:
+            fed.add_clause(clause)
+        assert _session_state(built) == _session_state(fed), (trial, clauses)
+        kinds["unsat"] += built._unsat_forever
+        one, other = built.solve(), fed.solve()
+        assert (one.status, one.model, one.inputs) == (other.status, other.model, other.inputs)
+        assert _session_state(built) == _session_state(fed), (trial, clauses)
+    assert min(kinds.values()) >= 40, kinds

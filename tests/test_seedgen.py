@@ -15,8 +15,9 @@ from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
 from gatefuzz.sat import SolverSession
-from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, distance_extremes, generate,
-                              read_patterns, report_csv_row, target_formula, write_patterns)
+from gatefuzz.seedgen import (GenConfig, GenConfigError, _lift, _parity_binds_every_input,
+                              distance_extremes, generate, read_patterns, report_csv_row,
+                              target_formula, write_patterns)
 from gatefuzz.simulate import run_pass, run_ternary, simulate
 from gatefuzz.targets import TargetError, TargetSpec, parse_targets
 
@@ -214,17 +215,20 @@ def test_lift_equals_the_one_at_a_time_reference_on_the_fixtures(circuit, target
 
 def test_lift_skips_its_passes_when_parity_binds_every_input(monkeypatch):
     # an input that reaches a target through XOR, XNOR, BUF and NOT alone is
-    # never free; the lift tries no input when the walk marks them all, and
-    # its mask is the reference's either way
+    # never free; generate lifts no model when the walk marks them all, and
+    # the reference's mask is then empty
     passes = []
     holding = seedgen_module._holding
     monkeypatch.setattr(seedgen_module, "_holding",
                         lambda *args: passes.append(1) or holding(*args))
     graph = build_graph(scan_convert(load_circuit("xor_ladder8")))
-    entries = parse_targets(fixture_text("xor_ladder8.parity.targets"), graph).entries
-    cut, targets, models = _models(graph, entries, range(4))
+    spec = parse_targets(fixture_text("xor_ladder8.parity.targets"), graph)
+    cut, targets, models = _models(graph, spec.entries, range(4))
+    assert _parity_binds_every_input(cut, targets)
     for word in models:
-        assert _lift(cut, targets, word) == 0
+        assert _lift_one_at_a_time(graph, spec.entries, word) == 0
+    report = generate(graph, spec, GenConfig(pattern_budget=20))
+    assert report.lifted_models > 1 and report.free_inputs_max == 0
     assert not passes
     rng = random.Random(94)
     skipped = tried = 0
@@ -233,11 +237,12 @@ def test_lift_skips_its_passes_when_parity_binds_every_input(monkeypatch):
         entries = [(node, rng.randrange(2))
                    for node in rng.sample(range(g.node_count), rng.randint(1, min(3, g.node_count)))]
         cut, targets, models = _models(g, entries, (trial,))
+        rigid = _parity_binds_every_input(cut, targets)
         for word in models:
-            del passes[:]
-            assert _lift(cut, targets, word) == _lift_one_at_a_time(g, entries, word), trial
-            skipped += not passes
-            tried += bool(passes)
+            reference = _lift_one_at_a_time(g, entries, word)
+            assert (0 if rigid else _lift(cut, targets, word)) == reference, trial
+            skipped += rigid
+            tried += not rigid
     assert skipped >= 20 and tried >= 100, (skipped, tried)
 
 
