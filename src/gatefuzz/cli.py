@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -107,12 +108,21 @@ class _Manifest:
             fh.write("\n")
 
 
+# the blank space and whole-line comments before a netlist's first construct;
+# a comment runs to the next of the line breaks that str.splitlines knows
+_PREAMBLE = re.compile(r"(?:\s|#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)*")
+
+
+def _is_blif(path, text) -> bool:
+    """A ``.blif`` file, or one whose first construct is ``.model``: a BLIF
+    file may open with comments, so only the text before that construct is read."""
+    return str(path).endswith(".blif") or text.startswith(".model", _PREAMBLE.match(text).end())
+
+
 def _load_netlist(manifest, path):
     text = manifest.read_input(path)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    # a BLIF file may open with comments, so sniff its first construct
-    first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
-    if str(path).endswith(".blif") or first.startswith(".model"):
+    if _is_blif(path, text):
         return parse_blif(text, name=name)
     return parse_bench(text, name=name)
 

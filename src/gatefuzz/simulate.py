@@ -4,13 +4,17 @@ One plan per graph serves all simulation: the graph's gates grouped by level,
 op, inversion and fanin count, the groups in level order, each kind's op and
 inversion read from :data:`~gatefuzz.netlist.GATE_OPS`.  A graph never
 changes, so the plan is built on first use and kept on the graph
-(``CircuitGraph.plan``); no other module sees it.  :func:`run_pass` evaluates
-a graph two-valued over Python-int words, where lane ``j`` of ``words[n]`` is
-node ``n``'s value under pattern ``j``.  Python ints have no fixed width, so
+(``CircuitGraph.plan``); no other module sees it.  :func:`run_words` is the
+one two-valued kernel: it takes the patterns as packed input words (an
+:class:`~gatefuzz.pattern.InputPattern`'s ``word``, the first input its top
+bit) and evaluates the graph over Python-int words, where lane ``j`` of
+``words[n]`` is node ``n``'s value under pattern ``j``.  :func:`run_pass`
+checks each pattern's width and feeds the kernel the patterns' words, and
+:func:`simulate` is the one-lane call.  Python ints have no fixed width, so
 one pass holds as many patterns as the caller gives it; callers with long
-pattern lists split them into passes themselves.  :func:`simulate` is the
-one-lane call.  Scan conversion guarantees the graph is combinational, so
-every node of a total pattern gets a definite 0/1.
+pattern lists split them into passes themselves.  Scan conversion guarantees
+the graph is combinational, so every node of a total pattern gets a definite
+0/1.
 
 Callers that need only the targets' fan-in cone simulate its cut graph
 (:func:`~gatefuzz.graph.cone`), so a pass holds words for the cone alone, and
@@ -27,12 +31,14 @@ generation uses it to lift a solver model to a cube of inputs that do not
 matter to the targets.
 
 Why grouped: a pass costs about the same per gate whether it carries 1 lane
-or 64, because the time goes to the interpreter's work per gate (dispatch on
+or 30, because the time goes to the interpreter's work per gate (dispatch on
 the op, a loop over the fanins, the inversion test), not to the word
-operations.  Inside a group that work is done once: the op and the
-inversion are fixed, and 1-, 2- and 3-input gates, nearly all gates, are
-unpacked by arity into a loop body of one expression; a non-inverted 1- or
-2-input body does no XOR at all, so a BUF is a copy.  :func:`run_ternary`
+operations.  (A word of 31 or more lanes spans two 30-bit CPython digits,
+and a pass then costs about a third more.)  Inside a group that work is done
+once: the op and the inversion are fixed, and 1-, 2- and 3-input gates,
+nearly all gates, are unpacked by arity into a loop body of one expression;
+a non-inverted 1- or 2-input body does no XOR at all, so a BUF is a copy.
+:func:`run_ternary`
 is unrolled the same way, with one body of two expressions, one per rail,
 for AND and OR at 2 and 3 fanins and for parity at 1 and 2 (BUF and NOT are
 copies).  An inverted group writes the gate's 1-rail into the 0-rail list
@@ -93,11 +99,20 @@ def run_pass(graph: CircuitGraph, patterns) -> list[int]:
         if p.width != width:
             raise SimulationError(
                 f"pattern has {p.width} bits, circuit has {width} inputs")
+    return run_words(graph, [p.word for p in patterns])
+
+
+def run_words(graph: CircuitGraph, patterns: list[int]) -> list[int]:
+    """:func:`run_pass` on packed patterns: ``patterns[j]`` is a word of
+    ``graph.input_count`` bits whose top bit is the first input.  The widths
+    are the caller's to check."""
+    width = graph.input_count
     words = [0] * graph.node_count
-    if patterns:
-        # the pattern strings, last lane first: every width-th character from
-        # i on is input i's word
-        text = "".join([p.to_string() for p in reversed(patterns)])
+    if patterns and width:
+        # the patterns in base 2, last lane first: every width-th character
+        # from i on is input i's word
+        form = f"0{width}b"
+        text = "".join([format(p, form) for p in reversed(patterns)])
         for i in range(width):
             words[i] = int(text[i::width], 2)
     mask = (1 << len(patterns)) - 1

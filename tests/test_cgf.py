@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -110,9 +112,11 @@ _WIDTHS = [0, 1, 63, 64, 65, 200]
 
 @pytest.mark.parametrize("width", _WIDTHS)
 def test_random_pattern_makes_the_reference_draws(width):
+    # an empty corpus breeds a uniform random word
     for seed in range(300):
         rng, ref = random.Random(seed), random.Random(seed)
-        assert cgf._random_pattern(rng, width) == reference_random_pattern(ref, width)
+        word = cgf._breed(rng, [], width)
+        assert InputPattern.from_word(word, width) == reference_random_pattern(ref, width)
         assert rng.random() == ref.random()  # the RNG is left in the same state
 
 
@@ -136,12 +140,14 @@ def reference_mutate(rng, parent, width):
 
 @pytest.mark.parametrize("width", _WIDTHS)
 def test_mutate_makes_the_reference_draws(width):
+    # a corpus breeds a mutant of a uniformly chosen seed
     parent_rng = random.Random(width)
     for seed in range(300):
-        parent = reference_random_pattern(parent_rng, width)
+        parents = [reference_random_pattern(parent_rng, width) for _ in range(seed % 3 + 1)]
         rng, ref = random.Random(seed), random.Random(seed)
-        child = cgf._mutate(rng, parent, width)
-        assert child == reference_mutate(ref, parent, width)
+        child = cgf._breed(rng, [p.word for p in parents], width)
+        assert InputPattern.from_word(child, width) == reference_mutate(
+            ref, ref.choice(parents), width)
         assert rng.random() == ref.random()  # the RNG is left in the same state
 
 
@@ -207,19 +213,22 @@ def _equivalence_cases():
     yield "c17-repeated", c17, TargetSpec(entries=[(n22, 1), (n23, 0), (n22, 1), (n23, 1)])
 
 
-def _schedule_boundaries():
+def _schedule_boundaries(cap):
     """Execution counts at which a window ends when no lane hits after the
-    first pattern's admission: the windows double from FIRST_WINDOW to WINDOW."""
+    first pattern's admission: the windows double from FIRST_WINDOW to ``cap``."""
     ends, end, size = [], 1, FIRST_WINDOW
     while len(ends) < 6:
         end += size
         ends.append(end)
-        size = min(2 * size, WINDOW)
+        size = min(2 * size, cap)
     return ends
 
 
-_BUDGETS = sorted({1, WINDOW - 1, WINDOW, WINDOW + 1, 200, FIRST_WINDOW}
-                  | {end + d for end in _schedule_boundaries() for d in (-1, 0, 1)})
+# budgets around the window edges under WINDOW and under the 64-lane cap that
+# WINDOW once was: where a window ends must not move the executed sequence
+_BUDGETS = sorted({1, 200, FIRST_WINDOW}
+                  | {edge + d for cap in (WINDOW, 64)
+                     for edge in [cap] + _schedule_boundaries(cap) for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
@@ -242,13 +251,13 @@ def test_windowed_run_equals_sequential_loop(budget):
 
 def _record_windows(monkeypatch):
     windows = []
-    real_run_pass = cgf.run_pass
+    real_run_words = cgf.run_words
 
-    def recording_run_pass(graph, patterns):
+    def recording_run_words(graph, patterns):
         windows.append(list(patterns))
-        return real_run_pass(graph, patterns)
+        return real_run_words(graph, patterns)
 
-    monkeypatch.setattr(cgf, "run_pass", recording_run_pass)
+    monkeypatch.setattr(cgf, "run_words", recording_run_words)
     return windows
 
 
@@ -275,51 +284,52 @@ def test_breeds_at_most_four_mutants_per_execution(monkeypatch):
     """A circuit that keeps admitting seeds: a full window per pass would breed
     about 14 mutants per execution (most of them dropped after a hit)."""
     g, spec = _many_admissions_case()
-    counts = {"breeds": 0, "inside_mutate": 0}
-    real_mutate, real_random_pattern = cgf._mutate, cgf._random_pattern
+    breeds = 0
+    real_breed = cgf._breed
 
-    def mutate(*args):
-        counts["breeds"] += 1
-        counts["inside_mutate"] += 1
-        try:
-            return real_mutate(*args)
-        finally:
-            counts["inside_mutate"] -= 1
+    def breed(*args):
+        nonlocal breeds
+        breeds += 1
+        return real_breed(*args)
 
-    def random_pattern(*args):
-        counts["breeds"] += not counts["inside_mutate"]
-        return real_random_pattern(*args)
-
-    monkeypatch.setattr(cgf, "_mutate", mutate)
-    monkeypatch.setattr(cgf, "_random_pattern", random_pattern)
+    monkeypatch.setattr(cgf, "_breed", breed)
     budget = 256
     result = run_cgf(g, spec, budget=budget, rng_seed=2)
     assert len(result.corpus.seeds) >= 40  # admissions all through the run
-    assert counts["breeds"] <= 4 * budget
+    assert breeds <= 4 * budget
 
 
 def _walk_outcomes(windows, result):
     """Lays the simulated windows along the executed sequence.
 
     Each window's executed lanes are a prefix of it, and the next window
-    starts at the next execution.  Returns the number of lanes executed after
-    an admitted lane of their own window (kept by the walk) and of windows cut
+    starts at the next execution.  Checks that no window exceeds
+    :data:`WINDOW` and that each later one is sized from the lanes its
+    predecessor executed.  Returns the number of lanes executed after an
+    admitted lane of their own window (kept by the walk) and of windows cut
     short before another window (whose first lane the walk bred differently).
     """
-    executed = result.executed
-    admitted = {executed.index(seed) for seed in result.corpus.seeds}
+    executed = [p.word for p in result.executed]
+    admitted = {executed.index(seed.word) for seed in result.corpus.seeds}
     kept = carried = start = 0
     for i, window in enumerate(windows):
+        assert len(window) <= WINDOW
         count = 0
         while count < len(window) and window[count] == executed[start + count]:
             count += 1
         firsts = [lane for lane in range(count) if start + lane in admitted]
         kept += count - 1 - firsts[0] if firsts else 0
-        if i + 1 < len(windows):
-            assert windows[i + 1][0] == executed[start + count]
-            carried += count < len(window)
         start += count
+        if i + 1 < len(windows):
+            assert windows[i + 1][0] == executed[start]
+            carried += count < len(window)
+            size = max(FIRST_WINDOW, min(WINDOW, 2 * count))
+            assert len(windows[i + 1]) == min(size, len(executed) - start)
     return kept, carried
+
+
+def test_a_window_fits_one_int_digit():
+    assert FIRST_WINDOW <= WINDOW <= sys.int_info.bits_per_digit
 
 
 def test_walk_reaches_both_outcomes_of_a_rebreed(monkeypatch):
@@ -344,3 +354,51 @@ def test_one_pass_serves_several_admissions(monkeypatch):
     kept, carried = _walk_outcomes(windows, result)
     assert kept and carried
     assert sum(map(len, windows)) < 2 * 256  # fewer than two lanes per execution
+
+
+def _fuzz_20k_case(case_seed):
+    """The benchmark's fuzz-20k case: a 64-input, 20,000-gate random netlist
+    and its 64 highest-level gates (ties by declaration order) at their
+    values under a witness drawn from ``"witness-<case seed>"``."""
+    g = build_graph(scan_convert(random_netlist(random.Random(case_seed), 64, 20_000)))
+    gates = [n for n in range(g.node_count) if g.kinds[n] != "INPUT"]
+    chosen = sorted(gates, key=lambda n: (-g.levels[n], int(g.names[n][1:])))[:64]
+    rng = random.Random(f"witness-{case_seed}")
+    values = simulate(g, InputPattern([rng.randrange(2) for _ in range(64)]))
+    return g, TargetSpec([(n, values[n]) for n in chosen])
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (case seed, trial) -> sha256 of the executed patterns, of the corpus, and
+# of the report and curve; the executed digests are the benchmark's
+# executed_sha256 fingerprints of these cases
+_FUZZ_20K_DIGESTS = {
+    (0, 0): ("d5566e6216ea36f9ecf1fd827e7284c801989ac77b4cc092a31194b89f790ec9",
+             "0bac6b56f5cd9d953b1335a85f5895764166aeb5b5236283baaa966e8477f659",
+             "a22cb3b8e4fd357ebf70d7b6937e43312faea1cf7d425bc9203e2660894cb5bf"),
+    (0, 1): ("05e72743c9fd9a495b1c72859a691153c96af4029501127267b4106bf2c06b59",
+             "bda0ce0c510941997057b3d04456d18d60d2c334efeecc6aa15d3509fa2fa7fe",
+             "043ddcd7704352d0875e71d82b14fd6a7466dcbaa1acf75f1ee714c41cf75e76"),
+    (21, 0): ("33405f519cbeffc58ad5842552a186ea030dedaffaf69d7ed59394234704957d",
+              "37becbb51b83df4e95f62ca1c15d91267c5d60ecd38ffbc40f0f22bd930f51ff",
+              "23fc72bf289be318f20fc96a6e98130200fe09ad24d902836ae72e9a8004905a"),
+    (21, 1): ("b72ac6d8d52cda70d70092360cd522d2f6819d0b34b8523e64aabaab451665eb",
+              "edafc812a9204be3d07ce6a0a7479fca6e68885ab23c083e2e0efc5b8f33c913",
+              "c9e55196c089acad68532b2e094b04e8f82f9ca911c8b702b21388fdaea5502c"),
+}
+
+
+@pytest.mark.parametrize("case_seed", [0, 21])
+def test_fuzz_20k_trials_pinned(case_seed):
+    # the trials of the benchmark's 20k-gate workload, two per case at rng
+    # seeds case seed + trial, budget 256; a change that moves these bytes on
+    # purpose updates the digests
+    g, spec = _fuzz_20k_case(case_seed)
+    for trial in range(2):
+        result = run_cgf(g, spec, budget=256, rng_seed=case_seed + trial)
+        assert (_sha("\n".join(p.to_string() for p in result.executed)),
+                _sha("\n".join(p.to_string() for p in result.corpus.seeds)),
+                _sha(repr((result.report, result.curve)))) == _FUZZ_20K_DIGESTS[case_seed, trial]

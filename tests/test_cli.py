@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import gatefuzz.seedgen as seedgen_module
 import gatefuzz.simulate as simulate_module
 from gatefuzz.bench import parse_bench
 from gatefuzz.blif import parse_blif
-from gatefuzz.cli import main
+from gatefuzz.cli import _is_blif, main
 from gatefuzz.sat import SolverSession
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
@@ -163,10 +164,13 @@ def test_gen_dimacs_out_encodes_the_cut_once(tmp_path, monkeypatch, circuit, tar
 def _count_cuts_and_plans(monkeypatch):
     """Lists that record each cut :func:`~gatefuzz.graph.cone` builds and
     each graph whose simulation plan is built, and one of every graph the
-    two-valued and the three-valued passes run on, with their lane counts."""
-    record = {"cuts": [], "plans": [], "run_pass": [], "run_ternary": []}
+    two-valued passes on patterns and on words (the kernel, which every
+    two-valued pass runs) and the three-valued passes run on, with their
+    lane counts."""
+    record = {"cuts": [], "plans": [], "run_pass": [], "run_words": [], "run_ternary": []}
     cut, plan = graph_module._cut, simulate_module._plan
     run_pass, run_ternary = simulate_module.run_pass, simulate_module.run_ternary
+    run_words = simulate_module.run_words
 
     def counting_cut(graph, needed):
         result = cut(graph, needed)
@@ -182,6 +186,10 @@ def _count_cuts_and_plans(monkeypatch):
         record["run_pass"].append((graph, len(patterns)))
         return run_pass(graph, patterns)
 
+    def counting_run_words(graph, patterns):
+        record["run_words"].append((graph, len(patterns)))
+        return run_words(graph, patterns)
+
     def counting_run_ternary(graph, ones, zeros, lanes):
         record["run_ternary"].append((graph, lanes))
         return run_ternary(graph, ones, zeros, lanes)
@@ -190,6 +198,7 @@ def _count_cuts_and_plans(monkeypatch):
     monkeypatch.setattr(simulate_module, "_plan", counting_plan)
     for module in [m for name, m in sys.modules.items() if name.startswith("gatefuzz")]:
         for name, original, counting in (("run_pass", run_pass, counting_run_pass),
+                                         ("run_words", run_words, counting_run_words),
                                          ("run_ternary", run_ternary, counting_run_ternary)):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
@@ -211,6 +220,7 @@ def test_gen_simulates_its_patterns_once(tmp_path, monkeypatch):
     [planned] = record["plans"]
     assert planned is cut
     assert [(graph is cut, lanes) for graph, lanes in record["run_pass"]] == [(True, 200)]
+    assert [(graph is cut, lanes) for graph, lanes in record["run_words"]] == [(True, 200)]
     assert record["run_ternary"] and all(graph is cut for graph, _ in record["run_ternary"])
 
 
@@ -225,9 +235,11 @@ def test_compare_builds_one_plan_for_generation_and_every_trial(tmp_path, monkey
     [cut] = record["cuts"]
     [planned] = record["plans"]
     assert planned is cut
-    assert len(record["run_pass"]) > 3 and all(graph is cut for graph, _ in record["run_pass"])
+    # generation's one pass goes through run_pass, the trials' feed the kernel words
+    assert [(graph is cut, lanes) for graph, lanes in record["run_pass"]] == [(True, 64)]
+    assert len(record["run_words"]) > 3 and all(graph is cut for graph, _ in record["run_words"])
     # the manifest counts the trials' passes: all but generation's one
-    assert _manifest(tmp_path)["cgf"] == {"passes": len(record["run_pass"]) - 1,
+    assert _manifest(tmp_path)["cgf"] == {"passes": len(record["run_words"]) - 1,
                                           "executions": 3 * 64}
 
 
@@ -647,6 +659,37 @@ def test_gen_blif_behind_a_comment_header(tmp_path, name):
                  "--manifest-out", str(tmp_path / "m.json")])
     assert code == 0
     assert read_patterns(Path(patterns_out).read_text())[0].bits == (1, 1)
+
+
+@pytest.mark.parametrize("name,text", [
+    ("m.net", "# header\r\n\r\n  # .names in a comment\r\n.model m\r\n.inputs a b\r\n"
+              ".outputs y\r\n.names a b y\r\n11 1\r\n.end\r\n"),
+    ("m.bench", "# header\r\n# .model in a comment\r\nINPUT(a)\r\nINPUT(b)\r\nOUTPUT(y)\r\n"
+                "y = AND(a, b)\r\n"),
+], ids=["blif", "bench"])
+def test_gen_sniffs_the_first_construct_behind_crlf_comments(tmp_path, name, text):
+    netlist = _write(tmp_path, name, text)
+    assert b"\r\n" in Path(netlist).read_bytes()
+    targets = _write(tmp_path, "y.targets", "y=1\n")
+    patterns_out = str(tmp_path / "p.txt")
+    assert main(["gen", netlist, targets, "--patterns-out", patterns_out,
+                 "--manifest-out", str(tmp_path / "m.json")]) == 0
+    assert read_patterns(Path(patterns_out).read_text())[0].bits == (1, 1)
+
+
+def test_blif_sniff_reads_lines_as_str_splitlines_does():
+    # the sniff stops at the first line that is neither blank nor a comment,
+    # for every line break that str.splitlines knows
+    breaks = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+    pieces = ["# c", "#", " ", "\t", "\x1f", ".model m", "INPUT(a)", " .model", "# .model",
+              "x # .model", ".mod", ".model"] + breaks * 3
+    rng = random.Random(7)
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+        first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
+        assert _is_blif("m.net", text) == first.startswith(".model"), repr(text)
+        assert _is_blif("m.blif", text)
 
 
 def test_compare_or4_and_determinism(tmp_path):
