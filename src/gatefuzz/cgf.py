@@ -152,9 +152,8 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
 
     firsts = [(first_seen.get((node, 0)), first_seen.get((node, 1))) for node, _ in targets]
     report, curve = report_and_curve(spec, firsts, len(executed))
-    patterns = [InputPattern.from_word(word, width) for word in executed]
-    corpus = Corpus([InputPattern.from_word(word, width) for word in seeds])
-    return CgfResult(executed=patterns, report=report, curve=curve, corpus=corpus,
+    return CgfResult(executed=InputPattern.from_words(executed, width), report=report,
+                     curve=curve, corpus=Corpus(InputPattern.from_words(seeds, width)),
                      passes=passes)
 
 

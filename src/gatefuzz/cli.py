@@ -10,11 +10,15 @@ usage error that argparse reports is exit 2, and its manifest goes to the
 exception leaves a null exit code and ``<Type>: <message>`` as the error, and
 is raised on, with its traceback.
 
-A command line whose first word is a command is parsed by a parser of that
-command alone, the full parser's subparser for it built on its own.  Words
-it leaves over, and a line that opens with an option or names no known
-command, go to the full parser, :func:`build_parser`; so every help text,
-usage line, message and exit code is the full parser's.
+Each command's arguments are declared once, as data (``_Arg``), and two
+readers answer a command line, chosen by looking at it.  A plain line -- a
+command, then its positionals and exact option flags with their values, as
+:func:`_read_plain` defines it -- is read straight from the declarations,
+with no parser built.  Every other line goes to the full parser,
+:func:`build_parser`, which is the reference: the plain reader returns
+exactly the namespace the full parser would, and every help text, version,
+usage line, message and exit code, and every abbreviated, ``=``, attached or
+``--`` spelling, is the full parser's.
 
 All randomness is seeded, and data files never contain wall-clock values, so
 identical invocations produce byte-identical outputs; timing lives in the
@@ -292,54 +296,65 @@ def _polarity_paths(out, polarity):
     return [(0, f"{stem}.all0{ext}"), (1, f"{stem}.all1{ext}")]
 
 
-def _common_arguments(p):
-    p.add_argument("netlist", help="netlist file (.bench or .blif)")
-    p.add_argument("targets", help="target file: <node>=<0|1> per line")
-    p.add_argument("-R", "--patterns", dest="pattern_budget", type=int, default=100,
-                   help="pattern budget (default 100)")
-    p.add_argument("--dmin", dest="d_min", type=int, default=2,
-                   help="minimum pairwise Hamming distance (default 2)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG/decision seed")
-    p.add_argument("--conflict-budget", type=int, default=None,
-                   help="abort any solve after this many conflicts")
-    p.add_argument("--manifest-out", default="gatefuzz-manifest.json",
-                   help="run manifest path (default gatefuzz-manifest.json)")
+class _Arg:
+    """One argument of a command, as :func:`build_parser` adds it and
+    :func:`_read_plain` reads it: a positional named ``dest`` when it has no
+    flags.  ``type`` is None (the word itself) or int."""
+
+    __slots__ = ("dest", "flags", "type", "default", "choices", "help")
+
+    def __init__(self, dest, flags=(), type=None, default=None, choices=None, help=None):
+        self.dest, self.flags, self.type = dest, flags, type
+        self.default, self.choices, self.help = default, choices, help
 
 
-def _gen_arguments(p):
-    _common_arguments(p)
-    p.add_argument("--dimacs-out", default=None,
-                   help="write the target cone's formula that gen solves, plus the "
-                   "target unit clauses, as DIMACS")
-    p.add_argument("--patterns-out", default=None, help="write the pattern file")
-    p.add_argument("--report-out", default=None, help="write the summary CSV row")
+_COMMON_ARGUMENTS = (
+    _Arg("netlist", help="netlist file (.bench or .blif)"),
+    _Arg("targets", help="target file: <node>=<0|1> per line"),
+    _Arg("pattern_budget", ("-R", "--patterns"), type=int, default=100,
+         help="pattern budget (default 100)"),
+    _Arg("d_min", ("--dmin",), type=int, default=2,
+         help="minimum pairwise Hamming distance (default 2)"),
+    _Arg("seed", ("--seed",), type=int, default=0, help="base RNG/decision seed"),
+    _Arg("conflict_budget", ("--conflict-budget",), type=int,
+         help="abort any solve after this many conflicts"),
+    _Arg("manifest_out", ("--manifest-out",), default="gatefuzz-manifest.json",
+         help="run manifest path (default gatefuzz-manifest.json)"),
+)
 
+_GEN_ARGUMENTS = _COMMON_ARGUMENTS + (
+    _Arg("dimacs_out", ("--dimacs-out",),
+         help="write the target cone's formula that gen solves, plus the "
+         "target unit clauses, as DIMACS"),
+    _Arg("patterns_out", ("--patterns-out",), help="write the pattern file"),
+    _Arg("report_out", ("--report-out",), help="write the summary CSV row"),
+)
 
-def _compare_arguments(p):
-    _common_arguments(p)
-    p.add_argument("--trials", type=int, default=15,
-                   help="number of seeded CGF runs (default 15)")
-    p.add_argument("--sat-curve-out", default=None, help="SAT coverage curve CSV")
-    p.add_argument("--cgf-curve-out", default=None, help="mean CGF coverage curve CSV")
-    p.add_argument("--summary-out", default=None, help="summary CSV")
+_COMPARE_ARGUMENTS = _COMMON_ARGUMENTS + (
+    _Arg("trials", ("--trials",), type=int, default=15,
+         help="number of seeded CGF runs (default 15)"),
+    _Arg("sat_curve_out", ("--sat-curve-out",), help="SAT coverage curve CSV"),
+    _Arg("cgf_curve_out", ("--cgf-curve-out",), help="mean CGF coverage curve CSV"),
+    _Arg("summary_out", ("--summary-out",), help="summary CSV"),
+)
 
-
-def _targets_diff_arguments(p):
-    p.add_argument("original", help="original netlist")
-    p.add_argument("modified", help="modified netlist")
-    p.add_argument("--polarity", choices=("0", "1", "both"), default="both")
-    p.add_argument("--out", default="diff.targets", help="output target file")
-    p.add_argument("--manifest-out", default="gatefuzz-manifest.json")
+_TARGETS_DIFF_ARGUMENTS = (
+    _Arg("original", help="original netlist"),
+    _Arg("modified", help="modified netlist"),
+    _Arg("polarity", ("--polarity",), default="both", choices=("0", "1", "both")),
+    _Arg("out", ("--out",), default="diff.targets", help="output target file"),
+    _Arg("manifest_out", ("--manifest-out",), default="gatefuzz-manifest.json"),
+)
 
 
 def _commands():
-    """Each command's help, the function that adds its arguments and the
-    one that runs it, read from the module at each call, so a patched
-    function is the one a parser built then runs."""
-    return {"gen": ("generate targeted patterns", _gen_arguments, cmd_gen),
-            "compare": ("compare against coverage-guided fuzzing", _compare_arguments,
+    """Each command's help, its arguments and the function that runs it,
+    read from the module at each call, so a patched function is the one a
+    line parsed then runs."""
+    return {"gen": ("generate targeted patterns", _GEN_ARGUMENTS, cmd_gen),
+            "compare": ("compare against coverage-guided fuzzing", _COMPARE_ARGUMENTS,
                         cmd_compare),
-            "targets-diff": ("derive targets from a netlist diff", _targets_diff_arguments,
+            "targets-diff": ("derive targets from a netlist diff", _TARGETS_DIFF_ARGUMENTS,
                              cmd_targets_diff)}
 
 
@@ -353,28 +368,63 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, arguments, func) in _commands().items():
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
-        arguments(p)
+        for arg in arguments:
+            if arg.flags:
+                p.add_argument(*arg.flags, dest=arg.dest, type=arg.type, default=arg.default,
+                               choices=arg.choices, help=arg.help)
+            else:
+                p.add_argument(arg.dest, help=arg.help)
     return parser
 
 
-def _command_parser(command):
-    """The parser of one command alone: the full parser's subparser for it."""
-    _, arguments, func = _commands()[command]
-    parser = _Parser(prog=f"gatefuzz {command}")
-    parser.set_defaults(command=command, func=func)
-    arguments(parser)
-    return parser
+def _read_plain(argv):
+    """The full parser's namespace for a plain command line, read from the
+    command's arguments without building a parser; None for any other line.
+
+    A plain line is a command, then words each of which is a positional not
+    starting with ``-`` or an option's exact flag followed by a value not
+    starting with ``-``: every option at most once, an int as ASCII digits,
+    a value with choices one of them, and as many positionals as the
+    command has."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, arguments, func = command
+    options = {flag: arg for arg in arguments for flag in arg.flags}
+    values = {arg.dest: arg.default for arg in arguments if arg.flags}
+    names = [arg.dest for arg in arguments if not arg.flags]
+    positionals, seen = [], set()
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        arg = options.get(word)
+        value = next(words, "-")  # a missing value reads as an option
+        if arg is None or arg.dest in seen or value.startswith("-"):
+            return None
+        seen.add(arg.dest)
+        if arg.type is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    if len(positionals) != len(names):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **dict(zip(names, positionals)),
+                              **values)
 
 
 def _parse(argv):
-    """The full parser's namespace for ``argv``.  A command line that opens
-    with a command is parsed by that command's parser alone; whatever it
-    leaves over, and every other line, goes to the full parser."""
-    if argv and argv[0] in _commands():
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """The full parser's namespace for ``argv``.  A plain line is read by
+    :func:`_read_plain`; every other line, and every help, version and
+    usage error, is the full parser's, :func:`build_parser`."""
+    return _read_plain(argv) or build_parser().parse_args(argv)
 
 
 def _manifest_path(argv):

@@ -45,6 +45,20 @@ class InputPattern:
         return pattern
 
     @classmethod
+    def from_words(cls, words, width: int) -> list["InputPattern"]:
+        """The patterns of ``words``, which the caller has kept within
+        ``width`` bits (a model's inputs, a mutant of such words): unlike
+        :meth:`from_word`, nothing is checked."""
+        new, set_word, set_width = object.__new__, cls.word.__set__, cls.width.__set__
+        patterns = []
+        for word in words:
+            pattern = new(cls)
+            set_word(pattern, word)
+            set_width(pattern, width)
+            patterns.append(pattern)
+        return patterns
+
+    @classmethod
     def from_string(cls, text: str) -> "InputPattern":
         text = text.strip()
         if not set(text) <= {"0", "1"}:

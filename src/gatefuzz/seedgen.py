@@ -198,7 +198,7 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
         rejects = 0
         while len(words) < config.pattern_budget and rejects < REJECTS_PER_CUBE:
             rejects = 0 if emit(fixed | rng.getrandbits(width) & free) else rejects + 1
-    patterns = [InputPattern.from_word(w, width) for w in words]
+    patterns = InputPattern.from_words(words, width)
     d_lo, d_hi = distance_extremes(words, width)
     if d_lo < config.d_min and len(words) > 1:
         i, j = next((i, j) for j, b in enumerate(words) for i, a in enumerate(words[:j])

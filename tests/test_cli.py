@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import itertools
 import json
@@ -584,6 +583,19 @@ def test_help_and_version_exit_0_without_a_manifest(tmp_path, monkeypatch, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+# lines the plain reader reads itself; the full parser must answer them alike
+_PLAIN_LINES = [
+    # the benchmark's gen line
+    ["gen", "c17.bench", "t.targets", "-R", "200", "--dmin", "2", "--seed", "7", "--patterns-out",
+     "p.txt", "--report-out", "r.csv", "--manifest-out", "gatefuzz-manifest.json"],
+    ["compare", "c17.bench", "t.targets", "-R", "8", "--trials", "2", "--seed", "1",
+     "--sat-curve-out", "sat.csv", "--cgf-curve-out", "cgf.csv", "--summary-out", "s.csv"],
+    ["targets-diff", "c17.bench", "c17.bench", "--out", "d.targets", "--polarity", "both"],
+    ["gen", "--patterns", "4", "--patterns-out", "q.txt", "--dimacs-out", "c.cnf",
+     "c17.bench", "t.targets"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["--version"], ["gen", "-h"], ["compare", "--help"], ["targets-diff", "-h"],
     ["fuzz", "c17.bench"], ["gen", "c17.bench", "t.targets", "--bogus"],
@@ -594,15 +606,19 @@ def test_help_and_version_exit_0_without_a_manifest(tmp_path, monkeypatch, argv)
     ["gen", "--", "c17.bench", "t.targets"], ["gen", "c17.bench", "t.targets", "--seed", "-1"],
     ["compare", "c17.bench", "t.targets", "--patterns-out", "x"],
     ["targets-diff", "c17.bench", "c17.bench", "--polarity", "2"],
+    *_PLAIN_LINES,
 ])
 def test_parser_of_the_command_run_answers_as_the_full_parser(tmp_path, monkeypatch, capsys,
                                                               argv):
-    # main() gives only the command it runs its arguments; what a user sees,
-    # the exit code and the manifest's error must be the full parser's
+    # the plain reader reads only the lines meant for it; what a user sees,
+    # the exit code, the manifest but its times and every output file must
+    # be the full parser's
+    assert (cli_module._read_plain(argv) is not None) == (argv in _PLAIN_LINES)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "100")  # argparse wraps its help at the terminal width
     (tmp_path / "c17.bench").write_text(fixture_text("c17.bench"))
     (tmp_path / "t.targets").write_text("n22=1\n")
+    inputs = {"c17.bench", "t.targets"}
     manifest = tmp_path / "gatefuzz-manifest.json"
 
     def run():
@@ -610,16 +626,78 @@ def test_parser_of_the_command_run_answers_as_the_full_parser(tmp_path, monkeypa
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-        error = json.loads(manifest.read_text()).get("error") if manifest.exists() else None
-        manifest.unlink(missing_ok=True)
-        return code, error, capsys.readouterr()
+        data = json.loads(manifest.read_text()) if manifest.exists() else None
+        if data is not None:
+            del data["stage_times_s"]
+        outputs = {}
+        for path in sorted(tmp_path.iterdir()):
+            if path.name not in inputs:
+                outputs[path.name] = None if path == manifest else path.read_text()
+                path.unlink()
+        return code, data, outputs, capsys.readouterr()
 
     one = run()
-    # a command parser that leaves every word over hands each line to the full parser
-    monkeypatch.setattr(cli_module, "_command_parser", lambda command: argparse.Namespace(
-        parse_known_args=lambda words: (None, ["-"])))
+    # a reader that reads no line hands each one to the full parser
+    monkeypatch.setattr(cli_module, "_read_plain", lambda argv: None)
     assert run() == one
     assert one[0] in (0, 2)
+
+
+# words that are no plain option, value or positional, each a spelling the
+# full parser reads or rejects in its own way; each option's abbreviation and
+# "=" spelling join them
+_ODD_WORDS = ["--", "-", "-h", "--help", "--version", "-1", "-R3", "--bogus", "-x y", "--trials",
+              "--dimacs-out"]
+_INT_VALUES = ["0", "3", "007", "12345678901234567890"]
+_ODD_INT_VALUES = ["-1", "\u0663", "1\u0660", "+3", " 3", "1_0", "3.0", "", "x", "9" * 5000]
+_STR_VALUES = ["p.txt", "", "gen", "a=b", "0", "both", "a b", "\u00e9.csv"]
+
+
+def _random_line(rng, command, arguments):
+    """A command line near the plain form of ``command``: its positionals and
+    options in any order, now and then a word too many, too few or odd."""
+    positionals = [arg for arg in arguments if not arg.flags]
+    options = [arg for arg in arguments if arg.flags]
+    items = [[rng.choice(["c17.bench", "t.targets", "x", "", "gen", "=1", "\u0663"])]
+             for _ in range(len(positionals) + rng.choice([-1, 0, 0, 0, 0, 1]))]
+    for arg in rng.sample(options, rng.randrange(len(options) + 1)):
+        for _ in range(2 if rng.random() < 0.05 else 1):  # now and then a repeat
+            if arg.type is int:
+                value = rng.choice(_ODD_INT_VALUES if rng.random() < 0.1 else _INT_VALUES)
+            elif arg.choices:
+                value = rng.choice([*arg.choices, "2", "BOTH"] if rng.random() < 0.2
+                                   else arg.choices)
+            else:
+                value = rng.choice(["-x", *_STR_VALUES] if rng.random() < 0.1 else _STR_VALUES)
+            items.append([rng.choice(arg.flags), value])
+    if rng.random() < 0.2:
+        flag = rng.choice([flag for arg in options for flag in arg.flags])
+        items.append([rng.choice([*_ODD_WORDS, f"{flag}=3", flag[:-1]])])
+    rng.shuffle(items)
+    line = [command, *itertools.chain.from_iterable(items)]
+    if rng.random() < 0.05:
+        line.pop()  # an option's value missing, or a positional
+    return line
+
+
+@pytest.mark.parametrize("command", ["gen", "compare", "targets-diff"])
+def test_plain_reader_reads_a_line_as_the_full_parser_or_leaves_it(command, capsys):
+    # the reader returns the full parser's namespace, every value of its
+    # type, or None; and it must read enough lines to be exercised
+    _, arguments, _ = cli_module._commands()[command]
+    parser = cli_module.build_parser()
+    rng = random.Random(command)
+    read = 0
+    for _ in range(1500):
+        argv = _random_line(rng, command, arguments)
+        args = cli_module._read_plain(argv)
+        if args is not None:
+            read += 1
+            expected = vars(parser.parse_args(argv))
+            assert {k: (type(v), v) for k, v in vars(args).items()} == {
+                k: (type(v), v) for k, v in expected.items()}, argv
+    assert read >= 400, read
+    assert capsys.readouterr().err == ""
 
 
 def test_unexpected_exception_is_recorded_and_raised_on(tmp_path, monkeypatch):

@@ -31,6 +31,19 @@ def test_bits_and_word_constructions_are_one_value():
     assert InputPattern((True, False)) == InputPattern((1, 0))
 
 
+@pytest.mark.parametrize("width", [0, 1, 5, 64, 200])
+def test_bulk_construction_equals_one_word_at_a_time(width):
+    rng = random.Random(width)
+    words = [rng.getrandbits(width) for _ in range(40)] + [0, (1 << width) - 1]
+    patterns = InputPattern.from_words(iter(words), width)
+    assert patterns == [InputPattern.from_word(word, width) for word in words]
+    assert all(type(p) is InputPattern and hash(p) == hash(InputPattern.from_word(p.word, width))
+               for p in patterns)
+    assert InputPattern.from_words([], width) == []
+    with pytest.raises(AttributeError):
+        patterns[0].word = 1
+
+
 def test_width_zero_pattern():
     p = InputPattern(())
     assert p.to_string() == "" and p.bits == () and len(p) == 0
