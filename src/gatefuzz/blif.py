@@ -3,18 +3,16 @@
 Each ``.names`` single-output cover must be recognizable as one of the
 supported gate kinds (AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF, CONST0,
 CONST1); anything else is rejected with the offending truth-table rows.
-``.latch`` becomes a DFF; latch init values are ignored (logged as a
-warning).  Parsing runs with the cyclic garbage collector paused, as
-``.bench`` parsing does (:func:`~gatefuzz.netlist.gc_paused`).
+``.latch`` becomes a DFF of its D and Q; its type, clock and init fields
+are dropped, because full scan (:func:`~gatefuzz.netlist.scan_convert`)
+makes every flip-flop output a free input, so they change no pattern.
+Parsing runs with the cyclic garbage collector paused, as ``.bench``
+parsing does (:func:`~gatefuzz.netlist.gc_paused`).
 """
 
 from __future__ import annotations
 
-import logging
-
 from .netlist import Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused
-
-log = logging.getLogger(__name__)
 
 
 class BlifCoverError(NetlistError):
@@ -104,62 +102,51 @@ def parse_blif(text: str, name: str = "blif") -> Netlist:
     :meth:`Netlist.validate`.
     """
     netlist = Netlist(name=name)
-    lines = list(_logical_lines(text))
-    i = 0
-    saw_model = False
-    saw_end = False
-    while i < len(lines):
-        lineno, tokens = lines[i]
+    cover = None  # the open .names: output, input names, rows
+    saw_model = saw_end = False
+    for lineno, tokens in _logical_lines(text):
         head = tokens[0]
         if saw_end:
             raise NetlistSyntaxError("content after .end", lineno)
+        if cover is not None:
+            if not head.startswith("."):
+                _, input_names, rows = cover
+                row = [""] + tokens if not input_names and len(tokens) == 1 else tokens
+                if len(row) != 2:
+                    raise NetlistSyntaxError(f"malformed cover row {' '.join(tokens)!r}", lineno)
+                in_plane, out_val = row
+                if len(in_plane) != len(input_names) or not set(in_plane) <= {"0", "1", "-"}:
+                    raise NetlistSyntaxError(f"cover row {' '.join(tokens)!r} does not match "
+                                             f"{len(input_names)} inputs", lineno)
+                if out_val not in ("0", "1"):
+                    raise NetlistSyntaxError(f"cover output must be 0 or 1, got {out_val!r}", lineno)
+                rows.append((in_plane, out_val))
+                continue
+            netlist.gates.append(_match_cover(*cover))
+            cover = None
         if head == ".model":
             if saw_model:
                 raise NetlistSyntaxError("multiple .model sections are not supported", lineno)
             saw_model = True
             if len(tokens) > 1:
                 netlist.name = tokens[1]
-            i += 1
         elif head == ".inputs":
             netlist.primary_inputs.extend(tokens[1:])
-            i += 1
         elif head == ".outputs":
             netlist.primary_outputs.extend(tokens[1:])
-            i += 1
         elif head == ".latch":
             if len(tokens) < 3:
                 raise NetlistSyntaxError(".latch requires <input> <output>", lineno)
-            d, q = tokens[1], tokens[2]
-            if len(tokens) > 3:
-                log.warning("%s line %d: latch %s init/control %r ignored",
-                            netlist.name, lineno, q, " ".join(tokens[3:]))
-            netlist.gates.append(RawGate(q, "DFF", (d,)))
-            i += 1
+            # full scan frees Q, so the type, clock and init fields change no pattern
+            netlist.gates.append(RawGate(tokens[2], "DFF", (tokens[1],)))
         elif head == ".names":
             if len(tokens) < 2:
                 raise NetlistSyntaxError(".names requires at least an output", lineno)
-            *input_names, output = tokens[1:]
-            rows = []
-            i += 1
-            while i < len(lines) and not lines[i][1][0].startswith("."):
-                row_lineno, row_tokens = lines[i]
-                if len(input_names) == 0 and len(row_tokens) == 1:
-                    rows.append(("", row_tokens[0]))
-                elif len(row_tokens) == 2:
-                    rows.append((row_tokens[0], row_tokens[1]))
-                else:
-                    raise NetlistSyntaxError(f"malformed cover row {' '.join(row_tokens)!r}", row_lineno)
-                in_plane, out_val = rows[-1]
-                if len(in_plane) != len(input_names) or not set(in_plane) <= {"0", "1", "-"}:
-                    raise NetlistSyntaxError(f"cover row {' '.join(row_tokens)!r} does not match "
-                                             f"{len(input_names)} inputs", row_lineno)
-                if out_val not in ("0", "1"):
-                    raise NetlistSyntaxError(f"cover output must be 0 or 1, got {out_val!r}", row_lineno)
-                i += 1
-            netlist.gates.append(_match_cover(output, input_names, rows))
+            cover = (tokens[-1], tokens[1:-1], [])
         elif head == ".end":
             saw_end = True
-            i += 1
         else:
             raise NetlistSyntaxError(f"unsupported BLIF construct {head!r}", lineno)
+    if cover is not None:
+        netlist.gates.append(_match_cover(*cover))
     return netlist

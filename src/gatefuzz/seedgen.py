@@ -186,12 +186,9 @@ def generate(graph: CircuitGraph, spec: TargetSpec, config: GenConfig) -> GenRep
             break
         free = 0 if rigid else _lift(cut, targets, result.inputs)
         free_counts.append(free.bit_count())
-        # the solver keeps every emitted pattern at distance, so only an
-        # unsound solver returns a model too close to one
-        if not emit(result.inputs):
-            raise RuntimeError(
-                f"solver model {InputPattern.from_word(result.inputs, width).to_string()} "
-                f"is closer than d_min {config.d_min} to an accepted pattern")
+        # the solver keeps models at distance, and the end pass checks that it did
+        session.keep_distance(result.inputs, config.d_min)
+        words.append(result.inputs)
         if free_counts[-1] < config.d_min:
             continue  # no completion is d_min away from the model
         fixed = result.inputs & ~free

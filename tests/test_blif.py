@@ -1,9 +1,9 @@
-import logging
+import warnings
 
 import pytest
 
 from gatefuzz.blif import BlifCoverError, parse_blif
-from gatefuzz.netlist import NetlistSyntaxError
+from gatefuzz.netlist import Netlist, NetlistSyntaxError, RawGate
 
 
 def _single_gate(text):
@@ -78,13 +78,17 @@ def test_mixed_onset_offset_rejected():
         parse_blif(".inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end")
 
 
-def test_latch_becomes_dff_and_init_warns(caplog):
-    text = ".model seq\n.inputs d\n.outputs q\n.latch d q re clk 0\n.end"
-    with caplog.at_level(logging.WARNING, logger="gatefuzz.blif"):
-        n = parse_blif(text)
-    assert n.gates[0].kind == "DFF"
-    assert n.gates[0].inputs == ("d",)
-    assert any("ignored" in r.message for r in caplog.records)
+def test_latch_becomes_dff_of_d_and_q_alone(caplog, capsys):
+    # full scan makes every flip-flop output a free input, so the latch's
+    # type, clock and init fields change no pattern and are dropped unremarked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for latch in (".latch d q", ".latch d q 0", ".latch d q re clk 2"):
+            n = parse_blif(f".model seq\n.inputs d\n.outputs q\n{latch}\n.end")
+            assert n == Netlist(name="seq", primary_inputs=["d"], primary_outputs=["q"],
+                                gates=[RawGate("q", "DFF", ("d",))])
+    assert caplog.records == []
+    assert capsys.readouterr() == ("", "")
 
 
 def test_line_continuation():
@@ -100,3 +104,62 @@ def test_bad_row_width():
 def test_unsupported_construct():
     with pytest.raises(NetlistSyntaxError, match="unsupported BLIF construct"):
         parse_blif(".subckt foo a=b\n.end")
+
+
+_AB = ".inputs a b\n.outputs y\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # syntax
+    (".names y\n1\n.end\n.names z\n", 4, "content after .end"),
+    (".model a\n.model b\n", 2, "multiple .model sections are not supported"),
+    (".latch d\n", 1, ".latch requires <input> <output>"),
+    (".names\n", 1, ".names requires at least an output"),
+    (_AB + ".names a b y\n1 1 1\n", 4, "malformed cover row '1 1 1'"),
+    # rows
+    (_AB + ".names a b y\n1 1\n", 4, "cover row '1 1' does not match 2 inputs"),
+    (_AB + ".names a b y\n12 1\n", 4, "cover row '12 1' does not match 2 inputs"),
+    (_AB + ".names a b y\n11 x\n", 4, "cover output must be 0 or 1, got 'x'"),
+    # outside a cover
+    (".subckt foo a=b\n.end\n", 1, "unsupported BLIF construct '.subckt'"),
+    (_AB + "11 1\n.end\n", 3, "unsupported BLIF construct '11'"),
+    # a continued row is reported at the logical line's first line
+    (_AB + ".names a b y\n11 1\n11 \\\nx\n.end\n", 5, "cover output must be 0 or 1, got 'x'"),
+])
+def test_syntax_errors_pinned(text, line, message):
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_blif(text)
+    assert type(exc.value) is NetlistSyntaxError
+    assert str(exc.value) == f"line {line}, col 1: {message}"
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, detail, rows", [
+    (_AB + ".names a b y\n11 1\n00 0\n", "mixed on-set and off-set rows", [("11", "1"), ("00", "0")]),
+    (_AB + ".names a b y\n.end\n", "empty cover with inputs", []),
+    (".outputs y\n.names y\n1\n1\n.end\n", "malformed constant cover", [("", "1"), ("", "1")]),
+    (".inputs a\n.outputs y\n.names a y\n- 1\n.end\n", "unrecognized unary cover", [("-", "1")]),
+    (_AB + ".names a b y\n10 1\n.end\n", "no supported gate matches", [("10", "1")]),
+])
+def test_cover_errors_pinned(text, detail, rows):
+    with pytest.raises(BlifCoverError) as exc:
+        parse_blif(text)
+    rows_text = "; ".join(" ".join(r) for r in rows) or "<empty>"
+    assert str(exc.value) == (f"cover for 'y' not expressible as a supported gate kind "
+                              f"({detail}); rows: {rows_text}")
+    assert exc.value.rows == rows
+
+
+def test_cover_errors_before_the_directive_that_closes_it():
+    # a cover closes at the next directive, so its own error comes first
+    with pytest.raises(BlifCoverError, match="no supported gate matches"):
+        parse_blif(_AB + ".names a b y\n10 1\n.subckt foo a=b\n")
+    with pytest.raises(BlifCoverError, match="empty cover with inputs"):
+        parse_blif(_AB + ".names a b y\n.end\n.end\n")
+
+
+def test_cover_closed_by_the_end_of_text():
+    n = parse_blif(".model t\n" + _AB + ".names a\\\n b y\n1- 1\n-1 1")
+    assert n == Netlist(name="t", primary_inputs=["a", "b"], primary_outputs=["y"],
+                        gates=[RawGate("y", "OR", ("a", "b"))])
+    assert parse_blif(".outputs y\n.names y").gates == [RawGate("y", "CONST0", ())]

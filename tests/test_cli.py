@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -768,6 +770,17 @@ def test_blif_sniff_reads_lines_as_str_splitlines_does():
         first = next((s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"), "")
         assert _is_blif("m.net", text) == first.startswith(".model"), repr(text)
         assert _is_blif("m.blif", text)
+
+
+def test_cli_import_loads_no_logging():
+    # importing logging costs every run a few ms; -S keeps a site .pth file
+    # from importing it first
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gatefuzz.cli; print('logging' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_compare_or4_and_determinism(tmp_path):

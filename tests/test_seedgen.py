@@ -400,12 +400,19 @@ def test_target_outside_the_graph_is_a_target_error():
         generate(g, TargetSpec(entries=[(0, 1), (3, 1)]), GenConfig())
 
 
-def test_distance_guard_raises_on_an_unsound_solver(monkeypatch):
+@pytest.mark.parametrize("sabotage, debug_error", [
+    # no floor and no index at all: the end pass refuses the repeated model
+    ("keep_distance", RuntimeError),
+    # a floor the solver ignores, while the index still answers near: the
+    # model check refuses the repeated model first when asserts are on
+    ("_check_distance", AssertionError),
+], ids=["no-floor", "floor-ignored"])
+def test_distance_guard_raises_on_an_unsound_solver(monkeypatch, sabotage, debug_error):
     # without its distance floor the solver returns the first model again,
-    # which the guard must refuse, asserts on or off
+    # which must be refused, asserts on or off
     g = _graph("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)")
-    monkeypatch.setattr(SolverSession, "keep_distance", lambda self, model, d: None)
-    with pytest.raises(RuntimeError, match="closer than d_min 2"):
+    monkeypatch.setattr(SolverSession, sabotage, lambda self, *args: None)
+    with pytest.raises(debug_error if __debug__ else RuntimeError, match="closer than"):
         generate(g, parse_targets("y=1", g), GenConfig(pattern_budget=15, d_min=2))
 
 
