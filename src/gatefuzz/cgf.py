@@ -15,16 +15,29 @@ by :func:`~gatefuzz.simulate.run_words` over the cut graph of the targets'
 fan-in cone, which keeps the graph's inputs; :func:`~gatefuzz.targets.cut_targets`
 checks the spec and maps it onto that cut, memoized per graph and target set.
 Yet the run is the same executed sequence as evaluating one mutant at a time.
-A window is bred from the corpus as it stands, and its first lane that shows
-an unseen pair is the next admission; the RNG is rewound to just after that
-lane.  The walk then goes on through the window: each later lane is bred
-again from the grown corpus, and if it comes out equal to the simulated lane
-it is the next execution, its pairs read from the pass's words (a valuation
-depends only on its pattern), so it may be admitted too.  The first lane bred
-differently ends the walk and leads the next window, so the RNG is never
-rewound past it.  Most lanes come out unchanged, as a choice among n and n + 1
-seeds mostly makes the same draws and a mutation makes the same draws
-whatever its parent, so one pass serves several admissions.
+Each lane of a window is bred from the corpus it is expected to meet.  The
+first window is hopeful, since its first lane is always admitted, and so is
+each window after a walk that admitted every lane it executed: lane k is bred
+from the corpus plus lanes 0..k-1, as if each will be admitted.  Otherwise
+every lane is bred from the corpus as it stands.  The walk goes through the
+window in order and trusts a lane while the corpus it was bred from is the
+real one: the lane is the next execution.  At the first lane bred from another
+corpus, the RNG is rewound to the window's start and the trusted lanes are
+bred again, each from its own corpus, so the RNG stands just after the last of
+them.  From there the walk breeds each lane again from the real corpus, and if
+it comes out equal to the simulated lane it is the next execution, its pairs
+read from the pass's words (a valuation depends only on its pattern).  The
+first lane bred differently ends the walk and leads the next window, so the
+RNG is never rewound past it.  Most lanes come out unchanged, as a choice
+among n and n + 1 seeds mostly makes the same draws and a mutation makes the
+same draws whatever its parent, so one pass serves several admissions.  The
+walk rewinds in the same way when every pair is seen, so the rest of the
+budget is bred from the RNG as it stood after the last execution.
+
+Each pass puts the unseen pairs into buckets once, by the first lane that
+shows them.  No executed lane before that one showed the pair, so a lane is
+admitted exactly when its bucket is not empty, and the bucket holds the pairs
+its admission sees first.
 
 Each window is sized from the last walk: twice the lanes the last pass
 executed, clamped to :data:`FIRST_WINDOW`..:data:`WINDOW`.  Windows double
@@ -45,8 +58,6 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from .coverage import CoverageReport, report_and_curve
 from .graph import CircuitGraph
@@ -89,12 +100,16 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     Mutants are bred and kept as packed words and simulated in windows;
     after a pass that executed ``k`` lanes the next window has
     ``2k`` lanes, at least :data:`FIRST_WINDOW` and at most :data:`WINDOW`
-    (one int digit, beyond which a pass costs a third more).  The lanes
-    after an admission that the grown corpus breeds unchanged are executed
-    from the same pass.  None of this changes the executed sequence; only
-    ``passes`` depends on it.  Coverage is reported over all executed
-    patterns, not just admitted ones, and is read from the admissions: a
-    (target node, value) pair is first seen at the execution that admitted it.
+    (one int digit, beyond which a pass costs a third more).  After a walk
+    that admitted every lane it executed, and for the first window, each
+    lane is bred as if every earlier lane of its window will be admitted;
+    otherwise from the corpus as it stands.  A lane is executed from the
+    pass while the corpus it was bred from is the real one, or while the
+    real corpus breeds it unchanged.  None of this changes the executed
+    sequence; only ``passes`` depends on it.  Coverage is reported over all
+    executed patterns, not just admitted ones, and is read from the
+    admissions: a (target node, value) pair is first seen at the execution
+    that admitted it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -107,46 +122,47 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     executed: list[int] = []
 
     size, passes = FIRST_WINDOW, 0
-    lead = []  # a mutant bred from the grown corpus, not yet simulated
+    hopeful = True  # breed lane k as if lanes 0..k-1 are admitted: the first always is
+    lead = []  # a mutant bred from the real corpus, not yet simulated
     while unseen and len(executed) < budget:
         state = rng.getstate()
-        window = lead + [_breed(rng, seeds, width)
-                          for _ in range(min(size, budget - len(executed)) - len(lead))]
-        carried, lead = len(lead), []
+        base, carried, window = len(seeds), len(lead), lead
+        while len(window) < min(size, budget - len(executed)):
+            window.append(_breed(rng, seeds + window if hopeful else seeds, width))
         words = run_words(cut, window)
         passes += 1
         mask = (1 << len(window)) - 1
-        lanes_of = {pair: words[pair[0]] ^ (0 if pair[1] else mask) for pair in unseen}
-        hits = reduce(or_, lanes_of.values(), 0)
-        if not hits:
-            executed.extend(window)
-            lane = len(window)
-        else:
-            lane = (hits & -hits).bit_length() - 1
-            executed.extend(window[:lane])
-            # replay up to the admitted lane while the corpus is still the one
-            # the window was bred from
-            rng.setstate(state)
-            for _ in range(lane + 1 - carried):
-                _breed(rng, seeds, width)
-            # walk on while the grown corpus breeds the lanes as they were simulated
-            while True:
-                executed.append(window[lane])
-                if hits >> lane & 1:
-                    new_pairs = {pair for pair in unseen if lanes_of[pair] >> lane & 1}
-                    unseen -= new_pairs
-                    first_seen.update(dict.fromkeys(new_pairs, len(executed)))
-                    seeds.append(window[lane])
-                    hits = reduce(or_, map(lanes_of.get, unseen), 0)
-                lane += 1
-                if lane == len(window) or not unseen:
-                    break
+        found = {}  # lane -> the unseen pairs that lane is the first to show
+        for pair in unseen:
+            lanes = words[pair[0]] ^ (0 if pair[1] else mask)
+            if lanes:
+                found.setdefault((lanes & -lanes).bit_length() - 1, []).append(pair)
+        lane, lead, rewound = 0, [], False
+        while lane < len(window):
+            if not rewound and (not unseen or len(seeds) != base + lane * hopeful):
+                # the lane was bred from another corpus than the real one, or
+                # the run stops: set the RNG to just after the last lane walked
+                rng.setstate(state)
+                for j in range(carried, lane):
+                    _breed(rng, seeds[:base + j * hopeful], width)
+                rewound = True
+            if not unseen:
+                break
+            if rewound:
                 mutant = _breed(rng, seeds, width)
                 if mutant != window[lane]:
                     lead = [mutant]
                     break
+            executed.append(window[lane])
+            pairs = found.get(lane)
+            if pairs:
+                unseen.difference_update(pairs)
+                first_seen.update(dict.fromkeys(pairs, len(executed)))
+                seeds.append(window[lane])
+            lane += 1
         # lane is the number of the window's lanes executed
         size = max(FIRST_WINDOW, min(WINDOW, 2 * lane))
+        hopeful = len(seeds) - base == lane
     while len(executed) < budget:
         executed.append(_breed(rng, seeds, width))
 
@@ -159,18 +175,33 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
 
 def _breed(rng, seeds: list[int], width: int) -> int:
     """The next mutant's word: uniform random while ``seeds`` is empty, else
-    a uniformly chosen seed, replaced wholesale or with inputs flipped."""
+    a uniformly chosen seed, replaced wholesale or with inputs flipped.
+
+    The seed and each flipped input are drawn as ``Random.choice`` and
+    ``Random.randrange`` draw them, by CPython's own rejection loop: a draw
+    of ``n.bit_length()`` bits, again while it is ``n`` or more.  So this
+    makes their draws and leaves the RNG in their state, without their
+    Python-level wrappers."""
+    getrandbits = rng.getrandbits
     if not seeds:
-        return rng.getrandbits(width)
-    parent = rng.choice(seeds)
+        return getrandbits(width)
+    n = len(seeds)
+    bits = n.bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    parent = seeds[i]
     if width == 0:
         return parent
     if rng.random() < FULL_RANDOM_PROB:
-        return rng.getrandbits(width)
+        return getrandbits(width)
     w = 1
     while w < width and rng.random() < MULTI_FLIP_CONTINUE_PROB:
         w += 1
+    bits, top = width.bit_length(), width - 1
     mask = 0  # input i is bit width - 1 - i
     while mask.bit_count() < w:
-        mask |= 1 << (width - 1 - rng.randrange(width))
+        i = getrandbits(bits)
+        if i < width:
+            mask |= 1 << top - i
     return parent ^ mask

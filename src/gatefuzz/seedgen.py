@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import compress
 from operator import xor
 
 from .cnf import encode
@@ -73,6 +72,11 @@ from .targets import TargetSpec, cut_targets
 REJECTS_PER_CUBE = 32
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string's characters as 0 and 1 bytes
+# inputs per table of plane sums in distance_extremes: 6 was the fastest of 4
+# to 8 on c432's words at R = 200 and 2,000, and its tables hold 64/6 times
+# the planes (7 MB more than the planes at R = 20,000 on c432's 36 inputs)
+_CHUNK = 6
+_CHUNK_MASK = (1 << _CHUNK) - 1
 # the kinds whose output is X whenever one of their inputs is X
 _PARITY_KINDS = frozenset(kind for kind, (op, _) in GATE_OPS.items() if op is xor)
 
@@ -238,10 +242,12 @@ def distance_extremes(words: list[int], width: int) -> tuple[int, int]:
     top, and a field holds any distance up to ``width`` below a guard bit.
     So the planes of a word's ones, summed, and taken from the planes' sum
     and the word's popcount per field, give its distance to every word, one
-    to a field, with no carry between fields.  Adding a constant to every
-    field then sets the guard bits of the fields past a threshold, so an
-    extreme moves by one step per test while some field passes it: at most
-    ``width`` steps in all.
+    to a field, with no carry between fields.  The planes are summed ahead
+    per chunk of :data:`_CHUNK` inputs, one sum for each value of the chunk's
+    bits, so a word's sum takes one lookup per chunk, not one add per one
+    bit.  Adding a constant to every field then sets the guard bits of the
+    fields past a threshold, so an extreme moves by one step per test while
+    some field passes it: at most ``width`` steps in all.
     """
     n = len(words)
     if n < 2:
@@ -258,12 +264,22 @@ def distance_extremes(words: list[int], width: int) -> tuple[int, int]:
         column[size - 1::size] = flags[k::width]
         planes.append(int.from_bytes(column, "big"))
     sizes = sum(planes)  # every word's popcount
+    # chunk s covers word bits s .. s + _CHUNK - 1, and its table holds the
+    # sum of their planes for each value of those bits
+    chunks = []
+    for shift in range(0, width, _CHUNK):
+        sums = [0]
+        for bit in range(shift, min(shift + _CHUNK, width)):
+            plane = planes[width - 1 - bit]
+            sums += [s + plane for s in sums]
+        chunks.append((shift, sums))
+    del planes
     lo, hi = width + 1, 0
     above, below = (guard - 1 - hi) * ones, (guard - lo) * ones
-    for i, w in enumerate(words):
+    for w in words:
         # field j: |w_j| + |w| - 2 |w_j & w|, the distance from w_j to w
         distances = (sizes + w.bit_count() * ones
-                     - 2 * sum(compress(planes, flags[i * width:(i + 1) * width])))
+                     - 2 * sum([sums[w >> shift & _CHUNK_MASK] for shift, sums in chunks]))
         while (distances + above) & guards:  # a field above hi
             hi += 1
             above = (guard - 1 - hi) * ones

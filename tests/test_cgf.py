@@ -138,17 +138,27 @@ def reference_mutate(rng, parent, width):
     return InputPattern(tuple(bits))
 
 
-@pytest.mark.parametrize("width", _WIDTHS)
+# corpus sizes on both sides of each power of two up to 129
+_CORPUS_SIZES = sorted({0, 1} | {p + d for p in (2, 4, 8, 16, 32, 64, 128) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("width", sorted({*_WIDTHS, 2, 3, 31, 32, 33, 130}))
 def test_mutate_makes_the_reference_draws(width):
-    # a corpus breeds a mutant of a uniformly chosen seed
+    # a corpus breeds a mutant of a uniformly chosen seed (an empty one, a
+    # random word).  _breed draws from getrandbits directly, the reference
+    # with Random.choice and Random.randrange: after every breed the word and
+    # the RNG state agree
     parent_rng = random.Random(width)
     for seed in range(300):
-        parents = [reference_random_pattern(parent_rng, width) for _ in range(seed % 3 + 1)]
+        size = _CORPUS_SIZES[seed % len(_CORPUS_SIZES)]
+        parents = [reference_random_pattern(parent_rng, width) for _ in range(size)]
         rng, ref = random.Random(seed), random.Random(seed)
-        child = cgf._breed(rng, [p.word for p in parents], width)
-        assert InputPattern.from_word(child, width) == reference_mutate(
-            ref, ref.choice(parents), width)
-        assert rng.random() == ref.random()  # the RNG is left in the same state
+        for _ in range(3):
+            child = cgf._breed(rng, [p.word for p in parents], width)
+            expected = (reference_mutate(ref, ref.choice(parents), width) if parents
+                        else reference_random_pattern(ref, width))
+            assert InputPattern.from_word(child, width) == expected, (seed, size)
+            assert rng.getstate() == ref.getstate(), (seed, size)
 
 
 def sequential_cgf(graph, spec, budget, rng_seed):
@@ -271,8 +281,44 @@ def test_never_hitting_run_simulates_full_windows(monkeypatch):
     assert len(result.corpus.seeds) == 1  # only the first pattern's (root, 0)
     assert passes[:2] == [FIRST_WINDOW, FIRST_WINDOW]  # the first pattern hits at lane 0
     assert max(passes) == WINDOW and passes.count(WINDOW) >= 2
-    # of all simulated lanes, only the first window's lanes after its hit are dropped
-    assert sum(passes) == 300 + FIRST_WINDOW - 1
+    # the first window is hopeful: lane 1 is bred from the first pattern, and
+    # lane 2 on as if lane 1 were admitted too.  Lane 1 is not, so lane 2 is
+    # bred again and comes out the same, and lane 3 does not: of all simulated
+    # lanes, only the first window's last five are dropped
+    assert sum(passes) == 300 + FIRST_WINDOW - 3
+
+
+def _c17_n22_run(monkeypatch, rng_seed):
+    g = build_graph(scan_convert(load_circuit("c17")))
+    spec = parse_targets("n22=1", g)
+    windows = _record_windows(monkeypatch)
+    result = run_cgf(g, spec, budget=50, rng_seed=rng_seed)
+    assert (result.executed, result.corpus.seeds, result.report, result.curve) == \
+        sequential_cgf(g, spec, 50, rng_seed)
+    n22 = g.name_to_id["n22"]
+    return windows, result, [simulate(g, p)[n22] for p in result.executed]
+
+
+def test_every_pair_seen_inside_a_hopeful_window(monkeypatch):
+    # the first window is hopeful, and its first two lanes show n22 at both
+    # values: the walk stops at lane 1 with lanes left in the window, and the
+    # rest of the budget is bred from the RNG as it stood after lane 1
+    windows, result, n22 = _c17_n22_run(monkeypatch, rng_seed=1)
+    assert len(windows) == 1 and len(windows[0]) > 2
+    assert n22[:2] == [0, 1]
+    assert result.corpus.seeds == result.executed[:2] == InputPattern.from_words(
+        windows[0][:2], 5)
+
+
+def test_hopeful_window_walks_on_past_a_lane_not_admitted(monkeypatch):
+    # lane 1 of the first, hopeful window shows n22 at lane 0's value, so it
+    # is not admitted; lane 2, bred as if it were, is bred again from the
+    # real corpus and compared
+    windows, result, n22 = _c17_n22_run(monkeypatch, rng_seed=0)
+    assert len(windows) >= 2 and n22[:3] == [1, 1, 1]
+    assert result.corpus.seeds[0] == result.executed[0]
+    assert result.executed[:3] == InputPattern.from_words(windows[0][:3], 5)
+    assert result.executed[3] != InputPattern.from_word(windows[0][3], 5)
 
 
 def _many_admissions_case():
