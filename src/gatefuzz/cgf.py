@@ -15,38 +15,35 @@ by :func:`~gatefuzz.simulate.run_words` over the cut graph of the targets'
 fan-in cone, which keeps the graph's inputs; :func:`~gatefuzz.targets.cut_targets`
 checks the spec and maps it onto that cut, memoized per graph and target set.
 Yet the run is the same executed sequence as evaluating one mutant at a time.
-Each lane of a window is bred from the corpus it is expected to meet.  The
-first window is hopeful, since its first lane is always admitted, and so is
-each window after a walk that admitted every lane it executed: lane k is bred
-from the corpus plus lanes 0..k-1, as if each will be admitted.  Otherwise
-every lane is bred from the corpus as it stands.  The walk goes through the
-window in order and trusts a lane while the corpus it was bred from is the
-real one: the lane is the next execution.  At the first lane bred from another
-corpus, the RNG is rewound to the window's start and the trusted lanes are
-bred again, each from its own corpus, so the RNG stands just after the last of
-them.  From there the walk breeds each lane again from the real corpus, and if
-it comes out equal to the simulated lane it is the next execution, its pairs
-read from the pass's words (a valuation depends only on its pattern).  The
-first lane bred differently ends the walk and leads the next window, so the
-RNG is never rewound past it.  Most lanes come out unchanged, as a choice
-among n and n + 1 seeds mostly makes the same draws and a mutation makes the
-same draws whatever its parent, so one pass serves several admissions.  The
-walk rewinds in the same way when every pair is seen, so the rest of the
-budget is bred from the RNG as it stood after the last execution.
+
+Each window opens with a lead, a mutant bred from the real corpus: the lane
+the last walk bred differently, or else a fresh one.  The RNG state is saved
+after it, and up to :data:`WINDOW` - 1 more lanes are bred, as many as the
+budget leaves.  After a window whose every executed lane was admitted, and
+for the first window, whose lead always is, the window is hopeful: lane k is
+bred from the corpus plus lanes 0..k-1, as if each will be admitted.
+Otherwise every lane is bred from the corpus as it stands.  After the pass
+the walk keeps one rule.  It sets the RNG back to the saved state and
+executes the lead as it is.  Then it breeds each later lane again from the
+real corpus, and while that comes out equal to the simulated lane, the lane
+is the next execution, its pairs read from the pass's words (a valuation
+depends only on its pattern).  The first lane bred differently ends the walk
+and leads the next window, so the RNG always stands just after the last
+mutant bred from the real corpus.  Most lanes come out unchanged, as a
+choice among n and n + 1 seeds mostly makes the same draws and a mutation
+makes the same draws whatever its parent, so one pass serves several
+admissions.  The walk stops once every pair is seen, and the rest of the
+budget is bred without simulation from the RNG as it stood after the last
+execution.
 
 Each pass puts the unseen pairs into buckets once, by the first lane that
 shows them.  No executed lane before that one showed the pair, so a lane is
 admitted exactly when its bucket is not empty, and the bucket holds the pairs
 its admission sees first.
 
-Each window is sized from the last walk: twice the lanes the last pass
-executed, clamped to :data:`FIRST_WINDOW`..:data:`WINDOW`.  Windows double
-while nothing is found and stay small while admissions come a few lanes
-apart, so few lanes are bred and thrown away.  :data:`WINDOW` is the lanes of
-one CPython int digit (30 on 64-bit builds): a pass costs nearly the same at
-1 and 30 lanes, but a word of two digits makes every gate about a third
-dearer.  Once every pair is seen, the rest of the budget is bred without
-simulation.
+:data:`WINDOW` is the lanes of one CPython int digit (30 on 64-bit builds):
+a pass costs nearly the same at 1 and 30 lanes, but a word of two digits
+makes every gate about a third dearer.
 
 No lane before an admitted one shows an unseen pair, so a pair's first
 pattern is the admission that removed it from the unseen set: the coverage
@@ -67,8 +64,7 @@ from .targets import TargetSpec, cut_targets
 
 FULL_RANDOM_PROB = 0.1
 MULTI_FLIP_CONTINUE_PROB = 0.5
-FIRST_WINDOW = 8  # the fewest mutants bred and simulated per pass
-WINDOW = sys.int_info.bits_per_digit  # the most: the lanes of one int digit
+WINDOW = sys.int_info.bits_per_digit  # mutants simulated per pass: one int digit's lanes
 
 
 @dataclass
@@ -97,19 +93,19 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     Each mutant is bred from the corpus as it stands after every earlier
     execution; the corpus is the admitted patterns, in admission order.
 
-    Mutants are bred and kept as packed words and simulated in windows;
-    after a pass that executed ``k`` lanes the next window has
-    ``2k`` lanes, at least :data:`FIRST_WINDOW` and at most :data:`WINDOW`
-    (one int digit, beyond which a pass costs a third more).  After a walk
-    that admitted every lane it executed, and for the first window, each
-    lane is bred as if every earlier lane of its window will be admitted;
-    otherwise from the corpus as it stands.  A lane is executed from the
-    pass while the corpus it was bred from is the real one, or while the
-    real corpus breeds it unchanged.  None of this changes the executed
-    sequence; only ``passes`` depends on it.  Coverage is reported over all
-    executed patterns, not just admitted ones, and is read from the
-    admissions: a (target node, value) pair is first seen at the execution
-    that admitted it.
+    Mutants are bred and kept as packed words and simulated in windows of
+    at most :data:`WINDOW` lanes (one int digit, beyond which a pass costs
+    a third more).  Each window opens with a mutant bred from the real
+    corpus; after a window whose every executed lane was admitted, and for
+    the first window, each later lane is bred as if every earlier lane of
+    its window will be admitted, otherwise from the corpus as it stands.
+    After the pass, the RNG is set back to where it stood after the opening
+    mutant, which is executed, and each later lane is executed from the
+    pass while the real corpus breeds it unchanged.  None of this changes
+    the executed sequence; only ``passes`` depends on it.  Coverage is
+    reported over all executed patterns, not just admitted ones, and is
+    read from the admissions: a (target node, value) pair is first seen at
+    the execution that admitted it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -121,13 +117,13 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
     seeds: list[int] = []  # the admitted words, in order
     executed: list[int] = []
 
-    size, passes = FIRST_WINDOW, 0
+    passes = 0
     hopeful = True  # breed lane k as if lanes 0..k-1 are admitted: the first always is
-    lead = []  # a mutant bred from the real corpus, not yet simulated
+    lead = None  # the mutant the last walk bred differently, not yet executed
     while unseen and len(executed) < budget:
+        window = [_breed(rng, seeds, width) if lead is None else lead]
         state = rng.getstate()
-        base, carried, window = len(seeds), len(lead), lead
-        while len(window) < min(size, budget - len(executed)):
+        while len(window) < min(WINDOW, budget - len(executed)):
             window.append(_breed(rng, seeds + window if hopeful else seeds, width))
         words = run_words(cut, window)
         passes += 1
@@ -137,32 +133,24 @@ def run_cgf(graph: CircuitGraph, spec: TargetSpec, budget: int,
             lanes = words[pair[0]] ^ (0 if pair[1] else mask)
             if lanes:
                 found.setdefault((lanes & -lanes).bit_length() - 1, []).append(pair)
-        lane, lead, rewound = 0, [], False
-        while lane < len(window):
-            if not rewound and (not unseen or len(seeds) != base + lane * hopeful):
-                # the lane was bred from another corpus than the real one, or
-                # the run stops: set the RNG to just after the last lane walked
-                rng.setstate(state)
-                for j in range(carried, lane):
-                    _breed(rng, seeds[:base + j * hopeful], width)
-                rewound = True
-            if not unseen:
-                break
-            if rewound:
-                mutant = _breed(rng, seeds, width)
-                if mutant != window[lane]:
-                    lead = [mutant]
+        rng.setstate(state)
+        hopeful, lead = True, None
+        for lane, word in enumerate(window):
+            if lane:
+                if not unseen:
                     break
-            executed.append(window[lane])
+                mutant = _breed(rng, seeds, width)
+                if mutant != word:
+                    lead = mutant
+                    break
+            executed.append(word)
             pairs = found.get(lane)
             if pairs:
                 unseen.difference_update(pairs)
                 first_seen.update(dict.fromkeys(pairs, len(executed)))
-                seeds.append(window[lane])
-            lane += 1
-        # lane is the number of the window's lanes executed
-        size = max(FIRST_WINDOW, min(WINDOW, 2 * lane))
-        hopeful = len(seeds) - base == lane
+                seeds.append(word)
+            else:
+                hopeful = False
     while len(executed) < budget:
         executed.append(_breed(rng, seeds, width))
 

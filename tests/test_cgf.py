@@ -6,8 +6,7 @@ import pytest
 
 from gatefuzz.bench import parse_bench
 from gatefuzz import cgf
-from gatefuzz.cgf import (FIRST_WINDOW, FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW,
-                         run_cgf)
+from gatefuzz.cgf import FULL_RANDOM_PROB, MULTI_FLIP_CONTINUE_PROB, WINDOW, run_cgf
 from gatefuzz.coverage import (CoverageReport, TargetCoverage, first_sightings, measure,
                                report_and_curve)
 from gatefuzz.fixtures import fixture_text, load_circuit
@@ -213,8 +212,14 @@ def _equivalence_cases():
                                                     rng.randint(5, 60), with_dffs=True)))
         nodes = rng.sample(range(g.node_count), rng.randint(1, min(8, g.node_count)))
         yield f"random-{case}", g, TargetSpec(entries=[(n, rng.randrange(2)) for n in nodes])
-    # (root, 0) is admitted at once and (root, 1) next to never, so the
-    # windows grow to the cap
+    # every gate a target: admissions come now and then all through a run,
+    # so windows hopeful or not both admit some lanes and pass over others
+    for with_dffs in (False, True):
+        g = build_graph(scan_convert(random_netlist(rng, 12, 120, with_dffs=with_dffs)))
+        gates = [n for n in range(g.node_count) if g.kinds[n] != "INPUT"]
+        yield f"random-many-{with_dffs}", g, TargetSpec(entries=[(n, 1) for n in gates])
+    # (root, 0) is admitted at once and (root, 1) next to never, so after
+    # the first window every walk executes its whole window
     tree = build_graph(scan_convert(parse_bench(fixture_text("and_tree16.bench"),
                                                 name="and_tree16")))
     yield "and_tree16-never-hits", tree, parse_targets("root=1", tree)
@@ -223,10 +228,11 @@ def _equivalence_cases():
     yield "c17-repeated", c17, TargetSpec(entries=[(n22, 1), (n23, 0), (n22, 1), (n23, 1)])
 
 
-def _schedule_boundaries(cap):
+def _schedule_boundaries(first, cap):
     """Execution counts at which a window ends when no lane hits after the
-    first pattern's admission: the windows double from FIRST_WINDOW to ``cap``."""
-    ends, end, size = [], 1, FIRST_WINDOW
+    first pattern's admission and the windows double from ``first`` lanes
+    to ``cap``."""
+    ends, end, size = [], 1, first
     while len(ends) < 6:
         end += size
         ends.append(end)
@@ -234,11 +240,12 @@ def _schedule_boundaries(cap):
     return ends
 
 
-# budgets around the window edges under WINDOW and under the 64-lane cap that
-# WINDOW once was: where a window ends must not move the executed sequence
-_BUDGETS = sorted({1, 200, FIRST_WINDOW}
-                  | {edge + d for cap in (WINDOW, 64)
-                     for edge in [cap] + _schedule_boundaries(cap) for d in (-1, 0, 1)})
+# budgets around window edges, of WINDOW-lane windows and of windows that
+# double from 8 lanes to WINDOW or to 64: where a window ends must not move
+# the executed sequence
+_BUDGETS = sorted({1, 200}
+                  | {edge + d for first, cap in ((WINDOW, WINDOW), (8, WINDOW), (8, 64))
+                     for edge in [cap] + _schedule_boundaries(first, cap) for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
@@ -279,13 +286,13 @@ def test_never_hitting_run_simulates_full_windows(monkeypatch):
     result = run_cgf(tree, spec, budget=300, rng_seed=4)
     passes = list(map(len, windows))
     assert len(result.corpus.seeds) == 1  # only the first pattern's (root, 0)
-    assert passes[:2] == [FIRST_WINDOW, FIRST_WINDOW]  # the first pattern hits at lane 0
+    assert passes[:2] == [WINDOW, WINDOW]  # the first pattern hits at lane 0
     assert max(passes) == WINDOW and passes.count(WINDOW) >= 2
     # the first window is hopeful: lane 1 is bred from the first pattern, and
     # lane 2 on as if lane 1 were admitted too.  Lane 1 is not, so lane 2 is
     # bred again and comes out the same, and lane 3 does not: of all simulated
-    # lanes, only the first window's last five are dropped
-    assert sum(passes) == 300 + FIRST_WINDOW - 3
+    # lanes, only the first window's last WINDOW - 3 are dropped
+    assert sum(passes) == 300 + WINDOW - 3
 
 
 def _c17_n22_run(monkeypatch, rng_seed):
@@ -350,10 +357,11 @@ def _walk_outcomes(windows, result):
 
     Each window's executed lanes are a prefix of it, and the next window
     starts at the next execution.  Checks that no window exceeds
-    :data:`WINDOW` and that each later one is sized from the lanes its
-    predecessor executed.  Returns the number of lanes executed after an
-    admitted lane of their own window (kept by the walk) and of windows cut
-    short before another window (whose first lane the walk bred differently).
+    :data:`WINDOW` and that each later one holds as many lanes as
+    :data:`WINDOW` and the rest of the budget allow.  Returns the number of
+    lanes executed after an admitted lane of their own window (kept by the
+    walk) and of windows cut short before another window (whose first lane
+    the walk bred differently).
     """
     executed = [p.word for p in result.executed]
     admitted = {executed.index(seed.word) for seed in result.corpus.seeds}
@@ -369,13 +377,12 @@ def _walk_outcomes(windows, result):
         if i + 1 < len(windows):
             assert windows[i + 1][0] == executed[start]
             carried += count < len(window)
-            size = max(FIRST_WINDOW, min(WINDOW, 2 * count))
-            assert len(windows[i + 1]) == min(size, len(executed) - start)
+            assert len(windows[i + 1]) == min(WINDOW, len(executed) - start)
     return kept, carried
 
 
 def test_a_window_fits_one_int_digit():
-    assert FIRST_WINDOW <= WINDOW <= sys.int_info.bits_per_digit
+    assert WINDOW == sys.int_info.bits_per_digit
 
 
 def test_walk_reaches_both_outcomes_of_a_rebreed(monkeypatch):
