@@ -34,10 +34,6 @@ GATE_KINDS = frozenset(GATE_OPS) | {"DFF"}  # scan conversion removes each DFF
 UNARY_KINDS = frozenset({"NOT", "BUF", "DFF"})
 CONST_KINDS = frozenset({"CONST0", "CONST1"})
 
-# CPython 3.12 moves each immortal object a collection meets to the frozen
-# set (375 tuples by start-up on 3.12.1); other versions freeze nothing
-_INTERPRETER_FROZEN = gc.get_freeze_count()
-
 
 def gc_paused(fn):
     """Wrap ``fn`` so that it runs with CPython's cyclic collector off, and
@@ -56,24 +52,18 @@ def gc_paused(fn):
     collection.  A caller that had the collector off, or that has frozen
     objects (``unfreeze`` would thaw them), gets neither step.  The
     collector is left as it was found on every exit, an exception included.
-    Up to :data:`_INTERPRETER_FROZEN`, frozen objects are the interpreter's;
-    ``unfreeze`` would thaw them too, so a collection of both young
-    generations, which frees the caller's young cycles, promotes instead.
     """
     @wraps(fn)
     def paused(*args, **kwargs):
         if not gc.isenabled():
             return fn(*args, **kwargs)
-        frozen = gc.get_freeze_count()
-        promote = frozen <= _INTERPRETER_FROZEN
-        if promote and not frozen:
+        promote = not gc.get_freeze_count()
+        if promote:
             gc.collect(0)
         gc.disable()
         try:
             result = fn(*args, **kwargs)
-            if promote and frozen:
-                gc.collect(1)
-            elif promote:
+            if promote:
                 gc.freeze()
                 gc.unfreeze()
             return result

@@ -334,8 +334,11 @@ def _many_admissions_case():
 
 
 def test_breeds_at_most_four_mutants_per_execution(monkeypatch):
-    """A circuit that keeps admitting seeds: a full window per pass would breed
-    about 14 mutants per execution (most of them dropped after a hit)."""
+    """A circuit that keeps admitting seeds, so walks stop early and often.
+    An executed lane is bred at most twice, once into its window and once by
+    the walk; the lane the walk breeds differently leads the next window
+    unbred, and the lanes after it are dropped, bred once.  The bound caps
+    those dropped lanes (this run breeds about 2.9 mutants per execution)."""
     g, spec = _many_admissions_case()
     breeds = 0
     real_breed = cgf._breed
