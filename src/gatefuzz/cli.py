@@ -264,7 +264,6 @@ def _summary_csv(sat_report, trials, budget):
         ("patterns", sat_report.pattern_count, [budget] * len(trials)),
     ):
         mean, lo, hi = stats(cgf_values)
-        mean = float(mean) if mean is not None else None
         lines.append(",".join([metric, fmt(sat_value), fmt(mean), fmt(lo), fmt(hi)]))
     return "\n".join(lines) + "\n"
 

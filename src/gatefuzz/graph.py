@@ -11,12 +11,13 @@ memo refers back to the graph, so a dropped graph is freed by reference
 counting alone.  It carries per-node levels; a gate's level is one more
 than its deepest fanin's, so sorting by level gives a topological order.
 Netlists may declare their gates in any order: one depth-first search over
-fanins gives the levels, or names a cycle.  Graph build runs with the cyclic
-garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`): it makes
-only lists, dicts and tuples of strings and ints, none of which refers back
-to what holds it, so no collection, during the build or after it, could free
-any of it, and the graph starts out in the oldest generation.  Structural
-diffs between two graphs drive automatic target selection.
+fanins gives the levels, or names a cycle.  Graph and cut builds run with
+the cyclic garbage collector paused (:func:`~gatefuzz.netlist.gc_paused`):
+they make only lists, dicts and tuples of strings and ints, none of which
+refers back to what holds it, so no collection, during the build or after
+it, could free any of it, and what they build starts out in the oldest
+generation.  Structural diffs between two graphs drive automatic target
+selection.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ def cone(graph: CircuitGraph, needed):
     return graph.cuts[key] or (graph, range(graph.node_count))
 
 
+@gc_paused
 def _cut(graph: CircuitGraph, needed):
     """The uncached body of :func:`cone`, None for a cone of every gate."""
     inputs = range(graph.input_count)

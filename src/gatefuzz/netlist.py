@@ -39,18 +39,18 @@ def gc_paused(fn):
     """Wrap ``fn`` so that it runs with CPython's cyclic collector off, and
     what it returns starts out in the oldest generation.
 
-    The parsers, graph build and the CNF encoding make only acyclic
-    containers (tuples, lists, dicts and records that refer down to what
-    they hold, never back), so a collection during one can free nothing; on
-    a large netlist the collector would still traverse the young objects
-    hundreds of times.  Left young, they would all be traversed once more by
-    the first collection after the call.  So on return ``gc.freeze()`` and
-    ``gc.unfreeze()`` move every tracked object to the oldest generation,
-    which only a full collection traverses, and zero the young count.
-    Before the call, a young collection frees the caller's unreachable young
-    cycles, which the promotion would otherwise keep until a full
-    collection.  A caller that had the collector off, or that has frozen
-    objects (``unfreeze`` would thaw them), gets neither step.  The
+    The parsers, the graph, cut and plan builds and the CNF encoding make
+    only acyclic containers (tuples, lists, dicts and records that refer
+    down to what they hold, never back), so a collection during one can free
+    nothing; on a large netlist the collector would still traverse the young
+    objects hundreds of times.  Left young, they would all be traversed once
+    more by the first collection after the call.  So on return
+    ``gc.freeze()`` and ``gc.unfreeze()`` move every tracked object to the
+    oldest generation, which only a full collection traverses, and zero the
+    young count.  Before the call, a young collection frees the caller's
+    unreachable young cycles, which the promotion would otherwise keep until
+    a full collection.  A caller that had the collector off, or that has
+    frozen objects (``unfreeze`` would thaw them), gets neither step.  The
     collector is left as it was found on every exit, an exception included.
     """
     @wraps(fn)

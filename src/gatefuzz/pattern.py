@@ -13,15 +13,19 @@ or go through the string form.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class InputPattern:
     """A total assignment to the primary inputs; ``bits[0]`` is the first input.
 
-    Patterns are immutable values: two are equal, and hash equal, when their
-    words and widths are.
+    Patterns are frozen values: two are equal, and hash equal, when their
+    words and widths are, and they copy and pickle as values.
     """
 
-    __slots__ = ("word", "width")
+    word: int
+    width: int
 
     def __init__(self, bits):
         word = 0
@@ -39,10 +43,7 @@ class InputPattern:
         """The pattern whose first input is bit ``width - 1`` of ``word``."""
         if word < 0 or word >> width:
             raise ValueError(f"pattern word {word} does not fit in {width} bits")
-        pattern = object.__new__(cls)
-        object.__setattr__(pattern, "word", word)
-        object.__setattr__(pattern, "width", width)
-        return pattern
+        return cls.from_words((word,), width)[0]
 
     @classmethod
     def from_words(cls, words, width: int) -> list["InputPattern"]:
@@ -75,19 +76,5 @@ class InputPattern:
     def __len__(self):
         return self.width
 
-    def __eq__(self, other):
-        if not isinstance(other, InputPattern):
-            return NotImplemented
-        return self.word == other.word and self.width == other.width
-
-    def __hash__(self):
-        return hash((self.word, self.width))
-
     def __repr__(self):
         return f"InputPattern.from_string({self.to_string()!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"InputPattern is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"InputPattern is immutable; cannot delete {name!r}")

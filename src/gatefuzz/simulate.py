@@ -3,7 +3,8 @@
 One plan per graph serves all simulation: the graph's gates grouped by level,
 op, inversion and fanin count, the groups in level order, each kind's op and
 inversion read from :data:`~gatefuzz.netlist.GATE_OPS`.  A graph never
-changes, so the plan is built on first use and kept on the graph
+changes, so the plan is built on first use, with the cyclic collector paused
+(:func:`~gatefuzz.netlist.gc_paused`), and kept on the graph
 (``CircuitGraph.plan``); no other module sees it.  :func:`run_words` is the
 one two-valued kernel: it takes the patterns as packed input words (an
 :class:`~gatefuzz.pattern.InputPattern`'s ``word``, the first input its top
@@ -57,7 +58,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .graph import CircuitGraph
-from .netlist import GATE_OPS
+from .netlist import GATE_OPS, gc_paused
 from .pattern import InputPattern
 
 # AND is a definite 1 when every fanin is and a definite 0 when any fanin is:
@@ -76,17 +77,23 @@ def _plan(graph: CircuitGraph) -> tuple:
     order."""
     plan = graph.plan
     if plan is None:
-        kinds, fanins, levels = graph.kinds, graph.fanins, graph.levels
-        groups: dict[tuple, list[tuple]] = defaultdict(list)
-        for node in range(graph.input_count, graph.node_count):  # the gates
-            srcs = fanins[node]
-            groups[levels[node], kinds[node], len(srcs)].append((node, *srcs))
-        plan = []
-        for key in sorted(groups):
-            op, inverted = GATE_OPS[key[1]]
-            plan.append((op, key[2], inverted, tuple(groups[key])))
-        plan = graph.plan = tuple(plan)
+        plan = graph.plan = _build_plan(graph)
     return plan
+
+
+@gc_paused
+def _build_plan(graph: CircuitGraph) -> tuple:
+    """The uncached body of :func:`_plan`."""
+    kinds, fanins, levels = graph.kinds, graph.fanins, graph.levels
+    groups: dict[tuple, list[tuple]] = defaultdict(list)
+    for node in range(graph.input_count, graph.node_count):  # the gates
+        srcs = fanins[node]
+        groups[levels[node], kinds[node], len(srcs)].append((node, *srcs))
+    plan = []
+    for key in sorted(groups):
+        op, inverted = GATE_OPS[key[1]]
+        plan.append((op, key[2], inverted, tuple(groups[key])))
+    return tuple(plan)
 
 
 def run_pass(graph: CircuitGraph, patterns) -> list[int]:

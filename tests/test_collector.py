@@ -1,4 +1,5 @@
-"""The parsers, graph build and encoding run with the cyclic collector paused.
+"""The parsers, graph, cut and plan builds and encoding run with the cyclic
+collector paused.
 
 They make only acyclic containers, so no collection could free what they
 make; these tests check that premise and that each paused function leaves
@@ -14,6 +15,7 @@ a dropped graph is freed without the collector.
 import gc
 import random
 import weakref
+from functools import partial
 
 import pytest
 
@@ -21,12 +23,12 @@ from gatefuzz.bench import parse_bench, write_bench
 from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
-from gatefuzz.graph import CycleError, build_graph, cone
+from gatefuzz.graph import CycleError, _cut, build_graph, cone
 from gatefuzz.netlist import (Netlist, NetlistError, NetlistSyntaxError, RawGate, gc_paused,
                               scan_convert)
 from gatefuzz.pattern import InputPattern
 from gatefuzz.seedgen import target_formula
-from gatefuzz.simulate import run_pass
+from gatefuzz.simulate import _build_plan, run_pass
 from gatefuzz.targets import TargetSpec
 
 from conftest import every_arity_netlist, random_netlist
@@ -60,6 +62,10 @@ CALLS = {
     "graph-cycle": (build_graph, _and_netlist(RawGate("y", "AND", ("a", "u")),
                                               RawGate("u", "OR", ("y", "b"))), CycleError),
     "encode": (encode, build_graph(_and_netlist(RawGate("y", "XOR", ("a", "b")))), None),
+    # the cone of y, which leaves out u, so a cut is built
+    "cut": (partial(_cut, needed=[2]), build_graph(_and_netlist(
+        RawGate("y", "AND", ("a", "b")), RawGate("u", "NOT", ("a",)))), None),
+    "plan": (_build_plan, build_graph(_and_netlist(RawGate("y", "XOR", ("a", "b")))), None),
 }
 
 

@@ -1,13 +1,19 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 import gatefuzz
 from gatefuzz.blif import parse_blif
+from gatefuzz.cgf import run_cgf
+from gatefuzz.fixtures import fixture_text, load_circuit
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import scan_convert
 from gatefuzz.pattern import InputPattern
+from gatefuzz.seedgen import GenConfig, generate
 from gatefuzz.simulate import simulate
+from gatefuzz.targets import parse_targets
 
 
 def test_first_input_is_the_leftmost_character_and_the_top_bit():
@@ -79,6 +85,32 @@ def test_patterns_are_immutable():
     with pytest.raises(AttributeError):
         del p.width
     assert p == InputPattern((1, 0))
+
+
+def test_a_pattern_is_no_tuple_but_hashes_as_one():
+    # sets and dicts of patterns behave as they did before patterns were dataclasses
+    p = InputPattern.from_word(5, 3)
+    assert p != (5, 3)
+    assert hash(p) == hash((5, 3))
+
+
+def _results():
+    graph = build_graph(scan_convert(load_circuit("c432")))
+    spec = parse_targets(fixture_text("c432.mixed.targets"), graph)
+    return {
+        "width-0": InputPattern(()),
+        "width-36": InputPattern.from_word(0xF0F0F0F0F, 36),
+        "gen-report": generate(graph, spec, GenConfig(pattern_budget=20)),
+        "cgf-result": run_cgf(graph, spec, 20),
+    }
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_patterns_and_results_copy_and_pickle(round_trip):
+    for name, value in _results().items():
+        assert round_trip(value) == value, name
 
 
 def test_every_exported_name_resolves():
