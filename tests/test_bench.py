@@ -1,9 +1,11 @@
 import random
 import re
+from importlib import resources
 
 import pytest
 
-from gatefuzz.bench import parse_bench, write_bench
+from gatefuzz import bench
+from gatefuzz.bench import _read_canonical, _read_general, parse_bench, write_bench
 from gatefuzz.fixtures import fixture_text
 from gatefuzz.graph import build_graph
 from gatefuzz.netlist import Netlist, NetlistError, NetlistSyntaxError, RawGate, scan_convert
@@ -303,3 +305,138 @@ def test_line_breaks_do_not_change_the_parse():
                   for sep, end in (("\n", ""), ("\n", "\n"), ("\r\n", "\r\n"), ("\u2028", ""))]
         assert errors[0][2] == bad + 1
         assert errors.count(errors[0]) == len(errors)
+
+
+BUNDLED_BENCH = sorted(path.name for path in (resources.files("gatefuzz") / "circuits").iterdir()
+                       if path.name.endswith(".bench"))
+
+
+def _written_texts():
+    rng = random.Random(40)
+    return [write_bench(random_netlist(rng, n_inputs=rng.randint(1, 8), n_gates=rng.randint(1, 60),
+                                       with_dffs=dffs))
+            for dffs in (False, True) for _ in range(30)]
+
+
+# texts in write_bench's form: the bundled circuits, and written random netlists
+CANONICAL_TEXTS = [fixture_text(name) for name in BUNDLED_BENCH] + _written_texts()
+
+
+def _canonical_or_declined(text):
+    """What the canonical reader makes of ``text``, checked against the
+    general reader: None, or the netlist the general reader reads."""
+    try:
+        general = _read_general(text, "n")
+    except NetlistSyntaxError:
+        general = None
+    canonical = _read_canonical(text, "n")
+    if canonical is not None:
+        assert canonical == general
+        assert all(type(gate) is RawGate for gate in canonical.gates)
+        assert parse_bench(text, "n") == canonical
+    return canonical
+
+
+def test_the_canonical_reader_takes_every_bundled_and_written_text():
+    assert len(BUNDLED_BENCH) >= 6
+    for text in CANONICAL_TEXTS:
+        assert _canonical_or_declined(text) is not None
+        assert _canonical_or_declined(text.rstrip("\n")) is not None
+
+
+def test_parse_bench_reads_a_canonical_text_without_the_general_reader(monkeypatch):
+    def general(text, name):
+        raise AssertionError("the general reader ran")
+
+    monkeypatch.setattr(bench, "_read_general", general)
+    for text in CANONICAL_TEXTS:
+        assert parse_bench(text.replace("\n", "\r\n"), "n") == _read_canonical(text, "n")
+    with pytest.raises(AssertionError):
+        parse_bench("INPUT(a) ")
+
+
+_KEYWORD = re.compile(r"(?<= = )\w+(?=\()")
+
+# (respelling of one gate line, what the line must hold, whether the
+# canonical reader takes the text)
+GATE_LINE_RESPELLINGS = {
+    "no blank after a comma": (lambda line: line.replace(", ", ",", 1), ", ", False),
+    "two blanks after a comma": (lambda line: line.replace(", ", ",  ", 1), ", ", False),
+    "a blank before a comma": (lambda line: line.replace(", ", " , ", 1), ", ", False),
+    "a tab after a comma": (lambda line: line.replace(", ", ",\t", 1), ", ", False),
+    "no blanks around =": (lambda line: line.replace(" = ", "="), "", False),
+    "two blanks around =": (lambda line: line.replace(" = ", "  =  "), "", False),
+    "a tab before =": (lambda line: line.replace(" = ", "\t= "), "", False),
+    "an indent": (lambda line: " " + line, "", False),
+    "a lower-case keyword": (lambda line: _KEYWORD.sub(lambda m: m[0].lower(), line), "", False),
+    "a mixed-case keyword": (lambda line: _KEYWORD.sub(lambda m: m[0].capitalize(), line), "",
+                             False),
+    "BUFF": (lambda line: _KEYWORD.sub("BUFF", line), "", True),
+    "a trailing comment": (lambda line: line + "  # note", "", False),
+    "a trailing #": (lambda line: line + "#", "", False),
+    "a trailing blank": (lambda line: line + " ", "", False),
+    "an empty argument": (lambda line: line.replace(", ", ", , ", 1), ", ", False),
+    "an empty first argument": (lambda line: line.replace("(", "(, ", 1), "", False),
+    "no arguments": (lambda line: line[:line.index("(")] + "()", "", False),
+    "a CONST0 line": (lambda line: _KEYWORD.sub("CONST0", line[:line.index("(")] + "()"), "",
+                      False),
+    "an unknown keyword": (lambda line: _KEYWORD.sub("MUX", line), "", False),
+    "a no-break space": (lambda line: line.replace(" = ", "\xa0= "), "", False),
+    "an em space": (lambda line: line.replace(", ", ",\u2003", 1), ", ", False),
+    "an em space before =": (lambda line: "\u2003".join(line.split(" ", 1)), "", False),
+    # the general reader keeps a blank inside an argument
+    "an em space inside an argument": (lambda line: line.replace(", ", "\u2003", 1), ", ",
+                                       False),
+}
+
+
+@pytest.mark.parametrize("respelling", list(GATE_LINE_RESPELLINGS))
+def test_a_respelled_gate_line_is_read_alike_or_declined(respelling):
+    respell, need, accepted = GATE_LINE_RESPELLINGS[respelling]
+    rng = random.Random(42)
+    respelled = 0
+    for text in CANONICAL_TEXTS:
+        lines = text.split("\n")
+        found = [i for i, line in enumerate(lines) if " = " in line and need in line
+                 and not line.startswith("#")]
+        if found:
+            i = rng.choice(found)
+            lines[i] = respell(lines[i])
+            assert (_canonical_or_declined("\n".join(lines)) is not None) is accepted
+            respelled += 1
+    assert respelled >= 20
+
+
+# (respelling of a whole text, whether the canonical reader takes it)
+TEXT_RESPELLINGS = {
+    "no final newline": (lambda text: text.rstrip("\n"), True),
+    "blank and comment lines": (lambda text: text.replace("\n", "\n\n#\n# (a = b)\n\n", 2),
+                                True),
+    "an indented comment": (lambda text: " " + text, False),
+    "a blank in an INPUT": (lambda text: text.replace("INPUT(", "INPUT( ", 1), False),
+    "a blank in an OUTPUT": (lambda text: text.replace("OUTPUT(", "OUTPUT (", 1), False),
+    "a lower-case INPUT": (lambda text: text.replace("INPUT(", "input(", 1), False),
+    "a line of blanks": (lambda text: text.replace("\n", "\n \n", 1), False),
+}
+
+
+@pytest.mark.parametrize("respelling", list(TEXT_RESPELLINGS))
+def test_a_respelled_text_is_read_alike_or_declined(respelling):
+    respell, accepted = TEXT_RESPELLINGS[respelling]
+    for text in CANONICAL_TEXTS:
+        assert (_canonical_or_declined(respell(text)) is not None) is accepted
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only a comment", "#\n\n#"])
+def test_the_canonical_reader_takes_a_text_without_constructs(text):
+    assert _canonical_or_declined(text) == Netlist("n")
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_the_canonical_reader_declines_other_line_breaks(sep):
+    # even in a comment; parse_bench joins the lines by line feeds first
+    text = write_bench(random_netlist(random.Random(43), 4, 12))
+    assert _read_canonical(text.replace("\n", sep)) is None
+    assert _read_canonical(f"# a{sep}INPUT(b)") is None
+    assert parse_bench(text.replace("\n", sep), "n") == _read_canonical(text, "n")

@@ -19,7 +19,7 @@ from functools import partial
 
 import pytest
 
-from gatefuzz.bench import parse_bench, write_bench
+from gatefuzz.bench import _read_canonical, parse_bench, write_bench
 from gatefuzz.blif import parse_blif
 from gatefuzz.cnf import encode
 from gatefuzz.fixtures import fixture_text
@@ -105,13 +105,23 @@ def test_gc_paused_disables_the_collector_only_inside(collector, enabled):
     assert body.__name__ == "body"
 
 
+def _general_spelling(text):
+    """``text`` respelled out of write_bench's form, so that the canonical
+    reader declines it and the general reader reads it."""
+    spelled = text.replace(", ", " , ").replace("\n", " \n")
+    assert _read_canonical(spelled) is None
+    return spelled
+
+
 def test_the_front_end_makes_no_cyclic_garbage(collector):
     # the premise of the pause: with the collector off throughout, parsing,
     # scan conversion, graph build and encoding leave nothing a collection
-    # could free once their results are dropped
+    # could free once their results are dropped; each text is read by both
+    # readers, which make different temporaries
     rng = random.Random(17)
     texts = [write_bench(random_netlist(rng, rng.randint(1, 12), rng.randint(1, 300),
                                         with_dffs=True)) for _ in range(20)]
+    texts += [_general_spelling(text) for text in texts]
     sequential = [every_arity_netlist(random.Random(seed)) for seed in range(5)]
     gc.collect()
     gc.disable()
@@ -211,14 +221,16 @@ def test_a_callers_young_garbage_cycle_is_freed_by_the_call(collector):
 def test_repeated_calls_leave_no_garbage_behind(collector):
     # without the young collection on entry, each promotion would carry the
     # cycle made before it into the oldest generation, which a loop that
-    # makes nothing else never collects
+    # makes nothing else never collects; the calls alternate between the
+    # two readers
     gc.enable()
     text = fixture_text("c432.bench")
+    texts = (text, _general_spelling(text))
     gc.collect()
     before = len(gc.get_objects())
-    for _ in range(20_000):
+    for i in range(20_000):
         Cycle()
-        build_graph(parse_bench(text))
+        build_graph(parse_bench(texts[i % 2]))
     assert len(gc.get_objects()) - before < 100
 
 
